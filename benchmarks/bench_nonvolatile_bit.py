@@ -16,7 +16,7 @@ from repro.alphabets import MessageFactory
 from repro.datalink import dl4, dl5
 from repro.impossibility import refute_crash_tolerance
 from repro.protocols import baratz_segall_protocol
-from repro.sim import crash_storm, delivery_stats, fifo_system, run_scenario
+from repro.sim import Session, crash_storm, delivery_stats, fifo_system
 
 
 @pytest.mark.parametrize("crashes", [1, 3, 6, 10])
@@ -24,7 +24,8 @@ def test_crash_storm_safety(benchmark, crashes):
     def storm():
         system = fifo_system(baratz_segall_protocol(nonvolatile=True))
         script = crash_storm(system, crashes=crashes, seed=crashes)
-        return script, run_scenario(system, script.actions, seed=crashes)
+        result = Session(system, tuple(script.actions), seed=crashes).run()
+        return script, result
 
     script, result = benchmark(storm)
     assert result.quiescent
@@ -44,7 +45,7 @@ def test_safety_sweep_many_seeds(benchmark):
         for seed in range(10):
             system = fifo_system(baratz_segall_protocol(nonvolatile=True))
             script = crash_storm(system, crashes=5, seed=seed)
-            result = run_scenario(system, script.actions, seed=seed)
+            result = Session(system, tuple(script.actions), seed=seed).run()
             if not (
                 dl4(result.behavior, "t", "r").holds
                 and dl5(result.behavior, "t", "r").holds

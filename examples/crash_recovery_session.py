@@ -14,17 +14,16 @@ non-volatile state suffices.  This example walks the boundary:
 Run:  python examples/crash_recovery_session.py
 """
 
-from repro.alphabets import MessageFactory
 from repro.datalink import dl4, dl5
 from repro.impossibility import EngineError, refute_crash_tolerance
 from repro.protocols import baratz_segall_protocol
-from repro.sim import crash_storm, delivery_stats, fifo_system, run_scenario
+from repro.sim import Session, crash_storm, delivery_stats, fifo_system
 
 
 def storm_run(crashes: int, seed: int):
     system = fifo_system(baratz_segall_protocol(nonvolatile=True))
     script = crash_storm(system, crashes=crashes, seed=seed)
-    result = run_scenario(system, script.actions, seed=seed)
+    result = Session(system, tuple(script.actions), seed=seed).run()
     return script, result
 
 

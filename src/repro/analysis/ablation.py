@@ -23,7 +23,7 @@ from ..channels.scripted import reordering_channel
 from ..datalink.modules import wdl_module
 from ..datalink.protocol import DataLinkProtocol
 from ..sim.network import DataLinkSystem
-from ..sim.runner import run_scenario
+from ..sim.session import Session
 
 
 @dataclass
@@ -102,9 +102,9 @@ def _run_once(
     script = [system.wake_t(), system.wake_r()] + [
         system.send(m) for m in factory.fresh_many(messages)
     ]
-    result = run_scenario(
-        system, script, seed=seed, max_steps=max_steps
-    )
+    result = Session(
+        system, tuple(script), seed=seed, max_steps=max_steps
+    ).run()
     module = wdl_module("t", "r", quiescent=result.quiescent)
     return not module.contains(result.behavior) or not result.quiescent
 

@@ -214,7 +214,6 @@ def verify_delivery_order(
     capacity: int = 2,
     reorder_depth: int = 1,
     max_states: int = 400_000,
-    workers: Optional[int] = None,
 ) -> ModelCheckResult:
     """Exhaustively verify in-order, exactly-once delivery.
 
@@ -229,10 +228,6 @@ def verify_delivery_order(
     reordering tolerance (cf. the paper's footnote 1): e.g. the
     alternating bit protocol is verified at depth 1 but yields a
     duplicate-delivery counterexample at depth 2.
-
-    ``workers > 1`` shards each BFS layer across a process pool (see
-    :func:`repro.ioa.explorer.explore`); the result is identical to a
-    serial run.
     """
     composition, invariant, _ = build_closed_system(
         protocol,
@@ -245,7 +240,6 @@ def verify_delivery_order(
         invariant=invariant,
         max_states=max_states,
         max_depth=10_000_000,
-        workers=workers,
     )
     counterexample = (
         None if result.violation is None else result.violation[1]

@@ -33,11 +33,11 @@ from ..protocols import (
 )
 from ..sim import (
     DataLinkSystem,
+    Session,
     channel_stats,
     crash_storm,
     delivery_stats,
     fifo_system,
-    run_scenario,
 )
 from .header_growth import measure_header_growth
 from .model_check import verify_delivery_order
@@ -262,7 +262,9 @@ def e5_nonvolatile_table() -> Table:
         for seed in range(3):
             system = fifo_system(baratz_segall_protocol(nonvolatile=True))
             script = crash_storm(system, crashes=crashes, seed=seed)
-            result = run_scenario(system, script.actions, seed=seed)
+            result = Session(
+                system, tuple(script.actions), seed=seed
+            ).run()
             safe4 = dl4(result.behavior, "t", "r").holds
             safe5 = dl5(result.behavior, "t", "r").holds
             violations += (not safe4) + (not safe5)

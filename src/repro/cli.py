@@ -98,8 +98,13 @@ from .protocols import (
     sliding_window_protocol,
     stenning_protocol,
 )
-from .sim import DataLinkSystem, FaultPlan, delivery_stats, generate_script
-from .sim.runner import run_scenario
+from .sim import (
+    DataLinkSystem,
+    FaultPlan,
+    Session,
+    delivery_stats,
+    generate_script,
+)
 
 #: name -> (factory taking an optional integer parameter, description)
 REGISTRY: Dict[str, Callable[[Optional[int]], DataLinkProtocol]] = {
@@ -375,7 +380,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args, "simulate", protocol.name, args.seed, config
     ) as tracer:
         script = generate_script(system, plan)
-        result = run_scenario(system, script.actions, seed=args.seed)
+        result = Session(
+            system, tuple(script.actions), seed=args.seed
+        ).run()
         stats = delivery_stats(result.fragment)
         audit = check_datalink_trace(
             result.behavior, quiescent=result.quiescent

@@ -22,7 +22,7 @@ from ..ioa.schedule_module import ModuleVerdict
 from ..channels.scripted import lossy_fifo_channel, reordering_channel
 from ..sim.faults import FaultPlan, generate_script
 from ..sim.network import DataLinkSystem
-from ..sim.runner import run_scenario
+from ..sim.session import Session
 from .modules import dl_module, wdl_module
 from .protocol import DataLinkProtocol
 
@@ -83,9 +83,9 @@ def check_protocol(
         script_plan = plan or FaultPlan(messages=messages, seed=seed)
         script_plan.seed = seed
         script = generate_script(system, script_plan)
-        result = run_scenario(
-            system, script.actions, seed=seed, max_steps=max_steps
-        )
+        result = Session(
+            system, tuple(script.actions), seed=seed, max_steps=max_steps
+        ).run()
         module = module_factory("t", "r", quiescent=result.quiescent)
         verdict = module.check(result.behavior)
         if not verdict.in_module or not result.quiescent:

@@ -23,7 +23,6 @@ from .explorer import (
     ExplorationResult,
     InputEnablednessError,
     explore,
-    explore_reference,
     reachable_states,
 )
 from .fairness import (
@@ -80,7 +79,6 @@ __all__ = [
     "compose_signatures",
     "directed",
     "explore",
-    "explore_reference",
     "external_of",
     "fair_extension",
     "hide",

@@ -20,7 +20,7 @@ import json
 import os
 import time
 from statistics import median
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 DEFAULT_PATH = os.path.join("bench", "BENCH_explore.json")
 TRACE_PATH = os.path.join("bench", "BENCH_explore_trace.jsonl")
@@ -83,7 +83,6 @@ def _time_explore(explore_fn, build_system, repeats: int):
 def run_bench(
     cases: Iterable[Tuple[str, str, int, int, int, bool]] = DEFAULT_CASES,
     repeats: int = 3,
-    workers: Optional[int] = None,
 ) -> Dict:
     """Benchmark engine vs. reference BFS on each closed system.
 
@@ -105,7 +104,6 @@ def run_bench(
     report: Dict = {
         "generated_by": "repro.ioa.engine.bench",
         "repeats": repeats,
-        "workers": workers,
         "accel_backend": backend,
         # Absolute states/sec is host-dependent; regression gates
         # should annotate or skip when the affinity mask is starved
@@ -133,10 +131,7 @@ def run_bench(
 
         def engine_fn(composition, invariant, max_depth):
             return explore(
-                composition,
-                invariant=invariant,
-                max_depth=max_depth,
-                workers=workers,
+                composition, invariant=invariant, max_depth=max_depth
             )
 
         def reference_fn(composition, invariant, max_depth):
@@ -248,7 +243,6 @@ def run_bench(
 def write_bench_trace(
     path: str = TRACE_PATH,
     case: Tuple[str, str, int, int, int, bool] = DEFAULT_CASES[0],
-    workers: Optional[int] = None,
 ) -> Dict:
     """Run one benchmark exploration under full tracing.
 
@@ -279,14 +273,10 @@ def write_bench_trace(
             "messages": messages,
             "capacity": capacity,
             "reorder_depth": reorder_depth,
-            "workers": workers,
         },
     ) as tracer:
         result = explore(
-            composition,
-            invariant=invariant,
-            max_depth=10_000_000,
-            workers=workers,
+            composition, invariant=invariant, max_depth=10_000_000
         )
     return {
         "path": path,
@@ -300,10 +290,9 @@ def write_bench_json(
     path: str = DEFAULT_PATH,
     cases: Iterable[Tuple[str, str, int, int, int, bool]] = DEFAULT_CASES,
     repeats: int = 3,
-    workers: Optional[int] = None,
 ) -> Dict:
     """Run the benchmark and write the JSON report to ``path``."""
-    report = run_bench(cases=cases, repeats=repeats, workers=workers)
+    report = run_bench(cases=cases, repeats=repeats)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

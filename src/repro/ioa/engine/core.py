@@ -98,12 +98,15 @@ class ExplorationResult:
     supports ``len``/``in``/iteration/equality like a real set.
     ``truncated`` is True when the state or depth budget was exhausted
     before the frontier emptied; ``violation`` carries the first
-    invariant violation found, as a (state, trace) pair.
+    invariant violation found, as a (state, trace) pair.  ``fallback``
+    is the reason a requested backend degraded to the pure-Python
+    engine (``None`` when the requested backend ran).
     """
 
     states: AbstractSet[State]
     truncated: bool
     violation: Optional[Tuple[State, Tuple[Action, ...]]] = None
+    fallback: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -117,6 +120,8 @@ class ExplorationResult:
         if self.violation is not None:
             _, trace = self.violation
             details["counterexample"] = [str(action) for action in trace]
+        if self.fallback is not None:
+            details["fallback"] = self.fallback
         return RunReport(
             command="explore",
             status=STATUS_OK if self.ok else STATUS_VIOLATION,
@@ -134,7 +139,6 @@ def explore_engine(
     max_depth: int = 10_000,
     validate: bool = False,
     initial_state: Optional[State] = None,
-    encoder: Optional[StateEncoder] = None,
 ) -> ExplorationResult:
     """Serial engine entry point (see module docstring).
 
@@ -144,11 +148,9 @@ def explore_engine(
     is enabled, raising :class:`InputEnablednessError` otherwise.
     ``initial_state`` starts the search from the given (possibly
     unreachable) state instead of the automaton's own initial state.
-    ``encoder`` lets a caller share a pre-warmed :class:`StateEncoder`
-    (ids and stepping memos) with this search.
     """
     if isinstance(automaton, Composition):
-        return _CompositionSearch(automaton, encoder=encoder).run(
+        return _CompositionSearch(automaton).run(
             environment,
             invariant,
             max_states,
@@ -287,7 +289,7 @@ class _CompositionSearch:
     Encoded states are tuples of per-slot slice ids.  The mapping and
     the stepping caches live in a shared :class:`StateEncoder` -- one
     per search, or one handed in by a caller that wants to reuse the
-    ids (the parallel frontier and the accelerated backend do) --
+    ids (the disk-backed backend does) --
     mapping ``sid`` to the slice's enabled (token, owners) pairs and
     ``(sid, token)`` to the successor slice ids, so a slice value is
     only ever stepped once per action no matter how many composed

@@ -7,7 +7,7 @@ or, when every slot fits its bit budget, packed into a *single* machine
 integer.  :class:`StateEncoder` owns that mapping plus the per-slice
 successor memo tables keyed by ``(slice id, action token)``, so every
 backend of :func:`repro.ioa.explorer.explore` -- the pure-Python
-engine, the parallel frontier and the compiled accelerated core --
+engine, the disk-backed frontier and the compiled accelerated core --
 shares one encoding and one set of stepping caches.
 
 What the encoding preserves (and what it does not): encoding is a

@@ -13,7 +13,7 @@ flags use::
     with trace_run("out.jsonl", command="simulate",
                    protocol="alternating-bit", seed=3,
                    config={"messages": 10, "loss": 0.2}) as tracer:
-        run_scenario(system, script, seed=3)
+        Session(system, script, seed=3).run()
 
 On exit the manifest is appended and the sink closed.  The manifest of
 an existing trace is recovered with :meth:`RunManifest.find`.

@@ -263,7 +263,7 @@ def tracing(*sinks: Sink) -> Iterator[Tracer]:
     Restores the previous tracer and closes the sinks on exit::
 
         with tracing(MemorySink()) as tracer:
-            run_scenario(...)
+            Session(...).run()
         totals = tracer.snapshot_counters()
     """
     tracer = Tracer(sinks=sinks, enabled=True)

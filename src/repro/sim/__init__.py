@@ -6,7 +6,7 @@ thousands of such sessions through the batched warm-worker pool.
 """
 
 # Anchor the sim <-> datalink import cycle: datalink.correctness
-# imports our faults/runner modules mid-initialization, which fails if
+# imports our faults/session modules mid-initialization, which fails if
 # *this* package started the chain (``import repro.sim`` first).
 # Loading the datalink package up front pins a working resolution
 # order; it is a no-op whenever datalink is already imported.
@@ -27,7 +27,7 @@ from .network import (
     fifo_system,
     permissive_system,
 )
-from .runner import ScenarioResult, run_batch, run_scenario
+from .runner import ScenarioResult
 from .scheduler import (
     behaviors_under_schedules,
     deterministic_tie_break,
@@ -55,7 +55,5 @@ __all__ = [
     "percentile",
     "percentile_summary",
     "permissive_system",
-    "run_batch",
-    "run_scenario",
     "seeded_tie_break",
 ]

@@ -1,20 +1,16 @@
-"""High-level simulation runner (legacy surface over the Session façade).
+"""What a simulated scenario returns.
 
 The scenario-driving loop -- script inputs interleaved with a random
 (seeded) number of fair steps, then a drain to quiescence -- lives in
-:class:`repro.sim.session.Session`.  This module keeps the historical
-entry points: :class:`ScenarioResult` (what a run returns),
-:func:`run_scenario` (a thin deprecation shim with its original
-signature, so existing callers keep working) and :func:`run_batch`.
-New code should construct a ``Session`` and call ``run()``.
+:class:`repro.sim.session.Session`; ``Session(...).run()`` is the one
+execution entry point and returns the :class:`ScenarioResult` defined
+here.
 """
 
 from __future__ import annotations
 
-import random
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Tuple
 
 from ..ioa.actions import Action
 from ..ioa.execution import ExecutionFragment
@@ -50,41 +46,18 @@ class ScenarioResult:
     def report(
         self,
         duration_s: float = 0.0,
-        *legacy_stations,
+        *,
         stations: Tuple[str, str] = ("t", "r"),
-        **legacy,
     ) -> RunReport:
         """This scenario as the unified :class:`~repro.obs.RunReport`.
 
         ``stations`` names the (transmitter, receiver) pair the
-        delivery and channel statistics are computed over.  The
-        pre-redesign form -- separate ``t=``/``r=`` keywords, or the
-        station names passed positionally after ``duration_s`` -- is
-        still accepted but emits a :class:`DeprecationWarning`.
+        delivery and channel statistics are computed over.
 
         The status is ``ok`` -- a scenario that ran to completion is a
         successful run whatever the protocol did; correctness verdicts
         come from the trace auditors, which the CLI folds in on top.
         """
-        if legacy_stations or legacy:
-            unknown = set(legacy) - {"t", "r"}
-            if unknown or len(legacy_stations) > 2:
-                raise TypeError(
-                    "report() accepts stations=(t, r); unexpected "
-                    f"arguments: {sorted(unknown) or legacy_stations}"
-                )
-            warnings.warn(
-                "ScenarioResult.report(duration_s, t=..., r=...) is "
-                "deprecated; pass stations=(t, r) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            t, r = stations
-            if legacy_stations:
-                t = legacy_stations[0]
-                if len(legacy_stations) > 1:
-                    r = legacy_stations[1]
-            stations = (legacy.get("t", t), legacy.get("r", r))
         from .metrics import channel_stats, delivery_stats
 
         t, r = stations
@@ -118,51 +91,3 @@ class ScenarioResult:
 def _dropped(stats) -> int:
     """Packets that left a channel's send side and never arrived."""
     return max(0, stats.packets_sent - stats.packets_received)
-
-
-def run_scenario(
-    system,
-    script: Iterable[Action],
-    seed: int = 0,
-    max_interleave: int = 8,
-    max_steps: int = 200_000,
-    rng: Optional[random.Random] = None,
-) -> ScenarioResult:
-    """Run a script with seeded interleaving, then drain to quiescence.
-
-    Deprecation shim kept with its original signature: it now simply
-    wraps :class:`repro.sim.session.Session`, which is where the
-    semantics (and their documentation) live.  Prefer
-    ``Session(system, tuple(script), seed=seed).run()`` in new code.
-    """
-    from .session import Session
-
-    return Session(
-        system=system,
-        script=tuple(script),
-        seed=seed,
-        max_interleave=max_interleave,
-        max_steps=max_steps,
-        rng=rng,
-    ).run()
-
-
-def run_batch(
-    build_system,
-    build_script,
-    seeds: Iterable[int],
-    **scenario_kwargs,
-) -> Tuple[ScenarioResult, ...]:
-    """Run one scenario per seed with fresh systems.
-
-    ``build_system(seed)`` returns a :class:`DataLinkSystem`;
-    ``build_script(system, seed)`` returns the input script.
-    """
-    results = []
-    for seed in seeds:
-        system = build_system(seed)
-        script = build_script(system, seed)
-        results.append(
-            run_scenario(system, script, seed=seed, **scenario_kwargs)
-        )
-    return tuple(results)

@@ -5,12 +5,10 @@ A :class:`Session` bundles everything one data-link conversation needs
 script, and the seeded fair-interleaving knobs -- behind a single
 ``run()`` entry point.  It is the unit the multi-session load
 generator (:mod:`repro.sim.load`) schedules by the thousands, and the
-construction façade that used to be smeared across
-``resolve_*``/``build_system``/``build_script``/``run_scenario`` call
-chains:
+one execution entry point of the library -- the CLI, the experiment
+tables and the correctness harness all run scenarios through it:
 
-* ``Session(system, script, seed=...)`` wraps an already-built system
-  (what :func:`~repro.sim.runner.run_scenario` has always taken);
+* ``Session(system, script, seed=...)`` wraps an already-built system;
 * ``Session.from_spec("alternating_bit", "fifo", seeds)`` builds the
   whole conversation from fuzz-registry names and a per-session
   :class:`~repro.conformance.harness.SubSeeds` bundle (or a plain
@@ -19,9 +17,8 @@ chains:
 
 ``run()`` drives the script with seeded interleaving -- after each
 input the system runs a random (seeded) number of fair steps before
-the next input arrives -- then drains to quiescence, exactly the
-semantics ``run_scenario`` always had (that function is now a thin
-compatibility wrapper over this class).  When ``rng`` is left unset,
+the next input arrives -- then drains to quiescence.  When ``rng`` is
+left unset,
 every ``run()`` derives a fresh ``random.Random(seed)``, so one
 Session can be re-run bit-identically.
 """

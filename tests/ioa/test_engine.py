@@ -1,8 +1,8 @@
 """Differential tests: the exploration engine vs. the naive reference BFS.
 
 The engine behind :func:`repro.ioa.explore` (trace-free parent-pointer
-frontiers, state interning, memoized composition stepping, optional
-parallel layers) must be observationally identical to the original
+frontiers, state interning, memoized composition stepping) must be
+observationally identical to the original
 naive breadth-first search, kept behind ``explore(engine="reference")``:
 same reachable-state set, same ``truncated`` flag, and a counterexample
 of the same (layer-minimal) length that actually replays on the
@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ioa import Composition, explore
-from repro.ioa.engine import InternTable, explore_parallel
+from repro.ioa.engine import InternTable
 from repro.analysis.model_check import build_closed_system
 from repro.protocols import (
     alternating_bit_protocol,
@@ -40,7 +40,6 @@ def assert_equivalent(automaton_factory, reference_factory=None, **kwargs):
     """
     reference_factory = reference_factory or automaton_factory
     engine = explore(automaton_factory(), **kwargs)
-    kwargs.pop("workers", None)
     reference = explore(reference_factory(), engine="reference", **kwargs)
     assert engine.states == reference.states
     assert engine.truncated == reference.truncated
@@ -184,62 +183,6 @@ class TestZooDifferential:
         assert engine.truncated and reference.truncated
         assert len(engine.states) == 500
         assert engine.states == reference.states
-
-
-class TestParallelFrontier:
-    """workers=N shards layers but must stay observationally serial."""
-
-    def test_parallel_equivalence(self):
-        composition, invariant, _ = build_closed_system(
-            sliding_window_protocol(2), messages=2, capacity=2
-        )
-        serial = explore(
-            composition, invariant=invariant, max_depth=10_000_000
-        )
-        par_composition, par_invariant, _ = build_closed_system(
-            sliding_window_protocol(2), messages=2, capacity=2
-        )
-        parallel = explore(
-            par_composition,
-            invariant=par_invariant,
-            max_depth=10_000_000,
-            workers=2,
-        )
-        assert parallel.states == serial.states
-        assert parallel.truncated == serial.truncated
-        assert parallel.violation is None and serial.violation is None
-
-    def test_parallel_counterexample_minimality(self):
-        composition, invariant, _ = build_closed_system(
-            eager_protocol(), messages=2, capacity=2
-        )
-        serial = explore(
-            composition, invariant=invariant, max_depth=10_000_000
-        )
-        par_composition, par_invariant, _ = build_closed_system(
-            eager_protocol(), messages=2, capacity=2
-        )
-        parallel = explore(
-            par_composition,
-            invariant=par_invariant,
-            max_depth=10_000_000,
-            workers=2,
-        )
-        assert serial.violation is not None
-        assert parallel.violation is not None
-        # Layer-merge barrier preserves BFS-shortest counterexamples.
-        assert len(parallel.violation[1]) == len(serial.violation[1])
-
-    def test_small_frontiers_fall_back_to_serial(self):
-        # Forcing the threshold to 0 exercises the pool path even on a
-        # tiny space; a huge threshold exercises the in-process path.
-        result_pooled = explore_parallel(
-            Counter(20), workers=2, parallel_threshold=0
-        )
-        result_serial = explore_parallel(
-            Counter(20), workers=2, parallel_threshold=10_000
-        )
-        assert result_pooled.states == result_serial.states == set(range(21))
 
 
 class TestCompositionCaches:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from repro.ioa import explore, reachable_states
-from .toys import Counter, Echo, Nondet, ping
+import pytest
+
+from repro.ioa import Composition, explore, reachable_states
+from .toys import Counter, Echo, Forwarder, Nondet, ping
 
 
 class TestExplore:
@@ -49,51 +51,39 @@ class TestExplore:
         assert len(result.states) <= 11
 
 
-class TestDeprecationShims:
-    """The shims must blame the *caller*, not themselves.
+class TestSingleExplorationPath:
+    def test_workers_option_is_gone(self):
+        with pytest.raises(TypeError):
+            explore(Counter(3), workers=2)
 
-    ``stacklevel=2`` is only correct while the ``warnings.warn`` call
-    sits directly inside the public shim; these tests pin the reported
-    filename to the calling file so an added intermediate frame cannot
-    silently re-point the warning at library internals.
-    """
 
-    def test_explore_reference_warning_names_caller_file(self):
-        import warnings
+def _echo_pair():
+    return Composition([Echo(), Forwarder()])
 
-        from repro.ioa.explorer import explore_reference
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            explore_reference(Counter(3))
-        reports = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(reports) == 1
-        assert reports[0].filename == __file__
+def _offer_pings(state):
+    return [ping(len(state[0]))] if len(state[0]) < 3 else []
 
-    def test_scenario_report_warning_names_caller_file(self):
-        import random
-        import warnings
 
-        from repro.conformance.harness import (
-            FuzzConfig,
-            SubSeeds,
-            build_script,
-            build_system,
-            execute_script,
+class TestAccelFallbackVisible:
+    """A degraded ``engine="accel"`` run says so without a tracer."""
+
+    def test_environment_fallback_reason_in_report(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ACCEL_REQUIRE", raising=False)
+        result = explore(
+            _echo_pair(), environment=_offer_pings, engine="accel"
         )
+        assert result.fallback is not None
+        assert "environment" in result.fallback
+        assert result.report().details["fallback"] == result.fallback
+        baseline = explore(_echo_pair(), environment=_offer_pings)
+        assert result.states == baseline.states
+        assert baseline.fallback is None
+        assert "fallback" not in baseline.report().details
 
-        config = FuzzConfig(runs=1, messages=2)
-        subseeds = SubSeeds.derive(random.Random(3))
-        system = build_system("alternating_bit", "perfect", subseeds, config)
-        script = build_script(system, subseeds, config)
-        result = execute_script(system, script.actions, subseeds, config)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result.report(0.1, t="t", r="r")
-        reports = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(reports) == 1
-        assert reports[0].filename == __file__
+    def test_require_turns_fallback_into_an_error(self, monkeypatch):
+        from repro.ioa.engine.accel import AccelUnavailable
+
+        monkeypatch.setenv("REPRO_ACCEL_REQUIRE", "1")
+        with pytest.raises(AccelUnavailable):
+            explore(_echo_pair(), environment=_offer_pings, engine="accel")

@@ -68,16 +68,6 @@ class TestValidateGeneric:
         )
         assert result.states
 
-    def test_validate_ignores_workers(self):
-        # validate forces the serial engine; workers must be a no-op.
-        with pytest.raises(InputEnablednessError):
-            explore(
-                Deaf(),
-                environment=offer_poke,
-                validate=True,
-                workers=4,
-            )
-
 
 class TestValidateComposition:
     def test_violation_raises_in_composition(self):

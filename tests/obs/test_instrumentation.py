@@ -69,14 +69,13 @@ class TestExploreInstrumentation:
 class TestSimInstrumentation:
     def test_step_counter_matches_result(self):
         from repro.protocols import alternating_bit_protocol
-        from repro.sim import FaultPlan, fifo_system, generate_script
-        from repro.sim.runner import run_scenario
+        from repro.sim import FaultPlan, Session, fifo_system, generate_script
 
         system = fifo_system(alternating_bit_protocol())
         script = generate_script(system, FaultPlan(messages=3, seed=2))
         sink = MemorySink()
         with tracing(sink) as tracer:
-            result = run_scenario(system, script.actions, seed=2)
+            result = Session(system, tuple(script.actions), seed=2).run()
         totals = tracer.snapshot_counters()
         assert totals["sim.steps"] == result.steps
         assert totals["sim.messages_delivered"] == 3
@@ -91,14 +90,13 @@ class TestSimInstrumentation:
 
     def test_crash_injections_counted(self):
         from repro.protocols import alternating_bit_protocol
-        from repro.sim import FaultPlan, fifo_system, generate_script
-        from repro.sim.runner import run_scenario
+        from repro.sim import FaultPlan, Session, fifo_system, generate_script
 
         system = fifo_system(alternating_bit_protocol())
         plan = FaultPlan(messages=6, crash_probability=0.9, seed=1)
         script = generate_script(system, plan)
         with tracing(MemorySink()) as tracer:
-            run_scenario(system, script.actions, seed=1)
+            Session(system, tuple(script.actions), seed=1).run()
         assert tracer.snapshot_counters().get("sim.crash_injections", 0) > 0
 
 

@@ -115,12 +115,11 @@ class TestResultObjectReports:
 
     def test_scenario_result(self):
         from repro.protocols import alternating_bit_protocol
-        from repro.sim import FaultPlan, fifo_system, generate_script
-        from repro.sim.runner import run_scenario
+        from repro.sim import FaultPlan, Session, fifo_system, generate_script
 
         system = fifo_system(alternating_bit_protocol())
         script = generate_script(system, FaultPlan(messages=2, seed=0))
-        result = run_scenario(system, script.actions, seed=0)
+        result = Session(system, tuple(script.actions), seed=0).run()
         report = result.report()
         assert_envelope(report.to_dict(), "simulate")
         assert report.counters["sim.steps"] == result.steps

@@ -11,7 +11,7 @@ from repro.protocols.baratz_segall import (
     BsTransmitter,
     baratz_segall_protocol,
 )
-from repro.sim import crash_storm, fifo_system, run_scenario
+from repro.sim import Session, crash_storm, fifo_system
 
 from ..conftest import deliver_all
 
@@ -145,7 +145,7 @@ class TestEndToEnd:
         property the non-volatile incarnation buys."""
         system = fifo_system(baratz_segall_protocol(nonvolatile=True))
         script = crash_storm(system, crashes=crashes, seed=seed)
-        result = run_scenario(system, script.actions, seed=seed)
+        result = Session(system, tuple(script.actions), seed=seed).run()
         assert result.quiescent
         assert dl4(result.behavior, "t", "r").holds
         assert dl5(result.behavior, "t", "r").holds

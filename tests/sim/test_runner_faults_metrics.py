@@ -12,14 +12,13 @@ from repro.protocols import (
 )
 from repro.sim import (
     FaultPlan,
+    Session,
     channel_stats,
     crash_storm,
     delivery_stats,
     distinct_headers_used,
     fifo_system,
     generate_script,
-    run_batch,
-    run_scenario,
 )
 
 from ..conftest import deliver_all
@@ -150,7 +149,7 @@ class TestRunner:
     def test_scenario_quiesces(self):
         system = fifo_system(alternating_bit_protocol())
         script = generate_script(system, FaultPlan(messages=5, seed=2))
-        result = run_scenario(system, script.actions, seed=2)
+        result = Session(system, tuple(script.actions), seed=2).run()
         assert result.quiescent
         assert result.steps >= len(script.actions)
 
@@ -158,21 +157,10 @@ class TestRunner:
         system_a = fifo_system(alternating_bit_protocol())
         system_b = fifo_system(alternating_bit_protocol())
         script = generate_script(system_a, FaultPlan(messages=6, seed=3))
-        a = run_scenario(system_a, script.actions, seed=1)
-        b = run_scenario(system_b, script.actions, seed=2)
+        a = Session(system_a, tuple(script.actions), seed=1).run()
+        b = Session(system_b, tuple(script.actions), seed=2).run()
         # Same inputs, different interleavings (almost surely).
         assert a.fragment.actions != b.fragment.actions
-
-    def test_run_batch(self):
-        results = run_batch(
-            lambda seed: fifo_system(alternating_bit_protocol()),
-            lambda system, seed: generate_script(
-                system, FaultPlan(messages=3, seed=seed)
-            ).actions,
-            seeds=range(3),
-        )
-        assert len(results) == 3
-        assert all(r.quiescent for r in results)
 
 
 class TestMetrics:

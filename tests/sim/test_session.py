@@ -13,7 +13,6 @@ from repro.sim import (
     Session,
     fifo_system,
     generate_script,
-    run_scenario,
 )
 
 
@@ -54,15 +53,6 @@ class TestSessionFacade:
         b = Session.from_spec("alternating_bit", "nonfifo", 2).run()
         assert a.behavior != b.behavior
 
-    def test_run_scenario_is_a_thin_wrapper(self):
-        system = fifo_system(alternating_bit_protocol())
-        script = generate_script(system, FaultPlan(messages=4, seed=3))
-        via_wrapper = run_scenario(system, script.actions, seed=3)
-        via_facade = _session().run()
-        assert via_wrapper.behavior == via_facade.behavior
-        assert via_wrapper.steps == via_facade.steps
-        assert via_wrapper.quiescent == via_facade.quiescent
-
 
 class TestScenarioReportSignature:
     def test_stations_keyword(self):
@@ -71,29 +61,6 @@ class TestScenarioReportSignature:
         assert report.command == "simulate"
         assert report.duration_s == 0.5
         assert report.counters["sim.steps"] == result.steps
-
-    def test_legacy_keyword_form_warns_and_matches(self):
-        result = _session().run()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = result.report(0.5, t="t", r="r")
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        modern = result.report(0.5, stations=("t", "r"))
-        assert legacy.to_dict() == modern.to_dict()
-
-    def test_legacy_positional_form_warns_and_matches(self):
-        result = _session().run()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = result.report(0.5, "t", "r")
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert legacy.to_dict() == result.report(
-            0.5, stations=("t", "r")
-        ).to_dict()
 
     def test_modern_form_does_not_warn(self):
         result = _session().run()
@@ -108,3 +75,10 @@ class TestScenarioReportSignature:
         result = _session().run()
         with pytest.raises(TypeError):
             result.report(0.5, station="t")
+
+    def test_station_names_are_keyword_only(self):
+        result = _session().run()
+        with pytest.raises(TypeError):
+            result.report(0.5, "t", "r")
+        with pytest.raises(TypeError):
+            result.report(0.5, t="t", r="r")

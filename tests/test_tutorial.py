@@ -216,12 +216,7 @@ class TestSection9Observability:
     def test_crash_storm_trace_walkthrough(self, tmp_path):
         from repro.obs import RunManifest, read_events, trace_run
         from repro.protocols import alternating_bit_protocol
-        from repro.sim import (
-            FaultPlan,
-            fifo_system,
-            generate_script,
-            run_scenario,
-        )
+        from repro.sim import FaultPlan, Session, fifo_system, generate_script
 
         path = str(tmp_path / "abp_crash.jsonl")
         system = fifo_system(alternating_bit_protocol())
@@ -234,7 +229,7 @@ class TestSection9Observability:
             seed=1,
             config={"messages": 6, "crash_probability": 0.9},
         ):
-            result = run_scenario(system, script.actions, seed=1)
+            result = Session(system, tuple(script.actions), seed=1).run()
 
         events = read_events(path)
         manifest = RunManifest.find(events)
@@ -246,19 +241,14 @@ class TestSection9Observability:
     def test_crash_steps_are_visible_in_context(self, tmp_path):
         from repro.obs import read_events, trace_run
         from repro.protocols import alternating_bit_protocol
-        from repro.sim import (
-            FaultPlan,
-            fifo_system,
-            generate_script,
-            run_scenario,
-        )
+        from repro.sim import FaultPlan, Session, fifo_system, generate_script
 
         path = str(tmp_path / "abp_crash.jsonl")
         system = fifo_system(alternating_bit_protocol())
         plan = FaultPlan(messages=6, crash_probability=0.9, seed=1)
         script = generate_script(system, plan)
         with trace_run(path, command="simulate"):
-            run_scenario(system, script.actions, seed=1)
+            Session(system, tuple(script.actions), seed=1).run()
         events = read_events(path)
         crash_steps = [
             e
