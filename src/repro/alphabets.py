@@ -31,6 +31,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
 
+from .hashing import cached_hash
+
 
 @dataclass(frozen=True, order=True)
 class Message:
@@ -74,6 +76,7 @@ class MessageFactory:
         return tuple(self.fresh(size) for _ in range(count))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Packet:
     """A packet ``p`` in the alphabet ``P``.

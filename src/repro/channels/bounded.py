@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 from ..alphabets import Packet
+from ..hashing import cached_hash
 from ..ioa.actions import Action
 from ..ioa.automaton import Automaton
 from ..ioa.signature import ActionSignature
@@ -48,6 +49,7 @@ from .actions import (
 from .permissive import ChannelSurgeryError
 
 
+@cached_hash
 @dataclass(frozen=True)
 class BoundedChannelState:
     """The state of a bounded-capacity channel.

@@ -24,6 +24,10 @@ Every construction in the paper's lemmas (6.3 clean states, 6.5-6.7
 waiting sequences, 6.6 subsequence losses) performs finite surgery on the
 prefix and re-normalizes the tail, which this representation expresses
 exactly.
+
+A seeded prefix holds hundreds of ints and rides along in every channel
+state, so the set hashes once and keeps the value
+(:func:`~repro.hashing.cached_hash`).
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from ..hashing import cached_hash
+
 
 class DeliverySetError(ValueError):
     """Raised when constructing an ill-formed delivery set."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class DeliverySet:
     """A delivery set with finite prefix and FIFO tail (see module docs)."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 from ..alphabets import Packet
+from ..hashing import cached_hash
 from ..ioa.actions import Action
 from ..ioa.automaton import Automaton
 from ..ioa.signature import ActionSignature
@@ -46,6 +47,7 @@ class ChannelSurgeryError(ValueError):
     """Raised when a requested channel-state rewrite is not legal."""
 
 
+@cached_hash
 @dataclass(frozen=True)
 class PermissiveChannelState:
     """The state of C-bar / C-hat.

@@ -21,7 +21,7 @@ Runs are executed through :mod:`repro.conformance.pool`: the full
 sub-seed schedule is derived serially up front and chunked into
 batches, batches fan out to a persistent fork pool (``workers > 1``)
 or run in-process, and the master merges outcomes in run-index order
--- interning each run's (batch-deduplicated) state fingerprints,
+-- interning each run's (batch-deduplicated) distinct states,
 assigning corpus credit and replaying each run's captured obs events
 -- so a parallel campaign is byte-identical to a serial one whatever
 the worker count or batch size.
@@ -214,7 +214,7 @@ def fuzz_campaign(
     neither ``workers`` nor ``batch_size`` is part of the outcome: the
     sub-seed schedule is derived serially before any run executes,
     workers return pure per-run outcomes in per-batch envelopes, and
-    the master interns state fingerprints and assigns corpus/coverage
+    the master interns visited states and assigns corpus/coverage
     credit in run-index order, so ``workers=N`` is byte-identical to
     ``workers=1`` at any batching (violations, repro documents, corpus
     entries, counters, trace events).  ``batch_size`` fixes how many
@@ -306,9 +306,9 @@ def fuzz_campaign(
                 tracer.absorb(outcome.pre_events)
                 # ``state_values`` are already deduplicated (within the
                 # run, and against earlier runs of the same batch, whose
-                # values this loop interned first), so every value is
-                # hashed once here -- the serial credit arithmetic and
-                # the table's insertion order are unchanged.
+                # values this loop interned first), so the serial credit
+                # arithmetic and the table's insertion order are
+                # unchanged.
                 before = len(table)
                 for state in outcome.state_values:
                     table.intern(state)
@@ -441,34 +441,6 @@ def _package_violation(
         shrink=shrink,
         repro=repro,
     )
-
-
-def _checks_for(result, system, config=None) -> int:
-    """How many oracle applications ``check_execution`` performed."""
-    from .oracles import DL_ORACLES, PL_ORACLES, QUIESCENT, STAB_ORACLES
-
-    if (
-        config is not None
-        and getattr(config, "init_mode", "clean") == "arbitrary"
-    ):
-        return sum(
-            1
-            for oracle in STAB_ORACLES
-            if oracle.scope != QUIESCENT or result.quiescent
-        )
-    count = 0
-    for oracle in DL_ORACLES:
-        if oracle.scope == QUIESCENT and not result.quiescent:
-            continue
-        count += 1  # validity's skip-gate is data-dependent; close enough
-    for channel in (system.channel_tr, system.channel_rt):
-        for oracle in PL_ORACLES:
-            if oracle.scope == QUIESCENT and not result.quiescent:
-                continue
-            if oracle.fifo_only and not channel.fifo_only:
-                continue
-            count += 1
-    return count
 
 
 def _deep_oracles(protocol: str, config: FuzzConfig, tracer) -> dict:

@@ -168,6 +168,18 @@ STAB_ORACLES: Tuple[Oracle, ...] = (
 )
 
 
+class Findings(list):
+    """The violations one :func:`check_execution` pass found.
+
+    A plain list of :class:`OracleViolation` plus ``checks``: how many
+    oracle applications the pass performed -- the one count behind both
+    the campaign report's ``fuzz.oracle_checks`` and the traced counter
+    of the same name.
+    """
+
+    checks = 0
+
+
 @dataclass(frozen=True)
 class OracleViolation:
     """One oracle failure on one execution."""
@@ -242,14 +254,15 @@ def _apply(
     )
 
 
-def check_execution(system, result, config=None) -> List[OracleViolation]:
+def check_execution(system, result, config=None) -> Findings:
     """Check one scenario result against every applicable oracle.
 
     ``system`` is the :class:`~repro.sim.network.DataLinkSystem` that
     produced ``result`` (a :class:`~repro.sim.runner.ScenarioResult`).
     Quiescent-scope oracles are skipped on non-quiescent runs; validity
     is skipped when the behavior contains fail/crash events (it would
-    report the environment's faults, not the protocol's).
+    report the environment's faults, not the protocol's).  The returned
+    :class:`Findings` counts the oracles actually applied.
 
     When ``config`` carries ``init_mode="arbitrary"``, the run started
     corrupted and *only* the stabilization oracles apply: the DL/PL
@@ -261,7 +274,7 @@ def check_execution(system, result, config=None) -> List[OracleViolation]:
     ):
         return _check_stabilization(system, result)
     tracer = current_tracer()
-    violations: List[OracleViolation] = []
+    violations = Findings()
     behavior = result.behavior
     fault_free = not any(a.name in (FAIL, CRASH) for a in behavior)
     has_wake = any(a.name == WAKE for a in behavior)
@@ -270,8 +283,7 @@ def check_execution(system, result, config=None) -> List[OracleViolation]:
             continue
         if oracle.name == "valid" and not (fault_free and has_wake):
             continue
-        if tracer.enabled:
-            tracer.count("fuzz.oracle_checks")
+        violations.checks += 1
         _apply(oracle, behavior, system.t, system.r, None, violations)
     packet_schedule = result.fragment.actions
     for src, dst, channel in (
@@ -283,17 +295,23 @@ def check_execution(system, result, config=None) -> List[OracleViolation]:
                 continue
             if oracle.fifo_only and not channel.fifo_only:
                 continue
-            if tracer.enabled:
-                tracer.count("fuzz.oracle_checks")
+            violations.checks += 1
             _apply(
                 oracle, packet_schedule, src, dst, (src, dst), violations
             )
-    if violations and tracer.enabled:
-        tracer.count("fuzz.oracle_violations", len(violations))
+    _count(tracer, violations)
     return violations
 
 
-def _check_stabilization(system, result) -> List[OracleViolation]:
+def _count(tracer, findings: Findings) -> None:
+    """Emit one pass's oracle counters (when tracing)."""
+    if tracer.enabled:
+        tracer.count("fuzz.oracle_checks", findings.checks)
+        if findings:
+            tracer.count("fuzz.oracle_violations", len(findings))
+
+
+def _check_stabilization(system, result) -> Findings:
     """The arbitrary-init oracle pass: SSTAB-wf, then SSTAB1/SSTAB2.
 
     Emits the ``stab.time``/``stab.converged`` gauges alongside the
@@ -302,7 +320,7 @@ def _check_stabilization(system, result) -> List[OracleViolation]:
     they are skipped exactly like DL1/DL7/DL8 on truncated runs.
     """
     tracer = current_tracer()
-    violations: List[OracleViolation] = []
+    violations = Findings()
     behavior = result.behavior
     report = stabilization_report(behavior, system.t, system.r)
     if tracer.enabled:
@@ -311,8 +329,7 @@ def _check_stabilization(system, result) -> List[OracleViolation]:
     for oracle in STAB_ORACLES:
         if oracle.scope == QUIESCENT and not result.quiescent:
             continue
-        if tracer.enabled:
-            tracer.count("fuzz.oracle_checks")
+        violations.checks += 1
         if oracle.scope == RUN:
             if not result.quiescent:
                 violations.append(
@@ -329,8 +346,7 @@ def _check_stabilization(system, result) -> List[OracleViolation]:
                 )
             continue
         _apply(oracle, behavior, system.t, system.r, None, violations)
-    if violations and tracer.enabled:
-        tracer.count("fuzz.oracle_violations", len(violations))
+    _count(tracer, violations)
     return violations
 
 

@@ -25,11 +25,14 @@ Why batches rather than one task per run (the PR-5 design):
 * **in-worker shrinking**: ddmin shrinking and repro packaging run
   inside :func:`execute_run`, i.e. inside the worker -- the master
   never re-executes a scenario;
-* **compact streaming**: a :class:`BatchOutcome` carries per-run state
-  *fingerprints deduplicated across the whole batch* (a state value is
-  shipped at most once per batch, attached to the run that saw it
-  first) and the batch's obs event chunks, so the payload back to the
-  master shrinks with cross-run state overlap.
+* **compact streaming**: a :class:`BatchOutcome` carries each run's
+  distinct visited states *deduplicated across the whole batch* (a
+  state value is shipped at most once per batch, attached to the run
+  that saw it first) and the batch's obs event chunks, so the payload
+  back to the master shrinks with cross-run state overlap.  States
+  travel as plain values: their slices cache structural hashes
+  in-process only (:mod:`repro.hashing`), so the master rehashes each
+  unpickled value once under its own hash seed.
 
 Short schedules are still executed in-process (forking pays off only
 once there is enough work to amortize pool start-up), and on platforms
@@ -97,68 +100,24 @@ class RunTimeout(Exception):
     """A fuzz run exceeded the campaign's per-run wall-clock budget."""
 
 
-class StateFingerprint:
-    """A visited state bundled with its structural hash, precomputed
-    worker-side.
-
-    Composed fuzz states are deep tuples of frozen dataclasses dragging
-    per-run delivery-set prefixes (hundreds of ints), so ``hash(state)``
-    is the single most expensive operation of the campaign master's
-    merge loop -- and CPython recomputes it on *every* dict/set probe.
-    The worker hashes each state exactly once (it needs the hash for
-    its own dedup anyway) and ships the cached value alongside, so the
-    master's :class:`~repro.ioa.engine.interning.InternTable` probes
-    cost an int comparison instead of a deep re-hash.
-
-    Only the *hash* is cached; equality still compares the underlying
-    state values, so interning credit -- and with it the serial/pooled
-    byte-identity contract -- is decided by value equality exactly as
-    before.  (The cached hash is consistent between master and forked
-    workers because fork inherits the interpreter's hash seed, and it
-    never leaves the process in any output artifact.)
-    """
-
-    __slots__ = ("value", "cached_hash")
-
-    def __init__(self, value: State, cached_hash: Optional[int] = None):
-        self.value = value
-        self.cached_hash = hash(value) if cached_hash is None else cached_hash
-
-    def __hash__(self) -> int:
-        return self.cached_hash
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, StateFingerprint):
-            return self.value == other.value
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StateFingerprint({self.value!r})"
-
-    def __getstate__(self):
-        return (self.value, self.cached_hash)
-
-    def __setstate__(self, state):
-        self.value, self.cached_hash = state
-
-
 @dataclass
 class RunOutcome:
     """Everything one fuzz run sends back to the campaign master.
 
-    ``state_values`` are the run's *distinct* visited states in
-    first-occurrence order, as hash-carrying
-    :class:`StateFingerprint` wrappers -- the fingerprints the master
-    interns (in run-index order) to assign coverage credit, so workers
-    never touch the shared
+    ``state_values`` are the run's *distinct* visited states, plain
+    values in first-occurrence order
+    (:meth:`~repro.sim.runner.ScenarioResult.distinct_states`).  The
+    master interns them (in run-index order) to assign coverage
+    credit, so workers never touch the shared
     :class:`~repro.ioa.engine.interning.InternTable`.  Deduplicating
     within the run does not change the interning credit (a duplicate
-    can never grow the table), and in batched mode the worker further
-    strips values already shipped by an earlier run of the *same
-    batch* (see :func:`run_batch`) -- those are already in the master
-    table by the time this run is merged, so the credit and the
-    table's insertion order still come out byte-identical to a serial
-    campaign.
+    can never grow the table), and :func:`run_batch` further strips
+    values already shipped by an earlier run of the *same batch* --
+    those are already in the master table by the time this run is
+    merged, so the credit and the table's insertion order still come
+    out byte-identical to a serial campaign.  The state slices cache
+    their own structural hashes (:mod:`repro.hashing`), so each of
+    these dedup passes costs a shallow tuple hash per state.
 
     ``pre_events`` and ``post_events`` are the run's captured obs
     chunks -- everything emitted before and after the interning point
@@ -174,7 +133,7 @@ class RunOutcome:
     behavior_length: int = 0
     stabilization_time: Optional[int] = None
     stab_converged: Optional[bool] = None
-    state_values: Tuple[StateFingerprint, ...] = ()
+    state_values: Tuple[State, ...] = ()
     found: List[OracleViolation] = field(default_factory=list)
     violations: List["ViolationReport"] = field(default_factory=list)  # noqa: F821
     oracle_checks: int = 0
@@ -285,22 +244,6 @@ def _capturing(capture: bool):
     captured.extend(sink.events)
 
 
-def _distinct_states(
-    result: "ScenarioResult",  # noqa: F821
-) -> Tuple[StateFingerprint, ...]:
-    """Distinct states of one run, fingerprinted, first-occurrence order.
-
-    Dedup happens in the encoded domain
-    (:meth:`~repro.sim.runner.ScenarioResult.distinct_states`, via the
-    identity-memoized stream encoder), so only the *distinct* states
-    are ever deep-hashed -- once each, inside the fingerprint
-    constructor, where the master-bound cached hash is computed anyway.
-    """
-    return tuple(
-        StateFingerprint(state) for state in result.distinct_states()
-    )
-
-
 def execute_run(
     protocol: str,
     channel: str,
@@ -323,7 +266,7 @@ def execute_run(
     :func:`~repro.conformance.harness.resolve_pair`, so persistent
     workers skip the registry on every run.
     """
-    from .fuzzer import _checks_for, _package_violation
+    from .fuzzer import _package_violation
 
     started = time.perf_counter()
     guard = {"armed": False, "unavailable": None}
@@ -339,7 +282,6 @@ def execute_run(
                 )
             with _capturing(capture) as post_events:
                 found = check_execution(system, result, config)
-                oracle_checks = _checks_for(result, system, config)
                 stab_time = None
                 stab_converged = None
                 if config.init_mode == "arbitrary":
@@ -393,10 +335,10 @@ def execute_run(
         behavior_length=len(result.behavior),
         stabilization_time=stab_time,
         stab_converged=stab_converged,
-        state_values=_distinct_states(result),
+        state_values=tuple(result.distinct_states()),
         found=found,
         violations=packaged,
-        oracle_checks=oracle_checks,
+        oracle_checks=found.checks,
         pre_events=tuple(pre_events),
         post_events=tuple(post_events),
         error=None,

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from ..alphabets import Message, Packet
+from ..hashing import cached_hash
 from ..ioa.actions import Action, action_family
 from ..ioa.automaton import Automaton
 from ..ioa.signature import ActionSignature
@@ -53,6 +54,7 @@ from .actions import RECEIVE_MSG, SEND_MSG, receive_msg
 Core = Any
 
 
+@cached_hash
 @dataclass(frozen=True)
 class HostState:
     """State of a protocol automaton: protocol core + ghost uid counter."""

@@ -1,0 +1,49 @@
+"""Structural hashes computed once per value.
+
+Run states are deep values: every composed fuzz state carries two
+channel states, and each permissive channel state drags a delivery set
+whose prefix holds hundreds of ints.  CPython caches no hash for a
+frozen dataclass, so every dict or set probe re-walks the whole
+structure.  :func:`cached_hash` makes a frozen dataclass hash its
+fields on first use and keep the result on the instance.
+
+Equality stays the dataclass-generated field-by-field ``__eq__``, and
+the hash value is exactly the generated one, ``hash(tuple of fields)``,
+so set and dict behaviour is unchanged.  The cached value is never
+pickled: string hashes are per-process (``PYTHONHASHSEED``), so a value
+that crosses a process boundary recomputes its hash on the other side.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from operator import attrgetter
+
+
+def cached_hash(cls):
+    """Class decorator for frozen dataclasses: hash once, keep it.
+
+    Apply it above ``@dataclass(frozen=True)``.  Values built by the
+    constructor, :func:`dataclasses.replace` or unpickling all start
+    without a cache, so they hash like a freshly built equal value.
+    """
+    # Over two or more fields the getter returns the tuple the generated
+    # ``__hash__`` hashes, so the value matches it exactly.
+    fields_of = attrgetter(*(field.name for field in dataclasses.fields(cls)))
+
+    def __hash__(self) -> int:
+        value = self._cached_hash
+        if value is None:
+            value = hash(fields_of(self))
+            object.__setattr__(self, "_cached_hash", value)
+        return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_cached_hash", None)
+        return state
+
+    cls._cached_hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls

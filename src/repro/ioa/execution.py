@@ -172,12 +172,12 @@ def replay_schedule(
     Every action must be enabled where it occurs; the first post-state is
     taken at each step.  Raises :class:`TransitionError` otherwise.
     """
-    fragment = ExecutionFragment.initial(state)
-    current = state
+    states = [state]
+    actions = []
     for action in schedule:
-        current = automaton.step(current, action)
-        fragment = fragment.append(action, current)
-    return fragment
+        states.append(automaton.step(states[-1], action))
+        actions.append(action)
+    return ExecutionFragment(tuple(states), tuple(actions))
 
 
 def project_schedule(

@@ -53,14 +53,14 @@ def apply_inputs(
     Input-enabledness guarantees every step exists; a missing transition
     indicates a broken automaton and raises :class:`TransitionError`.
     """
-    fragment = ExecutionFragment.initial(state)
-    current = state
+    states = [state]
+    actions = []
     for action in inputs:
         if not automaton.signature.is_input(action):
             raise ValueError(f"{action} is not an input action")
-        current = automaton.step(current, action)
-        fragment = fragment.append(action, current)
-    return fragment
+        states.append(automaton.step(states[-1], action))
+        actions.append(action)
+    return ExecutionFragment(tuple(states), tuple(actions))
 
 
 def run_to_quiescence(
@@ -93,31 +93,43 @@ def run_to_quiescence(
     FairnessTimeout
         If more than ``max_steps`` steps are taken without quiescing.
     """
-    fragment = ExecutionFragment.initial(state)
+    states = [state]
+    actions: List[Action] = []
     current = state
     last_served: Dict[Hashable, int] = {}
+    names: Dict[Hashable, str] = {}
+
+    def rank(task: Hashable):
+        # Serve the task that has waited longest (never-served tasks
+        # first), ties broken by repr -- computed once per task.
+        name = names.get(task)
+        if name is None:
+            name = names[task] = repr(task)
+        return (last_served.get(task, -1), name)
+
     clock = 0
     for _ in range(max_steps):
         enabled = list(automaton.enabled_local_actions(current))
         if not enabled:
-            return fragment
+            break
         by_task: Dict[Hashable, List[Action]] = {}
         for action in enabled:
             by_task.setdefault(automaton.task_of(action), []).append(action)
-        # Serve the task that has waited longest (never-served tasks first).
-        task = min(
-            by_task,
-            key=lambda t: (last_served.get(t, -1), repr(t)),
-        )
+        task = min(by_task, key=rank)
         candidates = by_task[task]
         action = tie_break(candidates) if tie_break else candidates[0]
         clock += 1
         last_served[task] = clock
         current = automaton.step(current, action)
-        fragment = fragment.append(action, current)
+        states.append(current)
+        actions.append(action)
         if stop_when is not None and stop_when(action):
-            return fragment
-    raise FairnessTimeout(fragment, max_steps)
+            break
+    else:
+        raise FairnessTimeout(
+            ExecutionFragment(tuple(states), tuple(actions)), max_steps
+        )
+    return ExecutionFragment(tuple(states), tuple(actions))
 
 
 def fair_extension(

@@ -32,16 +32,11 @@ class ScenarioResult:
     def distinct_states(self) -> list:
         """The run's distinct visited states, first-occurrence order.
 
-        Deduplicated through a
-        :class:`~repro.ioa.engine.encoding.StreamEncoder`: consecutive
-        states of an execution share almost all their slice objects, so
-        the common probe is a pointer lookup and each distinct slice is
-        deep-hashed once -- the representation the fuzz pool ships its
-        coverage fingerprints from.
+        One dict pass over the plain states: the slice values keep
+        their structural hashes (:mod:`repro.hashing`), so each state
+        costs one shallow tuple hash.
         """
-        from ..ioa.engine.encoding import StreamEncoder
-
-        return StreamEncoder().distinct(self.fragment.states)
+        return list(dict.fromkeys(self.fragment.states))
 
     def report(
         self,

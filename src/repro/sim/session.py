@@ -113,12 +113,15 @@ class Session:
             if self.rng is not None
             else random.Random(self.seed)
         )
-        start = (
+        automaton = system.automaton
+        state = (
             self.initial_state
             if self.initial_state is not None
             else system.initial_state()
         )
-        fragment = ExecutionFragment.initial(start)
+        # One list per side; the fragment is built once, in _finish.
+        states = [state]
+        actions = []
         budget = self.max_steps
         tracer = current_tracer()
         with tracer.span("sim.scenario", seed=self.seed):
@@ -130,45 +133,43 @@ class Session:
                             tracer.count("sim.crash_injections")
                         elif action.name == FAIL:
                             tracer.count("sim.fail_injections")
-                    state = system.automaton.step(
-                        fragment.final_state, action
-                    )
-                    fragment = fragment.append(action, state)
+                    state = automaton.step(state, action)
+                    states.append(state)
+                    actions.append(action)
                     slack = rng.randrange(self.max_interleave + 1)
                     if slack:
                         try:
                             burst = run_to_quiescence(
-                                system.automaton,
-                                fragment.final_state,
-                                max_steps=slack,
+                                automaton, state, max_steps=slack
                             )
                         except FairnessTimeout as exc:
                             burst = exc.fragment
-                        fragment = fragment.extend(burst)
-                budget = self.max_steps - len(fragment)
+                        states.extend(burst.states[1:])
+                        actions.extend(burst.actions)
+                        state = states[-1]
+                budget = self.max_steps - len(actions)
                 if budget <= 0:
-                    return self._finish(fragment, False, tracer)
+                    return self._finish(states, actions, False, tracer)
             quiescent = True
             try:
-                drain = run_to_quiescence(
-                    system.automaton,
-                    fragment.final_state,
-                    max_steps=budget,
-                )
+                drain = run_to_quiescence(automaton, state, max_steps=budget)
             except FairnessTimeout as exc:
                 drain = exc.fragment
                 quiescent = False
-            fragment = fragment.extend(drain)
-            return self._finish(fragment, quiescent, tracer)
+            states.extend(drain.states[1:])
+            actions.extend(drain.actions)
+            return self._finish(states, actions, quiescent, tracer)
 
     def _finish(
         self,
-        fragment: ExecutionFragment,
+        states: list,
+        actions: list,
         quiescent: bool,
         tracer,
     ) -> ScenarioResult:
         """Build the result; emit the packet-level counters when tracing."""
         system = self.system
+        fragment = ExecutionFragment(tuple(states), tuple(actions))
         result = ScenarioResult(
             fragment, system.behavior(fragment), quiescent
         )

@@ -9,7 +9,7 @@ from repro.conformance import (
     fuzz_campaign,
     load_corpus,
 )
-from repro.obs import JSONLSink, tracing
+from repro.obs import JSONLSink, MemorySink, tracing
 
 
 class TestCampaign:
@@ -113,6 +113,18 @@ class TestCampaign:
         assert "fuzz.shrink" in span_names
         assert "fuzz.oracle_checks" in counter_names
         assert "fuzz.shrink_executions" in counter_names
+
+    def test_reported_oracle_checks_match_traced_counter(self):
+        # The default mix injects fail events, on which the validity
+        # oracle stands down; the report must count exactly the oracle
+        # applications the traced counter saw.
+        with tracing(MemorySink()) as tracer:
+            campaign = fuzz_campaign(
+                "alternating_bit", "fifo", 3, FuzzConfig(runs=30)
+            )
+            traced = tracer.snapshot_counters()["fuzz.oracle_checks"]
+        reported = campaign.report().counters["fuzz.oracle_checks"]
+        assert reported == campaign.oracle_checks == traced
 
 
 class TestCorpus:

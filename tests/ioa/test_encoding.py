@@ -18,11 +18,9 @@ from hypothesis import strategies as st
 
 from repro.conformance.arbitrary import component_state_pools
 from repro.conformance.harness import FuzzConfig, SubSeeds, build_system
-from repro.ioa.engine.encoding import (
-    EncodingOverflow,
-    StateEncoder,
-    StreamEncoder,
-)
+from repro.ioa.engine.encoding import EncodingOverflow, StateEncoder
+from repro.ioa.execution import ExecutionFragment
+from repro.sim.runner import ScenarioResult
 
 _SYSTEM = build_system(
     "alternating_bit",
@@ -115,7 +113,7 @@ class TestOverflow:
             assert encoder.decode(encoder.encode(state)) == state
 
 
-class TestStreamEncoder:
+class TestDistinctStates:
     @given(
         picks=st.lists(
             st.tuples(
@@ -124,17 +122,28 @@ class TestStreamEncoder:
                     for pool in _POOLS
                 )
             ),
+            min_size=1,
             max_size=30,
         )
     )
     @settings(max_examples=50, deadline=None)
-    def test_distinct_matches_order_preserving_dedup(self, picks):
-        states = [
-            tuple(pool[i] for pool, i in zip(_POOLS, pick))
+    def test_distinct_states_keep_first_occurrence_order(self, picks):
+        # Every state is built fresh (deep copies), so dedup must key
+        # on value, not identity.
+        states = tuple(
+            copy.deepcopy(tuple(pool[i] for pool, i in zip(_POOLS, pick)))
             for pick in picks
-        ]
+        )
+        fragment = ExecutionFragment(states, (None,) * (len(states) - 1))
+        result = ScenarioResult(fragment, (), True)
         expected = []
         for state in states:
             if state not in expected:
                 expected.append(state)
-        assert StreamEncoder().distinct(states) == expected
+        distinct = result.distinct_states()
+        assert distinct == expected
+        # First occurrence wins: the very objects of the earliest copies.
+        firsts = {}
+        for state in states:
+            firsts.setdefault(state, state)
+        assert all(kept is firsts[kept] for kept in distinct)
