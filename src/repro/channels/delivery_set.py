@@ -25,9 +25,18 @@ waiting sequences, 6.6 subsequence losses) performs finite surgery on the
 prefix and re-normalizes the tail, which this representation expresses
 exactly.
 
-A seeded prefix holds hundreds of ints and rides along in every channel
-state, so the set hashes once and keeps the value
-(:func:`~repro.hashing.cached_hash`).
+The seeded generators (:func:`random_lossy_fifo`,
+:func:`random_reordering`) fix ``S`` the way the paper does: only as far
+as a schedule has consumed it.  Their sets draw from the seed block by
+block, on demand: :meth:`DeliverySet.source_of` draws until slot ``j``
+is covered, so a run pays for the receive slots it reads, not for the
+whole horizon.  Anything that needs the whole value (``prefix``,
+``tail_offset``, equality, hashing, pickling, ``repr``, the surgeries)
+draws the rest first, validates it, and drops the generator; the
+finished set is bit-identical to drawing every block up front and holds
+what a constructed set holds.  A finished seeded prefix holds hundreds
+of ints and rides along in every channel state, so the set hashes once
+and keeps the value (:func:`~repro.hashing.cached_hash`).
 """
 
 from __future__ import annotations
@@ -43,31 +52,119 @@ class DeliverySetError(ValueError):
     """Raised when constructing an ill-formed delivery set."""
 
 
+class _Expansion:
+    """The part of a seeded delivery set not drawn yet.
+
+    ``blocks`` yields lists of surviving send indices in slot order;
+    ``drawn`` holds the slots drawn so far.  Once ``blocks`` is spent,
+    the tail starts after ``horizon``.  ``monotone`` records that the
+    generator can only produce a monotone set.
+    """
+
+    __slots__ = ("blocks", "drawn", "horizon", "monotone")
+
+    def __init__(
+        self, blocks: Iterator[List[int]], horizon: int, monotone: bool
+    ) -> None:
+        self.blocks = blocks
+        self.drawn: List[int] = []
+        self.horizon = horizon
+        self.monotone = monotone
+
+    def cover(self, j: int) -> bool:
+        """Draw blocks until slot ``j`` is drawn; False if they run out first."""
+        drawn = self.drawn
+        for block in self.blocks:
+            drawn.extend(block)
+            if len(drawn) >= j:
+                return True
+        return False
+
+
+class _UntilDrawn:
+    """The class-level default of a :class:`DeliverySet` field.
+
+    A non-data descriptor: a set holding the field reads it from the
+    instance and never gets here.  Only a seeded set still drawing lacks
+    its fields; reading one draws the rest, after which the set holds
+    both fields like any other.  ``dataclass`` reads the default through
+    ``__get__`` on the class.  (A ``__getattr__`` hook would do the same
+    but slow every attribute read on every set.)
+    """
+
+    def __init__(self, default) -> None:
+        self.default = default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self.default
+        instance._materialize()
+        return getattr(instance, self.name)
+
+
 @cached_hash
 @dataclass(frozen=True)
 class DeliverySet:
     """A delivery set with finite prefix and FIFO tail (see module docs)."""
 
-    prefix: Tuple[int, ...] = ()
-    tail_offset: int = 0
+    prefix: Tuple[int, ...] = _UntilDrawn(())
+    tail_offset: int = _UntilDrawn(0)
+
+    #: A seeded set's undrawn rest (an :class:`_Expansion`), or None once
+    #: the value is whole.  Not annotated, so it is no dataclass field.
+    #: Every whole set holds it as None (see ``__post_init__``), so the
+    #: check in :meth:`source_of` is a plain instance read.
+    _pending = None
 
     def __post_init__(self) -> None:
-        if any(i < 1 for i in self.prefix):
+        object.__setattr__(self, "_pending", None)
+        prefix = self.prefix
+        if any(i < 1 for i in prefix):
             raise DeliverySetError("send indices must be positive")
-        if len(set(self.prefix)) != len(self.prefix):
+        if len(set(prefix)) != len(prefix):
             raise DeliverySetError(
                 "a send index may be delivered at most once"
             )
-        first_tail = len(self.prefix) + 1 + self.tail_offset
+        first_tail = len(prefix) + 1 + self.tail_offset
         if first_tail < 1:
             raise DeliverySetError(
                 "tail would assign non-positive send indices"
             )
-        if self.prefix and max(self.prefix) >= first_tail:
+        if prefix and max(prefix) >= first_tail:
             raise DeliverySetError(
                 "tail send indices must not collide with the prefix "
-                f"(prefix max {max(self.prefix)}, first tail {first_tail})"
+                f"(prefix max {max(prefix)}, first tail {first_tail})"
             )
+
+    # ------------------------------------------------------------------
+    # Seeded sets: drawn on demand
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def _seeded(
+        cls, blocks: Iterator[List[int]], horizon: int, monotone: bool
+    ) -> "DeliverySet":
+        """A set whose prefix is the concatenated ``blocks``, drawn on demand."""
+        delivery = object.__new__(cls)
+        object.__setattr__(
+            delivery, "_pending", _Expansion(blocks, horizon, monotone)
+        )
+        return delivery
+
+    def _materialize(self) -> None:
+        """Draw the rest, validate, and keep only the finished value."""
+        # Attribute writes, never ``self.__dict__``: reading that would
+        # give every drawn set a dict object, which an eager set lacks.
+        pending = self._pending
+        drawn = pending.drawn
+        for block in pending.blocks:
+            drawn.extend(block)
+        object.__setattr__(self, "prefix", tuple(drawn))
+        object.__setattr__(self, "tail_offset", pending.horizon - len(drawn))
+        self.__post_init__()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -110,8 +207,15 @@ class DeliverySet:
         """The unique send index ``i`` with ``(i, j)`` in the set."""
         if j < 1:
             raise DeliverySetError("receive slots are positive")
-        if j <= len(self.prefix):
-            return self.prefix[j - 1]
+        pending = self._pending
+        if pending is not None:
+            if j <= len(pending.drawn) or pending.cover(j):
+                return pending.drawn[j - 1]
+            # The horizon is used up: the tail is known.
+            self._materialize()
+        prefix = self.prefix
+        if j <= len(prefix):
+            return prefix[j - 1]
         return j + self.tail_offset
 
     def slot_of(self, i: int) -> Optional[int]:
@@ -147,7 +251,14 @@ class DeliverySet:
     # ------------------------------------------------------------------
 
     def is_monotone(self) -> bool:
-        """True iff the set is monotone (yields FIFO delivery)."""
+        """True iff the set is monotone (yields FIFO delivery).
+
+        A seeded set whose generator only draws monotone sets answers
+        without drawing; any other set is drawn in full first.
+        """
+        pending = self._pending
+        if pending is not None and pending.monotone:
+            return True
         last = 0
         for i in self.prefix:
             if i <= last:
@@ -197,6 +308,16 @@ class DeliverySet:
 # Scripted generators used by the simulation harness
 # ----------------------------------------------------------------------
 
+#: Send indices in the first block of a lossy FIFO draw.
+_FIFO_BLOCK = 64
+
+
+def _check_parameters(loss_rate: float, horizon: int) -> None:
+    if not 0.0 <= loss_rate < 1.0:
+        raise DeliverySetError("loss_rate must be in [0, 1)")
+    if horizon < 0:
+        raise DeliverySetError("horizon must be non-negative")
+
 
 def random_lossy_fifo(
     seed: int, loss_rate: float, horizon: int
@@ -204,16 +325,27 @@ def random_lossy_fifo(
     """A monotone delivery set losing each send independently w.p. ``loss_rate``.
 
     The loss pattern covers send indices ``1..horizon``; beyond the
-    horizon the set is FIFO with no losses.  Deterministic in ``seed``.
+    horizon the set is FIFO with no losses.  Deterministic in ``seed``;
+    drawn on demand (see module docs).
     """
-    if not 0.0 <= loss_rate < 1.0:
-        raise DeliverySetError("loss_rate must be in [0, 1)")
-    rng = random.Random(seed)
-    surviving = [
-        i for i in range(1, horizon + 1) if rng.random() >= loss_rate
-    ]
-    prefix = tuple(surviving)
-    return DeliverySet(prefix, horizon - len(prefix))
+    _check_parameters(loss_rate, horizon)
+    return DeliverySet._seeded(
+        _lossy_fifo_blocks(random.Random(seed), loss_rate, horizon),
+        horizon,
+        monotone=True,
+    )
+
+
+def _lossy_fifo_blocks(
+    rng: random.Random, loss_rate: float, horizon: int
+) -> Iterator[List[int]]:
+    # Doubling blocks: a short run draws one small block, and drawing a
+    # whole horizon still takes only a handful.
+    start, size = 1, _FIFO_BLOCK
+    while start <= horizon:
+        stop = min(start + size, horizon + 1)
+        yield [i for i in range(start, stop) if rng.random() >= loss_rate]
+        start, size = stop, 2 * size
 
 
 def random_reordering(
@@ -224,15 +356,22 @@ def random_reordering(
     Send indices ``1..horizon`` are shuffled within blocks of size
     ``window`` and each is lost independently with probability
     ``loss_rate``; beyond the horizon the set is FIFO.  Deterministic in
-    ``seed``.
+    ``seed``; drawn on demand (see module docs).
     """
     if window < 1:
         raise DeliverySetError("window must be positive")
-    rng = random.Random(seed)
-    order: List[int] = []
+    _check_parameters(loss_rate, horizon)
+    return DeliverySet._seeded(
+        _reordering_blocks(random.Random(seed), loss_rate, window, horizon),
+        horizon,
+        monotone=window == 1,
+    )
+
+
+def _reordering_blocks(
+    rng: random.Random, loss_rate: float, window: int, horizon: int
+) -> Iterator[List[int]]:
     for start in range(1, horizon + 1, window):
         block = list(range(start, min(start + window, horizon + 1)))
         rng.shuffle(block)
-        order.extend(i for i in block if rng.random() >= loss_rate)
-    prefix = tuple(order)
-    return DeliverySet(prefix, horizon - len(prefix))
+        yield [i for i in block if rng.random() >= loss_rate]

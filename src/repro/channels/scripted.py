@@ -4,7 +4,10 @@ The permissive channels of Section 6 are *universal*: any loss/reorder
 behavior is a choice of delivery set.  For simulation and property
 testing we therefore build concrete channels as permissive channels whose
 delivery set is generated pseudo-randomly from a seed -- deterministic,
-replayable adversaries.
+replayable adversaries.  The sets are drawn block by block as a run
+reads receive slots (see :mod:`repro.channels.delivery_set`), so the
+large default horizon costs nothing unless a run hashes or compares
+channel states, which needs the whole set.
 
 ``lossy_fifo_channel`` produces a FIFO physical channel that drops each
 packet independently; ``reordering_channel`` produces a non-FIFO channel
@@ -32,8 +35,10 @@ def lossy_fifo_channel(
     """A FIFO physical channel dropping packets i.i.d. with ``loss_rate``.
 
     Beyond ``horizon`` sends, the channel becomes loss-free FIFO (the
-    delivery-set representation requires an eventually-FIFO tail; choose
-    the horizon larger than any simulated run).
+    delivery-set representation requires an eventually-FIFO tail).  The
+    delivery set is drawn on demand, so a run that never hashes its
+    states pays only for the slots it receives: choose the horizon
+    larger than any simulated run.
     """
     delivery = random_lossy_fifo(seed, loss_rate, horizon)
     return PermissiveFifoChannel(
@@ -53,7 +58,11 @@ def reordering_channel(
     horizon: int = DEFAULT_HORIZON,
     name: Optional[str] = None,
 ) -> PermissiveChannel:
-    """A non-FIFO physical channel with windowed reordering and loss."""
+    """A non-FIFO physical channel with windowed reordering and loss.
+
+    Like :func:`lossy_fifo_channel`, FIFO beyond ``horizon`` sends and
+    drawn on demand.
+    """
     delivery = random_reordering(seed, loss_rate, window, horizon)
     return PermissiveChannel(
         src,

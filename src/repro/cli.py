@@ -66,7 +66,11 @@ from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .analysis import check_datalink_trace, measure_header_growth
-from .channels import lossy_fifo_channel, reordering_channel
+from .channels import (
+    DeliverySetError,
+    lossy_fifo_channel,
+    reordering_channel,
+)
 from .datalink import (
     check_crashing,
     check_message_independence,
@@ -359,11 +363,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         build = lambda src, dst, seed: lossy_fifo_channel(  # noqa: E731
             src, dst, seed=seed, loss_rate=args.loss
         )
-    system = DataLinkSystem.build(
-        protocol,
-        build("t", "r", args.seed),
-        build("r", "t", args.seed + 1),
-    )
+    try:
+        channels = build("t", "r", args.seed), build("r", "t", args.seed + 1)
+    except DeliverySetError as exc:
+        report = RunReport(
+            command="simulate",
+            status=STATUS_ERROR,
+            duration_s=time.perf_counter() - started,
+            details={"protocol": args.protocol, "error": str(exc)},
+        )
+        return _emit(args, report, [f"bad channel parameters: {exc}"])
+    system = DataLinkSystem.build(protocol, *channels)
     plan = FaultPlan(
         messages=args.messages,
         crash_probability=0.15 if args.crashes else 0.0,

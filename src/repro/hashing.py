@@ -29,7 +29,8 @@ def cached_hash(cls):
     """
     # Over two or more fields the getter returns the tuple the generated
     # ``__hash__`` hashes, so the value matches it exactly.
-    fields_of = attrgetter(*(field.name for field in dataclasses.fields(cls)))
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    fields_of = attrgetter(*names)
 
     def __hash__(self) -> int:
         value = self._cached_hash
@@ -39,9 +40,10 @@ def cached_hash(cls):
         return value
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_cached_hash", None)
-        return state
+        # The fields and nothing else, read as attributes so a value
+        # that computes a field on first read (a seeded delivery set)
+        # pickles its finished form.
+        return {name: getattr(self, name) for name in names}
 
     cls._cached_hash = None
     cls.__hash__ = __hash__

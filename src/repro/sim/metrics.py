@@ -110,11 +110,17 @@ def channel_stats(
     sent = 0
     received = 0
     census: Dict[object, int] = {}
+    # A packet's class depends only on its header and body length, and a
+    # run resends few distinct ones, so compute each class once.
+    classes: Dict[Tuple[object, int], object] = {}
     for action in fragment.actions:
         if action.key == send_key:
             sent += 1
             packet: Packet = action.payload
-            cls = packet_class(packet)
+            shape = (packet.header, len(packet.body))
+            cls = classes.get(shape)
+            if cls is None:
+                cls = classes[shape] = packet_class(packet)
             census[cls] = census.get(cls, 0) + 1
         elif action.key == receive_key:
             received += 1

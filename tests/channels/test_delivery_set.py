@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -246,3 +249,143 @@ class TestScriptedGenerators:
     def test_reordering_invalid_window(self):
         with pytest.raises(DeliverySetError):
             random_reordering(0, 0.0, 0, 10)
+
+    @pytest.mark.parametrize("loss_rate", [-0.1, 1.0])
+    def test_reordering_invalid_rate(self, loss_rate):
+        # Once a negative rate acted as 0 and 1.0 lost every send up to
+        # the horizon; both are rejected at call time, like lossy FIFO.
+        with pytest.raises(DeliverySetError, match="loss_rate"):
+            random_reordering(0, loss_rate, 4, 100_000)
+
+    def test_negative_horizon_rejected_at_call_time(self):
+        with pytest.raises(DeliverySetError, match="horizon"):
+            random_lossy_fifo(0, 0.0, -1)
+        with pytest.raises(DeliverySetError, match="horizon"):
+            random_reordering(0, 0.0, 2, -1)
+
+
+# ----------------------------------------------------------------------
+# Seeded sets drawn on demand vs drawn up front
+# ----------------------------------------------------------------------
+
+
+def eager_lossy_fifo(seed, loss_rate, horizon):
+    """Reference: every send index of the horizon drawn up front."""
+    rng = random.Random(seed)
+    prefix = tuple(
+        i for i in range(1, horizon + 1) if rng.random() >= loss_rate
+    )
+    return DeliverySet(prefix, horizon - len(prefix))
+
+
+def eager_reordering(seed, loss_rate, window, horizon):
+    """Reference: every window of the horizon shuffled up front."""
+    rng = random.Random(seed)
+    order = []
+    for start in range(1, horizon + 1, window):
+        block = list(range(start, min(start + window, horizon + 1)))
+        rng.shuffle(block)
+        order.extend(i for i in block if rng.random() >= loss_rate)
+    return DeliverySet(tuple(order), horizon - len(order))
+
+
+@st.composite
+def seeded_shapes(draw):
+    """``(build_lazy, eager, horizon)`` over both generators."""
+    seed = draw(st.integers(0, 2**32))
+    loss = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    horizon = draw(st.integers(0, 600))
+    if draw(st.booleans()):
+        return (
+            lambda: random_lossy_fifo(seed, loss, horizon),
+            eager_lossy_fifo(seed, loss, horizon),
+            horizon,
+        )
+    window = draw(st.integers(1, 9))
+    return (
+        lambda: random_reordering(seed, loss, window, horizon),
+        eager_reordering(seed, loss, window, horizon),
+        horizon,
+    )
+
+
+def is_drawn_in_full(delivery):
+    """No generator state left: the attributes of a constructed set."""
+    constructed = set(vars(DeliverySet((2,), 1)))
+    assert constructed == {"prefix", "tail_offset", "_pending"}
+    return (
+        delivery._pending is None
+        and set(vars(delivery)) - {"_cached_hash"} == constructed
+    )
+
+
+class TestDrawnOnDemand:
+    @given(seeded_shapes(), st.data())
+    def test_source_of_probes_in_random_order(self, shape, data):
+        build, eager, horizon = shape
+        lazy = build()
+        probes = data.draw(st.lists(st.integers(1, horizon + 20), max_size=30))
+        for j in probes:
+            assert lazy.source_of(j) == eager.source_of(j)
+        assert lazy == eager
+
+    @given(seeded_shapes())
+    def test_equality_both_directions(self, shape):
+        build, eager, _ = shape
+        assert build() == eager
+        assert eager == build()
+        assert build() == build()
+        assert not build() != eager
+
+    @given(seeded_shapes())
+    def test_hash_prefix_tail_and_repr(self, shape):
+        build, eager, _ = shape
+        assert hash(build()) == hash(eager)
+        assert hash(build()) == hash((eager.prefix, eager.tail_offset))
+        assert build().prefix == eager.prefix
+        assert build().tail_offset == eager.tail_offset
+        assert repr(build()) == repr(eager)
+        assert build().is_monotone() == eager.is_monotone()
+
+    @given(seeded_shapes())
+    def test_pickle_round_trip_carries_no_generator(self, shape):
+        build, eager, _ = shape
+        payload = pickle.dumps(build())
+        assert b"Random" not in payload and b"_pending" not in payload
+        loaded = pickle.loads(payload)
+        assert loaded == eager
+        assert set(vars(loaded)) == {"prefix", "tail_offset"}
+
+    @given(seeded_shapes())
+    def test_drawn_set_keeps_only_the_value(self, shape):
+        build, eager, _ = shape
+        finishers = (hash, repr, lambda ds: ds.prefix, lambda ds: ds.slot_of(1))
+        for finish in finishers:
+            lazy = build()
+            finish(lazy)
+            assert is_drawn_in_full(lazy)
+            assert vars(lazy)["prefix"] == eager.prefix
+
+    def test_probe_draws_only_the_blocks_it_needs(self):
+        lazy = random_reordering(5, 0.2, 4, 100_000)
+        eager = eager_reordering(5, 0.2, 4, 100_000)
+        assert lazy.source_of(3) == eager.source_of(3)
+        assert len(lazy._pending.drawn) < 16
+
+    def test_probe_past_the_horizon_finishes_the_set(self):
+        lazy = random_lossy_fifo(2, 0.5, 40)
+        eager = eager_lossy_fifo(2, 0.5, 40)
+        assert lazy.source_of(100) == eager.source_of(100)
+        assert is_drawn_in_full(lazy)
+
+    def test_monotone_generators_answer_without_drawing(self):
+        for lazy in (
+            random_lossy_fifo(1, 0.3, 1024),
+            random_reordering(1, 0.3, 1, 1024),
+        ):
+            assert lazy.is_monotone()
+            assert lazy._pending is not None
+
+    def test_one_type(self):
+        assert type(random_reordering(0, 0.1, 3, 50)) is DeliverySet
+        assert type(random_lossy_fifo(0, 0.1, 50)) is DeliverySet

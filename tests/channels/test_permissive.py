@@ -10,6 +10,7 @@ from repro.channels import (
     DeliverySetError,
     PermissiveChannel,
     PermissiveFifoChannel,
+    random_reordering,
     receive_pkt,
     send_pkt,
     wake,
@@ -156,6 +157,14 @@ class TestFifoChannel:
             PermissiveFifoChannel(
                 "t", "r", initial_delivery=DeliverySet((2, 1), 2)
             )
+
+    def test_rejects_non_monotone_seeded_draw_at_construction(self):
+        # A seeded set is drawn on demand, but the monotonicity check
+        # still runs when the channel is built, not at the first receive.
+        delivery = random_reordering(0, 0.0, 8, 64)
+        assert not random_reordering(0, 0.0, 8, 64).is_monotone()
+        with pytest.raises(DeliverySetError, match="monotone"):
+            PermissiveFifoChannel("t", "r", initial_delivery=delivery)
 
     def test_accepts_monotone_lossy(self):
         channel = PermissiveFifoChannel(

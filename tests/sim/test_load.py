@@ -7,11 +7,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.sim import percentile, percentile_summary
+from repro.sim import Session, percentile, percentile_summary
 from repro.sim.load import (
     LoadConfig,
     SessionOutcome,
     LoadResult,
+    _fuzz_config,
     normalized_report,
     run_load,
     run_session_batch,
@@ -59,6 +60,26 @@ class TestPercentile:
     def test_summary_keys(self):
         summary = percentile_summary(list(range(1, 101)))
         assert summary == {"p50": 50, "p95": 95, "p99": 99}
+
+
+class TestDeliverySetsStayLazy:
+    """A load session never needs a whole delivery set, so it draws none.
+
+    Nothing on the load path hashes or compares states; if something
+    starts to, every session pays for the full horizon again and this
+    fails.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_drop_flood_session_over_nonfifo(self, seed):
+        config = _fuzz_config(with_load_mix(LoadConfig(), "drop-flood"))
+        session = Session.from_spec("alternating_bit", "nonfifo", seed, config)
+        assert session.run().quiescent
+        system = session.system
+        for channel in (system.channel_tr, system.channel_rt):
+            delivery = channel.initial_state().delivery
+            assert "prefix" not in vars(delivery)
+            assert len(delivery._pending.drawn) < config.horizon // 8
 
 
 class TestLoadConfig:

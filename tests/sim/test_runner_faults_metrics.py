@@ -187,6 +187,47 @@ class TestMetrics:
         assert tr.distinct_headers == 2  # (DATA,0) and (DATA,1)
         assert rt.distinct_headers == 2  # (ACK,0) and (ACK,1)
 
+    @staticmethod
+    def assert_census_is_per_send(fragment, src, dst):
+        # Classes are computed once per distinct (header, body length);
+        # keys, their order and counts match computing one per send.
+        from repro.channels.actions import SEND_PKT
+        from repro.datalink.message_independence import packet_class
+
+        expected = {}
+        for action in fragment.actions:
+            if action.key == (SEND_PKT, (src, dst)):
+                cls = packet_class(action.payload)
+                expected[cls] = expected.get(cls, 0) + 1
+        census = channel_stats(fragment, src, dst).header_census
+        assert repr(list(census.items())) == repr(list(expected.items()))
+
+    @pytest.mark.parametrize(
+        "protocol", ["alternating_bit", "stenning", "fragmentation"]
+    )
+    def test_census_matches_a_class_per_send(self, protocol):
+        result = Session.from_spec(protocol, "nonfifo", 4).run()
+        for src, dst in (("t", "r"), ("r", "t")):
+            self.assert_census_is_per_send(result.fragment, src, dst)
+
+    def test_census_separates_body_lengths_of_one_header(self, factory):
+        from repro.alphabets import Packet
+        from repro.channels.actions import send_pkt
+        from repro.ioa import ExecutionFragment
+
+        one, two = factory.fresh_many(2)
+        packets = [
+            Packet(("seq", one), (one,), 1),
+            Packet(("seq", one), (), 2),
+            Packet(("seq", two), (two,), 3),
+            Packet(("seq", one), (one, two), 4),
+        ]
+        actions = tuple(send_pkt("t", "r", p) for p in packets)
+        fragment = ExecutionFragment((None,) * (len(actions) + 1), actions)
+        self.assert_census_is_per_send(fragment, "t", "r")
+        stats = channel_stats(fragment, "t", "r")
+        assert stats.distinct_headers == 3
+
     def test_distinct_headers_stenning_grows(self, factory):
         system = fifo_system(stenning_protocol())
         fragment = deliver_all(system, factory.fresh_many(6))

@@ -118,6 +118,20 @@ class TestCommands:
         assert code == 1
         assert "VIOLATED" in out
 
+    @pytest.mark.parametrize("reorder", ["1", "2"])
+    @pytest.mark.parametrize("loss", ["1.0", "-0.5"])
+    def test_simulate_bad_loss_is_an_error_envelope(self, capsys, loss, reorder):
+        import json
+
+        argv = ["simulate", "abp", "--loss", loss, "--reorder", reorder]
+        assert main(argv + ["--seed", "3", "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["command"] == "simulate"
+        assert payload["status"] == "error"
+        assert "loss_rate" in payload["details"]["error"]
+        assert main(argv) == 2
+        assert "bad channel parameters" in capsys.readouterr().out
+
     def test_growth(self, capsys):
         assert (
             main(["growth", "stenning", "--checkpoints", "1", "4"]) == 0
