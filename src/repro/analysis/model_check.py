@@ -132,6 +132,9 @@ class ModelCheckResult:
     states_explored: int
     exhaustive: bool  # False when a bound was hit before exhaustion
     counterexample: Optional[Tuple[Action, ...]] = None
+    #: Why the compiled core could not run this check (the pure-Python
+    #: engine answered instead); ``None`` when it ran.
+    fallback: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -151,6 +154,8 @@ class ModelCheckResult:
             details["counterexample"] = [
                 str(action) for action in self.counterexample
             ]
+        if self.fallback is not None:
+            details["fallback"] = self.fallback
         return RunReport(
             command="verify",
             status=STATUS_OK if self.ok else STATUS_VIOLATION,
@@ -251,4 +256,5 @@ def verify_delivery_order(
         states_explored=len(result.states),
         exhaustive=not result.truncated,
         counterexample=counterexample,
+        fallback=result.fallback,
     )

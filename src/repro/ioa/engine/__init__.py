@@ -1,32 +1,28 @@
-"""High-throughput exploration engine (see :mod:`.core`).
+"""Exploration backends behind :func:`repro.ioa.explorer.explore`.
 
-The engine is the backend of :func:`repro.ioa.explorer.explore`; the
-pieces are exposed here for direct use and benchmarking:
+``explore()`` runs closed compositions on the compiled core and every
+other call on the pure-Python engine; the pieces are exposed here for
+direct use and benchmarking:
 
 * :mod:`.core` -- serial trace-free BFS with state interning and
-  memoized composition stepping;
+  memoized composition stepping (the pure-Python engine);
 * :mod:`.interning` -- the dense-id intern table;
 * :mod:`.encoding` -- the flat state encoder (tuple and packed forms)
-  shared by every backend;
+  shared by both backends;
 * :mod:`.accel` -- the compiled packed-key search core (built on
-  demand from ``_accel.c``, pure-Python fallback otherwise);
-* :mod:`.diskstore` -- the disk-backed sharded frontier/visited store;
+  demand from ``_accel.c``);
 * :mod:`.bench` -- the states/sec benchmark emitter behind
   ``bench/BENCH_explore.json``.
 """
 
 from .core import ExplorationResult, explore_engine
-from .diskstore import DiskStateSet, DiskStore, explore_disk
 from .encoding import EncodingOverflow, StateEncoder
 from .interning import InternTable
 
 __all__ = [
-    "DiskStateSet",
-    "DiskStore",
     "EncodingOverflow",
     "ExplorationResult",
     "InternTable",
     "StateEncoder",
-    "explore_disk",
     "explore_engine",
 ]

@@ -13,14 +13,16 @@ suite (reference vs engine vs accel) can require identical results.
 
 The extension is built on demand with the system C compiler (``cc -O2
 -shared -fPIC``) into a per-source-hash cache directory -- no package
-installation involved -- and loaded from there.  Anything that prevents
-the fast path (no compiler, a non-composition automaton, an environment
-callback, ``validate=True``, or a state space that outgrows the packed
-bit budget) raises :class:`AccelUnavailable`, which
-:func:`~repro.ioa.explorer.explore` turns into a silent fallback to the
-pure-Python engine (counted as ``explore.accel_fallback``).  Set
-``REPRO_ACCEL_REQUIRE=1`` to turn the fallback into a hard error (CI
-does, so the differential job cannot silently skip the compiled path).
+installation involved -- and loaded from there.  A build or load
+failure raises :class:`AccelUnavailable`; a composition too wide for
+packed keys, or a state space that outgrows the packed bit budget,
+raises :class:`~repro.ioa.engine.encoding.EncodingOverflow`.
+:func:`~repro.ioa.explorer.explore` only calls this backend for closed
+compositions and turns either signal into a fallback to the pure-Python
+engine (``result.fallback``, counted as ``explore.accel_fallback``).
+Set ``REPRO_ACCEL_REQUIRE=1`` to turn a build or load failure into a
+hard error (CI does, so the differential job cannot silently skip the
+compiled path).
 
 Invariant projection: an invariant callable may declare the component
 slots it reads via a ``state_slots`` attribute (a tuple of slot
@@ -47,6 +49,7 @@ try:  # Python 3.9+: collections.abc.Set is subscriptable but we only subclass
 except ImportError:  # pragma: no cover - unreachable on supported versions
     from typing import AbstractSet  # type: ignore[assignment]
 
+from ...obs import current_tracer
 from ..automaton import State
 from ..composition import Composition
 from .core import Environment, ExplorationResult, Invariant
@@ -64,9 +67,9 @@ __all__ = [
 class AccelUnavailable(RuntimeError):
     """The compiled backend cannot run this exploration.
 
-    Raised for build/load failures and for explorations outside the
-    packed fast path's preconditions; the dispatcher treats it as
-    "fall back to the pure-Python engine".
+    Raised for build/load failures, and by :func:`explore_accel` for a
+    call outside its preconditions (which the dispatcher never makes);
+    the dispatcher treats it as "fall back to the pure-Python engine".
     """
 
 
@@ -288,14 +291,14 @@ def explore_accel(
     max_depth: int = 10_000,
     validate: bool = False,
     initial_state: Optional[State] = None,
-    encoder: Optional[StateEncoder] = None,
 ) -> ExplorationResult:
     """Compiled-backend exploration (same contract as the engine).
 
-    Raises :class:`AccelUnavailable` whenever the packed fast path does
-    not apply; raises :class:`EncodingOverflow` when the state space
-    outgrows the 64-bit packing mid-search.  Both are fallback signals,
-    never wrong answers.
+    Raises :class:`AccelUnavailable` when the backend cannot be built
+    or loaded, or the call is not a closed composition; raises
+    :class:`EncodingOverflow` when the composition or its state space
+    outgrows the 64-bit packing.  Both are fallback signals, never
+    wrong answers.
     """
     if not isinstance(automaton, Composition):
         raise AccelUnavailable("accel backend requires a Composition")
@@ -307,10 +310,9 @@ def explore_accel(
         raise AccelUnavailable("validate=True runs on the pure engine")
     module = _load_module()
 
-    if encoder is None:
-        encoder = StateEncoder(automaton)
+    encoder = StateEncoder(automaton)
     if encoder.n * encoder.bits_per_slot > 64 or encoder.n > 64:
-        raise AccelUnavailable("composition too wide for packed keys")
+        raise EncodingOverflow("composition too wide for packed keys")
 
     start = (
         initial_state
@@ -342,16 +344,17 @@ def explore_accel(
         encoder.enabled_pairs,
         encoder.successor_sids,
     )
+    tracer = current_tracer()
     try:
-        status, truncated, violation_index = search.run(
-            start_key, max_states, max_depth, invariant_cb, proj_mask
-        )
+        # One span for the whole compiled search (the C loop has no
+        # per-layer hook); a no-op when tracing is off.
+        with tracer.span("explore.accel", slots=encoder.n):
+            status, truncated, violation_index = search.run(
+                start_key, max_states, max_depth, invariant_cb, proj_mask
+            )
     except OverflowError as exc:
         raise EncodingOverflow(str(exc)) from exc
 
-    from ...obs import current_tracer
-
-    tracer = current_tracer()
     if tracer.enabled:
         stats = search.stats()
         tracer.count("explore.states", stats["states"])

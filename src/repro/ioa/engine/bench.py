@@ -88,12 +88,13 @@ def run_bench(
 
     Every case is cross-checked while it is timed: the engine, the
     reference, and (when the compiled backend is available) the
-    accelerated backend must agree on the reachable-state set and the
+    compiled core must agree on the reachable-state set and the
     ``truncated`` flag, so a benchmark run is also a three-way
     differential test.
     """
     from repro.analysis.model_check import build_closed_system
-    from repro.ioa.engine.accel import accel_backend_id
+    from repro.ioa.engine.accel import accel_backend_id, explore_accel
+    from repro.ioa.engine.core import explore_engine
     from repro.ioa.explorer import explore
 
     backend = accel_backend_id()
@@ -129,8 +130,10 @@ def run_bench(
             )
             return composition, invariant
 
+        # Each column calls the backend it names: explore() would
+        # route the engine column to the compiled core.
         def engine_fn(composition, invariant, max_depth):
-            return explore(
+            return explore_engine(
                 composition, invariant=invariant, max_depth=max_depth
             )
 
@@ -143,11 +146,8 @@ def run_bench(
             )
 
         def accel_fn(composition, invariant, max_depth):
-            return explore(
-                composition,
-                invariant=invariant,
-                max_depth=max_depth,
-                engine="accel",
+            return explore_accel(
+                composition, invariant=invariant, max_depth=max_depth
             )
 
         engine_seconds, engine_result = _time_explore(
@@ -163,9 +163,7 @@ def run_bench(
                 accel_fn, build_system, repeats
             )
         else:
-            # No compiler: explore(engine="accel") would silently fall
-            # back and time the engine twice, which is not a
-            # measurement.  The columns stay null instead.
+            # No compiler: the accel columns stay null.
             accel_seconds, accel_result = None, None
         if engine_result.states != reference_result.states:
             raise AssertionError(
@@ -246,10 +244,12 @@ def write_bench_trace(
 ) -> Dict:
     """Run one benchmark exploration under full tracing.
 
-    Writes the exploration's structured event stream (layer spans,
-    intern/memo counters, frontier gauges) plus the closing run
-    manifest to ``path`` as JSONL — the artifact CI uploads so a perf
-    regression can be diagnosed from the trace, not just the number.
+    Writes the structured event stream of the default ``explore()``
+    path (the compiled core's state, transition and intern counters;
+    layer spans and memo counters when the engine answers instead)
+    plus the closing run manifest to ``path`` as JSONL — the artifact
+    CI uploads so a perf regression can be diagnosed from the trace,
+    not just the number.
     """
     from repro.analysis.model_check import build_closed_system
     from repro.ioa.explorer import explore

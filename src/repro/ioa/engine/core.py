@@ -91,16 +91,16 @@ class ExplorationResult:
     """Outcome of a bounded exploration.
 
     ``states`` is the set of distinct reachable states visited -- a
-    plain ``set`` from the Python backends, or a lazy set view
-    (:class:`~repro.ioa.engine.accel.LazyStateSet`,
-    :class:`~repro.ioa.engine.diskstore.DiskStateSet`) from backends
-    whose states would be expensive to decode eagerly; every view
+    plain ``set`` from the Python explorers, or a lazy set view
+    (:class:`~repro.ioa.engine.accel.LazyStateSet`) from the compiled
+    core, whose states would be expensive to decode eagerly; the view
     supports ``len``/``in``/iteration/equality like a real set.
     ``truncated`` is True when the state or depth budget was exhausted
     before the frontier emptied; ``violation`` carries the first
     invariant violation found, as a (state, trace) pair.  ``fallback``
-    is the reason a requested backend degraded to the pure-Python
-    engine (``None`` when the requested backend ran).
+    is the reason the compiled core could not run a call it was chosen
+    for and the pure-Python engine answered instead (``None`` when the
+    chosen backend ran).
     """
 
     states: AbstractSet[State]
@@ -287,41 +287,25 @@ class _CompositionSearch:
     """BFS over interned (encoded) states of a :class:`Composition`.
 
     Encoded states are tuples of per-slot slice ids.  The mapping and
-    the stepping caches live in a shared :class:`StateEncoder` -- one
-    per search, or one handed in by a caller that wants to reuse the
-    ids (the disk-backed backend does) --
+    the stepping caches live in the search's :class:`StateEncoder`,
     mapping ``sid`` to the slice's enabled (token, owners) pairs and
     ``(sid, token)`` to the successor slice ids, so a slice value is
     only ever stepped once per action no matter how many composed
     states contain it.
     """
 
-    def __init__(
-        self,
-        composition: Composition,
-        encoder: Optional[StateEncoder] = None,
-    ):
+    def __init__(self, composition: Composition):
         self.composition = composition
         self.n = len(composition.components)
-        self.encoder = encoder if encoder is not None else StateEncoder(
-            composition
-        )
+        self.encoder = StateEncoder(composition)
 
-    # -- encoding (delegated to the shared encoder) ---------------------
+    # -- encoding (delegated to the encoder) ----------------------------
 
     def encode(self, state: State) -> Tuple[int, ...]:
         return self.encoder.encode(state)
 
     def decode(self, encoded: Tuple[int, ...]) -> State:
         return self.encoder.decode(encoded)
-
-    def _token(self, action: Action) -> int:
-        return self.encoder.token(action)
-
-    def _enabled_pairs(
-        self, slot: int, sid: int
-    ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        return self.encoder.enabled_pairs(slot, sid)
 
     def _successor_sids(
         self, slot: int, sid: int, token: int

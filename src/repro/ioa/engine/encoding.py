@@ -5,10 +5,10 @@ states: a composed state is encoded as a flat tuple of per-slot slice
 ids (dense ints assigned by per-slot :class:`.interning.InternTable`\\ s)
 or, when every slot fits its bit budget, packed into a *single* machine
 integer.  :class:`StateEncoder` owns that mapping plus the per-slice
-successor memo tables keyed by ``(slice id, action token)``, so every
-backend of :func:`repro.ioa.explorer.explore` -- the pure-Python
-engine, the disk-backed frontier and the compiled accelerated core --
-shares one encoding and one set of stepping caches.
+successor memo tables keyed by ``(slice id, action token)``, so both
+backends of :func:`repro.ioa.explorer.explore` -- the pure-Python
+engine (tuple codes) and the compiled core (packed codes) -- share one
+encoding and one set of stepping caches.
 
 What the encoding preserves (and what it does not): encoding is a
 bijection between the composed states seen so far and their flat
@@ -49,7 +49,8 @@ class EncodingOverflow(RuntimeError):
     """A slot outgrew its packed bit budget.
 
     Raised by :meth:`StateEncoder.pack` when some slice table holds
-    more distinct values than the slot's bit width can address.  The
+    more distinct values than the slot's bit width can address (and by
+    the compiled core for a composition with more slots than bits).  The
     tuple encoding is unaffected (it has no width limit); callers on
     the packed fast path catch this and fall back to the pure-Python
     engine.

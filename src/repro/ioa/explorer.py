@@ -6,15 +6,19 @@ environment.  This provides lightweight model checking of safety
 invariants -- e.g. "the alternating-bit protocol never delivers out of
 order over any FIFO-channel adversary with at most N in-flight packets".
 
-:func:`explore` is the public entry point; since the exploration-engine
-rewrite it delegates to :mod:`repro.ioa.engine`, which keeps trace-free
-parent-pointer frontiers, interns composed states and memoizes
-component stepping.  The original naive breadth-first search is
-preserved verbatim behind ``explore(engine="reference")``: it is the
-differential-testing oracle the engine is validated against, and the
-ground truth for the result contract.
+:func:`explore` is the public entry point and the one place a backend
+is chosen.  By default it runs closed compositions on the compiled
+packed-key core (:mod:`repro.ioa.engine.accel`) and every other call on
+the pure-Python engine (:mod:`repro.ioa.engine.core`), which keeps
+trace-free parent-pointer frontiers, interns composed states and
+memoizes component stepping; when the compiled core cannot run, the
+engine answers and ``result.fallback`` says why.  The original naive
+breadth-first search is preserved verbatim behind
+``explore(engine="reference")``: it is the differential-testing oracle
+both backends are validated against, and the ground truth for the
+result contract.
 
-Budget contract (both explorers): when the ``max_states`` budget is
+Budget contract (every backend): when the ``max_states`` budget is
 reached the search stops immediately -- no further successors of the
 current state or layer are expanded.  States that were queued but never
 expanded still had the invariant checked when they were first reached,
@@ -30,6 +34,7 @@ from typing import Callable, Iterable, List, Optional, Set
 from ..obs import current_tracer
 from .actions import Action
 from .automaton import Automaton, State
+from .composition import Composition
 from .engine.core import (
     ExplorationResult,
     InputEnablednessError,
@@ -76,57 +81,21 @@ def explore(
     no transition, :class:`InputEnablednessError` is raised (this is
     ``Automaton.check_input_enabled`` wired into the engine).
 
-    ``engine`` selects the backend: ``"auto"`` (the default) is the
-    high-throughput engine; ``"accel"`` opts into the compiled
-    packed-key core (built on demand from ``engine/_accel.c``; falls
-    back to the engine when no C compiler is available, the automaton
-    is not a composition, an ``environment``/``validate`` is requested,
-    or the state space outgrows the 64-bit packing -- the reason lands
-    in ``result.fallback`` and, under tracing, is counted as
-    ``explore.accel_fallback``; set ``REPRO_ACCEL_REQUIRE=1`` to make
-    the fallback a hard error); ``"disk"`` spills the visited set and
-    frontier to a self-cleaning scratch directory so exploration is
-    bounded by disk rather than RAM (compositions only; RAM budget from
-    ``$REPRO_DISK_RAM_CAP``, see
-    :func:`repro.ioa.engine.diskstore.explore_disk`); ``"reference"``
-    is the original naive BFS kept verbatim as the differential-testing
+    ``engine`` is ``"auto"`` (the default) or ``"reference"``.
+    ``"auto"`` runs a :class:`~repro.ioa.composition.Composition` with
+    no ``environment``/``validate`` on the compiled packed-key core
+    (:func:`repro.ioa.engine.accel.explore_accel`, built on demand from
+    ``engine/_accel.c``) and everything else on the pure-Python engine
+    (:func:`repro.ioa.engine.core.explore_engine`).  When the compiled
+    core cannot run a call it should -- no C compiler, a composition
+    too wide for packed keys, or a state space that outgrows the
+    packing mid-search -- the engine answers instead and says why:
+    the reason lands in ``result.fallback`` and, under tracing, is
+    counted as ``explore.accel_fallback``.  ``REPRO_ACCEL_REQUIRE=1``
+    turns a build or load failure into an error.  ``"reference"`` is
+    the original naive BFS kept verbatim as the differential-testing
     oracle (``validate`` is not supported with it).
     """
-    fallback: Optional[str] = None
-    if engine == "accel":
-        from .engine.accel import AccelUnavailable, explore_accel
-        from .engine.encoding import EncodingOverflow
-
-        try:
-            return explore_accel(
-                automaton,
-                environment=environment,
-                invariant=invariant,
-                max_states=max_states,
-                max_depth=max_depth,
-                validate=validate,
-                initial_state=initial_state,
-            )
-        except (AccelUnavailable, EncodingOverflow) as exc:
-            if os.environ.get("REPRO_ACCEL_REQUIRE"):
-                raise
-            fallback = str(exc)[:200]
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.count("explore.accel_fallback", 1, reason=fallback)
-            engine = "auto"
-    if engine == "disk":
-        from .engine.diskstore import explore_disk
-
-        return explore_disk(
-            automaton,
-            environment=environment,
-            invariant=invariant,
-            max_states=max_states,
-            max_depth=max_depth,
-            validate=validate,
-            initial_state=initial_state,
-        )
     if engine == "reference":
         if validate:
             raise ValueError(
@@ -149,9 +118,38 @@ def explore(
         return result
     if engine != "auto":
         raise ValueError(
-            f"unknown engine {engine!r}; expected 'auto', 'accel', "
-            "'disk' or 'reference'"
+            f"unknown engine {engine!r}; expected 'auto' or 'reference'"
         )
+    fallback: Optional[str] = None
+    if (
+        isinstance(automaton, Composition)
+        and environment is None
+        and not validate
+    ):
+        # Imported here so that runs which never explore a composition
+        # do not pay for the build machinery (subprocess, sysconfig).
+        from .engine.accel import AccelUnavailable, explore_accel
+        from .engine.encoding import EncodingOverflow
+
+        try:
+            return explore_accel(
+                automaton,
+                invariant=invariant,
+                max_states=max_states,
+                max_depth=max_depth,
+                initial_state=initial_state,
+            )
+        except AccelUnavailable as exc:
+            # Only a build or load failure gets here: the call itself
+            # meets every precondition of the compiled core.
+            if os.environ.get("REPRO_ACCEL_REQUIRE"):
+                raise
+            fallback = str(exc)[:200]
+        except EncodingOverflow as exc:
+            fallback = str(exc)[:200]
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.count("explore.accel_fallback", 1, reason=fallback)
     result = explore_engine(
         automaton,
         environment=environment,

@@ -194,3 +194,53 @@ class TestReorderingBoundary:
 
         with pytest.raises(ValueError):
             NondetLossyFifoChannel("t", "r", reorder_depth=0)
+
+
+def _fail_load():
+    from repro.ioa.engine.accel import AccelUnavailable
+
+    raise AccelUnavailable("forced load failure")
+
+
+class TestFallbackVisible:
+    """A degraded compiled core shows up in the verify report."""
+
+    @pytest.mark.parametrize("reorder_depth", [1, 2])
+    def test_degraded_run_reports_its_fallback(
+        self, monkeypatch, reorder_depth
+    ):
+        from repro.ioa.engine import accel
+
+        monkeypatch.delenv("REPRO_ACCEL_REQUIRE", raising=False)
+        undegraded = verify_delivery_order(
+            alternating_bit_protocol(), reorder_depth=reorder_depth
+        )
+        monkeypatch.setattr(accel, "_load_module", _fail_load)
+        degraded = verify_delivery_order(
+            alternating_bit_protocol(), reorder_depth=reorder_depth
+        )
+        assert degraded.ok == undegraded.ok == (reorder_depth == 1)
+        assert degraded.states_explored == undegraded.states_explored
+        assert degraded.exhaustive == undegraded.exhaustive
+        assert degraded.counterexample == undegraded.counterexample
+        assert degraded.fallback == "forced load failure"
+        details = degraded.report().details
+        assert details["fallback"] == "forced load failure"
+
+    def test_cli_json_shows_fallback_only_when_degraded(
+        self, monkeypatch, capsys
+    ):
+        import json
+
+        from repro.cli import main
+        from repro.ioa.engine import accel
+
+        monkeypatch.delenv("REPRO_ACCEL_REQUIRE", raising=False)
+        if accel.accel_backend_id() is not None:
+            assert main(["verify", "abp", "--json"]) == 0
+            clean = json.loads(capsys.readouterr().out)
+            assert "fallback" not in clean["details"]
+        monkeypatch.setattr(accel, "_load_module", _fail_load)
+        assert main(["verify", "abp", "--json"]) == 0
+        degraded = json.loads(capsys.readouterr().out)
+        assert degraded["details"]["fallback"] == "forced load failure"

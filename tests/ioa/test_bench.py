@@ -46,3 +46,26 @@ def test_drifted_verdict_raises():
     )
     with pytest.raises(AssertionError, match="expected_ok"):
         run_bench(cases=cases, repeats=1)
+
+
+def test_each_column_times_the_backend_it_names(monkeypatch):
+    # explore() sends closed compositions to the compiled core, so an
+    # engine column that went through it would time the wrong backend.
+    from repro.ioa.engine import bench
+    from repro.ioa.engine.accel import LazyStateSet, accel_backend_id
+
+    produced = {}
+    timed = bench._time_explore
+
+    def recording(explore_fn, build_system, repeats):
+        seconds, result = timed(explore_fn, build_system, repeats)
+        produced[explore_fn.__name__] = type(result.states)
+        return seconds, result
+
+    monkeypatch.setattr(bench, "_time_explore", recording)
+    small = tuple(case for case in DEFAULT_CASES if case[0] == "abp-small")
+    run_bench(cases=small, repeats=1)
+    expected = {"engine_fn": set, "reference_fn": set}
+    if accel_backend_id() is not None:
+        expected["accel_fn"] = LazyStateSet
+    assert produced == expected

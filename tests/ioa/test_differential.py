@@ -1,9 +1,10 @@
-"""Three-way engine differential over the fuzz zoo x channel matrix.
+"""Backend differential over the fuzz zoo x channel matrix.
 
-Every exploration backend -- the reference BFS kept as the oracle, the
-interned engine, the compiled packed-key core and the disk-backed
-store -- must report the same reachable set, the same ``truncated``
-flag and the same counterexamples on the same closed system.  The
+Every way of exploring -- the reference BFS kept as the oracle, the
+interned pure-Python engine, the compiled packed-key core and the
+default ``explore()`` dispatcher -- must report the same reachable set,
+the same ``truncated`` flag and the same counterexamples on the same
+closed system.  The
 systems come from the fuzz harness (seeded channel adversaries over
 the protocol zoo), including corrupted ``initial_state=`` starts from
 the self-stabilization workload, so the matrix covers exactly what the
@@ -22,8 +23,8 @@ from repro.alphabets import MessageFactory
 from repro.analysis.model_check import build_closed_system
 from repro.conformance.arbitrary import corrupt_initial_state
 from repro.conformance.harness import FuzzConfig, SubSeeds, build_system
-from repro.ioa.engine.accel import accel_backend_id
-from repro.ioa.engine.diskstore import explore_disk
+from repro.ioa.engine.accel import accel_backend_id, explore_accel
+from repro.ioa.engine.core import explore_engine
 from repro.ioa.explorer import explore
 from repro.protocols import alternating_bit_protocol
 
@@ -35,9 +36,19 @@ CHANNELS = ("fifo", "nonfifo", "bounded_nonfifo")
 CONFIG = FuzzConfig(messages=2, capacity=2, horizon=16, reorder_window=2)
 MAX_STATES = 1500
 
-ENGINES = ("auto", "reference", "disk") + (
-    ("accel",) if accel_backend_id() else ()
-)
+
+def _reference(composition, **options):
+    return explore(composition, engine="reference", **options)
+
+
+#: Name -> explorer; each takes the automaton plus ``explore`` options.
+ENGINES = {
+    "default": explore,
+    "reference": _reference,
+    "engine": explore_engine,
+}
+if accel_backend_id():
+    ENGINES["accel"] = explore_accel
 
 
 def _composition(protocol: str, channel: str, seed: int):
@@ -69,13 +80,12 @@ def _started_state(system):
 
 def _assert_agree(composition, initial_state=None, expect_progress=True):
     results = {
-        engine: explore(
+        engine: run(
             composition,
             max_states=MAX_STATES,
-            engine=engine,
             initial_state=initial_state,
         )
-        for engine in ENGINES
+        for engine, run in ENGINES.items()
     }
     oracle = results["reference"]
     if expect_progress:
@@ -128,16 +138,14 @@ def test_engines_agree_on_violation_traces():
     # backend must convict the same state through the same
     # layer-minimal trace.
     violations = {}
-    for engine in ENGINES:
+    for engine, run in ENGINES.items():
         composition, invariant, _ = build_closed_system(
             alternating_bit_protocol(),
             messages=2,
             capacity=2,
             reorder_depth=2,
         )
-        result = explore(
-            composition, invariant=invariant, engine=engine
-        )
+        result = run(composition, invariant=invariant)
         assert result.violation is not None, engine
         state, trace = result.violation
         violations[engine] = (state, tuple(trace))
@@ -155,13 +163,8 @@ def test_engines_agree_under_truncation():
     )
     started = _started_state(system)
     results = {
-        engine: explore(
-            composition,
-            max_states=300,
-            engine=engine,
-            initial_state=started,
-        )
-        for engine in ENGINES
+        engine: run(composition, max_states=300, initial_state=started)
+        for engine, run in ENGINES.items()
     }
     oracle = results["reference"]
     assert oracle.truncated
@@ -170,21 +173,3 @@ def test_engines_agree_under_truncation():
         assert result.truncated, engine
         assert result.states == oracle.states, engine
 
-
-def test_disk_store_matches_engine_under_tiny_ram_cap():
-    # Force the sharded visited set to spill: a 64-entry RAM cap on a
-    # multi-thousand-state system flushes sorted runs repeatedly, and
-    # the result must still match the all-in-RAM engine exactly.
-    system, _, composition = _composition("stenning", "nonfifo", seed=11)
-    started = _started_state(system)
-    spilled = explore_disk(
-        composition,
-        max_states=MAX_STATES,
-        ram_cap=64,
-        initial_state=started,
-    )
-    in_ram = explore(
-        composition, max_states=MAX_STATES, initial_state=started
-    )
-    assert spilled.truncated == in_ram.truncated
-    assert spilled.states == in_ram.states

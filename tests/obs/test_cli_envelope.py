@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.ioa.engine.accel import accel_backend_id
 from repro.obs import MANIFEST, RunManifest, read_events
 
 from .test_report import assert_envelope
@@ -117,9 +118,13 @@ class TestTraceFlag:
         )
         assert code == 0
         events = read_events(path)
+        # The compiled core spans its whole search; the engine, when
+        # it answers instead, spans each BFS layer.
+        expected = (
+            "explore.accel" if accel_backend_id() else "explore.layer"
+        )
         assert any(
-            e.kind == "span_start" and e.name == "explore.layer"
-            for e in events
+            e.kind == "span_start" and e.name == expected for e in events
         )
 
     def test_refute_crash_trace(self, capsys, tmp_path):

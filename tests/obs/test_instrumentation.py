@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.obs import MemorySink, tracing
 
 
@@ -27,12 +29,12 @@ class TestExploreInstrumentation:
         assert totals["explore.transitions"] >= len(result.states) - 1
 
     def test_layer_spans_and_frontier_gauge(self):
-        from repro.ioa import explore
+        from repro.ioa.engine import explore_engine
 
         composition, invariant = abp_closed_system()
         sink = MemorySink()
         with tracing(sink) as tracer:
-            explore(composition, invariant=invariant)
+            explore_engine(composition, invariant=invariant)
         spans = [
             e for e in sink.events
             if e.kind == "span_start" and e.name == "explore.layer"
@@ -43,16 +45,34 @@ class TestExploreInstrumentation:
         assert "explore.frontier" in tracer.gauges
 
     def test_memo_statistics_emitted_for_compositions(self):
-        from repro.ioa import explore
+        from repro.ioa.engine import explore_engine
 
         composition, invariant = abp_closed_system()
         with tracing(MemorySink()) as tracer:
-            explore(composition, invariant=invariant)
+            explore_engine(composition, invariant=invariant)
         totals = tracer.snapshot_counters()
         assert totals["explore.memo_queries"] > 0
         assert totals["explore.memo_hits"] <= totals["explore.memo_queries"]
         assert 0.0 <= tracer.gauges["explore.memo_hit_rate"] <= 1.0
         assert totals["explore.slices_interned"] > 0
+
+    def test_compiled_core_spans_its_search(self):
+        from repro.ioa import explore
+        from repro.ioa.engine.accel import accel_backend_id
+
+        if accel_backend_id() is None:
+            pytest.skip("no C compiler for the compiled core")
+        composition, invariant = abp_closed_system()
+        sink = MemorySink()
+        with tracing(sink) as tracer:
+            result = explore(composition, invariant=invariant)
+        spans = [
+            e.name for e in sink.events if e.kind == "span_start"
+        ]
+        assert spans == ["explore.accel"]
+        totals = tracer.snapshot_counters()
+        assert totals["explore.states"] == len(result.states)
+        assert totals["explore.accel_steps"] > 0
 
     def test_reference_engine_also_counts_states(self):
         from repro.ioa import explore

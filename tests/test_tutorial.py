@@ -180,26 +180,38 @@ class TestSection5Exhaustive:
 
 
 class TestSection5Backends:
-    """Mirrors the compiled-core / disk-frontier subsection verbatim."""
+    """Mirrors the compiled-core subsection verbatim."""
 
-    def test_accel_and_disk_match_the_engine(self, monkeypatch):
+    def test_default_matches_the_reference(self):
         from repro.analysis import build_closed_system
         from repro.ioa import explore
         from repro.protocols import alternating_bit_protocol
 
-        # A tiny RAM cap forces the disk backend to actually spill.
-        monkeypatch.setenv("REPRO_DISK_RAM_CAP", "64")
         system, invariant, _ = build_closed_system(
             alternating_bit_protocol(), messages=3, capacity=3
         )
-        fast = explore(system, invariant=invariant, engine="accel")
-        big = explore(system, invariant=invariant, engine="disk")
-        baseline = explore(system, invariant=invariant)
-        assert fast.states == baseline.states
-        assert big.states == baseline.states
-        assert not baseline.truncated
+        fast = explore(system, invariant=invariant)
+        oracle = explore(system, invariant=invariant, engine="reference")
+        assert fast.states == oracle.states
+        assert not fast.truncated
         # Lazy set views answer membership without materializing.
-        assert system.initial_state() in big.states
+        assert system.initial_state() in fast.states
+
+    def test_fallback_is_none_when_the_core_ran(self):
+        from repro.analysis import build_closed_system
+        from repro.ioa import explore
+        from repro.ioa.engine.accel import accel_backend_id
+        from repro.protocols import alternating_bit_protocol
+
+        system, invariant, _ = build_closed_system(
+            alternating_bit_protocol(), messages=2, capacity=2
+        )
+        fast = explore(system, invariant=invariant)
+        assert (fast.fallback is None) == (accel_backend_id() is not None)
+        # validate=True goes to the engine by design: no fallback.
+        checked = explore(system, invariant=invariant, validate=True)
+        assert checked.fallback is None
+        assert checked.states == fast.states
 
 
 class TestSection8Lint:
