@@ -49,9 +49,9 @@ def test_exhaustive_verification(benchmark, name):
 
 RAISED_BOUNDS = {
     # Bounds the seed explorer was too slow to reach comfortably; the
-    # exploration engine (see bench/BENCH_explore.json) makes them
-    # routine.  sliding-window at 3 messages / capacity 3 is a ~105k
-    # state proof.
+    # compiled core (see verify-zoo in bench/BENCH_perfbench.json)
+    # makes them routine.  sliding-window at 3 messages / capacity 3 is
+    # a ~105k state proof.
     "abp-3msg-cap3": (alternating_bit_protocol, 3, 3),
     "sliding-window-2-3msg-cap3": (lambda: sliding_window_protocol(2), 3, 3),
 }
@@ -129,3 +129,65 @@ def test_reordering_boundary(benchmark):
     assert not abp_reorder.ok  # ABP breaks at displacement 2
     assert mod4_reorder.ok and mod4_reorder.exhaustive  # N=4 tolerates it
     benchmark.extra_info["abp_cex_len"] = len(abp_reorder.counterexample)
+
+
+ENGINE_CASES = {
+    "abp": (alternating_bit_protocol, 3, 3),
+    "stenning": (stenning_protocol, 3, 3),
+    "sliding-window-2": (lambda: sliding_window_protocol(2), 2, 2),
+}
+
+#: Half the 6.55x median engine/reference speedup last recorded for
+#: these cases, so the floor holds on a loaded runner.
+ENGINE_SPEEDUP_FLOOR = 3.25
+
+
+def test_engine_outpaces_reference():
+    """The pure-Python engine stays well ahead of the naive BFS.
+
+    ``explore()`` runs closed compositions on the compiled core, but
+    the engine still answers every ``environment=``/``validate=`` call,
+    every non-composition and every fallback.  A ratio against the
+    reference BFS timed in the same process holds across runner
+    hardware, where absolute states/sec does not.  Each repeat builds a
+    fresh closed system, so no run sees caches warmed by another; the
+    reference runs unmemoized, as the pre-engine explorer did.
+    """
+    import time
+    from statistics import median
+
+    from repro.analysis.model_check import build_closed_system
+    from repro.ioa import explore
+    from repro.ioa.engine import explore_engine
+
+    def timed(run, factory, messages, capacity, memoize, repeats=3):
+        seconds = []
+        for _ in range(repeats):
+            composition, invariant, _ = build_closed_system(
+                factory(),
+                messages=messages,
+                capacity=capacity,
+                memoize=memoize,
+            )
+            started = time.perf_counter()
+            result = run(
+                composition, invariant=invariant, max_depth=10_000_000
+            )
+            seconds.append(time.perf_counter() - started)
+        return median(seconds), result
+
+    def reference(composition, **kwargs):
+        return explore(composition, engine="reference", **kwargs)
+
+    speedups = {}
+    for name, (factory, messages, capacity) in ENGINE_CASES.items():
+        engine_s, engine = timed(
+            explore_engine, factory, messages, capacity, memoize=True
+        )
+        reference_s, baseline = timed(
+            reference, factory, messages, capacity, memoize=False
+        )
+        assert engine.states == baseline.states, name
+        assert engine.truncated == baseline.truncated, name
+        speedups[name] = reference_s / engine_s
+    assert median(speedups.values()) >= ENGINE_SPEEDUP_FLOOR, speedups

@@ -8,20 +8,8 @@ wins, by how much.
 
 Run:  python benchmarks/run_experiments.py [E1 E2 ...]
 
-``--bench-explore[=PATH]`` additionally benchmarks the exploration
-engine against the reference BFS (states/sec per protocol) and writes
-the report to ``bench/BENCH_explore.json`` (or PATH).
-``--bench-trace[=PATH]`` runs one benchmark exploration under full
-tracing and writes its JSONL event stream (plus run manifest) to
-``bench/BENCH_explore_trace.jsonl`` (or PATH) — CI uploads this as an
-artifact.  ``--bench-fuzz[=PATH]`` benchmarks fuzz-campaign throughput
-through the worker pool against serial campaigns (runs/sec per case,
-with a built-in serial-vs-pooled determinism cross-check) and writes
-``bench/BENCH_fuzz.json`` (or PATH).  ``--bench-load[=PATH]``
-benchmarks multi-session load generation the same way (sessions/sec
-per case, serial vs. pooled, with the normalized-report identity
-cross-check) and writes ``bench/BENCH_load.json`` (or PATH).  With no
-experiment names given alongside any flag, only the benchmarks run.
+Throughput is measured by ``perfbench/run.py``; its results are
+recorded by ``benchmarks/record_perfbench.py``.
 """
 
 from __future__ import annotations
@@ -29,114 +17,10 @@ from __future__ import annotations
 import sys
 
 from repro.analysis import run_all, to_text
-from repro.conformance.bench import (
-    DEFAULT_FUZZ_PATH,
-    write_fuzz_bench_json,
-)
-from repro.ioa.engine.bench import (
-    DEFAULT_PATH,
-    TRACE_PATH,
-    write_bench_json,
-    write_bench_trace,
-)
-from repro.sim.bench import (
-    DEFAULT_LOAD_PATH,
-    write_load_bench_json,
-)
 
 
 def main() -> None:
-    argv = list(sys.argv[1:])
-    bench_path = None
-    trace_path = None
-    fuzz_path = None
-    load_path = None
-    for arg in list(argv):
-        if arg == "--bench-explore":
-            bench_path = DEFAULT_PATH
-            argv.remove(arg)
-        elif arg.startswith("--bench-explore="):
-            bench_path = arg.split("=", 1)[1] or DEFAULT_PATH
-            argv.remove(arg)
-        elif arg == "--bench-trace":
-            trace_path = TRACE_PATH
-            argv.remove(arg)
-        elif arg.startswith("--bench-trace="):
-            trace_path = arg.split("=", 1)[1] or TRACE_PATH
-            argv.remove(arg)
-        elif arg == "--bench-fuzz":
-            fuzz_path = DEFAULT_FUZZ_PATH
-            argv.remove(arg)
-        elif arg.startswith("--bench-fuzz="):
-            fuzz_path = arg.split("=", 1)[1] or DEFAULT_FUZZ_PATH
-            argv.remove(arg)
-        elif arg == "--bench-load":
-            load_path = DEFAULT_LOAD_PATH
-            argv.remove(arg)
-        elif arg.startswith("--bench-load="):
-            load_path = arg.split("=", 1)[1] or DEFAULT_LOAD_PATH
-            argv.remove(arg)
-    if (
-        bench_path is None
-        and trace_path is None
-        and fuzz_path is None
-        and load_path is None
-    ) or argv:
-        only = argv or None
-        print(to_text(run_all(only=only)))
-    if trace_path is not None:
-        summary = write_bench_trace(trace_path)
-        print(
-            f"wrote {summary['path']}: {summary['protocol']} "
-            f"({summary['states']} states, "
-            f"{len(summary['counters'])} counter series)"
-        )
-    if bench_path is not None:
-        report = write_bench_json(bench_path)
-        protocols = report["protocols"]
-        print(f"wrote {bench_path}")
-        for key, row in protocols.items():
-            print(
-                f"  {key:18s} {row['states']:7d} states  "
-                f"engine {row['engine_states_per_sec']:10.0f}/s  "
-                f"reference {row['reference_states_per_sec']:9.0f}/s  "
-                f"speedup {row['speedup']:.2f}x"
-            )
-        print(f"  median speedup: {report['median_speedup']:.2f}x")
-    if fuzz_path is not None:
-        report = write_fuzz_bench_json(fuzz_path)
-        print(
-            f"wrote {fuzz_path} (workers={report['workers']}, "
-            f"effective_cpus={report['effective_cpus']}"
-            + (", OVERSUBSCRIBED" if report["oversubscribed"] else "")
-            + ")"
-        )
-        for key, row in report["cases"].items():
-            print(
-                f"  {key:24s} {row['runs']:4d} runs  "
-                f"serial {row['serial_runs_per_sec']:7.1f}/s  "
-                f"pool[{row['pool_mode']}] "
-                f"{row['pool_runs_per_sec']:7.1f}/s  "
-                f"speedup {row['speedup']:.2f}x"
-            )
-        print(f"  median speedup: {report['median_speedup']:.2f}x")
-    if load_path is not None:
-        report = write_load_bench_json(load_path)
-        print(
-            f"wrote {load_path} (workers={report['workers']}, "
-            f"effective_cpus={report['effective_cpus']}"
-            + (", OVERSUBSCRIBED" if report["oversubscribed"] else "")
-            + ")"
-        )
-        for key, row in report["cases"].items():
-            print(
-                f"  {key:24s} {row['sessions']:4d} sessions  "
-                f"serial {row['serial_sessions_per_sec']:7.1f}/s  "
-                f"pool[{row['pool_mode']}] "
-                f"{row['pool_sessions_per_sec']:7.1f}/s  "
-                f"speedup {row['speedup']:.2f}x"
-            )
-        print(f"  median speedup: {report['median_speedup']:.2f}x")
+    print(to_text(run_all(only=sys.argv[1:] or None)))
 
 
 if __name__ == "__main__":

@@ -177,8 +177,9 @@ def build_closed_system(
     Returns ``(composition, invariant, batch)``: the protocol composed
     with two bounded nondeterministic lossy channels and the scripted
     environment, plus the delivery-prefix invariant over its states.
-    Shared by :func:`verify_delivery_order` and the exploration-engine
-    benchmark emitter (:mod:`repro.ioa.engine.bench`).
+    Shared by :func:`verify_delivery_order`, the backend differential
+    tests and the engine-vs-reference timing in
+    ``benchmarks/bench_model_check.py``.
     """
     t, r = "t", "r"
     factory = MessageFactory(label="v")

@@ -10,9 +10,7 @@ direct use and benchmarking:
 * :mod:`.encoding` -- the flat state encoder (tuple and packed forms)
   shared by both backends;
 * :mod:`.accel` -- the compiled packed-key search core (built on
-  demand from ``_accel.c``);
-* :mod:`.bench` -- the states/sec benchmark emitter behind
-  ``bench/BENCH_explore.json``.
+  demand from ``_accel.c``).
 """
 
 from .core import ExplorationResult, explore_engine

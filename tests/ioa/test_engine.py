@@ -1,14 +1,16 @@
-"""Differential tests: the exploration engine vs. the naive reference BFS.
+"""Differential tests: the pure-Python engine vs. the naive reference BFS.
 
-The engine behind :func:`repro.ioa.explore` (trace-free parent-pointer
-frontiers, state interning, memoized composition stepping) must be
-observationally identical to the original
-naive breadth-first search, kept behind ``explore(engine="reference")``:
+The engine (:func:`repro.ioa.engine.explore_engine`: trace-free
+parent-pointer frontiers, state interning, memoized composition
+stepping) must be observationally identical to the original naive
+breadth-first search, kept behind ``explore(engine="reference")``:
 same reachable-state set, same ``truncated`` flag, and a counterexample
 of the same (layer-minimal) length that actually replays on the
-automaton.  These tests check that across the toy automata and the
-protocol zoo's closed systems, including the reordering-boundary
-counterexample cases.
+automaton.  These tests call the engine directly, because ``explore()``
+sends closed compositions to the compiled core; they check it across
+the toy automata and the protocol zoo's closed systems, including the
+reordering-boundary counterexample cases.  The default ``explore()``
+is compared with the reference in ``test_differential.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ioa import Composition, explore
-from repro.ioa.engine import InternTable
+from repro.ioa.engine import InternTable, explore_engine
 from repro.analysis.model_check import build_closed_system
 from repro.protocols import (
     alternating_bit_protocol,
@@ -39,7 +41,7 @@ def assert_equivalent(automaton_factory, reference_factory=None, **kwargs):
     reference result) for extra assertions.
     """
     reference_factory = reference_factory or automaton_factory
-    engine = explore(automaton_factory(), **kwargs)
+    engine = explore_engine(automaton_factory(), **kwargs)
     reference = explore(reference_factory(), engine="reference", **kwargs)
     assert engine.states == reference.states
     assert engine.truncated == reference.truncated
@@ -145,7 +147,7 @@ class TestZooDifferential:
             return composition, invariant
 
         composition, invariant = build(memoize=False)
-        engine = explore(
+        engine = explore_engine(
             composition, invariant=invariant, max_depth=10_000_000
         )
         ref_composition, ref_invariant = build(memoize=False)
@@ -172,7 +174,9 @@ class TestZooDifferential:
             return composition, invariant
 
         composition, invariant = build()
-        engine = explore(composition, invariant=invariant, max_states=500)
+        engine = explore_engine(
+            composition, invariant=invariant, max_states=500
+        )
         ref_composition, ref_invariant = build()
         reference = explore(
             ref_composition,
@@ -308,7 +312,7 @@ class TestFuzzSeedDifferential:
     @pytest.mark.parametrize("index", [0, 1])
     def test_engines_agree_on_fuzz_discovered_seed(self, index):
         subseeds = self.discovered_subseeds()[index]
-        engine = explore(
+        engine = explore_engine(
             self.build_fuzz_seeded_system(subseeds), max_states=400
         )
         reference = explore(
