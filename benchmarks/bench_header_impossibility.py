@@ -76,3 +76,31 @@ def test_header_engine_rejects_stenning(benchmark):
         return False
 
     assert benchmark(attempt)
+
+
+SCALING_CEILING = 2.5
+
+
+def test_construction_scales_linearly():
+    """Doubling the header count at most about doubles the time.
+
+    The pumping chain grows linearly with the header count (Lemma 8.4),
+    and each round's work must not grow with ``T``: modulo-Stenning(256)
+    runs twice the rounds of modulo-Stenning(128), so a linear engine
+    takes about twice as long, where one that revisits every packet in
+    transit each round takes well over three times as long.  A ratio
+    timed in one process holds across runner hardware; the two sizes
+    alternate so drift of a shared machine hits both alike.
+    """
+    import time
+    from statistics import median
+
+    def seconds(modulus):
+        protocol = modulo_stenning_protocol(modulus)
+        started = time.perf_counter()
+        refute_bounded_headers(protocol)
+        return time.perf_counter() - started
+
+    seconds(128)  # warm caches and lazy imports before timing
+    ratios = [seconds(256) / seconds(128) for _ in range(5)]
+    assert median(ratios) <= SCALING_CEILING, ratios

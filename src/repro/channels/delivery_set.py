@@ -122,7 +122,7 @@ class DeliverySet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_pending", None)
         prefix = self.prefix
-        if any(i < 1 for i in prefix):
+        if prefix and min(prefix) < 1:
             raise DeliverySetError("send indices must be positive")
         if len(set(prefix)) != len(prefix):
             raise DeliverySetError(
@@ -217,6 +217,27 @@ class DeliverySet:
         if j <= len(prefix):
             return prefix[j - 1]
         return j + self.tail_offset
+
+    def sources(self, up_to_slot: int) -> Tuple[int, ...]:
+        """The send indices of slots ``1..up_to_slot``, in slot order.
+
+        ``source_of`` for each slot, as one slice of the drawn prefix: a
+        seeded set draws only as far as ``up_to_slot``.
+        """
+        if up_to_slot < 1:
+            return ()
+        pending = self._pending
+        if pending is not None:
+            if up_to_slot <= len(pending.drawn) or pending.cover(up_to_slot):
+                return tuple(pending.drawn[:up_to_slot])
+            self._materialize()
+        prefix = self.prefix
+        if up_to_slot <= len(prefix):
+            return prefix[:up_to_slot]
+        first_tail = len(prefix) + 1 + self.tail_offset
+        return prefix + tuple(
+            range(first_tail, up_to_slot + 1 + self.tail_offset)
+        )
 
     def slot_of(self, i: int) -> Optional[int]:
         """The receive slot of send index ``i``, or None if ``i`` is lost."""

@@ -85,9 +85,7 @@ class PermissiveChannelState:
 
     def delivered_indices(self) -> Tuple[int, ...]:
         """Send indices delivered so far, in delivery order."""
-        return tuple(
-            self.delivery.source_of(j) for j in range(1, self.counter2 + 1)
-        )
+        return self.delivery.sources(self.counter2)
 
     def in_transit_indices(self) -> Tuple[int, ...]:
         """Send indices sent but not (yet) delivered, in send order.
@@ -234,11 +232,17 @@ class PermissiveChannel(Automaton):
         under which the same schedule could have been produced from a
         start state carrying the new set.
         """
-        for j in range(1, state.counter2 + 1):
-            if delivery.source_of(j) != state.delivery.source_of(j):
-                raise ChannelSurgeryError(
-                    f"rewrite changes already-consumed slot {j}"
-                )
+        consumed = state.delivered_indices()
+        rewritten = delivery.sources(state.counter2)
+        if rewritten != consumed:
+            j = next(
+                j
+                for j, (new, old) in enumerate(zip(rewritten, consumed), 1)
+                if new != old
+            )
+            raise ChannelSurgeryError(
+                f"rewrite changes already-consumed slot {j}"
+            )
         self._validate_delivery(delivery)
         return PermissiveChannelState(
             state.counter1, state.counter2, state.sent, delivery
@@ -253,9 +257,7 @@ class PermissiveChannel(Automaton):
         send ``counter1 + k``: every packet currently in transit is lost
         and the channel acts FIFO with no losses from now on.
         """
-        consumed = tuple(
-            state.delivery.source_of(j) for j in range(1, state.counter2 + 1)
-        )
+        consumed = state.delivered_indices()
         delivery = DeliverySet(consumed, state.counter1 - state.counter2)
         return self._rewrite(state, delivery)
 
@@ -273,7 +275,8 @@ class PermissiveChannel(Automaton):
         delivery set monotone (increasing, and above every consumed
         index), matching Lemma 6.5's use with ``C-hat``.
         """
-        delivered = set(state.delivered_indices())
+        consumed = state.delivered_indices()
+        delivered = set(consumed)
         seen = set()
         for i in indices:
             if not 1 <= i <= state.counter1:
@@ -286,9 +289,6 @@ class PermissiveChannel(Automaton):
             if i in seen:
                 raise ChannelSurgeryError(f"send index {i} scheduled twice")
             seen.add(i)
-        consumed = tuple(
-            state.delivery.source_of(j) for j in range(1, state.counter2 + 1)
-        )
         prefix = consumed + tuple(indices)
         floor = max([state.counter1, *prefix]) if prefix else state.counter1
         delivery = DeliverySet(prefix, floor - len(prefix))

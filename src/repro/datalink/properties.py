@@ -14,7 +14,8 @@ interval must have a matching ``receive_msg`` in the trace.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
 from ..ioa.actions import Action
 from ..ioa.schedule_module import PropertyResult
@@ -218,32 +219,174 @@ def dl8(
 # ----------------------------------------------------------------------
 
 
-def is_valid_sequence(
-    schedule: Sequence[Action], t: str, r: str
-) -> PropertyResult:
-    """Validity of a data-link action sequence (Section 8.1).
+class ValidityMonitor:
+    """Validity of a growing data-link sequence (Section 8.1).
 
     ``beta`` is valid iff (1) it is well-formed, (2) it satisfies (DL1)-
     (DL5) and (DL8), and (3) a wake event, but no fail or crash events,
     occurs in it.  Since there are no fail/crash events, the working
     intervals are unbounded and (DL8) reduces to "every message sent is
     received" (Lemma 8.1) -- evaluated here on the quiescent reading.
+
+    Feed the sequence in any number of chunks with :meth:`feed`;
+    :meth:`result` judges everything fed so far, exactly as
+    :func:`is_valid_sequence` judges the whole sequence.  Each event is
+    looked at once, so checking after every chunk costs the length of
+    the chunk, not of the sequence.
+
+    The first fail or crash event decides the verdict for good, so the
+    monitor stops there.  Before it, each direction's working interval
+    runs from its first wake to the end: a second wake in the same
+    direction breaks well-formedness, which outranks every (DL) check
+    below it, so (DL2) and (DL8) need only the first wake.
     """
-    has_wake = False
-    for index, action in enumerate(schedule):
-        if action.name == WAKE:
-            has_wake = True
-        elif action.name in (FAIL, CRASH):
+
+    def __init__(self, t: str, r: str) -> None:
+        self._forward = (t, r)
+        self._backward = (r, t)
+        self._length = 0
+        self._fault: Optional[int] = None  # first fail/crash event
+        self._has_wake = False
+        self._wake = {self._forward: None, self._backward: None}
+        self._misordered = {self._forward: None, self._backward: None}
+        self._early_send: Optional[int] = None  # (DL2)
+        self._sent: dict = {}  # message -> first send event
+        self._received: dict = {}  # message -> first receive event
+        self._resent: Optional[Tuple[object, int, int]] = None  # (DL3)
+        self._rereceived: Optional[Tuple[object, int, int]] = None  # (DL4)
+        self._unsent: Optional[Tuple[object, int]] = None  # (DL5)
+        # (DL8): sends in event order; received ones are dropped lazily.
+        self._awaiting: Deque[Tuple[int, object]] = deque()
+
+    def feed(self, actions: Iterable[Action]) -> None:
+        """Append ``actions`` to the sequence being judged."""
+        if self._fault is not None:
+            return
+        forward = self._forward
+        sent = self._sent
+        received = self._received
+        index = self._length
+        for action in actions:
+            name = action.name
+            if name == SEND_MSG:
+                if action.direction == forward:
+                    message = action.payload
+                    if self._wake[forward] is None and self._early_send is None:
+                        self._early_send = index
+                    first = sent.get(message)
+                    if first is None:
+                        sent[message] = index
+                    elif self._resent is None:
+                        self._resent = (message, first, index)
+                    if message not in received:
+                        self._awaiting.append((index, message))
+            elif name == RECEIVE_MSG:
+                if action.direction == forward:
+                    message = action.payload
+                    first = received.get(message)
+                    if first is None:
+                        received[message] = index
+                    elif self._rereceived is None:
+                        self._rereceived = (message, first, index)
+                    if self._unsent is None and message not in sent:
+                        self._unsent = (message, index)
+            elif name == WAKE:
+                self._has_wake = True
+                direction = action.direction
+                if direction in self._wake:
+                    if self._wake[direction] is None:
+                        self._wake[direction] = index
+                    elif self._misordered[direction] is None:
+                        self._misordered[direction] = (index, action)
+            elif name == FAIL or name == CRASH:
+                self._fault = index
+                break
+            index += 1
+        self._length = index
+
+    def result(self) -> PropertyResult:
+        """The verdict on everything fed so far."""
+        if self._fault is not None:
             return PropertyResult.violated(
                 "valid",
-                f"fail/crash event at {index}: valid sequences contain none",
+                f"fail/crash event at {self._fault}: valid sequences "
+                "contain none",
             )
-    if not has_wake:
-        return PropertyResult.violated("valid", "no wake event occurs")
-    for check in (dl_well_formed, dl1, dl2, dl3, dl4, dl5, dl8):
-        result = check(schedule, t, r)
-        if not result.holds:
-            return PropertyResult.violated(
-                "valid", f"{result.name} fails: {result.witness}"
+        if not self._has_wake:
+            return PropertyResult.violated("valid", "no wake event occurs")
+        failure = self._first_failure()
+        if failure is None:
+            return PropertyResult.ok("valid")
+        name, witness = failure
+        return PropertyResult.violated("valid", f"{name} fails: {witness}")
+
+    def _first_failure(self) -> Optional[Tuple[str, str]]:
+        """The first failing check in ``dl_well_formed``, (DL1)-(DL5),
+        (DL8) order, as (name, witness); None if all hold."""
+        for direction, label in (
+            (self._forward, "transmitter"),
+            (self._backward, "receiver"),
+        ):
+            misordered = self._misordered[direction]
+            if misordered is not None:
+                index, action = misordered
+                return (
+                    "DL-well-formed",
+                    f"{label} event {index} ({action}) breaks the strict "
+                    "wake/fail alternation",
+                )
+        transmitter = self._wake[self._forward] is not None
+        if transmitter != (self._wake[self._backward] is not None):
+            side = "transmitter" if transmitter else "receiver"
+            return (
+                "DL1",
+                f"only the {side} side has an unbounded working interval",
             )
-    return PropertyResult.ok("valid")
+        if self._early_send is not None:
+            return (
+                "DL2",
+                f"send_msg at event {self._early_send} lies outside every "
+                "transmitter working interval",
+            )
+        if self._resent is not None:
+            message, first, index = self._resent
+            return ("DL3", f"message {message} sent at events {first} and {index}")
+        if self._rereceived is not None:
+            message, first, index = self._rereceived
+            return (
+                "DL4",
+                f"message {message} received at events {first} and {index}",
+            )
+        if self._unsent is not None:
+            message, index = self._unsent
+            return (
+                "DL5",
+                f"message {message} received at event {index} without a "
+                "preceding send_msg",
+            )
+        # Reached with (DL1) and (DL2) holding: every send follows the
+        # transmitter's wake, so every send lies in its unbounded interval.
+        awaiting = self._awaiting
+        while awaiting and awaiting[0][1] in self._received:
+            awaiting.popleft()
+        if awaiting:
+            index, message = awaiting[0]
+            return (
+                "DL8",
+                f"message {message} sent at event {index} in the unbounded "
+                "transmitter working interval was never received",
+            )
+        return None
+
+
+def is_valid_sequence(
+    schedule: Iterable[Action], t: str, r: str
+) -> PropertyResult:
+    """Validity of a data-link action sequence (Section 8.1).
+
+    The one-shot form of :class:`ValidityMonitor`, which documents the
+    definition.
+    """
+    monitor = ValidityMonitor(t, r)
+    monitor.feed(schedule)
+    return monitor.result()

@@ -45,6 +45,11 @@ packet actions hidden) and then:
 
 The output is a :class:`~repro.impossibility.certificates.ViolationCertificate`
 whose behavior is re-validated by the independent trace checkers.
+
+Under tracing each phase is a span named for its lemma:
+``refute.reference`` (Lemmas 4.1 and 6.3), ``refute.chain`` (7.3),
+``refute.crash_replay`` once per level (7.2), ``refute.end_state`` (7.4
+and the fair extension) and ``refute.map_back`` (7.1).
 """
 
 from __future__ import annotations
@@ -496,12 +501,14 @@ class CrashImpossibilityEngine:
             return self._run(tracer)
 
     def _run(self, tracer) -> ViolationCertificate:
-        early = self._build_reference()
+        with tracer.span("refute.reference"):
+            early = self._build_reference()
         if early is not None:
             return early
 
         system = self.system
-        levels = self._build_levels()
+        with tracer.span("refute.chain"):
+            levels = self._build_levels()
         self.narrative.append(
             "alternation chain (Lemma 7.3): "
             + " -> ".join(f"({side},{k})" for side, k in levels)
@@ -520,9 +527,10 @@ class CrashImpossibilityEngine:
         last_bindings: Dict[Message, Message] = {}
         for side, k in levels:
             with tracer.span("refute.round", station=side, k=k):
-                expected = self._in_packets(self.alpha, side, k)
-                self._select_waiting(side, expected, available[side])
-                sent, bindings = self._crash_and_replay(side, k)
+                with tracer.span("refute.crash_replay"):
+                    expected = self._in_packets(self.alpha, side, k)
+                    self._select_waiting(side, expected, available[side])
+                    sent, bindings = self._crash_and_replay(side, k)
             available[self._other(side)] = sent
             if side == self.t:
                 last_bindings = bindings
@@ -536,41 +544,41 @@ class CrashImpossibilityEngine:
                 f"sent {len(sent)}"
             )
 
-        # Lemma 7.4 end state: clean both channels.
-        self._surgery(system.clean_channels(self.fragment.final_state))
-        m1 = next(
-            (
-                fresh
-                for fresh, ref in last_bindings.items()
-                if ref == self.m0
-            ),
-            None,
-        )
-        if m1 is None:
-            raise EngineError(
-                "final transmitter replay did not re-send a message "
-                "equivalent to m0"
+        with tracer.span("refute.end_state"):
+            # Lemma 7.4 end state: clean both channels.
+            self._surgery(system.clean_channels(self.fragment.final_state))
+            m1 = next(
+                (
+                    fresh
+                    for fresh, ref in last_bindings.items()
+                    if ref == self.m0
+                ),
+                None,
             )
-        self.narrative.append(
-            f"Lemma 7.4 state reached: both stations equivalent to the "
-            f"end of alpha, channels clean, fresh message {m1} sent but "
-            "undelivered"
-        )
+            if m1 is None:
+                raise EngineError(
+                    "final transmitter replay did not re-send a message "
+                    "equivalent to m0"
+                )
+            self.narrative.append(
+                f"Lemma 7.4 state reached: both stations equivalent to the "
+                f"end of alpha, channels clean, fresh message {m1} sent but "
+                "undelivered"
+            )
 
-        # Theorem 7.5: fair extension with no further inputs.
-        beta_length = len(self.fragment)
-        try:
-            extended = system.run_fair(
-                self.fragment.final_state,
-                max_steps=self.max_steps,
-                stop_when=lambda a: a.key
-                == (RECEIVE_MSG, (self.t, self.r)),
-            )
-        except FairnessTimeout as exc:
-            raise EngineError(
-                "fair extension did not quiesce or deliver; cannot "
-                "classify the violation"
-            ) from exc
+            # Theorem 7.5: fair extension with no further inputs.
+            try:
+                extended = system.run_fair(
+                    self.fragment.final_state,
+                    max_steps=self.max_steps,
+                    stop_when=lambda a: a.key
+                    == (RECEIVE_MSG, (self.t, self.r)),
+                )
+            except FairnessTimeout as exc:
+                raise EngineError(
+                    "fair extension did not quiesce or deliver; cannot "
+                    "classify the violation"
+                ) from exc
         suffix = extended.actions
         delivered = [
             a for a in suffix if a.key == (RECEIVE_MSG, (self.t, self.r))
@@ -597,23 +605,24 @@ class CrashImpossibilityEngine:
                 r=self.r,
             )
         else:
-            # Lemma 7.1: replay the suffix from the real end of alpha.
-            mapped = self._map_suffix_onto_alpha(suffix)
-            try:
-                mapped_quiesced = system.run_fair(
-                    mapped.final_state, max_steps=self.max_steps
+            with tracer.span("refute.map_back"):
+                # Lemma 7.1: replay the suffix from the real end of alpha.
+                mapped = self._map_suffix_onto_alpha(suffix)
+                try:
+                    mapped_quiesced = system.run_fair(
+                        mapped.final_state, max_steps=self.max_steps
+                    )
+                    mapped = mapped.extend(mapped_quiesced)
+                except FairnessTimeout:
+                    # Safety violations below persist regardless; keep the
+                    # truncated (still valid) execution.
+                    pass
+                m3 = next(
+                    a.payload
+                    for a in mapped.actions
+                    if a.key == (RECEIVE_MSG, (self.t, self.r))
                 )
-                mapped = mapped.extend(mapped_quiesced)
-            except FairnessTimeout:
-                # Safety violations below persist regardless; keep the
-                # truncated (still valid) execution.
-                pass
-            m3 = next(
-                a.payload
-                for a in mapped.actions
-                if a.key == (RECEIVE_MSG, (self.t, self.r))
-            )
-            behavior = system.behavior(self.alpha.extend(mapped))
+                behavior = system.behavior(self.alpha.extend(mapped))
             kind = DUPLICATE_DELIVERY if m3 == self.m0 else UNSENT_DELIVERY
             violated = ("DL4",) if m3 == self.m0 else ("DL5",)
             self.narrative.append(

@@ -35,20 +35,31 @@ permissive non-FIFO channels ``C-bar`` (system ``D-bar'(A)``):
 The certificate's behavior is re-validated independently.  Protocols
 with unbounded headers (Stenning) are rejected up front -- they fall
 outside the theorem's hypotheses, and indeed escape the construction.
+
+A round costs the same however large ``T`` grows, so the whole
+construction is linear in the chain length: each packet's class is
+computed once, when it joins ``T``, into per-class pools kept in ``T``
+order; validity is re-checked after every round by a
+:class:`~repro.datalink.properties.ValidityMonitor` fed only that round's
+events; and the execution grows as two lists, made a fragment once at
+the end.  Under tracing each step is a span named for its lemma:
+``refute.probe`` (Lemma 8.3), ``refute.inject`` (the map ``f``, Lemma
+6.7), ``refute.pump`` (Lemma 8.4) and ``refute.replay`` (Theorem 8.5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alphabets import Message, MessageFactory, Packet
 from ..ioa.actions import Action
+from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import FairnessTimeout
 from ..channels.actions import RECEIVE_PKT, SEND_PKT, receive_pkt
 from ..datalink.actions import RECEIVE_MSG, SEND_MSG
 from ..datalink.message_independence import equivalent, packet_class
-from ..datalink.properties import is_valid_sequence
+from ..datalink.properties import ValidityMonitor
 from ..datalink.protocol import DataLinkProtocol
 from ..obs import current_tracer
 from ..sim.network import DataLinkSystem, permissive_system
@@ -62,14 +73,15 @@ from .certificates import (
 
 @dataclass
 class _TransitEntry:
-    """A packet of ``T``: in transit t->r, with its channel send index."""
+    """A packet of ``T``: in transit t->r, with its channel send index
+    and its equivalence class, computed once when it joins ``T``."""
 
     channel_index: int
     packet: Packet
+    cls: Tuple = field(init=False)
 
-    @property
-    def cls(self):
-        return packet_class(self.packet)
+    def __post_init__(self) -> None:
+        self.cls = packet_class(self.packet)
 
 
 @dataclass
@@ -79,6 +91,7 @@ class _Probe:
     message: Message
     actions: Tuple[Action, ...]  # the full gamma1 schedule (from send_msg)
     received: Tuple[Packet, ...]  # packets received t->r, in order
+    classes: Tuple[Tuple, ...]  # their equivalence classes
 
 
 class BoundedHeaderEngine:
@@ -115,22 +128,58 @@ class BoundedHeaderEngine:
         # Packet classes are (header, body-arity in {0,1}) pairs.
         self.class_bound = 2 * self.header_count
         self.max_rounds = max_rounds
+        # The execution built so far, as growing lists: the fragment is
+        # built once, at the end, so a step costs the same at any length.
+        self._states: List = []
+        self._actions: List[Action] = []
+        # T, split by equivalence class; each pool keeps T's order.
+        self._pools: Dict[Tuple, List[_TransitEntry]] = {}
+        # Validity of beta, fed each action once (see _assert_valid).
+        self._validity = ValidityMonitor(t, r)
+        self._checked = 0
 
     # ------------------------------------------------------------------
 
+    @property
+    def _final_state(self):
+        return self._states[-1]
+
     def _step(self, action: Action) -> None:
-        state = self.system.automaton.step(self.fragment.final_state, action)
-        self.fragment = self.fragment.append(action, state)
+        self._states.append(
+            self.system.automaton.step(self._states[-1], action)
+        )
+        self._actions.append(action)
 
     def _surgery(self, new_state) -> None:
-        self.fragment = self.fragment.with_final_state(new_state)
+        self._states[-1] = new_state
+
+    def _extend(self, fragment: ExecutionFragment) -> None:
+        """Append ``fragment``, as :meth:`ExecutionFragment.extend` does."""
+        if fragment.first_state != self._states[-1]:
+            raise ValueError(
+                "fragments do not compose: final state differs from the "
+                "extension's first state"
+            )
+        self._states.extend(fragment.states[1:])
+        self._actions.extend(fragment.actions)
 
     def _receive_msg_key(self):
         return (RECEIVE_MSG, (self.t, self.r))
 
     def _assert_valid(self, context: str) -> None:
-        behavior = self.system.behavior(self.fragment)
-        result = is_valid_sequence(behavior, self.t, self.r)
+        """Check that the behavior so far is valid (Section 8.1).
+
+        The monitor keeps its state between checks, so each check feeds
+        it only the external actions taken since the last one.
+        """
+        signature = self.system.automaton.signature
+        self._validity.feed(
+            a
+            for a in self._actions[self._checked :]
+            if signature.is_external(a)
+        )
+        self._checked = len(self._actions)
+        result = self._validity.result()
         if not result.holds:
             raise EngineError(
                 f"behavior stopped being valid {context}: {result.witness}"
@@ -149,7 +198,7 @@ class BoundedHeaderEngine:
         The main fragment is not modified.
         """
         system = self.system
-        state = system.clean_channels(self.fragment.final_state)
+        state = system.clean_channels(self._final_state)
         try:
             branch = system.run_fair(
                 state,
@@ -177,7 +226,12 @@ class BoundedHeaderEngine:
             for a in branch.actions
             if a.key == (RECEIVE_PKT, (self.t, self.r))
         )
-        return _Probe(message, branch.actions, received)
+        return _Probe(
+            message,
+            branch.actions,
+            received,
+            tuple(packet_class(p) for p in received),
+        )
 
     # ------------------------------------------------------------------
     # Lemma 8.3 case 2: extend beta, adding one packet to T
@@ -188,7 +242,7 @@ class BoundedHeaderEngine:
         lose ``p0``, and let the delivery finish fairly (``rho-hat``)."""
         system = self.system
         # The probe branched from the cleaned state; reproduce that.
-        self._surgery(system.clean_channels(self.fragment.final_state))
+        self._surgery(system.clean_channels(self._final_state))
         send_key = (SEND_PKT, (self.t, self.r))
         p0_index: Optional[int] = None
         rho_had_receive = False
@@ -198,7 +252,7 @@ class BoundedHeaderEngine:
                 rho_had_receive = True
             if action.key == send_key and action.payload == p0:
                 p0_index = system.channel_state(
-                    self.fragment.final_state, self.t
+                    self._final_state, self.t
                 ).counter1
                 break
         if p0_index is None:
@@ -210,12 +264,10 @@ class BoundedHeaderEngine:
         if not rho_had_receive:
             # Lemma 6.3: lose everything in transit t->r (including p0),
             # then finish the delivery fairly (rho-hat).
-            self._surgery(
-                system.clean_channel(self.fragment.final_state, self.t)
-            )
+            self._surgery(system.clean_channel(self._final_state, self.t))
             try:
                 extension = system.run_fair(
-                    self.fragment.final_state,
+                    self._final_state,
                     max_steps=self.max_steps,
                     stop_when=lambda a: a.key == self._receive_msg_key()
                     and a.payload == probe.message,
@@ -236,7 +288,7 @@ class BoundedHeaderEngine:
                     "never delivered after losing p0 -- the protocol is "
                     "not weakly correct over the permissive channel"
                 )
-            self.fragment = self.fragment.extend(extension)
+            self._extend(extension)
         return entry
 
     # ------------------------------------------------------------------
@@ -244,44 +296,49 @@ class BoundedHeaderEngine:
     # ------------------------------------------------------------------
 
     def _build_injection(
-        self, probe: _Probe, transit: Sequence[_TransitEntry]
+        self, probe: _Probe
     ) -> Optional[List[_TransitEntry]]:
         """The map ``f``: probed received packets -> distinct T entries.
 
         Returns one entry per received packet (in receive order), class
         preserving and injective, or None if some class is not yet
-        saturated.
+        saturated.  Each packet maps to the earliest unused T entry of
+        its class.
         """
-        pools: Dict[Tuple, List[_TransitEntry]] = {}
-        for entry in transit:
-            pools.setdefault(entry.cls, []).append(entry)
+        taken: Dict[Tuple, int] = {}
         chosen: List[_TransitEntry] = []
-        for packet in probe.received:
-            pool = pools.get(packet_class(packet))
-            if not pool:
+        for cls in probe.classes:
+            pool = self._pools.get(cls, ())
+            used = taken.get(cls, 0)
+            if used == len(pool):
                 return None
-            chosen.append(pool.pop(0))
+            chosen.append(pool[used])
+            taken[cls] = used + 1
         return chosen
+
+    def _inject(self, images: Sequence[_TransitEntry]) -> None:
+        """Lemma 6.7: schedule ``f``'s images as the waiting sequence of
+        the non-FIFO channel t->r."""
+        self._surgery(
+            self.system.set_waiting(
+                self._final_state,
+                self.t,
+                [entry.channel_index for entry in images],
+            )
+        )
 
     def _replay_receiver(
         self, probe: _Probe, images: Sequence[_TransitEntry]
     ) -> None:
         """Replay ``gamma1 | A^r`` against the packets of ``T``.
 
-        Schedules the ``f``-images as the waiting sequence of the
-        non-FIFO channel (Lemmas 6.7 and 6.4) and mirrors each receiver
-        step of the probe with an equivalent step, as in the Theorem 8.5
-        induction.
+        With the ``f``-images waiting in the channel (:meth:`_inject`),
+        mirrors each receiver step of the probe with an equivalent step,
+        as in the Theorem 8.5 induction (Lemma 6.4 keeps the waiting
+        packets deliverable).
         """
         system = self.system
         receiver = system.receiver
-        self._surgery(
-            system.set_waiting(
-                self.fragment.final_state,
-                self.t,
-                [entry.channel_index for entry in images],
-            )
-        )
         cursor = 0
         receiver_signature = receiver.signature
         for action in probe.actions:
@@ -291,7 +348,7 @@ class BoundedHeaderEngine:
                 image = images[cursor]
                 cursor += 1
                 channel_state = system.channel_state(
-                    self.fragment.final_state, self.t
+                    self._final_state, self.t
                 )
                 deliverable = channel_state.deliverable()
                 if deliverable is None or deliverable[1] != image.packet:
@@ -308,7 +365,7 @@ class BoundedHeaderEngine:
                     receive_pkt(self.t, self.r, image.packet)
                 )
             elif action.key[0] in (SEND_PKT, RECEIVE_MSG):
-                host = system.host_state(self.fragment.final_state, self.r)
+                host = system.host_state(self._final_state, self.r)
                 candidates = [
                     a
                     for a in receiver.enabled_local_actions(host)
@@ -340,10 +397,11 @@ class BoundedHeaderEngine:
 
     def _run(self, tracer) -> ViolationCertificate:
         system = self.system
-        self.fragment = system.run_inputs(
+        start = system.run_inputs(
             system.initial_state(), [system.wake_t(), system.wake_r()]
         )
-        transit: List[_TransitEntry] = []
+        self._states = list(start.states)
+        self._actions = list(start.actions)
         k = 1 if self.declared_k is None else self.declared_k
         rounds = 0
         while True:
@@ -354,14 +412,14 @@ class BoundedHeaderEngine:
                     "the header classes; the protocol appears not to be "
                     f"{k}-bounded with bounded headers"
                 )
-            with tracer.span(
-                "refute.round", round=rounds, transit=len(transit)
-            ):
+            # Each pumping round adds one packet to T: |T| = rounds.
+            with tracer.span("refute.round", round=rounds, transit=rounds):
                 message = self.factory.fresh(self.message_size)
-                probe = self._probe_delivery(message)
+                with tracer.span("refute.probe"):
+                    probe = self._probe_delivery(message)
                 if tracer.enabled:
                     tracer.count("refute.probes")
-                    tracer.gauge("refute.transit_packets", len(transit))
+                    tracer.gauge("refute.transit_packets", rounds)
                 observed = len(probe.received)
                 if self.declared_k is None and observed > k:
                     k = observed  # adaptive k: the largest packet_set seen
@@ -370,56 +428,61 @@ class BoundedHeaderEngine:
                         f"protocol used {observed} packets to deliver "
                         f"{message}, exceeding the declared k={k}"
                     )
-                images = self._build_injection(probe, transit)
+                with tracer.span("refute.inject"):
+                    images = self._build_injection(probe)
+                    if images is not None:
+                        self._inject(images)
                 if images is not None:
-                    self.stats["pump_rounds"] = rounds
-                    self.stats["transit_packets"] = len(transit)
-                    self.stats["k"] = k
-                    self.narrative.append(
-                        f"after {rounds} pumping rounds, T holds "
-                        f"{len(transit)} packets saturating every class of "
-                        f"packet_set({message}); replaying the receiver "
-                        "against T (Theorem 8.5)"
-                    )
-                    self._replay_receiver(probe, images)
                     break
                 # Case 2 of Lemma 8.3: grow T by one under-represented
                 # packet.
-                counts: Dict[Tuple, int] = {}
-                for entry in transit:
-                    counts[entry.cls] = counts.get(entry.cls, 0) + 1
-                p0 = next(
-                    p
-                    for p in probe.received
-                    if counts.get(packet_class(p), 0) < k
-                )
-                entry = self._pump_round(probe, p0)
-                transit.append(entry)
-                rounds += 1
-                if tracer.enabled:
-                    tracer.count("refute.pump_rounds")
-                self._assert_valid(f"after pumping round {rounds}")
+                with tracer.span("refute.pump"):
+                    p0 = next(
+                        p
+                        for p, cls in zip(probe.received, probe.classes)
+                        if len(self._pools.get(cls, ())) < k
+                    )
+                    entry = self._pump_round(probe, p0)
+                    self._pools.setdefault(entry.cls, []).append(entry)
+                    rounds += 1
+                    if tracer.enabled:
+                        tracer.count("refute.pump_rounds")
+                    self._assert_valid(f"after pumping round {rounds}")
                 self.narrative.append(
                     f"round {rounds}: delivered {message} while keeping a "
-                    f"{packet_class(p0)[0]!r} packet in transit "
-                    f"(|T| = {len(transit)})"
+                    f"{entry.cls[0]!r} packet in transit "
+                    f"(|T| = {rounds})"
                 )
 
-        # Fair extension with no inputs, then classify.
-        try:
-            extension = system.run_fair(
-                self.fragment.final_state, max_steps=self.max_steps
-            )
-            self.fragment = self.fragment.extend(extension)
-        except FairnessTimeout:
-            pass  # safety violation below persists on any extension
-        behavior = system.behavior(self.fragment)
+        self.stats["pump_rounds"] = rounds
+        self.stats["transit_packets"] = rounds
+        self.stats["k"] = k
+        self.narrative.append(
+            f"after {rounds} pumping rounds, T holds "
+            f"{rounds} packets saturating every class of "
+            f"packet_set({message}); replaying the receiver "
+            "against T (Theorem 8.5)"
+        )
+        with tracer.span("refute.replay"):
+            self._replay_receiver(probe, images)
+            # Fair extension with no inputs, then classify.
+            try:
+                self._extend(
+                    system.run_fair(
+                        self._final_state, max_steps=self.max_steps
+                    )
+                )
+            except FairnessTimeout:
+                pass  # safety violation below persists on any extension
+        behavior = system.behavior(
+            ExecutionFragment(tuple(self._states), tuple(self._actions))
+        )
         deliveries = [
             a for a in behavior if a.key == self._receive_msg_key()
         ]
-        sends = [
+        sends = {
             a.payload for a in behavior if a.key == (SEND_MSG, (self.t, self.r))
-        ]
+        }
         phantom = [a.payload for a in deliveries if a.payload not in sends]
         kind = UNSENT_DELIVERY if phantom else DUPLICATE_DELIVERY
         violated = ("DL5",) if phantom else ("DL4",)

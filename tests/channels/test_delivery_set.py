@@ -197,6 +197,10 @@ class TestProperties:
         for j in range(slot, 20):
             assert deleted.source_of(j) == ds.source_of(j + 1)
 
+    @given(delivery_sets(), st.integers(-1, 30))
+    def test_sources_is_source_of_per_slot(self, ds, n):
+        assert ds.sources(n) == tuple(ds.source_of(j) for j in range(1, n + 1))
+
     @given(delivery_sets())
     def test_totality(self, ds):
         # Every receive slot has a source: totality of the relation.
@@ -370,6 +374,19 @@ class TestDrawnOnDemand:
         lazy = random_reordering(5, 0.2, 4, 100_000)
         eager = eager_reordering(5, 0.2, 4, 100_000)
         assert lazy.source_of(3) == eager.source_of(3)
+        assert len(lazy._pending.drawn) < 16
+
+    @given(seeded_shapes(), st.integers(0, 700))
+    def test_sources_agree_with_the_eager_set(self, shape, n):
+        build, eager, _ = shape
+        lazy = build()
+        assert lazy.sources(n) == eager.sources(n)
+        assert lazy == eager
+
+    def test_sources_draw_only_the_blocks_they_need(self):
+        lazy = random_reordering(5, 0.2, 4, 100_000)
+        eager = eager_reordering(5, 0.2, 4, 100_000)
+        assert lazy.sources(3) == eager.prefix[:3]
         assert len(lazy._pending.drawn) < 16
 
     def test_probe_past_the_horizon_finishes_the_set(self):

@@ -139,6 +139,14 @@ class TestWithWaiting:
         with pytest.raises(ChannelSurgeryError):
             channel._rewrite(state, bogus)
 
+    def test_rewrite_names_the_first_changed_slot(self):
+        channel = PermissiveChannel("t", "r")
+        state = loaded_channel(channel, 3, deliver=2)
+        # Agrees on consumed slot 1, disagrees on consumed slot 2.
+        bogus = DeliverySet((1, 3), 1)
+        with pytest.raises(ChannelSurgeryError, match="consumed slot 2$"):
+            channel._rewrite(state, bogus)
+
     def test_empty_waiting_equals_clean(self):
         channel = PermissiveChannel("t", "r")
         state = loaded_channel(channel, 3)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.datalink import dl3, dl_well_formed, wdl_module
+from repro.datalink.actions import receive_msg
 from repro.impossibility import (
     DUPLICATE_DELIVERY,
     UNSENT_DELIVERY,
     EngineError,
     refute_bounded_headers,
 )
+from repro.impossibility.header_engine import BoundedHeaderEngine
 from repro.protocols import (
     alternating_bit_protocol,
     baratz_segall_protocol,
@@ -105,3 +107,37 @@ class TestDeterminism:
         b = refute_bounded_headers(alternating_bit_protocol())
         assert a.behavior == b.behavior
         assert a.stats == b.stats
+
+
+class TestValidityCheckedEveryRound:
+    def test_corruption_after_round_two_is_caught_at_round_two(
+        self, monkeypatch
+    ):
+        """A behavior made invalid by round 2 fails round 2's check.
+
+        The monitor carries its state across rounds, so each check feeds
+        it only the new actions; this pins that no round's feed or check
+        is skipped (a skipped one would surface a round later, or never).
+        """
+        engine = BoundedHeaderEngine(modulo_stenning_protocol(4))
+        pump_round = engine._pump_round
+        rounds = []
+
+        def corrupting_pump_round(probe, p0):
+            entry = pump_round(probe, p0)
+            rounds.append(probe.message)
+            if len(rounds) == 2:
+                # Announce the round's message a second time (DL4).
+                engine._actions.append(receive_msg("t", "r", probe.message))
+                engine._states.append(engine._states[-1])
+            return entry
+
+        monkeypatch.setattr(engine, "_pump_round", corrupting_pump_round)
+        with pytest.raises(
+            EngineError,
+            # Round 2 delivers the engine's second fresh message, h1.
+            match=r"^behavior stopped being valid after pumping round 2: "
+            r"DL4 fails: message h1 received at events ",
+        ):
+            engine.run()
+        assert len(rounds) == 2

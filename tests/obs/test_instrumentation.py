@@ -120,6 +120,14 @@ class TestSimInstrumentation:
         assert tracer.snapshot_counters().get("sim.crash_injections", 0) > 0
 
 
+def span_counts(sink):
+    counts = {}
+    for event in sink.events:
+        if event.kind == "span_start":
+            counts[event.name] = counts.get(event.name, 0) + 1
+    return counts
+
+
 class TestRefuteInstrumentation:
     def test_crash_engine_spans_and_counters(self):
         from repro.impossibility import refute_crash_tolerance
@@ -151,3 +159,51 @@ class TestRefuteInstrumentation:
         }
         assert "refute.headers" in names
         assert "refute.round" in names
+
+    def test_header_engine_spans_each_lemma(self):
+        """One probe (Lemma 8.3) and one try at the map f (Lemma 6.7)
+        per round, one pump (Lemma 8.4) per pumping round, and one
+        receiver replay (Theorem 8.5), all inside ``refute.headers``."""
+        from repro.impossibility import refute_bounded_headers
+        from repro.protocols import modulo_stenning_protocol
+
+        sink = MemorySink()
+        with tracing(sink):
+            certificate = refute_bounded_headers(modulo_stenning_protocol(4))
+        rounds = certificate.stats["pump_rounds"]
+        counts = span_counts(sink)
+        assert counts == {
+            "refute.headers": 1,
+            "refute.round": rounds + 1,
+            "refute.probe": rounds + 1,
+            "refute.inject": rounds + 1,
+            "refute.pump": rounds,
+            "refute.replay": 1,
+        }
+
+    def test_crash_engine_spans_each_lemma(self):
+        """Reference alpha (Lemmas 4.1, 6.3), the chain (7.3), one
+        crash-and-replay per level (7.2), the end state (7.4) and, when
+        the fair extension delivers, the map back onto alpha (7.1)."""
+        from repro.impossibility import refute_crash_tolerance
+        from repro.protocols import alternating_bit_protocol, eager_protocol
+
+        for factory, mapped in (
+            (alternating_bit_protocol, False),
+            (eager_protocol, True),
+        ):
+            sink = MemorySink()
+            with tracing(sink):
+                certificate = refute_crash_tolerance(factory())
+            levels = certificate.stats["pump_levels"]
+            expected = {
+                "refute.crash": 1,
+                "refute.reference": 1,
+                "refute.chain": 1,
+                "refute.round": levels,
+                "refute.crash_replay": levels,
+                "refute.end_state": 1,
+            }
+            if mapped:
+                expected["refute.map_back"] = 1
+            assert span_counts(sink) == expected, factory
