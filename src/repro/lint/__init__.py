@@ -10,12 +10,12 @@ headers (§8) -- with ruff-style diagnostics: stable codes, severities,
 line as ``python -m repro lint``.
 
 Rules live in :mod:`.semantic` (sweeps over a bounded explored state
-space), :mod:`.source` (AST audits of protocol logic classes), and the
-deep-analysis modules :mod:`.taint` / :mod:`.intervals` /
-:mod:`.claims` (interprocedural dataflow on the :mod:`.dataflow`
-engine, run under ``--deep-source``); all register themselves in
-:mod:`.registry` when this package is imported.  The import order
-below fixes the REP301 < REP302 < REP303 < REP304 registration order.
+space) and in one module per source property -- :mod:`.taint`
+(REP201/REP301), :mod:`.crash` (REP202/REP303) and :mod:`.intervals`
+(REP203/REP302) -- whose two codes view one per-station report: the
+direct syntactic evidence, and what only the :mod:`.dataflow` engine
+finds (under ``--deep-source``).  :mod:`.claims` holds the verdict rows
+and REP304.  All register themselves in :mod:`.registry` on import.
 """
 
 from .diagnostics import Diagnostic, LintReport, REPORT_VERSION
@@ -38,13 +38,11 @@ from .source import SourceAudit, build_source_audits, class_sources
 from .dataflow import AnalysisResult, analyze_station
 from .taint import check_message_taint, message_independent
 from .intervals import HeaderReport, check_header_intervals, header_report
+from .crash import CrashReport, check_crash_escape, crash_report
 from .claims import (
-    CrashReport,
     ProtocolClaims,
     build_verdict,
     check_contradictions,
-    check_crash_escape,
-    crash_report,
     parse_claims,
 )
 

@@ -1,25 +1,19 @@
-"""Declared claims, crash escape analysis, and the contradiction gate.
+"""Declared claims, the verdict rows, and the contradiction gate.
 
-This module hosts the last two deep rules:
-
-* **REP303** infers the paper's *crashing* hypothesis (§5.3.2/§7) by
-  escape analysis: ``on_crash`` is interpreted with every core field
-  tainted by its own name, construction-time mode flags resolved
-  against the live logic instance (so ``if self.nonvolatile:`` prunes
-  exactly), and a field whose post-crash value still carries core
-  taint *survives* the crash.  A surviving field that other methods
-  read is stable storage; declaring ``crash_resilient=False`` while
-  keeping stable storage is flagged.
-* **REP304** is the theorem contradiction gate.  Each protocol may
-  declare a ``claims`` dict; the gate cross-checks the claims against
-  the protocol's metadata, the properties *inferred* by REP301-REP303,
-  the combinations forbidden outright by Theorem 7.5 (no crashing
-  message-independent protocol tolerates crashes) and Theorem 8.5 (no
-  message-independent bounded-header k-bounded protocol is weakly
-  correct over non-FIFO channels), and any recorded fuzz evidence
-  (a crash-free violation over a channel class the protocol claims to
-  be weakly correct over is a definitive refutation; a *clean* fuzz
-  run proves nothing and is never used as positive evidence).
+* :func:`parse_claims` validates a protocol's declared ``claims``.
+* :func:`build_verdict` builds the protocol's verdict row from the
+  three per-station property reports (:mod:`.taint`, :mod:`.intervals`,
+  :mod:`.crash`): what is *proven*, next to what is declared.
+* **REP304** is the theorem contradiction gate.  It cross-checks the
+  claims against the protocol's metadata, the properties inferred in
+  the verdict row, the combinations forbidden outright by Theorem 7.5
+  (no crashing message-independent protocol tolerates crashes) and
+  Theorem 8.5 (no message-independent bounded-header k-bounded
+  protocol is weakly correct over non-FIFO channels), and any recorded
+  fuzz evidence (a crash-free violation over a channel class the
+  protocol claims to be weakly correct over is a definitive
+  refutation; a *clean* fuzz run proves nothing and is never used as
+  positive evidence).
 
 Claims are plain dicts on :class:`DataLinkProtocol` so protocol
 modules never import the lint package::
@@ -37,21 +31,13 @@ modules never import the lint package::
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
-from .dataflow import (
-    Analyzer,
-    ProgramModel,
-    Record,
-    SourceAudit,
-    taint_of,
-    value_of_concrete,
-)
+from .crash import crash_report
 from .intervals import header_report
-from .registry import RULES, rule
-from .source import _effective_on_crash
+from .registry import rule
+from .source import SourceAudit
 from .taint import message_independent
 
 #: Channel classes a protocol may claim weak correctness over.
@@ -138,168 +124,6 @@ def parse_claims(raw) -> Optional[ProtocolClaims]:
 
 
 # ----------------------------------------------------------------------
-# Crash escape analysis
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class CrashReport:
-    """What survives ``on_crash`` for one station.
-
-    ``survivors`` is ``None`` when the analysis could not resolve the
-    post-crash state (unverified), otherwise the set of core fields
-    whose post-crash value still depends on the pre-crash core.
-    """
-
-    audit: SourceAudit
-    survivors: Optional[Set[str]]
-    relevant: Set[str]
-
-    @property
-    def stable_fields(self) -> Set[str]:
-        if self.survivors is None:
-            return set()
-        return self.survivors & self.relevant
-
-    @property
-    def crashing(self) -> bool:
-        """Proven to lose all observable state on crash (§5.3.2)."""
-        return self.survivors is not None and not self.stable_fields
-
-
-def _core_field_names(audit: SourceAudit) -> List[str]:
-    try:
-        core = value_of_concrete(audit.logic.initial_core())
-    except Exception:
-        return []
-    if not isinstance(core, Record):
-        return []
-    return [name for name, _ in core.fields]
-
-
-def _relevant_fields(model: ProgramModel, names: List[str]) -> Set[str]:
-    """Core fields read (as ``<var>.<field>``) outside on_crash."""
-    relevant: Set[str] = set()
-    infos = [
-        info
-        for name, info in model.methods.items()
-        if name not in ("on_crash", "initial_core")
-    ] + list(model.helpers.values())
-    for info in infos:
-        for node in ast.walk(info.node):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in names
-                and isinstance(node.value, ast.Name)
-                and node.value.id != "self"
-            ):
-                relevant.add(node.attr)
-    return relevant
-
-
-def crash_report(audit: SourceAudit) -> CrashReport:
-    """Escape-analyze (and cache) one station's ``on_crash``."""
-    cached = getattr(audit, "_crash_report", None)
-    if cached is not None:
-        return cached
-    names = _core_field_names(audit)
-    model = ProgramModel(audit)
-    relevant = _relevant_fields(model, names)
-    if "on_crash" not in model.methods:
-        # The inherited default resets to initial_core(): crashing.
-        report = CrashReport(audit, set(), relevant)
-        audit._crash_report = report  # type: ignore[attr-defined]
-        return report
-    try:
-        seeded_core = value_of_concrete(audit.logic.initial_core())
-        assert isinstance(seeded_core, Record)
-        seeded = Record(
-            seeded_core.taint,
-            seeded_core.tag,
-            tuple(
-                (
-                    name,
-                    value.with_taint(frozenset([("core", name)])),
-                )
-                for name, value in seeded_core.fields
-            ),
-        )
-        analyzer = Analyzer(model)
-        frame = analyzer.run_method("on_crash", seeded)
-        survivors: Optional[Set[str]] = set()
-        for returned in frame.returns:
-            if (
-                isinstance(returned, Record)
-                and returned.tag == seeded.tag
-            ):
-                for name, value in returned.fields:
-                    if any(
-                        t and t[0] == "core" for t in taint_of(value)
-                    ):
-                        survivors.add(name)
-            else:
-                survivors = None  # post-crash state unresolved
-                break
-        report = CrashReport(audit, survivors, relevant)
-    except Exception:
-        report = CrashReport(audit, None, relevant)
-    audit._crash_report = report  # type: ignore[attr-defined]
-    return report
-
-
-def _rep202_fired(audit: SourceAudit) -> bool:
-    checker = RULES["REP202"].checker
-    return any(True for _ in checker(audit))
-
-
-@rule(
-    "REP303",
-    "stable-storage-escape",
-    "§5.3.2/§7",
-    "state escaping on_crash is stable storage and must be declared",
-    family="deep",
-)
-def check_crash_escape(deep):
-    """Flag undeclared stable storage surviving ``on_crash``."""
-    for audit in deep.audits:
-        if audit.crash_resilient:
-            continue  # stable storage is declared; REP202 audits it
-        if _rep202_fired(audit):
-            continue  # the syntactic rule already reported this station
-        report = crash_report(audit)
-        override = _effective_on_crash(audit)
-        if override is None:
-            continue
-        source, function = override
-        location = {
-            "file": source.file,
-            "line": source.absolute_line(function),
-        }
-        if report.survivors is None:
-            yield {
-                "message": (
-                    f"{audit.station} logic of {audit.target} overrides "
-                    f"on_crash but the escape analysis could not "
-                    f"resolve the post-crash state; the crashing "
-                    f"hypothesis (crash_resilient=False) is unverified"
-                ),
-                **location,
-            }
-            continue
-        for field in sorted(report.stable_fields):
-            yield {
-                "message": (
-                    f"{audit.station} logic of {audit.target} keeps "
-                    f"core field {field!r} across on_crash and reads "
-                    f"it after recovery: that is stable storage, "
-                    f"contradicting crash_resilient=False (the §5.3.2 "
-                    f"crashing hypothesis behind Theorem 7.5)"
-                ),
-                **location,
-            }
-
-
-# ----------------------------------------------------------------------
 # Inferred verdicts
 # ----------------------------------------------------------------------
 
@@ -313,7 +137,7 @@ def station_verdict(audit: SourceAudit) -> Dict:
         "message_independent": message_independent(audit),
         "bounded_headers_declared": headers.declared,
         "bounded_headers_proven": headers.proven,
-        "header_sites": len(headers.sites),
+        "header_sites": len(headers.sites or ()),
         "crashing": crash.crashing,
         "stable_fields": sorted(crash.stable_fields),
     }
@@ -379,9 +203,7 @@ def check_contradictions(deep):
     if claims is None:
         return
     protocol = deep.protocol
-    stations = [station_verdict(audit) for audit in deep.audits]
-    inferred_mi = all(s["message_independent"] for s in stations)
-    inferred_crashing = all(s["crashing"] for s in stations)
+    inferred = deep.verdict["inferred"]
     declared_bounded = protocol.has_bounded_headers()
 
     # (a) internal consistency with the protocol's own metadata
@@ -412,7 +234,10 @@ def check_contradictions(deep):
         }
 
     # (b) claims contradicted by the static analyses
-    if claims.message_independent and not inferred_mi:
+    if (
+        claims.message_independent
+        and not inferred["message_independent"]
+    ):
         yield {
             "message": (
                 f"{deep.name} claims message independence but the "
@@ -421,7 +246,7 @@ def check_contradictions(deep):
             ),
             **location,
         }
-    if claims.crashing and not inferred_crashing:
+    if claims.crashing and not inferred["crashing"]:
         yield {
             "message": (
                 f"{deep.name} claims to be crashing but the escape "

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..alphabets import Message, Packet
-from .source import SourceAudit
+from .source import MESSAGE_ATTRS, SourceAudit, per_station
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -179,13 +179,6 @@ def taint_of(value: Value) -> Taint:
         for _, item in value.fields:
             taint = taint | taint_of(item)
     return taint
-
-
-def _merge_taint(value: Value, *others: Value) -> Value:
-    taint = NO_TAINT
-    for other in others:
-        taint |= other.taint
-    return value.with_taint(taint)
 
 
 # ----------------------------------------------------------------------
@@ -959,7 +952,7 @@ class Analyzer:
                 return FuncVal(base.taint, ("opaque",))
             return value_of_concrete(obj).with_taint(base.taint)
         if isinstance(base, MessageVal):
-            if attr in ("ident", "label"):
+            if attr in MESSAGE_ATTRS:
                 mark = frozenset(
                     [("msg", info.file, info.line(node), attr)]
                 )
@@ -1688,11 +1681,9 @@ def _records_with_tag(value: Value, tag: str) -> List[Record]:
     return found
 
 
+@per_station
 def analyze_station(audit: SourceAudit) -> AnalysisResult:
     """Fixpoint + recording pass for one station's logic."""
-    cached = getattr(audit, "_dataflow_analysis", None)
-    if cached is not None:
-        return cached
     model = ProgramModel(audit)
     own = getattr(audit, "own_header_space", None)
     peer = getattr(audit, "peer_header_space", None)
@@ -1729,12 +1720,10 @@ def analyze_station(audit: SourceAudit) -> AnalysisResult:
     analyzer.recording = True
     for name in methods:
         analyzer.run_method(name, core)
-    result = AnalysisResult(
+    return AnalysisResult(
         audit=audit,
         core=core,
         header_sites=analyzer.header_sites,
         branch_sites=analyzer.branch_sites,
         methods=methods,
     )
-    audit._dataflow_analysis = result  # type: ignore[attr-defined]
-    return result

@@ -24,6 +24,7 @@ from ..datalink.protocol import DataLinkProtocol
 from ..ioa.actions import Action
 from ..ioa.automaton import Automaton, State
 from ..ioa.signature import SignatureError
+from .claims import ClaimError, build_verdict, parse_claims
 from .diagnostics import Diagnostic, LintReport
 from .registry import LintRule, rules_for
 from .semantic import (
@@ -42,8 +43,9 @@ class DeepAudit:
     """Input to the ``deep`` rule family for one protocol target.
 
     Bundles both stations' source audits with the protocol's parsed
-    claims (or the parse error) and any recorded fuzz evidence whose
-    protocol name matches the target.
+    claims (or the parse error), any recorded fuzz evidence whose
+    protocol name matches the target, and the protocol's verdict row,
+    which the driver builds before the deep rules run.
     """
 
     protocol: DataLinkProtocol
@@ -54,6 +56,7 @@ class DeepAudit:
     claims: Optional[object] = None
     claims_error: Optional[str] = None
     evidence: List[object] = field(default_factory=list)
+    verdict: Dict = field(default_factory=dict)
 
 
 @dataclass
@@ -185,11 +188,6 @@ def lint_one(
                 for raw in rule.checker(audit)
             )
     if deep and isinstance(built, DataLinkProtocol):
-        # Lazy import: the deep modules register REP301..REP304 in
-        # code order via the package __init__; importing them here at
-        # module scope would scramble that order.
-        from .claims import ClaimError, build_verdict, parse_claims
-
         try:
             parsed = parse_claims(getattr(built, "claims", None))
             claims_error = None
@@ -210,13 +208,14 @@ def lint_one(
             claims_error=claims_error,
             evidence=records,
         )
+        deep_audit.verdict = build_verdict(deep_audit)
         for rule in rules_for("deep"):
             diagnostics.extend(
                 _finish(rule, target.name, raw)
                 for raw in rule.checker(deep_audit)
             )
         if verdicts is not None:
-            verdicts.append(build_verdict(deep_audit))
+            verdicts.append(deep_audit.verdict)
     return diagnostics
 
 

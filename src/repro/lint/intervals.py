@@ -1,11 +1,10 @@
-"""Bounded-header verification via interval analysis (REP302).
+"""Bounded headers (§8): one report, viewed by REP203/REP302.
 
-REP203 is a fast syntactic heuristic: *any* unreduced arithmetic in a
-``Packet`` header expression is suspicious.  This module runs the real
-analysis on top of :mod:`repro.lint.dataflow`: every ``Packet(...)``
-construction site reachable from the protocol methods is captured with
-the abstract value of its header at the stable core-field fixpoint,
-and checked against the station's *declared* ``header_space()``.
+The interval analysis runs on :mod:`repro.lint.dataflow`: every
+``Packet(...)`` construction site reachable from the protocol methods
+is captured with the abstract value of its header at the stable
+core-field fixpoint, and checked against the station's *declared*
+``header_space()``.
 
 The check is a product-closure membership test: a site is *covered*
 when every position of its header value lies inside the projection of
@@ -19,20 +18,21 @@ clamped to the declared spaces of both stations, coverage of every
 send site is an inductive invariant: assuming peers only emit declared
 headers, this station only emits declared headers.
 
-Two consumers:
-
-* the REP302 rule (family ``deep``) flags uncovered sites -- e.g. a
-  monotone counter flowing into a header while a finite space is
-  declared -- unless REP203 already flagged the same station;
-* :func:`proven_packet_lines` feeds the REP203 checker so the blunt
-  heuristic is suppressed exactly where the interval analysis proves
-  the site finite (e.g. ``seq % 2 + 1``).
+* **REP203** shows the direct syntactic evidence: arithmetic
+  (``+ - * ** <<``) in a ``Packet`` header expression while a finite
+  header space is declared, unless reduced by ``%`` or delegated to a
+  helper call, and unless the site is covered (e.g. ``seq % 2 + 1``).
+* **REP302** shows what only the interval analysis finds, when REP203's
+  view is empty: uncovered sites -- e.g. a monotone counter flowing
+  into a header -- or a failed analysis, reported as unverified.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .dataflow import (
     NEG_INF,
@@ -46,8 +46,8 @@ from .dataflow import (
     Value,
     analyze_station,
 )
-from .registry import RULES, rule
-from .source import SourceAudit
+from .registry import rule
+from .source import SourceAudit, call_name, parent_map, per_station
 
 #: Refuse to enumerate integer ranges wider than this when checking
 #: membership in a declared space.
@@ -112,62 +112,141 @@ class SiteVerdict:
 
 @dataclass
 class HeaderReport:
-    """Interval-analysis verdict for one station."""
+    """Bounded-header evidence for one station: REP203's candidates,
+    keyed by the ``(file, line)`` of their Packet, then the interval
+    analysis, run on first use of ``sites`` (None when it failed, and
+    ``error`` says why)."""
 
     audit: SourceAudit
     declared: bool  # the station declares a finite header_space()
-    sites: List[SiteVerdict]
+    arithmetic: List[Tuple[Tuple[str, int], Dict]]
     error: Optional[str] = None
+
+    @cached_property
+    def sites(self) -> Optional[List[SiteVerdict]]:
+        """Packet sites and whether each is covered (REP302)."""
+        space = self.audit.own_header_space
+        try:
+            return [
+                SiteVerdict(
+                    site,
+                    self.declared and site_covered(site.value, space),
+                )
+                for site in analyze_station(self.audit).header_sites
+            ]
+        except Exception as error:  # analysis must never crash the lint
+            self.error = repr(error)
+            return None
 
     @property
     def proven(self) -> bool:
         """True iff bounded headers are *proven*, not just declared."""
         return (
             self.declared
-            and self.error is None
+            and self.sites is not None
             and all(verdict.covered for verdict in self.sites)
         )
 
-
-def header_report(audit: SourceAudit) -> HeaderReport:
-    """Analyze (and cache) the header sites of one station."""
-    cached = getattr(audit, "_header_report", None)
-    if cached is not None:
-        return cached
-    space = getattr(audit, "own_header_space", None)
-    declared = audit.bounded_headers and space is not None
-    try:
-        analysis = analyze_station(audit)
-        sites = [
-            SiteVerdict(
-                site,
-                declared and site_covered(site.value, space),
-            )
-            for site in analysis.header_sites
+    @cached_property
+    def direct(self) -> List[Dict]:
+        """REP203's findings: the candidates at sites not proven covered."""
+        if not self.arithmetic:
+            return []
+        covered = {
+            (verdict.site.file, verdict.site.line)
+            for verdict in self.sites or ()
+            if verdict.covered
+        }
+        return [
+            finding
+            for site, finding in self.arithmetic
+            if site not in covered
         ]
-        report = HeaderReport(audit, declared, sites)
-    except Exception as error:  # analysis must never crash the lint
-        report = HeaderReport(audit, declared, [], error=repr(error))
-    audit._header_report = report  # type: ignore[attr-defined]
-    return report
 
 
-def proven_packet_lines(audit: SourceAudit) -> Set[Tuple[str, int]]:
-    """(file, line) of Packet sites proven inside the declared space.
-
-    REP203 suppresses its arithmetic heuristic at these sites.
-    """
-    report = header_report(audit)
-    return {
-        (verdict.site.file, verdict.site.line)
-        for verdict in report.sites
-        if verdict.covered
-    }
+#: Arithmetic operators that can grow a header without bound.
+_GROWTH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.LShift)
 
 
-def _rep203_fired(audit: SourceAudit) -> bool:
-    checker = RULES["REP203"].checker
-    return any(True for _ in checker(audit))
+def _header_expression(call: ast.Call) -> Optional[ast.AST]:
+    if call.args:
+        return call.args[0]
+    for keyword in call.keywords:
+        if keyword.arg == "header":
+            return keyword.value
+    return None
+
+
+def _reduced_or_delegated(
+    node: ast.AST,
+    parents: Dict[ast.AST, ast.AST],
+    header: ast.AST,
+) -> bool:
+    """True if arithmetic is under a ``%`` or inside a helper call."""
+    cursor = node
+    while cursor is not header:
+        cursor = parents.get(cursor)
+        if cursor is None:
+            return False
+        if isinstance(cursor, ast.BinOp) and isinstance(cursor.op, ast.Mod):
+            return True
+        if isinstance(cursor, ast.Call):
+            return True
+    return False
+
+
+def _unreduced_arithmetic(
+    audit: SourceAudit,
+) -> Iterator[Tuple[Tuple[str, int], Dict]]:
+    for source in audit.classes:
+        parents = parent_map(source.tree)
+        for node in ast.walk(source.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and call_name(node) == "Packet"
+            ):
+                continue
+            header = _header_expression(node)
+            if header is None:
+                continue
+            for sub in ast.walk(header):
+                if isinstance(sub, ast.BinOp) and isinstance(
+                    sub.op, _GROWTH_OPS
+                ):
+                    if _reduced_or_delegated(sub, parents, header):
+                        continue
+                    yield (source.file, source.absolute_line(node)), {
+                        "message": (
+                            f"{audit.station} logic "
+                            f"{source.cls.__name__} builds a Packet "
+                            f"header with unreduced arithmetic while "
+                            f"declaring a finite header_space(): "
+                            f"headers can escape the declared bound"
+                        ),
+                        "file": source.file,
+                        "line": source.absolute_line(sub),
+                    }
+
+
+@per_station
+def header_report(audit: SourceAudit) -> HeaderReport:
+    """The station's bounded-header report."""
+    return HeaderReport(
+        audit,
+        audit.bounded_headers and audit.own_header_space is not None,
+        list(_unreduced_arithmetic(audit)) if audit.bounded_headers else [],
+    )
+
+
+@rule(
+    "REP203",
+    "unbounded-header-construction",
+    "§8",
+    "bounded-header protocols must not grow headers arithmetically",
+    family="source",
+)
+def check_unbounded_headers(audit):
+    return header_report(audit).direct
 
 
 @rule(
@@ -182,10 +261,10 @@ def check_header_intervals(deep):
     for audit in deep.audits:
         if not audit.bounded_headers:
             continue  # unbounded by declaration; nothing to prove
-        if _rep203_fired(audit):
-            continue  # the fast heuristic already reported this station
         report = header_report(audit)
-        if report.error is not None:
+        if report.direct:
+            continue  # REP203 already reported this station
+        if report.sites is None:
             yield {
                 "message": (
                     f"{audit.station} logic of {audit.target} declares "

@@ -17,15 +17,15 @@ Rule families
     successfully constructed target (bounded exploration via the PR-1
     engine).  Checker signature: ``checker(model) -> ...``.
 ``source``
-    AST audits of a protocol's logic classes.  Checker signature:
-    ``checker(audit) -> ...`` with a :class:`~repro.lint.source.SourceAudit`.
-
+    The syntactic views (REP2xx) of the per-station property reports.
+    Checker signature: ``checker(audit) -> ...`` with a
+    :class:`~repro.lint.source.SourceAudit`.
 ``deep``
-    Interprocedural dataflow analyses (REP3xx) plus the theorem
+    Their dataflow views (REP3xx) plus the theorem
     contradiction gate, run only under ``repro lint --deep-source``.
     Checker signature: ``checker(deep) -> ...`` with a
     :class:`~repro.lint.driver.DeepAudit` (both stations' audits,
-    parsed claims, recorded fuzz evidence).
+    parsed claims, recorded fuzz evidence, the verdict row).
 
 Raw findings are dicts with ``message``, ``file`` and ``line`` keys; the
 driver completes them into :class:`~repro.lint.diagnostics.Diagnostic`
@@ -55,7 +55,7 @@ class LintRule:
     checker: Callable
 
 
-#: code -> rule, in registration (= code) order.
+#: code -> rule, kept in code order whatever the import order.
 RULES: Dict[str, LintRule] = {}
 
 
@@ -79,6 +79,9 @@ def rule(
         RULES[code] = LintRule(
             code, name, paper, summary, family, severity, checker
         )
+        ordered = sorted(RULES.items())
+        RULES.clear()
+        RULES.update(ordered)
         return checker
 
     return register

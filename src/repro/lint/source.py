@@ -1,50 +1,32 @@
-"""AST-based source audits on protocol logic classes (REP20x).
+"""Source audits: the parsed logic classes of one protocol station.
 
-These rules are *static over-approximations* of the paper's structural
-hypotheses, complementing the empirical checkers:
-
-* REP201 (message-independence, §5.3.1) flags reads of ``Message``
-  payload attributes (``.ident``, ``.label``) and ``Message(...)``
-  construction inside protocol logic.  Opaque-token operations --
-  storing, forwarding, equality/membership tests -- commute with
-  message renamings and are allowed; ``.size`` is the sanctioned §9
-  content channel and is allowed too.
-* REP202 (crashing, §5.3.2/§7) inspects ``on_crash`` overrides: a
-  protocol declaring ``crash_resilient=False`` must reset to the
-  initial core, so any unguarded ``return`` of something other than
-  ``self.initial_core()`` is flagged.  Returns dominated by an ``if``
-  testing a ``self.<flag>`` are exempt: that is the construction-time
-  mode-switch idiom (one logic class serving volatile and non-volatile
-  variants).  Conversely ``crash_resilient=True`` with no override at
-  all is flagged -- the inherited default loses everything.
-* REP203 (bounded headers, §8) flags arithmetic (``+ - * ** <<``) in
-  the header expression of a ``Packet(...)`` construction when the
-  logic declares a *finite* header space, unless the arithmetic is
-  reduced by ``%`` or delegated to a helper call -- unreduced counter
-  arithmetic is how headers escape a declared finite space.
-
-Only the classes a protocol actually instantiates are audited (walking
-each logic object's MRO, skipping framework base classes), so strawman
-classes sharing a module with clean protocols do not pollute them.
+:func:`build_source_audits` gives one :class:`SourceAudit` per station:
+the live logic object, the parsed source of the classes it actually
+instantiates (walking its MRO, skipping framework base classes, so
+strawman classes sharing a module with clean protocols do not pollute
+it) and the station's declared metadata.  The property modules --
+:mod:`.taint` (message independence), :mod:`.crash` (crashing) and
+:mod:`.intervals` (bounded headers) -- each build one report per audit
+with :func:`per_station`, and the AST helpers below are shared by their
+syntactic checks.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import textwrap
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from ..datalink.protocol import DataLinkProtocol, ProtocolLogic
-from .registry import rule
 
 #: Message payload attributes a message-independent protocol must not
 #: read.  ``size`` is deliberately absent (the §9 extension).
 MESSAGE_ATTRS = ("ident", "label")
 
-#: Arithmetic operators that can grow a header without bound.
-_GROWTH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.LShift)
+Report = TypeVar("Report")
 
 
 @dataclass
@@ -63,7 +45,7 @@ class ClassSource:
 
 @dataclass
 class SourceAudit:
-    """Everything the source rules need about one station's logic."""
+    """Everything the lint rules need about one station's logic."""
 
     target: str
     station: str  # "transmitter" or "receiver"
@@ -76,6 +58,25 @@ class SourceAudit:
     #: packet headers to their union (see :mod:`repro.lint.dataflow`).
     own_header_space: Optional[frozenset] = None
     peer_header_space: Optional[frozenset] = None
+    #: Per-station analysis results, keyed by the function that built
+    #: them (see :func:`per_station`).
+    memo: Dict[Callable, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+
+def per_station(
+    build: Callable[[SourceAudit], Report]
+) -> Callable[[SourceAudit], Report]:
+    """Memoize ``build`` on its audit: it runs at most once per station."""
+
+    @functools.wraps(build)
+    def memoized(audit: SourceAudit) -> Report:
+        if build not in audit.memo:
+            audit.memo[build] = build(audit)
+        return audit.memo[build]
+
+    return memoized
 
 
 def _is_framework_class(cls: type) -> bool:
@@ -140,7 +141,7 @@ def build_source_audits(protocol: DataLinkProtocol) -> List[SourceAudit]:
 # ----------------------------------------------------------------------
 
 
-def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
+def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
     parents: Dict[ast.AST, ast.AST] = {}
     for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
@@ -148,259 +149,9 @@ def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
     return parents
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
+def call_name(node: ast.Call) -> Optional[str]:
     if isinstance(node.func, ast.Name):
         return node.func.id
     if isinstance(node.func, ast.Attribute):
         return node.func.attr
     return None
-
-
-def _reads_self(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id == "self"
-        ):
-            return True
-    return False
-
-
-def _class_methods(
-    tree: ast.Module, name: str
-) -> Iterator[ast.FunctionDef]:
-    """Top-level methods named ``name`` in the (single) class of ``tree``."""
-    for statement in tree.body:
-        if isinstance(statement, ast.ClassDef):
-            for item in statement.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and item.name == name
-                ):
-                    yield item
-
-
-# ----------------------------------------------------------------------
-# REP201: message introspection
-# ----------------------------------------------------------------------
-
-
-@rule(
-    "REP201",
-    "message-introspection",
-    "§5.3.1",
-    "protocol logic must treat Message payloads as opaque tokens",
-    family="source",
-)
-def check_message_introspection(audit):
-    for source in audit.classes:
-        for node in ast.walk(source.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in MESSAGE_ATTRS
-            ):
-                yield {
-                    "message": (
-                        f"{audit.station} logic "
-                        f"{source.cls.__name__} reads "
-                        f"Message.{node.attr}: message-independent "
-                        f"protocols must not branch on message contents"
-                    ),
-                    "file": source.file,
-                    "line": source.absolute_line(node),
-                }
-            elif (
-                isinstance(node, ast.Call)
-                and _call_name(node) == "Message"
-            ):
-                yield {
-                    "message": (
-                        f"{audit.station} logic "
-                        f"{source.cls.__name__} constructs a Message: "
-                        f"protocols may only carry messages received "
-                        f"from the environment, never invent them"
-                    ),
-                    "file": source.file,
-                    "line": source.absolute_line(node),
-                }
-
-
-# ----------------------------------------------------------------------
-# REP202: crashing claim vs on_crash
-# ----------------------------------------------------------------------
-
-
-def _is_initial_core_call(node: Optional[ast.AST]) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "initial_core"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "self"
-    )
-
-
-def _guarded_by_mode_flag(
-    node: ast.AST,
-    parents: Dict[ast.AST, ast.AST],
-    function: ast.FunctionDef,
-) -> bool:
-    cursor = node
-    while cursor is not function:
-        cursor = parents.get(cursor)
-        if cursor is None:
-            return False
-        if isinstance(cursor, ast.If) and _reads_self(cursor.test):
-            return True
-    return False
-
-
-def _effective_on_crash(
-    audit,
-) -> Optional[Tuple[ClassSource, ast.FunctionDef]]:
-    for source in audit.classes:  # MRO order: first override wins
-        for function in _class_methods(source.tree, "on_crash"):
-            return source, function
-    return None
-
-
-@rule(
-    "REP202",
-    "stable-storage-in-crashing-protocol",
-    "§5.3.2/§7",
-    "a crashing protocol's on_crash must lose all state",
-    family="source",
-)
-def check_crashing_claim(audit):
-    override = _effective_on_crash(audit)
-    if audit.crash_resilient:
-        if override is None and audit.classes:
-            source = audit.classes[0]
-            yield {
-                "message": (
-                    f"{audit.station} logic {source.cls.__name__} is "
-                    f"declared crash_resilient=True but does not "
-                    f"override on_crash; the inherited default loses "
-                    f"all state, contradicting the claim"
-                ),
-                "file": source.file,
-                "line": source.line,
-            }
-        return
-    if override is None:
-        return
-    source, function = override
-    parents = _parent_map(source.tree)
-    for node in ast.walk(function):
-        if not isinstance(node, ast.Return):
-            continue
-        if _is_initial_core_call(node.value):
-            continue
-        if _guarded_by_mode_flag(node, parents, function):
-            continue
-        yield {
-            "message": (
-                f"{audit.station} logic {source.cls.__name__} "
-                f"overrides on_crash with an unguarded return that is "
-                f"not self.initial_core(): state surviving a crash "
-                f"contradicts crash_resilient=False (the paper's "
-                f"crashing hypothesis)"
-            ),
-            "file": source.file,
-            "line": source.absolute_line(node),
-        }
-        break
-
-
-# ----------------------------------------------------------------------
-# REP203: unbounded header construction
-# ----------------------------------------------------------------------
-
-
-def _interval_proven_sites(audit):
-    """Packet sites the interval analysis proved within the declared
-    header space (lazy import: :mod:`.intervals` builds on this module).
-
-    Failing open -- an analysis error leaves the heuristic fully armed.
-    """
-    try:
-        from .intervals import proven_packet_lines
-
-        return proven_packet_lines(audit)
-    except Exception:
-        return frozenset()
-
-
-def _header_expression(call: ast.Call) -> Optional[ast.AST]:
-    if call.args:
-        return call.args[0]
-    for keyword in call.keywords:
-        if keyword.arg == "header":
-            return keyword.value
-    return None
-
-
-def _reduced_or_delegated(
-    node: ast.AST,
-    parents: Dict[ast.AST, ast.AST],
-    header: ast.AST,
-) -> bool:
-    """True if arithmetic is under a ``%`` or inside a helper call."""
-    cursor = node
-    while cursor is not header:
-        cursor = parents.get(cursor)
-        if cursor is None:
-            return False
-        if isinstance(cursor, ast.BinOp) and isinstance(cursor.op, ast.Mod):
-            return True
-        if isinstance(cursor, ast.Call):
-            return True
-    return False
-
-
-@rule(
-    "REP203",
-    "unbounded-header-construction",
-    "§8",
-    "bounded-header protocols must not grow headers arithmetically",
-    family="source",
-)
-def check_unbounded_headers(audit):
-    if not audit.bounded_headers:
-        return
-    proven = _interval_proven_sites(audit)
-    for source in audit.classes:
-        parents = _parent_map(source.tree)
-        for node in ast.walk(source.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and _call_name(node) == "Packet"
-            ):
-                continue
-            header = _header_expression(node)
-            if header is None:
-                continue
-            if (source.file, source.absolute_line(node)) in proven:
-                # The interval analysis (REP302 machinery) proved this
-                # site stays inside the declared space -- e.g. bounded
-                # modular arithmetic like ``seq % 2 + 1`` -- so the
-                # syntactic heuristic stands down.
-                continue
-            for sub in ast.walk(header):
-                if isinstance(sub, ast.BinOp) and isinstance(
-                    sub.op, _GROWTH_OPS
-                ):
-                    if _reduced_or_delegated(sub, parents, header):
-                        continue
-                    yield {
-                        "message": (
-                            f"{audit.station} logic "
-                            f"{source.cls.__name__} builds a Packet "
-                            f"header with unreduced arithmetic while "
-                            f"declaring a finite header_space(): "
-                            f"headers can escape the declared bound"
-                        ),
-                        "file": source.file,
-                        "line": source.absolute_line(sub),
-                    }

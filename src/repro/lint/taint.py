@@ -1,50 +1,50 @@
-"""Message-independence via interprocedural taint tracking (REP301).
+"""Message independence (§5.3.1): one report, viewed by REP201/REP301.
 
-REP201 flags a textual read of ``Message.ident``/``Message.label``
-*inside a logic class*.  A protocol can evade it by laundering the
-read through a module-level helper::
+* **REP201** shows the direct syntactic evidence: a read of a
+  ``Message`` payload attribute (``.ident``, ``.label``) or a
+  ``Message(...)`` construction inside a logic class.  Opaque-token
+  operations -- storing, forwarding, equality/membership tests --
+  commute with message renamings and are allowed; ``.size`` is the
+  sanctioned §9 content channel and is allowed too.
+* **REP301** shows what only the dataflow engine finds, when REP201's
+  view is empty.  A protocol can launder the read through a
+  module-level helper::
 
-    def _priority(message):
-        return message.ident % 2        # invisible to REP201
+      def _priority(message):
+          return message.ident % 2        # invisible to REP201
 
-    class SneakyTransmitter(TransmitterLogic):
-        def on_send_msg(self, core, message):
-            if _priority(message):      # branches on payload contents
-                ...
+      class SneakyTransmitter(TransmitterLogic):
+          def on_send_msg(self, core, message):
+              if _priority(message):      # branches on payload contents
+                  ...
 
-REP301 closes the gap with the dataflow engine: reads of the payload
-attributes produce values tainted with their source location, the
-taint propagates through assignments, returns, containers and
-intra-module helper calls, and any *decision site* observing a tainted
-value -- an ``if``/``while``/ternary/comprehension condition or a
-``Packet`` header -- breaks the §5.3.1 message-independence
-hypothesis.  (``Message.size`` is the sanctioned §9 content channel
-and stays untainted.)
-
-When REP201 already fired on a station the same defect would be
-reported twice, so REP301 stays silent there -- the two rules
-partition the evidence: direct reads go to REP201, laundered flows to
-REP301.
+  Reads of the payload attributes produce values tainted with their
+  source location, the taint propagates through assignments, returns,
+  containers and intra-module helper calls, and any *decision site*
+  observing a tainted value -- an ``if``/``while``/ternary/comprehension
+  condition or a ``Packet`` header -- breaks the hypothesis.  A failed
+  analysis is reported as unverified.
 """
 
 from __future__ import annotations
 
-from typing import List
+import ast
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional
 
-from .dataflow import Site, analyze_station, taint_of
-from .registry import RULES, rule
-from .source import SourceAudit
+from .dataflow import Site, analyze_station
+from .registry import rule
+from .source import MESSAGE_ATTRS, SourceAudit, call_name, per_station
 
 
 def tainted_decision_sites(audit: SourceAudit) -> List[Site]:
     """Decision sites observing message-payload taint, in file order."""
     analysis = analyze_station(audit)
     sites = [
-        site for site in analysis.branch_sites if site.msg_taints
-    ] + [
         site
-        for site in analysis.header_sites
-        if any(t and t[0] == "msg" for t in taint_of(site.value))
+        for site in analysis.branch_sites + analysis.header_sites
+        if site.msg_taints
     ]
     seen = set()
     unique: List[Site] = []
@@ -56,20 +56,87 @@ def tainted_decision_sites(audit: SourceAudit) -> List[Site]:
     return unique
 
 
-def _rep201_fired(audit: SourceAudit) -> bool:
-    checker = RULES["REP201"].checker
-    return any(True for _ in checker(audit))
+@dataclass
+class MessageReport:
+    """Message-independence evidence for one station: REP201's
+    ``direct`` findings, then the taint analysis, run on first use of
+    ``flows`` (None when it failed, and ``error`` says why)."""
+
+    audit: SourceAudit
+    direct: List[Dict]
+    error: Optional[str] = None
+
+    @cached_property
+    def flows(self) -> Optional[List[Site]]:
+        """Decision sites payload taint reaches (REP301)."""
+        if self.direct:
+            return []
+        try:
+            return tainted_decision_sites(self.audit)
+        except Exception as error:  # analysis must never crash the lint
+            self.error = repr(error)
+            return None
+
+    @property
+    def independent(self) -> bool:
+        """True iff message independence is *proven* for the station."""
+        return not self.direct and self.flows == []
+
+
+def _payload_reads(audit: SourceAudit) -> Iterator[Dict]:
+    for source in audit.classes:
+        for node in ast.walk(source.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in MESSAGE_ATTRS
+            ):
+                yield {
+                    "message": (
+                        f"{audit.station} logic "
+                        f"{source.cls.__name__} reads "
+                        f"Message.{node.attr}: message-independent "
+                        f"protocols must not branch on message contents"
+                    ),
+                    "file": source.file,
+                    "line": source.absolute_line(node),
+                }
+            elif (
+                isinstance(node, ast.Call)
+                and call_name(node) == "Message"
+            ):
+                yield {
+                    "message": (
+                        f"{audit.station} logic "
+                        f"{source.cls.__name__} constructs a Message: "
+                        f"protocols may only carry messages received "
+                        f"from the environment, never invent them"
+                    ),
+                    "file": source.file,
+                    "line": source.absolute_line(node),
+                }
+
+
+@per_station
+def message_report(audit: SourceAudit) -> MessageReport:
+    """The station's message-independence report."""
+    return MessageReport(audit, list(_payload_reads(audit)))
 
 
 def message_independent(audit: SourceAudit) -> bool:
-    """True iff no payload taint reaches a decision site (and no
-    direct payload read exists)."""
-    if _rep201_fired(audit):
-        return False
-    try:
-        return not tainted_decision_sites(audit)
-    except Exception:
-        return False  # unverified counts as not proven independent
+    """True iff no direct payload read exists and no payload taint
+    reaches a decision site."""
+    return message_report(audit).independent
+
+
+@rule(
+    "REP201",
+    "message-introspection",
+    "§5.3.1",
+    "protocol logic must treat Message payloads as opaque tokens",
+    family="source",
+)
+def check_message_introspection(audit):
+    return message_report(audit).direct
 
 
 @rule(
@@ -82,13 +149,20 @@ def message_independent(audit: SourceAudit) -> bool:
 def check_message_taint(deep):
     """Flag laundered payload-to-decision flows."""
     for audit in deep.audits:
-        if _rep201_fired(audit):
-            continue  # direct reads already reported by REP201
-        try:
-            sites = tainted_decision_sites(audit)
-        except Exception:
-            continue  # engine failure: REP302 surfaces analysis errors
-        for site in sites:
+        report = message_report(audit)
+        if report.flows is None:
+            yield {
+                "message": (
+                    f"{audit.station} logic of {audit.target} could not "
+                    f"be checked: the taint analysis failed "
+                    f"({report.error}); message independence is "
+                    f"unverified"
+                ),
+                "file": audit.classes[0].file if audit.classes else "<unknown>",
+                "line": audit.classes[0].line if audit.classes else 0,
+            }
+            continue
+        for site in report.flows:
             sources = ", ".join(
                 f"Message.{attr} read at line {line}"
                 for (_, _file, line, attr) in site.msg_taints

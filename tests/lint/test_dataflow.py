@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lint.claims import ClaimError, crash_report, parse_claims
+from repro.lint.claims import ClaimError, parse_claims
+from repro.lint.crash import crash_report
 from repro.lint.dataflow import (
     Interval,
     Record,
