@@ -49,6 +49,43 @@ PINS = {
     ),
 }
 
+#: Campaigns that need more than ``runs`` from :class:`FuzzConfig`:
+#: name -> (protocol, channel, seed, config) and the same outcome tuple.
+#: ``sstab-arbitrary`` is CI's stab-smoke campaign (corrupted starts,
+#: judged by the SSTAB oracles); ``bounded-nonfifo`` exercises the
+#: bounded channel, whose tasks can enable several actions at once.
+CONFIGURED_PINS = {
+    "sstab-arbitrary": (
+        (
+            "alternating_bit",
+            "bounded_nonfifo",
+            3,
+            FuzzConfig(
+                runs=5, init_mode="arbitrary", messages=4, max_steps=4000
+            ),
+        ),
+        (
+            274,
+            270,
+            5,
+            3,
+            18,
+            "f3c2df503781998549f9822f37fab9c6c6a8ecf5fbec8fe95af744ca6182a77f",
+        ),
+    ),
+    "bounded-nonfifo": (
+        ("alternating_bit", "bounded_nonfifo", 4, FuzzConfig(runs=40)),
+        (
+            2719,
+            2316,
+            93,
+            74,
+            490,
+            "c34fa09851d058ffdca4bea5a06e63354e82466bf8595273141aeea65d05f46d",
+        ),
+    ),
+}
+
 
 def report_digest(campaign) -> str:
     report = campaign.report().to_dict()
@@ -59,11 +96,8 @@ def report_digest(campaign) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(PINS), ids=lambda case: "-".join(map(str, case)))
-def test_campaign_matches_golden_outputs(case):
-    protocol, channel, runs, seed = case
-    campaign = fuzz_campaign(protocol, channel, seed, FuzzConfig(runs=runs))
-    observed = (
+def outcome(campaign):
+    return (
         sum(run.steps for run in campaign.runs),
         campaign.states_interned,
         len(campaign.corpus),
@@ -71,4 +105,17 @@ def test_campaign_matches_golden_outputs(case):
         sum(v.shrunk_length for v in campaign.violations),
         report_digest(campaign),
     )
-    assert observed == PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(PINS), ids=lambda case: "-".join(map(str, case)))
+def test_campaign_matches_golden_outputs(case):
+    protocol, channel, runs, seed = case
+    campaign = fuzz_campaign(protocol, channel, seed, FuzzConfig(runs=runs))
+    assert outcome(campaign) == PINS[case]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGURED_PINS))
+def test_configured_campaign_matches_golden_outputs(name):
+    (protocol, channel, seed, config), expected = CONFIGURED_PINS[name]
+    campaign = fuzz_campaign(protocol, channel, seed, config)
+    assert outcome(campaign) == expected
