@@ -156,6 +156,7 @@ class PermissiveChannel(Automaton):
         )
         self._validate_delivery(self._initial_delivery)
         self._signature = physical_layer_signature(src, dst)
+        self._direction = (src, dst)
         self.name = name or f"channel[{src}->{dst}]"
 
     # ------------------------------------------------------------------
@@ -176,9 +177,12 @@ class PermissiveChannel(Automaton):
     def transitions(
         self, state: PermissiveChannelState, action: Action
     ) -> Tuple[PermissiveChannelState, ...]:
-        if not self._signature.contains(action):
+        # Every family of sig(C^{src,dst}) has direction (src, dst), so
+        # matching the direction and then the name tests membership.
+        if action.direction != self._direction:
             return ()
-        if action.name == SEND_PKT:
+        name = action.name
+        if name == SEND_PKT:
             packet = action.payload
             return (
                 PermissiveChannelState(
@@ -188,7 +192,7 @@ class PermissiveChannel(Automaton):
                     state.delivery,
                 ),
             )
-        if action.name == RECEIVE_PKT:
+        if name == RECEIVE_PKT:
             deliverable = state.deliverable()
             if deliverable is None or deliverable[1] != action.payload:
                 return ()
@@ -200,7 +204,7 @@ class PermissiveChannel(Automaton):
                     state.delivery,
                 ),
             )
-        if action.name in (WAKE, FAIL, CRASH):
+        if name in (WAKE, FAIL, CRASH):
             return (state,)
         return ()
 

@@ -165,11 +165,13 @@ class _HostAutomaton(Automaton):
         self.logic = logic
         self.name = name
         self.ghost_uids = ghost_uids
+        self._msg_direction = (t, r)  # direction of send_msg/receive_msg
 
     # subclasses set these in __init__:
     _signature: ActionSignature
     _status_direction: Tuple[str, str]  # direction of wake/fail/crash inputs
     _pkt_out_direction: Tuple[str, str]
+    _pkt_in_direction: Tuple[str, str]  # direction of receive_pkt inputs
 
     @property
     def signature(self) -> ActionSignature:
@@ -191,19 +193,20 @@ class _HostAutomaton(Automaton):
             return state.with_core(self.logic.on_crash(state.core))
         return None
 
-    def _send_pkt_step(self, state: HostState, action: Action) -> Optional[HostState]:
-        if action.key != (SEND_PKT, self._pkt_out_direction):
-            return None
+    def _send_pkt_step(self, state: HostState, action: Action) -> Tuple[HostState, ...]:
+        """The ``send_pkt`` step (the caller has matched the family)."""
         packet: Packet = action.payload
         expected_uid = state.uid_counter + 1 if self.ghost_uids else None
         if packet.uid != expected_uid:
-            return None
+            return ()
         bare = packet.strip_uid()
-        if bare not in set(self.logic.enabled_sends(state.core)):
-            return None
-        return HostState(
-            self.logic.after_send(state.core, bare),
-            state.uid_counter + (1 if self.ghost_uids else 0),
+        if bare not in self.logic.enabled_sends(state.core):
+            return ()
+        return (
+            HostState(
+                self.logic.after_send(state.core, bare),
+                state.uid_counter + (1 if self.ghost_uids else 0),
+            ),
         )
 
     def _enabled_pkt_sends(self, state: HostState) -> Iterable[Action]:
@@ -229,6 +232,7 @@ class TransmitterAutomaton(_HostAutomaton):
         )
         self._status_direction = (t, r)
         self._pkt_out_direction = (t, r)
+        self._pkt_in_direction = (r, t)
         self._signature = ActionSignature.make(
             inputs=[
                 action_family(SEND_MSG, t, r),
@@ -241,13 +245,19 @@ class TransmitterAutomaton(_HostAutomaton):
         )
 
     def transitions(self, state: HostState, action: Action) -> Tuple[HostState, ...]:
-        if action.key == (SEND_MSG, (self.t, self.r)):
+        # Families are matched on name and direction, send_pkt first: it
+        # is the step the fair scheduler asks for most.
+        name = action.name
+        direction = action.direction
+        if name == SEND_PKT and direction == self._pkt_out_direction:
+            return self._send_pkt_step(state, action)
+        if name == SEND_MSG and direction == self._msg_direction:
             return (
                 state.with_core(
                     self.logic.on_send_msg(state.core, action.payload)
                 ),
             )
-        if action.key == (RECEIVE_PKT, (self.r, self.t)):
+        if name == RECEIVE_PKT and direction == self._pkt_in_direction:
             return (
                 state.with_core(
                     self.logic.on_packet(
@@ -258,9 +268,6 @@ class TransmitterAutomaton(_HostAutomaton):
         status = self._status_step(state, action)
         if status is not None:
             return (status,)
-        sent = self._send_pkt_step(state, action)
-        if sent is not None:
-            return (sent,)
         return ()
 
     def enabled_local_actions(self, state: HostState) -> Iterable[Action]:
@@ -289,6 +296,7 @@ class ReceiverAutomaton(_HostAutomaton):
         )
         self._status_direction = (r, t)
         self._pkt_out_direction = (r, t)
+        self._pkt_in_direction = (t, r)
         self._signature = ActionSignature.make(
             inputs=[
                 action_family(RECEIVE_PKT, t, r),
@@ -303,7 +311,12 @@ class ReceiverAutomaton(_HostAutomaton):
         )
 
     def transitions(self, state: HostState, action: Action) -> Tuple[HostState, ...]:
-        if action.key == (RECEIVE_PKT, (self.t, self.r)):
+        # Matched on name and direction, send_pkt first (see above).
+        name = action.name
+        direction = action.direction
+        if name == SEND_PKT and direction == self._pkt_out_direction:
+            return self._send_pkt_step(state, action)
+        if name == RECEIVE_PKT and direction == self._pkt_in_direction:
             return (
                 state.with_core(
                     self.logic.on_packet(
@@ -311,7 +324,7 @@ class ReceiverAutomaton(_HostAutomaton):
                     )
                 ),
             )
-        if action.key == (RECEIVE_MSG, (self.t, self.r)):
+        if name == RECEIVE_MSG and direction == self._msg_direction:
             logic: ReceiverLogic = self.logic
             if action.payload not in set(
                 logic.enabled_deliveries(state.core)
@@ -325,9 +338,6 @@ class ReceiverAutomaton(_HostAutomaton):
         status = self._status_step(state, action)
         if status is not None:
             return (status,)
-        sent = self._send_pkt_step(state, action)
-        if sent is not None:
-            return (sent,)
         return ()
 
     def enabled_local_actions(self, state: HostState) -> Iterable[Action]:

@@ -21,7 +21,17 @@ execution gives fair turns to every task.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Hashable, Iterable, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .actions import Action
 from .signature import ActionSignature
@@ -31,6 +41,94 @@ State = Any
 
 class TransitionError(RuntimeError):
     """Raised when an automaton is asked to take a step it cannot take."""
+
+
+#: Placeholder for a slot no slice has been enumerated in yet.
+_UNSEEN = object()
+
+#: A task's enabled actions as the fair kernel keeps them: the task's
+#: interned id and its candidates in enumeration order.
+TaskGroup = Tuple[int, Tuple[Action, ...]]
+
+
+class SliceMemory:
+    """What the fair kernel keeps of an automaton's slices between steps.
+
+    ``kept[i]`` is the slice last enumerated in slot ``i`` and
+    ``groups[i]`` its task groups.  Keying on identity is sound because
+    automata are pure functions of immutable states, and holding the
+    slice keeps its identity from being reused.  Tasks are interned:
+    ``task_names[id]`` is the ``repr`` the scheduler breaks ties by.
+    """
+
+    def __init__(self, size: int):
+        self.kept: List[Any] = [_UNSEEN] * size
+        self.groups: List[Tuple[TaskGroup, ...]] = [()] * size
+        self.task_names: List[str] = []
+        self._task_ids: Dict[Hashable, int] = {}
+
+    def task_id(self, task: Hashable) -> int:
+        task_id = self._task_ids.get(task)
+        if task_id is None:
+            task_id = self._task_ids[task] = len(self.task_names)
+            self.task_names.append(repr(task))
+        return task_id
+
+
+class SliceView:
+    """The fair-stepping kernel's view of an automaton: a vector of slices.
+
+    A step changes only the slices its action's owners hold, so the
+    kernel (:func:`repro.ioa.fairness.run_to_quiescence`) keeps each
+    slice's enabled local actions, grouped by task, in ``memory`` and
+    re-enumerates a slice only when it is a new object.
+
+    This base view has one slice, the whole state, whose tasks are
+    exactly ``automaton.task_of(action)``, and a fresh memory per run.
+    :class:`Composition` overrides it with one slice per component and a
+    memory that outlives the run.
+    """
+
+    def __init__(
+        self, automaton: "Automaton", memory: Optional[SliceMemory] = None
+    ):
+        self.automaton = automaton
+        self.memory = SliceMemory(1) if memory is None else memory
+
+    def slices(self, state: State) -> Sequence[State]:
+        """The slices of ``state``, one per slot."""
+        return (state,)
+
+    def enumerate(self, index: int, piece: State) -> Tuple[TaskGroup, ...]:
+        """Task groups of one slice, in enumeration order."""
+        return self._group(
+            self.automaton.enabled_local_actions(piece),
+            self.automaton.task_of,
+        )
+
+    def step(self, state: State, action: Action) -> Tuple[State, ...]:
+        """The post-state the kernel takes, as a 1-tuple; ``()`` if refused.
+
+        That is the first choice, the post-state :meth:`Automaton.step`
+        takes.
+        """
+        return self.automaton.transitions(state, action)[:1]
+
+    def _group(
+        self, actions: Iterable[Action], task_of: Callable[[Action], Hashable]
+    ) -> Tuple[TaskGroup, ...]:
+        """Group enabled actions by interned task, in enumeration order."""
+        task_id = self.memory.task_id
+        actions = tuple(actions)
+        if len(actions) < 2:
+            # Most slices enable at most one action.
+            return ((task_id(task_of(actions[0])), actions),) if actions else ()
+        by_task: Dict[int, List[Action]] = {}
+        for action in actions:
+            by_task.setdefault(task_id(task_of(action)), []).append(action)
+        return tuple(
+            (task, tuple(candidates)) for task, candidates in by_task.items()
+        )
 
 
 class Automaton(ABC):
@@ -101,6 +199,10 @@ class Automaton(ABC):
     # ------------------------------------------------------------------
     # Conveniences
     # ------------------------------------------------------------------
+
+    def slice_view(self) -> SliceView:
+        """How the fair kernel steps this automaton (default: one slice)."""
+        return SliceView(self)
 
     def is_enabled(self, state: State, action: Action) -> bool:
         """True iff some step ``(state, action, s)`` exists."""

@@ -15,7 +15,7 @@ import itertools
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import Action
-from .automaton import Automaton, State
+from .automaton import Automaton, SliceMemory, SliceView, State, TaskGroup
 from .execution import ExecutionFragment
 from .signature import (
     ActionSignature,
@@ -100,6 +100,10 @@ class Composition(Automaton):
         self._enabled_cache: Optional[
             Dict[Tuple[int, State], Tuple[Action, ...]]
         ] = {} if memoize else None
+        # What the fair kernel keeps of the component slices between
+        # runs; the view holding it is built per run, so no reference
+        # cycle keeps a dropped composition's last states alive.
+        self._slice_memory = SliceMemory(len(self._components))
 
     # ------------------------------------------------------------------
     # Component access
@@ -236,8 +240,13 @@ class Composition(Automaton):
                     i, state[i]
                 )
 
+    def slice_view(self) -> SliceView:
+        return ComponentSlices(self, self._slice_memory)
+
     def task_of(self, action: Action) -> Hashable:
-        owner = self._local_owner.get(action.key)
+        # The fair kernel calls this per enumerated action: spell the
+        # family key out rather than build it through Action.key.
+        owner = self._local_owner.get((action.name, action.direction))
         if owner is None:
             raise KeyError(
                 f"{action} is not locally controlled by any component"
@@ -277,3 +286,38 @@ class Composition(Automaton):
         """``beta | A_i`` on schedules."""
         signature = self._components[index].signature
         return tuple(a for a in schedule if signature.contains(a))
+
+
+class ComponentSlices(SliceView):
+    """The fair kernel's view of a composition: one slice per component.
+
+    A step on ``pi`` moves only the slices of the components with ``pi``
+    in their signature, so the other slices keep their task groups.  The
+    memory lives as long as the composition, so consecutive runs from
+    states sharing slices (a Session's bursts) reuse them too.
+    """
+
+    def slices(self, state: State) -> Sequence[State]:
+        return state
+
+    def enumerate(self, index: int, piece: State) -> Tuple[TaskGroup, ...]:
+        composition: Composition = self.automaton
+        return self._group(
+            composition.component_enabled_local_actions(index, piece),
+            composition.task_of,
+        )
+
+    def step(self, state: State, action: Action) -> Tuple[State, ...]:
+        # Only the owners step, each taking its first choice: the first
+        # combination Composition.transitions would produce.
+        composition: Composition = self.automaton
+        owners = composition.family_owners.get((action.name, action.direction))
+        if not owners:
+            return ()
+        post = list(state)
+        for i in owners:
+            choices = composition.component_transitions(i, state[i], action)
+            if not choices:
+                return ()
+            post[i] = choices[0]
+        return (tuple(post),)

@@ -12,15 +12,22 @@ scheduler over tasks until no locally-controlled action is enabled.  All
 of the systems manipulated by the impossibility engines quiesce when run
 over clean channels; a protocol whose composition fails to quiesce within
 the step budget is reported via :class:`FairnessTimeout`, which the
-engines convert into a liveness-violation verdict.
+engines convert into a liveness-violation verdict.  The budget is exact:
+a run that quiesces on its last allowed step is fair and returns.
+
+The scheduler is one incremental kernel, :func:`run_to_quiescence`, for
+every scripted run.  It sees the automaton as a vector of slices (one per
+component of a composition, see :meth:`Automaton.slice_view`) and keeps
+each slice's enabled actions grouped by task, so a step re-enumerates
+only the slices of the components that own its action.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .actions import Action
-from .automaton import Automaton, State
+from .automaton import Automaton, State, TransitionError
 from .execution import ExecutionFragment
 
 
@@ -68,14 +75,23 @@ def run_to_quiescence(
     state: State,
     max_steps: int = 100_000,
     stop_when: Optional[Callable[[Action], bool]] = None,
-    tie_break: Optional[Callable[[List[Action]], Action]] = None,
+    tie_break: Optional[Callable[[Sequence[Action]], Action]] = None,
 ) -> ExecutionFragment:
     """Run locally-controlled actions fairly until quiescence.
 
     The scheduler is a round-robin over tasks: at each step it fires an
-    enabled action belonging to the least-recently-served task.  This
+    enabled action belonging to the least-recently-served task
+    (never-served tasks first, ties broken by the task's ``repr``).  This
     gives fair turns to every class of the partition, so the resulting
     finite execution is fair.
+
+    The kernel steps the automaton's :meth:`~Automaton.slice_view`: one
+    slice per component of a composition (through any hiding), or the
+    whole state otherwise.  It keeps each slice's enabled actions grouped
+    by task and re-enumerates a slice only when a step replaced it, which
+    only the components owning the step's action do.  Only those owners
+    step, each through its own ``transitions`` (every precondition is
+    still checked) and each taking its first choice.
 
     Parameters
     ----------
@@ -84,51 +100,66 @@ def run_to_quiescence(
         first action satisfying it (the result is then a finite, possibly
         non-quiescent fragment -- a prefix of a fair execution).
     tie_break:
-        How to pick among the enabled actions of the chosen task
-        (default: first in enumeration order, which makes runs
-        deterministic).
+        How to pick among the enabled actions of the chosen task, given
+        as a tuple in enumeration order (default: the first, which makes
+        runs deterministic).
 
     Raises
     ------
     FairnessTimeout
-        If more than ``max_steps`` steps are taken without quiescing.
+        If a locally-controlled action is still enabled after
+        ``max_steps`` steps.  A run that quiesces on its last allowed
+        step, or a quiescent start with ``max_steps=0``, returns
+        normally.
+    TransitionError
+        If an owner of the chosen action refuses it.
     """
+    view = automaton.slice_view()
+    memory = view.memory
+    kept, groups, names = memory.kept, memory.groups, memory.task_names
+    slots = range(len(kept))
     states = [state]
     actions: List[Action] = []
     current = state
-    last_served: Dict[Hashable, int] = {}
-    names: Dict[Hashable, str] = {}
-
-    def rank(task: Hashable):
-        # Serve the task that has waited longest (never-served tasks
-        # first), ties broken by repr -- computed once per task.
-        name = names.get(task)
-        if name is None:
-            name = names[task] = repr(task)
-        return (last_served.get(task, -1), name)
-
+    last_served: Dict[int, int] = {}
     clock = 0
-    for _ in range(max_steps):
-        enabled = list(automaton.enabled_local_actions(current))
-        if not enabled:
+    while True:
+        pieces = view.slices(current)
+        for i in slots:
+            if pieces[i] is not kept[i]:
+                groups[i] = view.enumerate(i, pieces[i])
+                kept[i] = pieces[i]
+        # Serve the task that has waited longest (never-served tasks
+        # first), ties broken by repr; on a full tie the first task in
+        # enumeration order wins, as under min().
+        task = None
+        for slot_groups in groups:
+            for group_task, group_candidates in slot_groups:
+                served = last_served.get(group_task, -1)
+                if task is None or served < best or (
+                    served == best and names[group_task] < names[task]
+                ):
+                    task, candidates, best = group_task, group_candidates, served
+        if task is None:
             break
-        by_task: Dict[Hashable, List[Action]] = {}
-        for action in enabled:
-            by_task.setdefault(automaton.task_of(action), []).append(action)
-        task = min(by_task, key=rank)
-        candidates = by_task[task]
+        if clock >= max_steps:
+            raise FairnessTimeout(
+                ExecutionFragment(tuple(states), tuple(actions)), max_steps
+            )
         action = tie_break(candidates) if tie_break else candidates[0]
         clock += 1
         last_served[task] = clock
-        current = automaton.step(current, action)
+        post = view.step(current, action)
+        if not post:
+            raise TransitionError(
+                f"{automaton.name}: action {action} not enabled in state "
+                f"{current!r}"
+            )
+        current = post[0]
         states.append(current)
         actions.append(action)
         if stop_when is not None and stop_when(action):
             break
-    else:
-        raise FairnessTimeout(
-            ExecutionFragment(tuple(states), tuple(actions)), max_steps
-        )
     return ExecutionFragment(tuple(states), tuple(actions))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Tuple
 
 from .actions import Action
-from .automaton import Automaton, State
+from .automaton import Automaton, SliceView, State
 from .signature import ActionSignature, FamilyKey
 
 
@@ -51,6 +51,10 @@ class Hidden(Automaton):
 
     def tasks(self) -> Iterable[Hashable]:
         return self._inner.tasks()
+
+    def slice_view(self) -> SliceView:
+        # Hiding reclassifies families; steps and tasks are the inner's.
+        return self._inner.slice_view()
 
 
 def hide(automaton: Automaton, families: Iterable[FamilyKey]) -> Hidden:

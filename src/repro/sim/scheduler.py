@@ -10,16 +10,18 @@ several schedules and collects all resulting behaviors.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, Sequence, Tuple
 
 from ..ioa.actions import Action
 from ..ioa.automaton import Automaton, State
 from ..ioa.fairness import run_to_quiescence
 
-TieBreak = Callable[[List[Action]], Action]
+#: Picks one of a task's enabled actions, given as a tuple in
+#: enumeration order (the executor shares it between steps).
+TieBreak = Callable[[Sequence[Action]], Action]
 
 
-def deterministic_tie_break(candidates: List[Action]) -> Action:
+def deterministic_tie_break(candidates: Sequence[Action]) -> Action:
     """The default policy: first candidate in enumeration order."""
     return candidates[0]
 
@@ -33,7 +35,7 @@ def seeded_tie_break(seed) -> TieBreak:
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
 
-    def pick(candidates: List[Action]) -> Action:
+    def pick(candidates: Sequence[Action]) -> Action:
         return candidates[rng.randrange(len(candidates))]
 
     return pick

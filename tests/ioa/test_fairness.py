@@ -15,6 +15,10 @@ from repro.ioa import (
     is_fair_finite,
     run_to_quiescence,
 )
+from repro.alphabets import Message
+from repro.protocols import alternating_bit_protocol
+from repro.sim import fifo_system
+
 from .toys import Counter, Echo, ping, pong
 
 
@@ -112,6 +116,29 @@ class TestRunToQuiescence:
         with pytest.raises(FairnessTimeout) as info:
             run_to_quiescence(automaton, 0, max_steps=10)
         assert len(info.value.fragment) == 10
+
+    def test_quiescing_on_last_allowed_step_returns(self):
+        # ABP over FIFO after wake/wake/send needs exactly 5 steps.
+        system = fifo_system(alternating_bit_protocol())
+        start = system.run_inputs(
+            system.initial_state(),
+            [system.wake_t(), system.wake_r(), system.send(Message(0))],
+        ).final_state
+        assert len(run_to_quiescence(system.automaton, start)) == 5
+        fragment = run_to_quiescence(system.automaton, start, max_steps=5)
+        assert len(fragment) == 5
+        assert is_fair_finite(system.automaton, fragment)
+        with pytest.raises(FairnessTimeout) as info:
+            run_to_quiescence(system.automaton, start, max_steps=4)
+        assert len(info.value.fragment) == 4
+
+    def test_zero_budget_on_quiescent_state_returns(self):
+        counter = Counter(0)
+        fragment = run_to_quiescence(counter, 0, max_steps=0)
+        assert len(fragment) == 0
+        with pytest.raises(FairnessTimeout) as info:
+            run_to_quiescence(Counter(1), 1, max_steps=0)
+        assert len(info.value.fragment) == 0
 
     def test_stop_when_truncates(self):
         counter = Counter(10)

@@ -35,6 +35,17 @@ class TestSessionFacade:
         assert first.behavior == second.behavior
         assert first.steps == second.steps
 
+    def test_drain_ending_exactly_at_budget_is_quiescent(self):
+        steps = _session().run().steps
+        exact = _session()
+        exact.max_steps = steps
+        result = exact.run()
+        assert result.quiescent
+        assert result.steps == steps
+        short = _session()
+        short.max_steps = steps - 1
+        assert not short.run().quiescent
+
     def test_from_spec_builds_from_master_seed(self):
         session = Session.from_spec("alternating_bit", "fifo", 42)
         result = session.run()

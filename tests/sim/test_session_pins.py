@@ -120,8 +120,9 @@ class TestLossyFifoPins:
     @pytest.mark.parametrize(
         "max_steps, expected",
         [
-            # (seed, quiescent, behavior length, in DL) per failing run
-            (110, [(0, False, 22, True), (2, False, 22, True)]),
+            # (seed, quiescent, behavior length, in DL) per failing run.
+            # Seed 0 goes quiescent on its 110th step, so it passes.
+            (110, [(2, False, 22, True)]),
             (
                 100,
                 [
