@@ -45,7 +45,7 @@ class Session:
     ``max_interleave`` bounds how many fair (locally-controlled) steps
     may run between consecutive inputs; ``max_steps`` bounds the whole
     execution (exhausting it flags the result non-quiescent rather
-    than raising).  Passing ``rng`` makes the interleaving draw from a
+    than raising, unless the drain quiesced on its last step).  Passing ``rng`` makes the interleaving draw from a
     caller-owned :class:`random.Random` instead of a fresh one derived
     from ``seed`` on each ``run()``.  ``initial_state`` overrides the
     composition's initial state -- the hook the self-stabilization
