@@ -39,7 +39,6 @@ from .fuzzer import (
     fuzz_campaign,
 )
 from .pool import (
-    BatchOutcome,
     PoolInfo,
     RunOutcome,
     RunTimeout,
@@ -78,7 +77,6 @@ from .replay import (
 from .shrink import ShrinkResult, shrink_script
 
 __all__ = [
-    "BatchOutcome",
     "CorpusEntry",
     "DL_ORACLES",
     "EvidenceRecord",

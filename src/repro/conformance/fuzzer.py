@@ -242,10 +242,6 @@ def fuzz_campaign(
     violations: List[ViolationReport] = []
     corpus: List[CorpusEntry] = []
     oracle_checks = 0
-    failures = 0
-    timeouts = 0
-    unguarded_runs = 0
-    unguarded_reason: Optional[str] = None
 
     schedule: List[SubSeeds] = list(replay_subseeds or ())
     schedule += [SubSeeds.derive(master) for _ in range(config.runs)]
@@ -269,21 +265,16 @@ def fuzz_campaign(
             with tracer.span("fuzz.run", index=index, seed=seed):
                 if tracer.enabled:
                     tracer.count("fuzz.runs")
-                if outcome.timeout_unavailable:
+                if outcome.timeout_unavailable and tracer.enabled:
                     # The per-run wall-clock guard was requested but
                     # could not arm (no SIGALRM off the main thread /
                     # non-POSIX platform); the run executed unguarded.
-                    unguarded_runs += 1
-                    unguarded_reason = outcome.timeout_unavailable
-                    if tracer.enabled:
-                        tracer.count(
-                            "fuzz.pool.timeout_unavailable",
-                            1,
-                            reason=outcome.timeout_unavailable,
-                        )
+                    tracer.count(
+                        "fuzz.pool.timeout_unavailable",
+                        1,
+                        reason=outcome.timeout_unavailable,
+                    )
                 if outcome.error is not None:
-                    failures += 1
-                    timeouts += 1 if outcome.timed_out else 0
                     if tracer.enabled:
                         tracer.count("fuzz.pool.failures")
                         tracer.point(
@@ -371,30 +362,7 @@ def fuzz_campaign(
         states_interned=len(table),
         oracle_checks=oracle_checks,
         deep=deep,
-        pool={
-            "mode": pool_info.mode,
-            "workers": max(1, int(workers)),
-            "batch_size": pool_info.batch_size,
-            "batches": pool_info.batches,
-            "run_timeout": run_timeout,
-            "failures": failures,
-            "timeouts": timeouts,
-            **(
-                {
-                    "timeout_unavailable": {
-                        "runs": unguarded_runs,
-                        "reason": unguarded_reason,
-                    }
-                }
-                if unguarded_runs
-                else {}
-            ),
-            **(
-                {"fallback_reason": pool_info.fallback_reason}
-                if pool_info.fallback_reason
-                else {}
-            ),
-        },
+        pool=pool_info.details(),
         duration_s=time.perf_counter() - started,
     )
     if tracer.enabled:

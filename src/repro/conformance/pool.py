@@ -1,69 +1,73 @@
-"""Batched process-pool execution of a fuzz campaign's run schedule.
+"""Batched process-pool execution of a schedule of independent items.
 
-Each fuzz run is independent once its :class:`SubSeeds` are derived:
-the system, script, execution, oracle verdicts and shrunk repros are
-all pure functions of ``(protocol, channel, seed, index, subseeds,
-config)``.  The campaign therefore derives the full sub-seed schedule
-serially up front (bit-identical to a serial campaign) and shards it
-into **batches** of consecutive runs; each batch is one task for a
-persistent ``multiprocessing`` fork pool.  Only campaign-global state
--- the :class:`~repro.ioa.engine.interning.InternTable`, corpus credit
-and the obs event stream -- stays with the master, which merges worker
-results **in run-index order**.  The merge is what makes ``workers=N``
-byte-identical to ``workers=1``: interning order, corpus order,
-violation order and the trace stream never depend on which worker
-finished first.
+Two workloads run the paper's composed system D'(A) item by item: a
+fuzz campaign (:func:`run_schedule`, one item = one judged and shrunk
+run) and a load run (:func:`repro.sim.load.run_load`, one item = one
+session).  Each item is a pure function of its index, its
+:class:`SubSeeds` and the workload's fixed context, so the schedule
+is derived serially up front and sharded into **batches** of
+consecutive items; each batch is one task for a persistent
+``multiprocessing`` fork pool.  State that spans items -- the fuzz
+master's :class:`~repro.ioa.engine.interning.InternTable`, corpus
+credit, load aggregates and the obs event stream -- stays with the
+master, which merges outcomes **in index order**.  The merge is what
+makes ``workers=N`` byte-identical to ``workers=1``: interning order,
+corpus order, violation order and the trace stream never depend on
+which worker finished first.
 
-Why batches rather than one task per run (the PR-5 design):
+A workload supplies only its **item body** -- ``body(index, subseeds,
+resolved)`` returning an outcome, free to raise -- and its **outcome
+type**, a subclass of :class:`Outcome`.  Everything around a single
+item lives here, once:
+
+* the per-batch wall-clock budget and the per-item SIGALRM guard
+  (:func:`run_batch`): a batch of N items gets N x ``run_timeout`` of
+  total wall-clock, each item is still individually bounded by
+  ``run_timeout``, and a batch that exhausts its budget records its
+  remaining items as timed out without executing them;
+* containment: any exception escaping an item -- a protocol bug, a
+  timeout -- becomes a failed outcome (``error`` set), and a guard that
+  was requested but could not be armed (no SIGALRM off the main thread)
+  is reported on the outcome as ``timeout_unavailable`` instead of
+  being dropped;
+* the fork initializer (:func:`_init_worker`), which detaches the
+  inherited tracer and resolves the registry pair once per worker,
+  and its one worker-globals dict :data:`_WORKER`;
+* the broken-pool protocol (:func:`run_partitioned`): a worker dying
+  mid-batch breaks the whole executor (failing every sibling's pending
+  future too), so the shared pool is rebuilt, unfinished batches are
+  resubmitted, and each batch that observed the breakage is retried on
+  a dedicated one-worker executor that only its own items can break:
+  an innocent batch re-executes cleanly (items are pure, so the do-over
+  is byte-identical), and a genuinely crashy batch fails exactly its
+  own items;
+* the telemetry (:class:`PoolInfo`), which tallies failures, timeouts
+  and unarmed guards as outcomes stream past and renders the
+  ``details.pool`` dict both reports carry.
+
+Why batches rather than one task per item:
 
 * **amortized IPC**: one submit/result round-trip and one pickle per
-  ~``batch_size`` runs instead of per run, which is what previously
-  made a 4-worker pool *slower* than serial on cheap campaigns;
-* **warm workers**: the executor is built once per campaign (workers
-  fork once, with the protocol/channel registries pre-imported and
-  pre-resolved by the initializer) and stays up across batches;
-* **in-worker shrinking**: ddmin shrinking and repro packaging run
-  inside :func:`execute_run`, i.e. inside the worker -- the master
-  never re-executes a scenario;
-* **compact streaming**: a :class:`BatchOutcome` carries each run's
-  distinct visited states *deduplicated across the whole batch* (a
-  state value is shipped at most once per batch, attached to the run
-  that saw it first) and the batch's obs event chunks, so the payload
-  back to the master shrinks with cross-run state overlap.  States
-  travel as plain values: their slices cache structural hashes
+  ~``batch_size`` items instead of per item;
+* **warm workers**: the executor is built once per schedule and stays
+  up across batches;
+* **compact streaming**: a batch ships as one tuple of outcomes, and
+  the outcome type may compact it before it leaves the worker
+  (:meth:`Outcome.compact`).  Fuzz runs use this to ship each distinct
+  visited state at most once per batch (:meth:`RunOutcome.compact`).
+  States travel as plain values: their slices cache structural hashes
   in-process only (:mod:`repro.hashing`), so the master rehashes each
   unpickled value once under its own hash seed.
 
 Short schedules are still executed in-process (forking pays off only
 once there is enough work to amortize pool start-up), and on platforms
 without a ``fork`` start method the schedule degrades to serial -- but
-no longer *silently*: the returned :class:`PoolInfo` reports
-``mode="serial-fallback"`` plus the reason, which the CLI surfaces as
-a stderr warning and ``details.pool`` telemetry.
-
-Two hardening guards ride along, applied identically in serial and
-pool mode:
-
-* a per-run wall-clock guard (``run_timeout`` seconds, SIGALRM-based
-  where available) that abandons a runaway run instead of hanging the
-  campaign -- in batched mode with **per-batch budget accounting**: a
-  batch of N runs gets N x ``run_timeout`` of total wall-clock, each
-  run is still individually bounded by ``run_timeout``, and a batch
-  that exhausts its budget records its remaining runs as timed out
-  without executing them; and
-* worker-crash containment: any exception escaping a run -- a protocol
-  bug, a timeout, a dying worker process -- is recorded as a *failed
-  run* (:class:`RunOutcome` with ``error`` set) and the campaign
-  continues.  A worker dying mid-batch breaks the whole executor
-  (failing every sibling's pending future too), so the shared pool is
-  rebuilt, unfinished batches are resubmitted, and each batch that
-  observed the breakage is retried on a dedicated one-worker executor
-  that only its own runs can break: an innocent batch re-executes
-  cleanly (runs are pure, so the do-over is byte-identical), and a
-  genuinely crashy batch fails exactly its own runs.
+not silently: :class:`PoolInfo` reports ``mode="serial-fallback"``
+plus the reason, which the CLI surfaces as a stderr warning and
+``details.pool`` telemetry.
 
 Note that a triggered timeout is inherently wall-clock-dependent, so a
-campaign that hits one is only deterministic in its surviving runs;
+schedule that hits one is only deterministic in its surviving items;
 the default (no timeout) preserves the full determinism contract.
 """
 
@@ -73,7 +77,7 @@ import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..ioa.automaton import State
 from ..obs import MemorySink, set_tracer, tracing
@@ -81,27 +85,59 @@ from ..obs.events import Event
 from .harness import FuzzConfig, SubSeeds, build_script, build_system, execute_script
 from .oracles import OracleViolation, check_execution
 
-#: Below this many scheduled runs the campaign stays in-process: pool
-#: start-up (forking ``workers`` interpreters) costs more than the runs.
+#: Below this many scheduled items the schedule stays in-process: pool
+#: start-up (forking ``workers`` interpreters) costs more than the items.
 PARALLEL_THRESHOLD = 2
 
 #: Auto-sized batches aim for this many batches per worker, so a slow
-#: batch (one shrink-heavy run) cannot serialize the whole campaign
+#: batch (one shrink-heavy run) cannot serialize the whole schedule
 #: behind a single worker.
 BATCHES_PER_WORKER = 4
 
-#: Auto-sized batches never exceed this many runs: a crashed worker
+#: Auto-sized batches never exceed this many items: a crashed worker
 #: fails its whole batch, so unbounded batches would trade containment
 #: granularity for diminishing IPC savings.
 MAX_AUTO_BATCH = 16
 
 
 class RunTimeout(Exception):
-    """A fuzz run exceeded the campaign's per-run wall-clock budget."""
+    """An item exceeded its per-item wall-clock budget."""
 
 
 @dataclass
-class RunOutcome:
+class Outcome:
+    """The fields of one item's outcome that the pool itself fills in.
+
+    A workload's outcome type subclasses this and adds its results.
+    ``error`` is set for a contained failure (the item raised, timed
+    out or lost its worker); ``timeout_unavailable`` says why a
+    requested wall-clock guard could not be armed (the item still ran,
+    unguarded); ``duration_s`` is the item's wall-clock time, telemetry
+    outside every identity contract.
+    """
+
+    index: int
+    subseeds: Optional[SubSeeds] = None
+    error: Optional[str] = None
+    timed_out: bool = False
+    timeout_unavailable: Optional[str] = None
+    duration_s: float = 0.0
+
+    @classmethod
+    def compact(cls, outcomes: List["Outcome"]) -> None:
+        """Shrink one batch's outcomes in place before they ship.
+
+        Runs inside the worker (and in-process, so serial runs see the
+        same outcomes).  The default keeps everything.
+        """
+
+
+#: ``body(index, subseeds, resolved)``: one item, free to raise.
+Body = Callable[[int, SubSeeds, object], Outcome]
+
+
+@dataclass
+class RunOutcome(Outcome):
     """Everything one fuzz run sends back to the campaign master.
 
     ``state_values`` are the run's *distinct* visited states, plain
@@ -109,15 +145,7 @@ class RunOutcome:
     (:meth:`~repro.sim.runner.ScenarioResult.distinct_states`).  The
     master interns them (in run-index order) to assign coverage
     credit, so workers never touch the shared
-    :class:`~repro.ioa.engine.interning.InternTable`.  Deduplicating
-    within the run does not change the interning credit (a duplicate
-    can never grow the table), and :func:`run_batch` further strips
-    values already shipped by an earlier run of the *same batch* --
-    those are already in the master table by the time this run is
-    merged, so the credit and the table's insertion order still come
-    out byte-identical to a serial campaign.  The state slices cache
-    their own structural hashes (:mod:`repro.hashing`), so each of
-    these dedup passes costs a shallow tuple hash per state.
+    :class:`~repro.ioa.engine.interning.InternTable`.
 
     ``pre_events`` and ``post_events`` are the run's captured obs
     chunks -- everything emitted before and after the interning point
@@ -126,8 +154,6 @@ class RunOutcome:
     stream.
     """
 
-    index: int
-    subseeds: SubSeeds
     steps: int = 0
     quiescent: bool = False
     behavior_length: int = 0
@@ -139,39 +165,42 @@ class RunOutcome:
     oracle_checks: int = 0
     pre_events: Tuple[Event, ...] = ()
     post_events: Tuple[Event, ...] = ()
-    error: Optional[str] = None
-    timed_out: bool = False
-    #: why the requested wall-clock guard could not be armed for this
-    #: run (None when it armed, or was never requested); the run still
-    #: executed, just unguarded.
-    timeout_unavailable: Optional[str] = None
-    duration_s: float = 0.0
+
+    @classmethod
+    def compact(cls, outcomes: List["RunOutcome"]) -> None:
+        """Attach each state value to the first run of the batch that
+        visited it and strip it from later runs' ``state_values``.
+
+        By the time the master merges a later run, the earlier run
+        already interned the value, so the coverage credit and the
+        table's insertion order are unchanged while the value crosses
+        the process boundary once.  The state slices cache their own
+        structural hashes (:mod:`repro.hashing`), so this pass costs a
+        shallow tuple hash per state.
+        """
+        shipped: set = set()
+        for outcome in outcomes:
+            if outcome.state_values:
+                fresh = [
+                    value
+                    for value in outcome.state_values
+                    if value not in shipped
+                ]
+                shipped.update(fresh)
+                outcome.state_values = tuple(fresh)
 
 
 @dataclass
-class BatchOutcome:
-    """One batch's worth of run outcomes, shipped master-ward as a unit.
-
-    ``outcomes`` are in run-index order (``start``, ``start+1``, ...).
-    Packaging a whole batch into one message is the compactness play:
-    one pickle and one result-queue round-trip per batch, and the
-    batch-level state dedup in :func:`run_batch` means every distinct
-    state value crosses the process boundary at most once per batch.
-    """
-
-    start: int
-    outcomes: Tuple[RunOutcome, ...]
-
-
-@dataclass(frozen=True)
 class PoolInfo:
-    """How :func:`run_schedule` decided to execute the schedule.
+    """How a schedule was executed, and what its outcomes reported.
 
     ``mode`` is ``"fork"`` when a process pool is actually used,
     ``"serial"`` when the caller asked for one worker, and
     ``"serial-fallback"`` when parallelism was *requested but not
     delivered* (schedule below the threshold, no ``fork`` start
     method, or fork denied by the OS) -- the case the CLI warns about.
+    The tallies fill in as the outcome iterator is consumed;
+    :meth:`details` renders the ``details.pool`` telemetry dict.
     """
 
     mode: str
@@ -179,21 +208,51 @@ class PoolInfo:
     batch_size: int
     batches: int
     fallback_reason: Optional[str] = None
+    run_timeout: Optional[float] = None
+    failures: int = 0
+    timeouts: int = 0
+    unguarded: int = 0
+    unguarded_reason: Optional[str] = None
+
+    def record(self, outcome: Outcome) -> None:
+        if outcome.timeout_unavailable:
+            self.unguarded += 1
+            self.unguarded_reason = outcome.timeout_unavailable
+        if outcome.error is not None:
+            self.failures += 1
+            self.timeouts += 1 if outcome.timed_out else 0
+
+    def details(self) -> Dict[str, object]:
+        details: Dict[str, object] = {
+            "mode": self.mode,
+            "workers": self.workers,
+            "batch_size": self.batch_size,
+            "batches": self.batches,
+            "run_timeout": self.run_timeout,
+            "failures": self.failures,
+            "timeouts": self.timeouts,
+        }
+        if self.unguarded:
+            details["timeout_unavailable"] = {
+                "runs": self.unguarded,
+                "reason": self.unguarded_reason,
+            }
+        if self.fallback_reason:
+            details["fallback_reason"] = self.fallback_reason
+        return details
 
 
 @contextmanager
 def _alarm(seconds: Optional[float]):
     """Raise :class:`RunTimeout` if the block runs longer than ``seconds``.
 
-    SIGALRM-based, so it interrupts a wedged run mid-step (a plain
+    SIGALRM-based, so it interrupts a wedged item mid-step (a plain
     after-the-fact duration check could not).  Yields a guard-status
     dict: ``armed`` says whether a timer actually protects the block,
     and ``unavailable`` carries the reason when a *requested* guard
     could not be installed -- no ``setitimer`` on the platform, or
     ``signal.signal`` refused because we are not on the main thread.
-    In both cases the block still runs, just unguarded; the campaign
-    surfaces the degradation (``fuzz.pool.timeout_unavailable``)
-    instead of hiding it.
+    In both cases the block still runs, just unguarded.
     """
     status = {"armed": False, "unavailable": None}
     if not seconds:
@@ -211,7 +270,7 @@ def _alarm(seconds: Optional[float]):
         previous = signal.signal(signal.SIGALRM, _on_alarm)
     except ValueError:
         # signal handlers can only be installed from the main thread;
-        # a campaign embedded in a worker thread runs unguarded.
+        # a schedule driven from another thread runs unguarded.
         status["unavailable"] = (
             "SIGALRM handlers require the main thread; "
             "run executed without a wall-clock guard"
@@ -252,15 +311,13 @@ def execute_run(
     subseeds: SubSeeds,
     config: FuzzConfig,
     capture: bool = False,
-    run_timeout: Optional[float] = None,
     resolved=None,
 ) -> RunOutcome:
     """One complete fuzz run: build, execute, judge, shrink, package.
 
-    Pure in its arguments (modulo wall-clock fields), which is the
-    whole parallelization argument: the master can replay the outcome
-    stream in index order and obtain the serial campaign verbatim.
-    Every exception is contained into a failed-run outcome.
+    The fuzz item body.  Pure in its arguments, which is the whole
+    parallelization argument: the master can replay the outcome stream
+    in index order and obtain the serial campaign verbatim.
     ``resolved`` is the warm-worker fast path: a pre-resolved
     ``(protocol, channel builder)`` pair from
     :func:`~repro.conformance.harness.resolve_pair`, so persistent
@@ -268,65 +325,41 @@ def execute_run(
     """
     from .fuzzer import _package_violation
 
-    started = time.perf_counter()
-    guard = {"armed": False, "unavailable": None}
-    try:
-        with _alarm(run_timeout) as guard:
-            with _capturing(capture) as pre_events:
-                system = build_system(
-                    protocol, channel, subseeds, config, resolved=resolved
-                )
-                script = build_script(system, subseeds, config)
-                result = execute_script(
-                    system, script.actions, subseeds, config
-                )
-            with _capturing(capture) as post_events:
-                found = check_execution(system, result, config)
-                stab_time = None
-                stab_converged = None
-                if config.init_mode == "arbitrary":
-                    from .arbitrary import stabilization_report
+    with _capturing(capture) as pre_events:
+        system = build_system(
+            protocol, channel, subseeds, config, resolved=resolved
+        )
+        script = build_script(system, subseeds, config)
+        result = execute_script(system, script.actions, subseeds, config)
+    with _capturing(capture) as post_events:
+        found = check_execution(system, result, config)
+        stab_time = None
+        stab_converged = None
+        if config.init_mode == "arbitrary":
+            from .arbitrary import stabilization_report
 
-                    stab = stabilization_report(
-                        result.behavior, system.t, system.r
-                    )
-                    stab_time = stab.time
-                    stab_converged = stab.converged
-                packaged = []
-                seen = set()
-                for violation in found:
-                    if violation.oracle in seen:
-                        continue
-                    seen.add(violation.oracle)
-                    packaged.append(
-                        _package_violation(
-                            protocol,
-                            channel,
-                            seed,
-                            index,
-                            subseeds,
-                            config,
-                            system,
-                            script.actions,
-                            violation,
-                        )
-                    )
-    except RunTimeout as exc:
-        return RunOutcome(
-            index=index,
-            subseeds=subseeds,
-            error=str(exc),
-            timed_out=True,
-            duration_s=time.perf_counter() - started,
-        )
-    except Exception as exc:  # containment: a bad run must not kill the campaign
-        return RunOutcome(
-            index=index,
-            subseeds=subseeds,
-            error=f"{type(exc).__name__}: {exc}",
-            timeout_unavailable=guard["unavailable"],
-            duration_s=time.perf_counter() - started,
-        )
+            stab = stabilization_report(result.behavior, system.t, system.r)
+            stab_time = stab.time
+            stab_converged = stab.converged
+        packaged = []
+        seen = set()
+        for violation in found:
+            if violation.oracle in seen:
+                continue
+            seen.add(violation.oracle)
+            packaged.append(
+                _package_violation(
+                    protocol,
+                    channel,
+                    seed,
+                    index,
+                    subseeds,
+                    config,
+                    system,
+                    script.actions,
+                    violation,
+                )
+            )
     return RunOutcome(
         index=index,
         subseeds=subseeds,
@@ -341,46 +374,34 @@ def execute_run(
         oracle_checks=found.checks,
         pre_events=tuple(pre_events),
         post_events=tuple(post_events),
-        error=None,
-        timeout_unavailable=guard["unavailable"],
-        duration_s=time.perf_counter() - started,
     )
 
 
 def run_batch(
-    protocol: str,
-    channel: str,
-    seed: int,
+    body: Body,
+    outcome: Type[Outcome],
     start: int,
     batch: Sequence[SubSeeds],
-    config: FuzzConfig,
-    capture: bool = False,
     run_timeout: Optional[float] = None,
     resolved=None,
     clock: Callable[[], float] = time.perf_counter,
-) -> BatchOutcome:
-    """Execute one batch of consecutive runs inside a single worker.
+) -> Tuple[Outcome, ...]:
+    """Execute one batch of consecutive items inside a single worker.
 
-    Applies the per-batch wall-clock budget: with ``run_timeout`` set,
-    the whole batch gets ``len(batch) * run_timeout`` seconds.  Each
-    run's SIGALRM allowance is the smaller of ``run_timeout`` and the
-    batch's remaining budget, so a batch whose early runs eat the
-    budget (timer overshoot, signal latency, slow teardown between
-    runs) records its remaining runs as timed out instead of
-    overrunning; a batch of fast runs never notices.  ``clock`` exists
-    so tests can drive the accounting deterministically.
-
-    Also performs the batch-level state compaction: a state value is
-    attached to the first run of the batch that visited it and
-    stripped from later runs' ``state_values`` -- by the time the
-    master merges a later run, the earlier run already interned the
-    value, so the credit arithmetic is unchanged while the value
-    crosses the process boundary once.
+    Each item runs ``body`` under the wall-clock guard, and every
+    exception it raises is contained into an ``outcome`` with
+    ``error`` set.  With ``run_timeout`` set, the whole batch gets
+    ``len(batch) * run_timeout`` seconds: each item's SIGALRM allowance
+    is the smaller of ``run_timeout`` and the batch's remaining budget,
+    so a batch whose early items eat the budget (timer overshoot,
+    signal latency, slow teardown between items) records its remaining
+    items as timed out instead of overrunning; a batch of fast items
+    never notices.  ``clock`` exists so tests can drive the accounting
+    deterministically.
     """
     budget = run_timeout * len(batch) if run_timeout else None
     batch_started = clock()
-    shipped: set = set()
-    outcomes: List[RunOutcome] = []
+    outcomes: List[Outcome] = []
     for offset, subseeds in enumerate(batch):
         index = start + offset
         allowance = run_timeout
@@ -388,7 +409,7 @@ def run_batch(
             remaining = budget - (clock() - batch_started)
             if remaining <= 0:
                 outcomes.append(
-                    RunOutcome(
+                    outcome(
                         index=index,
                         subseeds=subseeds,
                         error=(
@@ -400,36 +421,35 @@ def run_batch(
                 )
                 continue
             allowance = min(run_timeout, remaining)
-        outcome = execute_run(
-            protocol,
-            channel,
-            seed,
-            index,
-            subseeds,
-            config,
-            capture=capture,
-            run_timeout=allowance,
-            resolved=resolved,
-        )
-        if outcome.state_values:
-            fresh = [
-                value
-                for value in outcome.state_values
-                if value not in shipped
-            ]
-            shipped.update(fresh)
-            outcome.state_values = tuple(fresh)
-        outcomes.append(outcome)
-    return BatchOutcome(start=start, outcomes=tuple(outcomes))
+        started = time.perf_counter()
+        guard = {"unavailable": None}
+        try:
+            with _alarm(allowance) as guard:
+                item = body(index, subseeds, resolved)
+        except RunTimeout as exc:
+            item = outcome(
+                index=index, subseeds=subseeds, error=str(exc), timed_out=True
+            )
+        except Exception as exc:  # containment: one item, not the schedule
+            item = outcome(
+                index=index,
+                subseeds=subseeds,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        item.timeout_unavailable = guard["unavailable"]
+        item.duration_s = time.perf_counter() - started
+        outcomes.append(item)
+    outcome.compact(outcomes)
+    return tuple(outcomes)
 
 
 def auto_batch_size(runs: int, workers: int) -> int:
     """Batch size targeting ~:data:`BATCHES_PER_WORKER` batches/worker.
 
-    Small enough that run-cost skew (one shrink-heavy run) load-balances
-    across workers and a crashed worker fails a bounded slice of the
-    schedule, large enough that per-batch IPC stops dominating cheap
-    runs; capped at :data:`MAX_AUTO_BATCH`.
+    Small enough that item-cost skew (one shrink-heavy run)
+    load-balances across workers and a crashed worker fails a bounded
+    slice of the schedule, large enough that per-batch IPC stops
+    dominating cheap items; capped at :data:`MAX_AUTO_BATCH`.
     """
     spread = max(1, workers) * BATCHES_PER_WORKER
     return max(1, min(MAX_AUTO_BATCH, -(-runs // spread)))
@@ -442,93 +462,69 @@ _WORKER: dict = {}
 def _init_worker(
     protocol: str,
     channel: str,
-    seed: int,
-    config: FuzzConfig,
-    capture: bool,
+    body: Body,
+    outcome: Type[Outcome],
     run_timeout: Optional[float],
 ) -> None:
     # The fork inherits the master's installed tracer -- including any
     # open JSONL sink file handle.  Detach immediately: workers capture
-    # into per-run MemorySinks and the master replays the chunks.
+    # into per-item MemorySinks and the master replays the chunks.
     set_tracer(None)
     # Warm start: resolve the registry entries once per worker process,
-    # so no run pays a registry lookup (and a bad name fails loudly at
-    # pool start-up, not mid-campaign -- the campaign driver validated
-    # the names already, so this cannot ordinarily raise).
+    # so no item pays a registry lookup.  The workload validated the
+    # names already, so this cannot ordinarily raise.  ``body`` is a
+    # closure: the fork start method inherits it instead of pickling it.
     from .harness import resolve_pair
 
     _WORKER.update(
-        protocol=protocol,
-        channel=channel,
-        seed=seed,
-        config=config,
-        capture=capture,
+        body=body,
+        outcome=outcome,
         run_timeout=run_timeout,
         resolved=resolve_pair(protocol, channel),
     )
 
 
-def _pool_batch(task: Tuple[int, Tuple[SubSeeds, ...]]) -> BatchOutcome:
+def _pool_batch(task: Tuple[int, Tuple[SubSeeds, ...]]) -> Tuple[Outcome, ...]:
     start, batch = task
     return run_batch(
-        _WORKER["protocol"],
-        _WORKER["channel"],
-        _WORKER["seed"],
+        _WORKER["body"],
+        _WORKER["outcome"],
         start,
         batch,
-        _WORKER["config"],
-        capture=_WORKER["capture"],
         run_timeout=_WORKER["run_timeout"],
         resolved=_WORKER["resolved"],
     )
 
 
 def run_partitioned(
-    schedule: Sequence,
-    *,
-    serial_batch: Callable[[int, Sequence], Sequence],
-    pool_task: Callable,
-    initializer: Callable,
-    initargs: Tuple,
-    failed_outcome: Callable[[int, object, str], object],
+    protocol: str,
+    channel: str,
+    schedule: Sequence[SubSeeds],
+    body: Body,
+    outcome: Type[Outcome],
     workers: int = 1,
+    run_timeout: Optional[float] = None,
     batch_size: Optional[int] = None,
-    parallel_threshold: int = PARALLEL_THRESHOLD,
-) -> Tuple[Iterator, PoolInfo]:
-    """The generic batched warm-worker pool: shard ``schedule`` into
-    batches of consecutive items, execute each batch through a
-    persistent fork pool (or in-process), and yield per-item outcomes
-    strictly in schedule order.
+) -> Tuple[Iterator[Outcome], PoolInfo]:
+    """Run ``body`` over ``schedule`` and yield one ``outcome`` per
+    item, strictly in schedule order.
 
-    This is the workload-agnostic core the fuzz campaign
-    (:func:`run_schedule`) and the multi-session load generator
-    (:mod:`repro.sim.load`) both run on.  A workload plugs in:
-
-    * ``serial_batch(start, items)`` -- execute one batch in-process
-      and return its outcomes (the serial / fallback path);
-    * ``pool_task`` -- a *module-level picklable* callable mapping one
-      ``(start, items)`` task to an object with an ``.outcomes``
-      sequence, reading its fixed context from worker globals;
-    * ``initializer``/``initargs`` -- the fork initializer that
-      installs those worker globals (and detaches the inherited
-      tracer);
-    * ``failed_outcome(index, item, message)`` -- the error outcome
-      recorded for an item whose worker died.
-
-    Batching, auto-sizing, the serial-fallback vocabulary
-    (:class:`PoolInfo`) and the broken-pool containment protocol
-    (rebuild, resubmit unfinished batches, retry the observing batch
-    on a dedicated one-worker executor so innocent batches are
-    absolved) are identical for every workload; see the module
-    docstring for why each exists.  The outcome iterator is lazy so
-    the master merges each batch as it completes instead of buffering
-    the whole schedule.
+    Items are sharded into batches of ``batch_size`` consecutive items
+    (default: :func:`auto_batch_size`), executed through
+    :func:`run_batch` in-process or on a persistent fork pool of
+    ``workers`` processes that :func:`_init_worker` warms with the
+    ``(protocol, channel)`` registry pair.  An item whose worker died
+    is recorded as a failed ``outcome``; see the module docstring for
+    the broken-pool protocol.  The iterator is lazy, so the master
+    merges each batch as it completes instead of buffering the whole
+    schedule, and it tallies every outcome into the returned
+    :class:`PoolInfo`.
     """
     workers = max(1, int(workers))
     requested_parallel = workers > 1
     fallback_reason = None
     context = None
-    if requested_parallel and len(schedule) >= parallel_threshold:
+    if requested_parallel and len(schedule) >= PARALLEL_THRESHOLD:
         import multiprocessing
 
         try:
@@ -538,32 +534,43 @@ def run_partitioned(
     elif requested_parallel:
         fallback_reason = (
             f"{len(schedule)} scheduled run(s) below the "
-            f"{parallel_threshold}-run pool threshold"
+            f"{PARALLEL_THRESHOLD}-run pool threshold"
         )
 
     if batch_size is None:
         batch_size = auto_batch_size(len(schedule), workers)
     batch_size = max(1, int(batch_size))
-    starts = range(0, len(schedule), batch_size)
-    n_batches = len(starts)
+    batches: List[Tuple[int, Tuple[SubSeeds, ...]]] = [
+        (start, tuple(schedule[start : start + batch_size]))
+        for start in range(0, len(schedule), batch_size)
+    ]
+    info = PoolInfo(
+        mode="fork",
+        workers=workers,
+        batch_size=batch_size,
+        batches=len(batches),
+        run_timeout=run_timeout,
+    )
 
-    def _serial_info(reason: Optional[str]) -> PoolInfo:
-        return PoolInfo(
-            mode="serial-fallback" if requested_parallel else "serial",
-            workers=workers,
-            batch_size=batch_size,
-            batches=n_batches,
-            fallback_reason=reason if requested_parallel else None,
-        )
+    def _tallied(outcomes: Iterator[Outcome]) -> Iterator[Outcome]:
+        for item in outcomes:
+            info.record(item)
+            yield item
 
-    def _serial() -> Iterator:
-        for start in starts:
-            yield from serial_batch(
-                start, schedule[start : start + batch_size]
+    def _serial(reason: Optional[str]) -> Tuple[Iterator[Outcome], PoolInfo]:
+        info.mode = "serial-fallback" if requested_parallel else "serial"
+        info.fallback_reason = reason if requested_parallel else None
+        outcomes = (
+            item
+            for start, batch in batches
+            for item in run_batch(
+                body, outcome, start, batch, run_timeout=run_timeout
             )
+        )
+        return _tallied(outcomes), info
 
     if context is None:
-        return _serial(), _serial_info(fallback_reason)
+        return _serial(fallback_reason)
 
     # concurrent.futures rather than multiprocessing.Pool: when a
     # worker process dies abruptly (os._exit, segfault, OOM kill) the
@@ -576,47 +583,44 @@ def run_partitioned(
 
     def _make_executor(max_workers: Optional[int] = None) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=max_workers or min(workers, n_batches),
+            max_workers=max_workers or min(workers, len(batches)),
             mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_init_worker,
+            initargs=(protocol, channel, body, outcome, run_timeout),
         )
 
     try:
         executor = _make_executor()
     except OSError:  # pragma: no cover - fork denied
-        return _serial(), _serial_info(
-            "process pool unavailable (fork denied)"
-        )
+        return _serial("process pool unavailable (fork denied)")
 
-    batches: List[Tuple[int, Tuple]] = [
-        (start, tuple(schedule[start : start + batch_size]))
-        for start in starts
-    ]
+    def _failed(start: int, batch: Tuple, message: str) -> Iterator[Outcome]:
+        for offset, subseeds in enumerate(batch):
+            yield outcome(index=start + offset, subseeds=subseeds, error=message)
 
-    def _pooled() -> Iterator:
+    def _pooled() -> Iterator[Outcome]:
         pool = executor
         futures = {
-            number: pool.submit(pool_task, batch)
+            number: pool.submit(_pool_batch, batch)
             for number, batch in enumerate(batches)
         }
         try:
             for number, (start, batch) in enumerate(batches):
                 try:
-                    yield from futures[number].result().outcomes
+                    yield from futures[number].result()
                 except BrokenProcessPool:
                     # A worker died mid-batch.  The in-worker containment
-                    # never lets an exception escape a run, so this is a
-                    # hard death (os._exit, signal).  A broken executor
+                    # never lets an exception escape an item, so this is
+                    # a hard death (os._exit, signal).  A broken executor
                     # fails *every* unfinished future, though, so this
                     # batch may merely be collateral of a crash in a
                     # sibling batch.  Rebuild the shared pool, resubmit
                     # every later batch that never finished cleanly,
                     # then retry this batch on a *dedicated* one-worker
-                    # executor: only the batch's own runs can break it,
+                    # executor: only the batch's own items can break it,
                     # so a retry failure pins the crash on exactly this
                     # batch, while an innocent batch re-executes cleanly
-                    # (runs are pure, so the do-over is byte-identical).
+                    # (items are pure, so the do-over is byte-identical).
                     pool = _make_executor()
                     for later in range(number + 1, len(batches)):
                         future = futures[later]
@@ -624,47 +628,35 @@ def run_partitioned(
                             future.done() and future.exception() is None
                         ):
                             futures[later] = pool.submit(
-                                pool_task, batches[later]
+                                _pool_batch, batches[later]
                             )
                     try:
                         retry = _make_executor(max_workers=1)
                         try:
-                            yield from (
-                                retry.submit(pool_task, batches[number])
-                                .result()
-                                .outcomes
-                            )
+                            yield from retry.submit(
+                                _pool_batch, batches[number]
+                            ).result()
                         finally:
                             retry.shutdown(wait=True, cancel_futures=True)
                     except (BrokenProcessPool, OSError):
-                        for offset, item in enumerate(batch):
-                            yield failed_outcome(
-                                start + offset,
-                                item,
-                                "worker crashed: process pool broken",
-                            )
-                except Exception as exc:
-                    for offset, item in enumerate(batch):
-                        yield failed_outcome(
-                            start + offset,
-                            item,
-                            f"worker crashed: "
-                            f"{type(exc).__name__}: {exc}",
+                        yield from _failed(
+                            start, batch, "worker crashed: process pool broken"
                         )
+                except Exception as exc:
+                    yield from _failed(
+                        start,
+                        batch,
+                        f"worker crashed: {type(exc).__name__}: {exc}",
+                    )
         finally:
             # By the time we get here every yielded batch has been
-            # consumed (or the campaign is aborting), so waiting is
+            # consumed (or the master is aborting), so waiting is
             # cheap -- and skipping the wait leaves the executor's
             # wakeup pipe to be torn down at interpreter exit, which
             # races the atexit hook into "Bad file descriptor" noise.
             pool.shutdown(wait=True, cancel_futures=True)
 
-    return _pooled(), PoolInfo(
-        mode="fork",
-        workers=workers,
-        batch_size=batch_size,
-        batches=n_batches,
-    )
+    return _tallied(_pooled()), info
 
 
 def run_schedule(
@@ -677,45 +669,35 @@ def run_schedule(
     run_timeout: Optional[float] = None,
     capture: bool = False,
     batch_size: Optional[int] = None,
-    parallel_threshold: int = PARALLEL_THRESHOLD,
 ) -> Tuple[Iterator[RunOutcome], PoolInfo]:
     """Execute a fuzz schedule; yields outcomes strictly in run-index
     order.
 
-    The fuzz-specific adapter over :func:`run_partitioned`: batches
-    execute through :func:`run_batch` (in-process) or
-    :func:`_pool_batch` (in a warm worker initialized by
-    :func:`_init_worker`), and a run whose worker died is recorded as
-    a failed :class:`RunOutcome`.  Returns ``(outcome iterator, pool
-    info)``; see :class:`PoolInfo` for the mode vocabulary.
-    ``batch_size`` fixes how many consecutive runs form one worker
-    task (default: auto-sized from the schedule length and worker
-    count via :func:`auto_batch_size`).
+    The fuzz workload over :func:`run_partitioned`: the item body is
+    :func:`execute_run` and the outcome type :class:`RunOutcome`.
+    Returns ``(outcome iterator, pool info)``; see :class:`PoolInfo`
+    for the mode vocabulary.
     """
 
-    def _serial_batch(start, items):
-        return run_batch(
+    def body(index: int, subseeds: SubSeeds, resolved) -> RunOutcome:
+        return execute_run(
             protocol,
             channel,
             seed,
-            start,
-            items,
+            index,
+            subseeds,
             config,
             capture=capture,
-            run_timeout=run_timeout,
-        ).outcomes
-
-    def _failed(index, subseeds, message):
-        return RunOutcome(index=index, subseeds=subseeds, error=message)
+            resolved=resolved,
+        )
 
     return run_partitioned(
+        protocol,
+        channel,
         schedule,
-        serial_batch=_serial_batch,
-        pool_task=_pool_batch,
-        initializer=_init_worker,
-        initargs=(protocol, channel, seed, config, capture, run_timeout),
-        failed_outcome=_failed,
+        body,
+        RunOutcome,
         workers=workers,
+        run_timeout=run_timeout,
         batch_size=batch_size,
-        parallel_threshold=parallel_threshold,
     )

@@ -2,7 +2,10 @@
 
 The public construction surface is the :class:`Session` façade
 (:mod:`repro.sim.session`); :mod:`repro.sim.load` multiplexes
-thousands of such sessions through the batched warm-worker pool.
+thousands of such sessions through the fuzzer's batched warm-worker
+pool (:func:`repro.conformance.pool.run_partitioned`), which also
+gives each session its ``--run-timeout`` guard and contains its
+failures.
 """
 
 # Anchor the sim <-> datalink import cycle: datalink.correctness

@@ -1,12 +1,15 @@
 """Multi-session load generator: thousands of sessions, one report.
 
-This is the ROADMAP's "millions of users" workload: instead of one
-sender/receiver pair per process (:mod:`repro.sim.runner`), a load run
-schedules ``N`` concurrent protocol **sessions** -- each a (protocol,
-channel family, SubSeed-derived per-session seed) triple with its own
-generated script and fault schedule -- and multiplexes them through
-the batched warm-worker pool (:func:`repro.conformance.pool.run_partitioned`,
-the PR-6 engine the fuzzer runs on).
+Instead of one sender/receiver pair per process
+(:mod:`repro.sim.runner`), a load run schedules ``N`` protocol
+**sessions** -- each a (protocol, channel family, SubSeed-derived
+per-session seed) triple with its own generated script and fault
+schedule -- and multiplexes them through the batched warm-worker pool
+the fuzzer runs on (:func:`repro.conformance.pool.run_partitioned`).
+This module supplies only the pool's item body (:func:`run_session`),
+its outcome type (:class:`SessionOutcome`) and the load report; the
+batching, per-batch wall-clock budget, containment, worker set-up and
+``details.pool`` telemetry are the pool's.
 
 Determinism contract, inherited from the pool: the per-session
 :class:`~repro.conformance.harness.SubSeeds` schedule is derived
@@ -17,17 +20,16 @@ session-index order -- so every aggregate (throughput counters,
 latency and delivery-ratio percentiles, per-shard summaries, the
 ``--trace`` event stream) is byte-identical whatever ``--workers`` or
 ``--batch-size`` says.  Sessions share no state (each is its own
-composed system over its own seeded channel adversaries), which is
-what makes the multiplexing trivial to reason about: any interleaving
-of independent sessions yields the same per-session outcomes, so the
-shard driver runs each session to quiescence and the "event loop" is
-the lazy batch merge.
+composed system over its own seeded channel adversaries), so the shard
+driver runs each session to quiescence and the "event loop" is the
+lazy batch merge.
 
 While merging, the master emits live dashboard telemetry through the
 obs layer: ``load.sessions_done`` / ``load.sessions_active`` gauges,
 ``load.sessions`` / ``load.shard.sessions`` counters (the latter
-tagged with its shard id), and per-session spans absorbed from the
-workers' captured event chunks.
+tagged with its shard id), ``load.timeout_unavailable`` when a
+requested ``--run-timeout`` could not be armed, and per-session spans
+absorbed from the workers' captured event chunks.
 
 The CLI entry point is ``repro load --sessions N --steps S``; the
 result is the unified :class:`~repro.obs.RunReport` envelope with
@@ -40,8 +42,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..conformance.harness import FAULT_MIXES, FuzzConfig, SubSeeds, with_mix
+from ..conformance.pool import Outcome, _capturing, run_partitioned
 from ..obs import (
     STATUS_ERROR,
     STATUS_OK,
@@ -63,63 +67,41 @@ class LoadConfig:
 
     ``sessions`` is the number of concurrent conversations;
     ``messages`` (the CLI's ``--steps``) how many fresh messages each
-    session's script offers.  The channel and fault knobs mirror
-    :class:`~repro.conformance.harness.FuzzConfig`, so a load session
-    is constructed exactly like a fuzz run -- apply a named fault mix
-    with :func:`with_load_mix`.
+    session's script offers; ``mix`` names the fuzz fault mix the
+    sessions run under.  Every channel and fault knob comes from that
+    mix (:func:`_fuzz_config`), so a load session is constructed
+    exactly like a fuzz run.
     """
 
     sessions: int = 100
     messages: int = 4
     mix: str = "default"
-    loss_rate: float = 0.2
-    reorder_window: int = 4
-    horizon: int = 1024
-    max_interleave: int = 8
-    max_steps: int = 60_000
-    fail_probability: float = 0.05
-    receiver_fail_probability: float = 0.05
-    crash_probability: float = 0.0
 
 
 def with_load_mix(config: LoadConfig, mix: str) -> LoadConfig:
-    """``config`` with the named fuzz fault mix's overrides applied.
+    """``config`` with its sessions run under the named fault mix.
 
-    The mixes are shared with ``repro fuzz`` (one vocabulary:
-    ``default``, ``clean``, ``drop-flood``, ``reorder-flood``,
-    ``crash-storm``); the chosen name is recorded on the config for
-    the report.
+    The mixes are shared with ``repro fuzz``: any key of
+    :data:`~repro.conformance.harness.FAULT_MIXES`.
     """
-    from ..conformance.harness import FAULT_MIXES
-
     if mix not in FAULT_MIXES:
         raise KeyError(
             f"unknown fault mix {mix!r}; available: "
             + ", ".join(sorted(FAULT_MIXES))
         )
-    return replace(config, mix=mix, **FAULT_MIXES[mix])
+    return replace(config, mix=mix)
 
 
-def _fuzz_config(config: LoadConfig):
-    """The harness-facing view of a load config (script/channel knobs)."""
-    from ..conformance.harness import FuzzConfig
-
-    return FuzzConfig(
-        messages=config.messages,
-        loss_rate=config.loss_rate,
-        reorder_window=config.reorder_window,
-        horizon=config.horizon,
-        max_interleave=config.max_interleave,
-        max_steps=config.max_steps,
-        fail_probability=config.fail_probability,
-        receiver_fail_probability=config.receiver_fail_probability,
-        crash_probability=config.crash_probability,
-        shrink=False,
+def _fuzz_config(config: LoadConfig) -> FuzzConfig:
+    """The harness-facing view of a load config: the fuzz defaults,
+    the session's message count and the named mix, without shrinking."""
+    return with_mix(
+        FuzzConfig(messages=config.messages, shrink=False), config.mix
     )
 
 
 @dataclass
-class SessionOutcome:
+class SessionOutcome(Outcome):
     """Everything one session ships back to the load master.
 
     Compact by construction: per-message latencies (step counts) and
@@ -127,12 +109,8 @@ class SessionOutcome:
     thousand-session run must not pickle a thousand executions.
     ``events`` is the session's captured obs chunk (empty unless the
     master is tracing), absorbed into the master stream at merge time.
-    ``duration_s`` is wall-clock telemetry and excluded from the
-    cross-worker identity contract.
     """
 
-    index: int
-    subseeds: object = None
     steps: int = 0
     quiescent: bool = False
     sent: int = 0
@@ -141,9 +119,6 @@ class SessionOutcome:
     dropped: int = 0
     latencies: Tuple[int, ...] = ()
     events: Tuple = ()
-    error: Optional[str] = None
-    timed_out: bool = False
-    duration_s: float = 0.0
 
     @property
     def delivery_ratio(self) -> float:
@@ -154,65 +129,33 @@ class SessionOutcome:
         return 0.0 if self.delivered else 1.0
 
 
-@dataclass
-class SessionBatch:
-    """One shard's worth of session outcomes, in session-index order."""
-
-    start: int
-    outcomes: Tuple[SessionOutcome, ...]
-
-
 def run_session(
     protocol: str,
     channel: str,
     index: int,
-    subseeds,
-    config: LoadConfig,
+    subseeds: SubSeeds,
+    config: FuzzConfig,
     capture: bool = False,
-    run_timeout: Optional[float] = None,
     resolved=None,
 ) -> SessionOutcome:
     """One complete session: build, run to quiescence, summarize.
 
-    Pure in ``(protocol, channel, subseeds, config)`` modulo the
-    wall-clock fields, which is what lets shards execute anywhere and
-    merge deterministically.  Every exception is contained into a
-    failed-session outcome, mirroring the fuzz pool's hardening.
+    The load item body; ``config`` is the session's harness config
+    (:func:`_fuzz_config`).  Pure in ``(protocol, channel, subseeds,
+    config)``, which is what lets shards execute anywhere and merge
+    deterministically.
     """
-    from ..conformance.pool import RunTimeout, _alarm, _capturing
     from .metrics import channel_stats, delivery_stats
 
-    started = time.perf_counter()
-    try:
-        with _alarm(run_timeout):
-            with _capturing(capture) as events:
-                session = Session.from_spec(
-                    protocol,
-                    channel,
-                    subseeds,
-                    _fuzz_config(config),
-                    resolved=resolved,
-                )
-                result = session.run()
-                stats = delivery_stats(result.fragment)
-                dropped = _dropped(
-                    channel_stats(result.fragment, "t", "r")
-                ) + _dropped(channel_stats(result.fragment, "r", "t"))
-    except RunTimeout as exc:
-        return SessionOutcome(
-            index=index,
-            subseeds=subseeds,
-            error=str(exc),
-            timed_out=True,
-            duration_s=time.perf_counter() - started,
+    with _capturing(capture) as events:
+        session = Session.from_spec(
+            protocol, channel, subseeds, config, resolved=resolved
         )
-    except Exception as exc:  # containment: one session, not the run
-        return SessionOutcome(
-            index=index,
-            subseeds=subseeds,
-            error=f"{type(exc).__name__}: {exc}",
-            duration_s=time.perf_counter() - started,
-        )
+        result = session.run()
+        stats = delivery_stats(result.fragment)
+        dropped = _dropped(
+            channel_stats(result.fragment, "t", "r")
+        ) + _dropped(channel_stats(result.fragment, "r", "t"))
     return SessionOutcome(
         index=index,
         subseeds=subseeds,
@@ -224,107 +167,6 @@ def run_session(
         dropped=dropped,
         latencies=stats.latencies,
         events=tuple(events),
-        duration_s=time.perf_counter() - started,
-    )
-
-
-def run_session_batch(
-    protocol: str,
-    channel: str,
-    start: int,
-    batch: Sequence,
-    config: LoadConfig,
-    capture: bool = False,
-    run_timeout: Optional[float] = None,
-    resolved=None,
-    clock: Callable[[], float] = time.perf_counter,
-) -> SessionBatch:
-    """Execute one shard of consecutive sessions inside a single worker.
-
-    Applies the same per-batch wall-clock budget accounting as the
-    fuzz pool: a shard of N sessions gets ``N * run_timeout`` seconds
-    total, each session is individually bounded, and a shard that
-    exhausts its budget records its remaining sessions as timed out
-    instead of overrunning.  ``clock`` exists so tests can drive the
-    accounting deterministically.
-    """
-    budget = run_timeout * len(batch) if run_timeout else None
-    batch_started = clock()
-    outcomes: List[SessionOutcome] = []
-    for offset, subseeds in enumerate(batch):
-        index = start + offset
-        allowance = run_timeout
-        if budget is not None:
-            remaining = budget - (clock() - batch_started)
-            if remaining <= 0:
-                outcomes.append(
-                    SessionOutcome(
-                        index=index,
-                        subseeds=subseeds,
-                        error=(
-                            f"shard exhausted its {budget}s wall-clock "
-                            f"budget before session {index}"
-                        ),
-                        timed_out=True,
-                    )
-                )
-                continue
-            allowance = min(run_timeout, remaining)
-        outcomes.append(
-            run_session(
-                protocol,
-                channel,
-                index,
-                subseeds,
-                config,
-                capture=capture,
-                run_timeout=allowance,
-                resolved=resolved,
-            )
-        )
-    return SessionBatch(start=start, outcomes=tuple(outcomes))
-
-
-# Worker-side globals, installed by the fork initializer (the load
-# counterpart of the fuzz pool's ``_WORKER``).
-_LOAD_WORKER: dict = {}
-
-
-def _init_load_worker(
-    protocol: str,
-    channel: str,
-    config: LoadConfig,
-    capture: bool,
-    run_timeout: Optional[float],
-) -> None:
-    from ..conformance.harness import resolve_pair
-    from ..obs import set_tracer
-
-    # Detach the tracer inherited across fork (it may hold the
-    # master's open JSONL sink); workers capture into per-session
-    # MemorySinks and the master replays the chunks.
-    set_tracer(None)
-    _LOAD_WORKER.update(
-        protocol=protocol,
-        channel=channel,
-        config=config,
-        capture=capture,
-        run_timeout=run_timeout,
-        resolved=resolve_pair(protocol, channel),
-    )
-
-
-def _load_pool_batch(task: Tuple[int, Tuple]) -> SessionBatch:
-    start, batch = task
-    return run_session_batch(
-        _LOAD_WORKER["protocol"],
-        _LOAD_WORKER["channel"],
-        start,
-        batch,
-        _LOAD_WORKER["config"],
-        capture=_LOAD_WORKER["capture"],
-        run_timeout=_LOAD_WORKER["run_timeout"],
-        resolved=_LOAD_WORKER["resolved"],
     )
 
 
@@ -492,8 +334,6 @@ def run_load(
     its worker is recorded as a failed :class:`SessionOutcome` instead
     of aborting the run.
     """
-    from ..conformance.harness import SubSeeds
-    from ..conformance.pool import run_partitioned
     from ..conformance.registry import (
         resolve_fuzz_channel,
         resolve_fuzz_protocol,
@@ -505,43 +345,34 @@ def run_load(
     resolve_fuzz_channel(channel)
 
     config = config or LoadConfig()
+    fuzz_config = _fuzz_config(config)
     tracer = current_tracer()
+    capture = tracer.enabled
     started = time.perf_counter()
     master = random.Random(seed)
     schedule = [SubSeeds.derive(master) for _ in range(config.sessions)]
 
-    def _serial_batch(start, items):
-        return run_session_batch(
+    def body(index: int, subseeds: SubSeeds, resolved) -> SessionOutcome:
+        return run_session(
             protocol,
             channel,
-            start,
-            items,
-            config,
-            capture=tracer.enabled,
-            run_timeout=run_timeout,
-        ).outcomes
-
-    def _failed(index, subseeds, message):
-        return SessionOutcome(
-            index=index, subseeds=subseeds, error=message
+            index,
+            subseeds,
+            fuzz_config,
+            capture=capture,
+            resolved=resolved,
         )
 
     sessions: List[SessionOutcome] = []
     with tracer.span("load.run", sessions=len(schedule), seed=seed):
         outcomes, pool_info = run_partitioned(
+            protocol,
+            channel,
             schedule,
-            serial_batch=_serial_batch,
-            pool_task=_load_pool_batch,
-            initializer=_init_load_worker,
-            initargs=(
-                protocol,
-                channel,
-                config,
-                tracer.enabled,
-                run_timeout,
-            ),
-            failed_outcome=_failed,
+            body,
+            SessionOutcome,
             workers=workers,
+            run_timeout=run_timeout,
             batch_size=batch_size,
         )
         if tracer.enabled:
@@ -555,6 +386,12 @@ def run_load(
                     shard = outcome.index // pool_info.batch_size
                     tracer.count("load.sessions")
                     tracer.count("load.shard.sessions", 1, shard=shard)
+                    if outcome.timeout_unavailable:
+                        tracer.count(
+                            "load.timeout_unavailable",
+                            1,
+                            reason=outcome.timeout_unavailable,
+                        )
                     if outcome.error is not None:
                         tracer.count("load.failed_sessions")
                     tracer.gauge("load.sessions_done", len(sessions))
@@ -569,18 +406,7 @@ def run_load(
         seed=seed,
         config=config,
         sessions=sessions,
-        pool={
-            "mode": pool_info.mode,
-            "workers": max(1, int(workers)),
-            "batch_size": pool_info.batch_size,
-            "batches": pool_info.batches,
-            "run_timeout": run_timeout,
-            **(
-                {"fallback_reason": pool_info.fallback_reason}
-                if pool_info.fallback_reason
-                else {}
-            ),
-        },
+        pool=pool_info.details(),
         duration_s=time.perf_counter() - started,
     )
 

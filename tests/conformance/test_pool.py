@@ -222,47 +222,49 @@ def test_worker_crash_mid_batch_fails_only_that_batch():
         assert pooled_run.behavior_length == serial_run.behavior_length
 
 
+def _fuzz_body(config):
+    """The fuzz item body for ``run_batch``, as ``run_schedule`` builds it."""
+    from repro.conformance.pool import execute_run
+
+    def body(index, subseeds, resolved):
+        return execute_run(
+            PROTOCOL, "perfect", 5, index, subseeds, config, resolved=resolved
+        )
+
+    return body
+
+
 def test_batch_budget_times_out_remaining_runs():
     """A batch gets len(batch) x run_timeout; once the budget is gone,
     unexecuted runs are recorded as timed out -- and the next batch
     starts with a fresh budget."""
     import random
 
-    from repro.conformance import SubSeeds
+    from repro.conformance import RunOutcome, SubSeeds
     from repro.conformance.pool import run_batch
 
     master = random.Random(5)
     schedule = [SubSeeds.derive(master) for _ in range(4)]
-    config = FuzzConfig(runs=4, shrink=False)
+    body = _fuzz_body(FuzzConfig(runs=4, shrink=False))
 
     ticks = iter([0.0, 0.2, 50.0, 50.0])  # start, then one check per run
 
-    outcome = run_batch(
-        PROTOCOL,
-        "perfect",
-        5,
+    outcomes = run_batch(
+        body,
+        RunOutcome,
         0,
         schedule[:3],
-        config,
         run_timeout=1.0,
         clock=lambda: next(ticks),
     )
-    first, second, third = outcome.outcomes
+    first, second, third = outcomes
     assert first.error is None and not first.timed_out
     assert second.timed_out and "wall-clock" in second.error
     assert third.timed_out and "wall-clock" in third.error
     assert second.steps == 0  # never executed, only recorded
     # A later batch is unaffected: its own budget starts fresh.
-    later = run_batch(
-        PROTOCOL,
-        "perfect",
-        5,
-        3,
-        schedule[3:],
-        config,
-        run_timeout=1.0,
-    )
-    assert [run.error for run in later.outcomes] == [None]
+    later = run_batch(body, RunOutcome, 3, schedule[3:], run_timeout=1.0)
+    assert [run.error for run in later] == [None]
 
 
 def test_run_timeout_records_failed_run():
@@ -298,23 +300,19 @@ def test_timeout_guard_unavailable_off_main_thread_is_surfaced():
     degradation must be reported, not swallowed."""
     import threading
 
+    from repro.conformance import RunOutcome
     from repro.conformance.harness import SubSeeds
-    from repro.conformance.pool import execute_run
+    from repro.conformance.pool import run_batch
 
     import random
 
     subseeds = SubSeeds.derive(random.Random(5))
+    body = _fuzz_body(FuzzConfig(runs=1, shrink=False))
     holder = {}
 
     def drive():
-        holder["outcome"] = execute_run(
-            PROTOCOL,
-            "perfect",
-            5,
-            0,
-            subseeds,
-            FuzzConfig(runs=1, shrink=False),
-            run_timeout=30.0,
+        (holder["outcome"],) = run_batch(
+            body, RunOutcome, 0, [subseeds], run_timeout=30.0
         )
 
     thread = threading.Thread(target=drive)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import threading
 
 import pytest
 
@@ -15,7 +18,7 @@ from repro.sim.load import (
     _fuzz_config,
     normalized_report,
     run_load,
-    run_session_batch,
+    run_session,
     with_load_mix,
 )
 
@@ -86,7 +89,7 @@ class TestLoadConfig:
     def test_with_load_mix_applies_overrides(self):
         config = with_load_mix(LoadConfig(), "drop-flood")
         assert config.mix == "drop-flood"
-        assert config.loss_rate == 0.5
+        assert _fuzz_config(config).loss_rate == 0.5
 
     def test_unknown_mix_rejected(self):
         with pytest.raises(KeyError):
@@ -181,22 +184,121 @@ class TestRunLoad:
 
     def test_batch_budget_times_out_remaining_sessions(self):
         from repro.conformance.harness import SubSeeds
-        import random
+        from repro.conformance.pool import run_batch
 
         master = random.Random(0)
         schedule = [SubSeeds.derive(master) for _ in range(3)]
+        config = _fuzz_config(LoadConfig(sessions=3, messages=1))
+
+        def body(index, subseeds, resolved):
+            return run_session(
+                "alternating_bit", "fifo", index, subseeds, config
+            )
+
         ticks = iter([0.0, 0.0, 100.0, 100.0, 100.0, 100.0])
-        batch = run_session_batch(
-            "alternating_bit",
-            "fifo",
+        outcomes = run_batch(
+            body,
+            SessionOutcome,
             0,
             schedule,
-            LoadConfig(sessions=3, messages=1),
             run_timeout=1.0,
             clock=lambda: next(ticks),
         )
-        assert batch.outcomes[0].error is None
-        assert all(o.timed_out for o in batch.outcomes[1:])
+        assert outcomes[0].error is None
+        assert all(o.timed_out for o in outcomes[1:])
+
+    def test_timeout_guard_unavailable_off_main_thread_is_surfaced(self):
+        """SIGALRM handlers only install on the main thread: a load run
+        driven from a worker thread still executes every session --
+        unguarded -- and reports the degradation."""
+        from repro.obs import MemorySink, tracing
+
+        config = LoadConfig(sessions=2, messages=2)
+        holder = {}
+
+        def drive():
+            sink = MemorySink()
+            with tracing(sink) as tracer:
+                result = run_load(
+                    "alternating_bit", "fifo", 3, config, run_timeout=30.0
+                )
+                counters = tracer.snapshot_counters()
+            holder["result"] = result
+            holder["counters"] = counters
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        thread.join()
+        result = holder["result"]
+        assert result.failed_sessions == 0
+        note = result.pool["timeout_unavailable"]
+        assert note["runs"] == 2
+        assert "main thread" in note["reason"]
+        assert holder["counters"]["load.timeout_unavailable"] == 2
+        assert result.report().details["pool"]["timeout_unavailable"] == note
+
+        # On the main thread the guard arms and nothing is reported.
+        guarded = run_load(
+            "alternating_bit", "fifo", 3, config, run_timeout=30.0
+        )
+        assert "timeout_unavailable" not in guarded.pool
+
+    def test_worker_crash_mid_shard_fails_only_that_shard(self):
+        """A hard worker death fails exactly the crashing shard's
+        sessions; the sibling shards equal the serial run."""
+        from repro.conformance import SubSeeds, pool
+        from repro.conformance.registry import FUZZ_CHANNELS
+
+        seed, sessions, batch_size = 9, 8, 3
+        master = random.Random(seed)
+        schedule = [SubSeeds.derive(master) for _ in range(sessions)]
+        # Session 4 sits in the middle shard (sessions 3..5).
+        crash_tr = schedule[4].channel_tr
+        base = FUZZ_CHANNELS["perfect"]
+
+        def crashing_channel(
+            src, dst, chan_seed, loss, window, horizon, capacity=4
+        ):
+            if pool._WORKER and src == "t" and chan_seed == crash_tr:
+                os._exit(43)
+            return base(src, dst, chan_seed, loss, window, horizon, capacity)
+
+        config = LoadConfig(sessions=sessions, messages=2)
+        serial = run_load("alternating_bit", "perfect", seed, config)
+        FUZZ_CHANNELS["_crash_shard"] = crashing_channel
+        try:
+            pooled = run_load(
+                "alternating_bit",
+                "_crash_shard",
+                seed,
+                config,
+                workers=2,
+                batch_size=batch_size,
+            )
+        finally:
+            del FUZZ_CHANNELS["_crash_shard"]
+
+        assert pooled.pool["mode"] == "fork"
+        assert [s.index for s in pooled.sessions] == list(range(sessions))
+        failed = [s.index for s in pooled.sessions if s.error is not None]
+        assert failed == [3, 4, 5]
+        assert all("worker crashed" in pooled.sessions[i].error for i in failed)
+        assert pooled.pool["failures"] == 3
+        assert pooled.report().counters["load.failed_sessions"] == 3
+        for index in (0, 1, 2, 6, 7):
+            ours, theirs = pooled.sessions[index], serial.sessions[index]
+            assert ours.error is None
+            for name in (
+                "subseeds",
+                "steps",
+                "quiescent",
+                "sent",
+                "delivered",
+                "duplicates",
+                "dropped",
+                "latencies",
+            ):
+                assert getattr(ours, name) == getattr(theirs, name)
 
 
 class TestLoadCli:
@@ -249,6 +351,32 @@ class TestLoadCli:
         assert report["details"]["artifacts"]["trace"] == str(trace)
         assert report["counters"]["load.sessions"] == 4
         assert trace.exists()
+
+    def test_load_off_main_thread_reports_unarmed_timeout(self, capsys):
+        holder = {}
+
+        def drive():
+            holder["exit"] = main(
+                [
+                    "load",
+                    "--sessions",
+                    "3",
+                    "--steps",
+                    "2",
+                    "--run-timeout",
+                    "30",
+                    "--json",
+                ]
+            )
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        thread.join()
+        assert holder["exit"] == 0
+        report = json.loads(capsys.readouterr().out)
+        note = report["details"]["pool"]["timeout_unavailable"]
+        assert note["runs"] == 3
+        assert "main thread" in note["reason"]
 
     def test_load_unknown_mix_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit):

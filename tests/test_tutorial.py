@@ -358,11 +358,18 @@ class TestSection12Load:
 
     def test_mix_vocabulary_shared_with_fuzz(self):
         from repro.conformance.harness import FAULT_MIXES
-        from repro.sim.load import LoadConfig, with_load_mix
+        from repro.sim.load import LoadConfig, run_load, with_load_mix
 
         for mix in ("clean", "drop-flood", "reorder-flood", "crash-storm"):
             assert mix in FAULT_MIXES
             assert with_load_mix(LoadConfig(), mix).mix == mix
+        for mix in FAULT_MIXES:
+            config = with_load_mix(LoadConfig(sessions=2), mix)
+            assert config.mix == mix
+            result = run_load("alternating_bit", "fifo", 0, config)
+            assert [s.index for s in result.sessions] == [0, 1]
+            assert result.failed_sessions == 0
+            assert result.report().details["mix"] == mix
 
     def test_traced_run_carries_gauges(self):
         from repro.obs import MemorySink, tracing
