@@ -150,8 +150,9 @@ def test_engine_outpaces_reference():
     every non-composition and every fallback.  A ratio against the
     reference BFS timed in the same process holds across runner
     hardware, where absolute states/sec does not.  Each repeat builds a
-    fresh closed system, so no run sees caches warmed by another; the
-    reference runs unmemoized, as the pre-engine explorer did.
+    fresh closed system, so no run sees memos warmed by another; the
+    reference's components carry no step memo (``memoize=False``), as
+    the pre-engine explorer had none.
     """
     import time
     from statistics import median

@@ -26,7 +26,7 @@ from typing import Hashable, Iterable, Optional, Tuple
 
 from ..alphabets import Message, MessageFactory
 from ..ioa.actions import Action
-from ..ioa.automaton import Automaton, State
+from ..ioa.automaton import Automaton, State, with_memo
 from ..ioa.composition import Composition
 from ..ioa.explorer import ExplorationResult, explore
 from ..ioa.signature import ActionSignature
@@ -179,27 +179,29 @@ def build_closed_system(
     environment, plus the delivery-prefix invariant over its states.
     Shared by :func:`verify_delivery_order`, the backend differential
     tests and the engine-vs-reference timing in
-    ``benchmarks/bench_model_check.py``.
+    ``benchmarks/bench_model_check.py``.  ``memoize`` attaches a
+    :class:`~repro.ioa.automaton.StepMemo` to every component; the
+    memo-free system steps every query afresh.
     """
     t, r = "t", "r"
     factory = MessageFactory(label="v")
     batch = factory.fresh_many(messages)
     transmitter, receiver = protocol.build(t, r, ghost_uids=False)
-    composition = Composition(
-        [
-            transmitter,
-            receiver,
-            NondetLossyFifoChannel(
-                t, r, capacity=capacity, reorder_depth=reorder_depth
-            ),
-            NondetLossyFifoChannel(
-                r, t, capacity=capacity, reorder_depth=reorder_depth
-            ),
-            ScriptedEnvironment(t, r, batch),
-        ],
-        name=f"mc({protocol.name})",
-        memoize=memoize,
-    )
+    components = [
+        transmitter,
+        receiver,
+        NondetLossyFifoChannel(
+            t, r, capacity=capacity, reorder_depth=reorder_depth
+        ),
+        NondetLossyFifoChannel(
+            r, t, capacity=capacity, reorder_depth=reorder_depth
+        ),
+        ScriptedEnvironment(t, r, batch),
+    ]
+    if memoize:
+        # Every component is finite-state, so every one gets a memo.
+        components = [with_memo(component) for component in components]
+    composition = Composition(components, name=f"mc({protocol.name})")
     env_index = 4
 
     def invariant(state: State) -> bool:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Tuple
 
 from ..alphabets import Message, MessageFactory
 from ..ioa.actions import Action
-from ..ioa.automaton import Automaton, State
+from ..ioa.automaton import Automaton, State, with_memo
 from ..ioa.composition import Composition
 from ..ioa.refinement import RefinementResult, check_refinement
 from ..ioa.signature import ActionSignature
@@ -84,18 +84,18 @@ def _closed_system(
     """Protocol + bounded nondet channels + scripted environment."""
     t, r = "t", "r"
     transmitter, receiver = protocol.build(t, r, ghost_uids=False)
+    # The refinement walk revisits component slices constantly; a memo
+    # on each finite-state component makes those queries hits.
+    components = [
+        transmitter,
+        receiver,
+        NondetLossyFifoChannel(t, r, capacity=capacity),
+        NondetLossyFifoChannel(r, t, capacity=capacity),
+        ScriptedEnvironment(t, r, messages),
+    ]
     return Composition(
-        [
-            transmitter,
-            receiver,
-            NondetLossyFifoChannel(t, r, capacity=capacity),
-            NondetLossyFifoChannel(r, t, capacity=capacity),
-            ScriptedEnvironment(t, r, messages),
-        ],
+        [with_memo(component) for component in components],
         name=f"refine({protocol.name})",
-        # The refinement walk revisits component slices constantly;
-        # memoized composition stepping makes those queries cache hits.
-        memoize=True,
     )
 
 

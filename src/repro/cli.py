@@ -1117,6 +1117,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # One vocabulary for `repro fuzz --mix` and `repro load --fault-mix`.
+    from .conformance.harness import FAULT_MIXES
+
+    mix_help = "fault mix: " + ", ".join(sorted(FAULT_MIXES))
     json_flags = _json_parent()
     trace_flags = _trace_parent()
     pool_flags = _pool_parent()
@@ -1322,8 +1326,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--mix",
         default="default",
-        help="fault mix: default, clean, drop-flood, reorder-flood, "
-        "crash-storm, link-flap, link-partition",
+        help=mix_help,
     )
     fuzz.add_argument(
         "--init-mode",
@@ -1425,8 +1428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-mix",
         dest="mix",
         default="default",
-        help="fault mix: default, clean, drop-flood, reorder-flood, "
-        "crash-storm",
+        help=mix_help,
     )
     load.add_argument("--seed", type=int, default=0)
     load.set_defaults(run=cmd_load)

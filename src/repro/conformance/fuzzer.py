@@ -226,12 +226,11 @@ def fuzz_campaign(
     :class:`RunRecord` instead of aborting the campaign.
     """
     from .pool import run_schedule
-    from .registry import resolve_fuzz_channel, resolve_fuzz_protocol
+    from .registry import check_fuzz_names
 
     # Configuration errors are not contained failures: validate the
     # registry names eagerly, before any run is scheduled.
-    resolve_fuzz_protocol(protocol)
-    resolve_fuzz_channel(channel)
+    check_fuzz_names(protocol, channel)
 
     config = config or FuzzConfig()
     tracer = current_tracer()

@@ -18,6 +18,7 @@ from typing import Sequence
 from ..alphabets import MessageFactory
 from ..datalink.properties import dl1, dl2, dl3, dl_well_formed
 from ..ioa.actions import Action
+from ..ioa.automaton import with_memo
 from ..sim.faults import FaultPlan, GeneratedScript, generate_script
 from ..sim.network import DataLinkSystem
 from ..sim.runner import ScenarioResult
@@ -135,17 +136,17 @@ class SubSeeds:
 
 
 def resolve_pair(protocol_name: str, channel_name: str):
-    """Resolve ``(protocol, channel builder)`` from the fuzz registries.
+    """``(protocol, stations, channel builder)`` from the fuzz registries.
 
-    The batched pool's worker initializer resolves once per worker
-    process and threads the pair through every run of every batch
-    (:func:`build_system`'s ``resolved`` fast path), so warm workers
-    never consult the registry again.
+    ``stations`` is the protocol's transmitter and receiver, each with a
+    :class:`~repro.ioa.automaton.StepMemo`.  Every system
+    :func:`build_system` composes from one result shares them, so what
+    one run computed answers every later run, for as long as the
+    result lives: the pool resolves once per serial schedule or worker.
     """
-    return (
-        resolve_fuzz_protocol(protocol_name),
-        resolve_fuzz_channel(channel_name),
-    )
+    protocol = resolve_fuzz_protocol(protocol_name)
+    stations = tuple(with_memo(station) for station in protocol.build())
+    return protocol, stations, resolve_fuzz_channel(channel_name)
 
 
 def build_system(
@@ -162,10 +163,11 @@ def build_system(
     immutable state tuples), which is what lets the shrinker and the
     replayer re-run scripts against the original adversary.  Pass
     ``resolved`` (a :func:`resolve_pair` result) to skip the registry
-    lookups; the channels are still built fresh from the sub-seeds, so
-    the rebuild contract is unchanged.
+    lookups and compose its shared stations; the channels are still
+    built fresh from the sub-seeds and never memoised, so the rebuild
+    contract is unchanged.
     """
-    protocol, build_channel = resolved or resolve_pair(
+    protocol, stations, build_channel = resolved or resolve_pair(
         protocol_name, channel_name
     )
     channel_tr = build_channel(
@@ -186,7 +188,9 @@ def build_system(
         config.horizon,
         capacity=config.capacity,
     )
-    return DataLinkSystem.build(protocol, channel_tr, channel_rt)
+    return DataLinkSystem.build(
+        protocol, channel_tr, channel_rt, stations=stations
+    )
 
 
 def build_script(

@@ -31,8 +31,9 @@ item lives here, once:
   is reported on the outcome as ``timeout_unavailable`` instead of
   being dropped;
 * the fork initializer (:func:`_init_worker`), which detaches the
-  inherited tracer and resolves the registry pair once per worker,
-  and its one worker-globals dict :data:`_WORKER`;
+  inherited tracer and resolves the registry pair once per worker
+  (the serial path resolves once per schedule), and its one
+  worker-globals dict :data:`_WORKER`;
 * the broken-pool protocol (:func:`run_partitioned`): a worker dying
   mid-batch breaks the whole executor (failing every sibling's pending
   future too), so the shared pool is rebuilt, unfinished batches are
@@ -82,7 +83,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Ty
 from ..ioa.automaton import State
 from ..obs import MemorySink, set_tracer, tracing
 from ..obs.events import Event
-from .harness import FuzzConfig, SubSeeds, build_script, build_system, execute_script
+from .harness import (
+    FuzzConfig,
+    SubSeeds,
+    build_script,
+    build_system,
+    execute_script,
+    resolve_pair,
+)
 from .oracles import OracleViolation, check_execution
 
 #: Below this many scheduled items the schedule stays in-process: pool
@@ -318,10 +326,9 @@ def execute_run(
     The fuzz item body.  Pure in its arguments, which is the whole
     parallelization argument: the master can replay the outcome stream
     in index order and obtain the serial campaign verbatim.
-    ``resolved`` is the warm-worker fast path: a pre-resolved
-    ``(protocol, channel builder)`` pair from
-    :func:`~repro.conformance.harness.resolve_pair`, so persistent
-    workers skip the registry on every run.
+    ``resolved`` is a :func:`~repro.conformance.harness.resolve_pair`
+    result shared by every run of the schedule: its stations and their
+    memos carry over from run to run.
     """
     from .fuzzer import _package_violation
 
@@ -471,11 +478,10 @@ def _init_worker(
     # into per-item MemorySinks and the master replays the chunks.
     set_tracer(None)
     # Warm start: resolve the registry entries once per worker process,
-    # so no item pays a registry lookup.  The workload validated the
-    # names already, so this cannot ordinarily raise.  ``body`` is a
-    # closure: the fork start method inherits it instead of pickling it.
-    from .harness import resolve_pair
-
+    # so every item shares the stations and their memos.  The workload
+    # validated the names already, so this cannot ordinarily raise.
+    # ``body`` is a closure: the fork start method inherits it instead
+    # of pickling it.
     _WORKER.update(
         body=body,
         outcome=outcome,
@@ -513,8 +519,9 @@ def run_partitioned(
     (default: :func:`auto_batch_size`), executed through
     :func:`run_batch` in-process or on a persistent fork pool of
     ``workers`` processes that :func:`_init_worker` warms with the
-    ``(protocol, channel)`` registry pair.  An item whose worker died
-    is recorded as a failed ``outcome``; see the module docstring for
+    ``(protocol, channel)`` registry pair (either way, resolved once
+    per process).  An item whose worker died is recorded as a failed
+    ``outcome``; see the module docstring for
     the broken-pool protocol.  The iterator is lazy, so the master
     merges each batch as it completes instead of buffering the whole
     schedule, and it tallies every outcome into the returned
@@ -560,11 +567,14 @@ def run_partitioned(
     def _serial(reason: Optional[str]) -> Tuple[Iterator[Outcome], PoolInfo]:
         info.mode = "serial-fallback" if requested_parallel else "serial"
         info.fallback_reason = reason if requested_parallel else None
+        # Resolve once, as each pool worker does: every item shares the
+        # stations and their memos, which die with this iterator.
+        resolved = resolve_pair(protocol, channel)
         outcomes = (
             item
             for start, batch in batches
             for item in run_batch(
-                body, outcome, start, batch, run_timeout=run_timeout
+                body, outcome, start, batch, run_timeout, resolved
             )
         )
         return _tallied(outcomes), info

@@ -54,15 +54,25 @@ def _normalize(name: str) -> str:
     return name.replace("-", "_")
 
 
+def _entry(registry: Dict[str, Callable], kind: str, name: str) -> Callable:
+    key = _normalize(name)
+    if key not in registry:
+        raise KeyError(
+            f"unknown fuzz {kind} {name!r}; available: "
+            + ", ".join(sorted(registry))
+        )
+    return registry[key]
+
+
+def check_fuzz_names(protocol: str, channel: str) -> None:
+    """Raise ``KeyError`` for an unregistered name, building nothing."""
+    _entry(FUZZ_PROTOCOLS, "protocol", protocol)
+    _entry(FUZZ_CHANNELS, "channel", channel)
+
+
 def resolve_fuzz_protocol(name: str) -> DataLinkProtocol:
     """Build a registered protocol from its fuzz-registry name."""
-    key = _normalize(name)
-    if key not in FUZZ_PROTOCOLS:
-        raise KeyError(
-            f"unknown fuzz protocol {name!r}; available: "
-            + ", ".join(sorted(FUZZ_PROTOCOLS))
-        )
-    return FUZZ_PROTOCOLS[key]()
+    return _entry(FUZZ_PROTOCOLS, "protocol", name)()
 
 
 def _fifo_channel(
@@ -128,10 +138,4 @@ FUZZ_CHANNELS: Dict[str, Callable] = {
 
 def resolve_fuzz_channel(name: str) -> Callable:
     """Look up a channel builder by fuzz-registry name."""
-    key = _normalize(name)
-    if key not in FUZZ_CHANNELS:
-        raise KeyError(
-            f"unknown fuzz channel {name!r}; available: "
-            + ", ".join(sorted(FUZZ_CHANNELS))
-        )
-    return FUZZ_CHANNELS[key]
+    return _entry(FUZZ_CHANNELS, "channel", name)

@@ -12,7 +12,9 @@ immutable value carrying:
   parameterless actions such as ``wake``/``fail``/``crash``.
 
 Actions compare by value and are hashable, so they can live in sets,
-signatures and schedules.
+signatures and schedules.  The hash is computed once per action and
+kept (:func:`repro.hashing.cached_hash`): every station memo probe
+hashes one.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from ..hashing import cached_hash
+
 Direction = Optional[Tuple[str, str]]
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Action:
     """A single action of the universal action alphabet.

@@ -51,6 +51,30 @@ _UNSEEN = object()
 TaskGroup = Tuple[int, Tuple[Action, ...]]
 
 
+class StepMemo:
+    """An automaton's answers, kept per slice state.
+
+    ``enabled[state]`` holds what :meth:`Automaton.enabled_local_actions`
+    gave in ``state`` and ``steps[(state, action)]`` what
+    :meth:`Automaton.transitions` gave.  Automata are pure functions of
+    immutable states, so the answers hold as long as the memo lives.  A
+    composition consults the memo of each component carrying one.  It
+    pays only where slices repeat: a fuzz campaign's or load run's
+    stations, an exhaustive walk's finite-state components; a seeded
+    channel's states never repeat, so channels carry none.
+    """
+
+    def __init__(self):
+        self.enabled: Dict[Any, Tuple[Action, ...]] = {}
+        self.steps: Dict[Tuple[Any, Action], Tuple[Any, ...]] = {}
+
+
+def with_memo(automaton: "Automaton") -> "Automaton":
+    """``automaton`` with a fresh :class:`StepMemo` attached."""
+    automaton.memo = StepMemo()
+    return automaton
+
+
 class SliceMemory:
     """What the fair kernel keeps of an automaton's slices between steps.
 
@@ -59,6 +83,8 @@ class SliceMemory:
     automata are pure functions of immutable states, and holding the
     slice keeps its identity from being reused.  Tasks are interned:
     ``task_names[id]`` is the ``repr`` the scheduler breaks ties by.
+    It lasts one composition; a component's :class:`StepMemo` can
+    outlast many and answers the slices it has seen.
     """
 
     def __init__(self, size: int):
@@ -141,6 +167,9 @@ class Automaton(ABC):
     """
 
     name: str = "automaton"
+
+    #: Answers kept across runs (:func:`with_memo`), or ``None``.
+    memo: Optional[StepMemo] = None
 
     # ------------------------------------------------------------------
     # Interface to implement

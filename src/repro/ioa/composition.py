@@ -12,7 +12,7 @@ execution of the composition projects to an execution of each component).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .actions import Action
 from .automaton import Automaton, SliceMemory, SliceView, State, TaskGroup
@@ -29,7 +29,10 @@ class Composition(Automaton):
     """The composition ``A = prod_i A_i`` of strongly compatible automata.
 
     The composed state is a tuple with one slot per component, in the
-    order the components were given.
+    order the components were given.  The composition keeps no answers
+    of its own: a component that carries a
+    :class:`~repro.ioa.automaton.StepMemo` has its steps and enabled
+    sets answered from it, and every other component is asked afresh.
     """
 
     #: sentinel marking a component name shared by several components
@@ -39,7 +42,6 @@ class Composition(Automaton):
         self,
         components: Sequence[Automaton],
         name: str = "composition",
-        memoize: bool = False,
     ):
         components = list(components)
         conflicts = compatibility_conflicts(
@@ -83,23 +85,6 @@ class Composition(Automaton):
         for i, component in enumerate(self._components):
             for family in component.signature.local:
                 self._local_owner[family] = i
-        # Memoization for composition stepping (see transitions /
-        # enabled_local_actions): per-component successor choices keyed on
-        # (component index, component state, action), and per-component
-        # enabled local actions keyed on (component index, component
-        # state).  Components are pure functions of their state, so the
-        # caches are sound; they are bounded by the explored state space.
-        # Opt-in (``memoize=True``) because it pays off only on workloads
-        # that revisit component slices -- exhaustive exploration and
-        # refinement checking -- and costs hashing and memory on
-        # simulation-style workloads whose uid-stamped states rarely
-        # repeat.
-        self._step_cache: Optional[
-            Dict[Tuple[int, State, Action], Tuple[State, ...]]
-        ] = {} if memoize else None
-        self._enabled_cache: Optional[
-            Dict[Tuple[int, State], Tuple[Action, ...]]
-        ] = {} if memoize else None
         # What the fair kernel keeps of the component slices between
         # runs; the view holding it is built per run, so no reference
         # cycle keeps a dropped composition's last states alive.
@@ -164,47 +149,41 @@ class Composition(Automaton):
     def component_transitions(
         self, index: int, component_state: State, action: Action
     ) -> Tuple[State, ...]:
-        """Memoized ``components[index].transitions(component_state, action)``.
+        """``components[index].transitions(component_state, action)``,
+        from the component's :class:`~repro.ioa.automaton.StepMemo` if any.
 
-        The cross-product in :meth:`transitions` asks every owning
-        component for its choices on every step; during exhaustive
-        exploration the same (component state, action) pair recurs across
-        thousands of composed states (most steps change only 1-2 of the
-        slices), so the answers are cached here.
+        Most steps change only one or two slices, so an exhaustive walk
+        asks the same (slice, action) pair across thousands of composed
+        states, and a campaign's stations meet the same slices run
+        after run.
         """
-        if self._step_cache is None:
-            return self._components[index].transitions(
+        component = self._components[index]
+        memo = component.memo
+        if memo is None:
+            return component.transitions(component_state, action)
+        key = (component_state, action)
+        post = memo.steps.get(key)
+        if post is None:
+            post = memo.steps[key] = component.transitions(
                 component_state, action
             )
-        key = (index, component_state, action)
-        cached = self._step_cache.get(key)
-        if cached is None:
-            cached = self._components[index].transitions(
-                component_state, action
-            )
-            self._step_cache[key] = cached
-        return cached
+        return post
 
     def component_enabled_local_actions(
         self, index: int, component_state: State
     ) -> Tuple[Action, ...]:
-        """Memoized enabled-local-action list of one component slice."""
-        if self._enabled_cache is None:
-            return tuple(
-                self._components[index].enabled_local_actions(
-                    component_state
-                )
+        """The enabled local actions of one component slice, as a tuple,
+        from the component's :class:`~repro.ioa.automaton.StepMemo` if any."""
+        component = self._components[index]
+        memo = component.memo
+        if memo is None:
+            return tuple(component.enabled_local_actions(component_state))
+        actions = memo.enabled.get(component_state)
+        if actions is None:
+            actions = memo.enabled[component_state] = tuple(
+                component.enabled_local_actions(component_state)
             )
-        key = (index, component_state)
-        cached = self._enabled_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                self._components[index].enabled_local_actions(
-                    component_state
-                )
-            )
-            self._enabled_cache[key] = cached
-        return cached
+        return actions
 
     def transitions(self, state: State, action: Action) -> Tuple[State, ...]:
         owners = self._family_owners.get(action.key)
@@ -228,17 +207,13 @@ class Composition(Automaton):
     def enabled_local_actions(self, state: State) -> Iterable[Action]:
         # An action locally controlled by one component may be an input
         # of others; it is enabled in the composition since inputs are
-        # always enabled.
-        if self._enabled_cache is None:
-            # Stay lazy: callers like is_quiescent stop at the first
-            # action, so nothing should be materialized up front.
-            for i, component in enumerate(self._components):
+        # always enabled.  Components without a memo stay lazy: callers
+        # like is_quiescent stop at the first action.
+        for i, component in enumerate(self._components):
+            if component.memo is None:
                 yield from component.enabled_local_actions(state[i])
-        else:
-            for i in range(len(self._components)):
-                yield from self.component_enabled_local_actions(
-                    i, state[i]
-                )
+            else:
+                yield from self.component_enabled_local_actions(i, state[i])
 
     def slice_view(self) -> SliceView:
         return ComponentSlices(self, self._slice_memory)
@@ -294,7 +269,8 @@ class ComponentSlices(SliceView):
     A step on ``pi`` moves only the slices of the components with ``pi``
     in their signature, so the other slices keep their task groups.  The
     memory lives as long as the composition, so consecutive runs from
-    states sharing slices (a Session's bursts) reuse them too.
+    states sharing slices (a Session's bursts) reuse them too; a slice
+    a component's memo has seen is answered from it, from any earlier run.
     """
 
     def slices(self, state: State) -> Sequence[State]:

@@ -19,7 +19,10 @@ The scheduler is one incremental kernel, :func:`run_to_quiescence`, for
 every scripted run.  It sees the automaton as a vector of slices (one per
 component of a composition, see :meth:`Automaton.slice_view`) and keeps
 each slice's enabled actions grouped by task, so a step re-enumerates
-only the slices of the components that own its action.
+only the slices of the components that own its action.  A component
+with a :class:`~repro.ioa.automaton.StepMemo` (a fuzz campaign's or load
+run's stations) answers those enumerations and steps from it whenever
+it met the slice before, in this run or an earlier one.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ def run_to_quiescence(
     by task and re-enumerates a slice only when a step replaced it, which
     only the components owning the step's action do.  Only those owners
     step, each through its own ``transitions`` (every precondition is
-    still checked) and each taking its first choice.
+    still checked, or answered by its memo) and each taking its first
+    choice.
 
     Parameters
     ----------

@@ -334,15 +334,11 @@ def run_load(
     its worker is recorded as a failed :class:`SessionOutcome` instead
     of aborting the run.
     """
-    from ..conformance.registry import (
-        resolve_fuzz_channel,
-        resolve_fuzz_protocol,
-    )
+    from ..conformance.registry import check_fuzz_names
 
     # Configuration errors are not contained failures: validate the
     # registry names (and the derived harness config) eagerly.
-    resolve_fuzz_protocol(protocol)
-    resolve_fuzz_channel(channel)
+    check_fuzz_names(protocol, channel)
 
     config = config or LoadConfig()
     fuzz_config = _fuzz_config(config)

@@ -73,8 +73,13 @@ class DataLinkSystem:
         t: str = "t",
         r: str = "r",
         ghost_uids: bool = True,
+        stations: Optional[Tuple[TransmitterAutomaton, ReceiverAutomaton]] = None,
     ) -> "DataLinkSystem":
-        transmitter, receiver = protocol.build(t, r, ghost_uids=ghost_uids)
+        """Compose ``protocol`` with the two channels, over fresh
+        stations or a prebuilt ``(transmitter, receiver)`` pair."""
+        transmitter, receiver = stations or protocol.build(
+            t, r, ghost_uids=ghost_uids
+        )
         composition = Composition(
             [transmitter, receiver, channel_tr, channel_rt],
             name=f"D({protocol.name})",

@@ -77,9 +77,10 @@ class Session:
         derived the way the fuzzer derives per-run sub-seeds.
         ``config`` is a :class:`~repro.conformance.harness.FuzzConfig`
         supplying the channel adversary and script knobs (defaults
-        apply when omitted); ``resolved`` is the warm-worker fast path
-        (a :func:`~repro.conformance.harness.resolve_pair` result) that
-        skips the registry lookups.
+        apply when omitted); ``resolved`` is a
+        :func:`~repro.conformance.harness.resolve_pair` result whose
+        stations (and their memos) the session shares with the rest of
+        its load run.
         """
         # Lazy: conformance imports sim, so the façade must not import
         # conformance at module scope.

@@ -1,7 +1,7 @@
 """Differential tests: the pure-Python engine vs. the naive reference BFS.
 
 The engine (:func:`repro.ioa.engine.explore_engine`: trace-free
-parent-pointer frontiers, state interning, memoized composition
+parent-pointer frontiers, state interning, memoized component
 stepping) must be observationally identical to the original naive
 breadth-first search, kept behind ``explore(engine="reference")``:
 same reachable-state set, same ``truncated`` flag, and a counterexample
@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ioa import Composition, explore
+from repro.ioa.automaton import with_memo
 from repro.ioa.engine import InternTable, explore_engine
 from repro.analysis.model_check import build_closed_system
 from repro.protocols import (
@@ -101,7 +102,7 @@ class TestToyDifferential:
         assert ((), ()) in engine.states
 
     def test_toy_composition_memoized(self):
-        factory = lambda: Composition([Echo(), Forwarder()], memoize=True)
+        factory = lambda: Composition([with_memo(Echo()), with_memo(Forwarder())])
         environment = lambda s: [ping(len(s[0]))] if len(s[0]) < 3 else []
         assert_equivalent(factory, environment=environment)
 
@@ -223,7 +224,7 @@ class TestCompositionCaches:
 
     def test_memoized_stepping_matches_uncached(self):
         plain = Composition([Echo(), Forwarder()])
-        cached = Composition([Echo(), Forwarder()], memoize=True)
+        cached = Composition([with_memo(Echo()), with_memo(Forwarder())])
         state = ((1, 2), (7,))
         from repro.ioa.actions import Action
 

@@ -283,7 +283,8 @@ def test_tie_break_receives_tuples():
 
 
 class TestReEnumeration:
-    """A step re-enumerates only the slices its action's owners moved."""
+    """A step re-enumerates only the slices its action's owners moved,
+    and a station only when its memo has not seen the slice."""
 
     def _counting_system(self):
         config = FuzzConfig(messages=3)
@@ -303,7 +304,15 @@ class TestReEnumeration:
     def test_each_step_enumerates_only_its_owners(self):
         system, script, calls = self._counting_system()
         automaton = system.automaton
+        components = system.composition.components
         owners = system.composition.family_owners
+        # The stations carry memos; the seeded channels never do.
+        assert [c.memo is not None for c in components] == [
+            True,
+            True,
+            False,
+            False,
+        ]
         batches: List[List[int]] = []
 
         def cut(action):
@@ -316,22 +325,37 @@ class TestReEnumeration:
         previous = system.initial_state()
         run_to_quiescence(automaton, previous)
         assert sorted(calls) == [0, 1, 2, 3]
-        steps = 0
+        # What each station's memo has seen, kept alongside it.
+        seen = {i: set(components[i].memo.enabled) for i in (0, 1)}
+        steps = hits = 0
         for action in script.actions:
             state = automaton.step(previous, action)
             del calls[:], batches[:]
             fragment = run_to_quiescence(automaton, state, stop_when=cut)
             batches.append(sorted(calls))
             # Each state is enumerated only in the slices the input or
-            # step before it replaced, and only owners replace slices.
+            # step before it replaced, and only owners replace slices; a
+            # replaced station slice is enumerated iff its memo is cold.
             starts = (previous,) + fragment.states
             moved_by = (action,) + fragment.actions
             for batch, before, after, stepped in zip(
                 batches, starts, fragment.states, moved_by
             ):
                 changed = [i for i in range(4) if after[i] is not before[i]]
-                assert batch == changed
                 assert set(changed) <= set(owners[stepped.key])
+                expected = []
+                for i in changed:
+                    if i not in seen:
+                        expected.append(i)
+                    elif after[i] in seen[i]:
+                        hits += 1
+                    else:
+                        seen[i].add(after[i])
+                        expected.append(i)
+                assert batch == expected
             steps += len(fragment)
             previous = fragment.final_state
         assert steps > 20
+        assert hits, "no station slice repeated: the memo went untested"
+        for i in (0, 1):
+            assert set(components[i].memo.enabled) == seen[i]

@@ -190,3 +190,23 @@ class TestCommands:
             == 0
         )
         assert "### E6" in target.read_text()
+
+
+class TestMixVocabulary:
+    """`repro fuzz --mix` and `repro load --fault-mix` offer every mix."""
+
+    @pytest.mark.parametrize(
+        "command, flag", [("fuzz", "--mix"), ("load", "--fault-mix")]
+    )
+    def test_help_lists_every_fault_mix(
+        self, capsys, monkeypatch, command, flag
+    ):
+        from repro.conformance.harness import FAULT_MIXES
+
+        # Wide enough that argparse never wraps inside a hyphenated mix.
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        expected = f"{flag} MIX fault mix: " + ", ".join(sorted(FAULT_MIXES))
+        assert expected in help_text

@@ -22,6 +22,7 @@ from repro.channels.bounded import BoundedChannelState
 from repro.channels.delivery_set import DeliverySet
 from repro.channels.permissive import PermissiveChannelState
 from repro.datalink.protocol import HostState
+from repro.ioa.actions import Action
 
 OLD, NEW = Message(1, "s"), Message(2, "s")
 
@@ -41,6 +42,10 @@ CASES = {
     "DeliverySet": (lambda message: DeliverySet((2, 3), 1), ("tail_offset", 5)),
     "Packet": (lambda message: Packet("h", (message,), 7), ("uid", 8)),
     "HostState": (lambda message: HostState(("core", message), 3), ("uid_counter", 4)),
+    "Action": (
+        lambda message: Action("send_pkt", ("t", "r"), Packet("h", (message,), 1)),
+        ("name", "receive_pkt"),
+    ),
     "PermissiveChannelState": (permissive, ("counter2", 0)),
     "BoundedChannelState": (bounded, ("dropped", 2)),
 }
@@ -88,6 +93,23 @@ class TestEqualValuesHashEqual:
         value = build(NEW)
         fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
         assert hash(value) == hash(fields)
+
+
+class TestAction:
+    """Every station memo probe hashes an action, so it hashes once."""
+
+    def test_cached_hash_is_the_field_tuple_hash(self):
+        action = Action("send_pkt", ("t", "r"), Packet("h", (NEW,), 1))
+        expected = hash(("send_pkt", ("t", "r"), Packet("h", (NEW,), 1)))
+        assert hash(action) == expected
+        assert vars(action)["_cached_hash"] == expected
+        assert hash(action) == expected
+
+    def test_pickled_action_arrives_without_its_cache(self):
+        action = hashed(Action("wake", ("t", "r")))
+        loaded = pickle.loads(pickle.dumps(action))
+        assert "_cached_hash" not in vars(loaded)
+        assert loaded == action and hash(loaded) == hash(action)
 
 
 class TestPickledBytes:
