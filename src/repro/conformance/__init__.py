@@ -54,7 +54,6 @@ from .oracles import (
     Oracle,
     OracleViolation,
     check_execution,
-    earliest_violating_prefix,
     oracle_catalog,
     stabilization_bound,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "component_state_pools",
     "corrupt_initial_state",
     "decode_script",
-    "earliest_violating_prefix",
     "encode_script",
     "execute_run",
     "evidence_from_campaign",

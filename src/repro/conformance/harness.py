@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..alphabets import MessageFactory
-from ..datalink.properties import dl1, dl2, dl3, dl_well_formed
+from ..channels.properties import feed_all
+from ..datalink.properties import MONITORS
 from ..ioa.actions import Action
 from ..ioa.automaton import with_memo
 from ..sim.faults import FaultPlan, GeneratedScript, generate_script
@@ -259,9 +260,6 @@ def script_admissible(
     Violations found under an inadmissible script would be the
     environment's fault, not the protocol's.
     """
-    return (
-        dl_well_formed(actions, t, r).holds
-        and dl1(actions, t, r).holds
-        and dl2(actions, t, r).holds
-        and dl3(actions, t, r).holds
-    )
+    monitors = [MONITORS[n](t, r) for n in ("DL-well-formed", "DL1", "DL2", "DL3")]
+    feed_all(monitors, actions)
+    return all(monitor.result().holds for monitor in monitors)

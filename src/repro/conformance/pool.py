@@ -340,14 +340,7 @@ def execute_run(
         result = execute_script(system, script.actions, subseeds, config)
     with _capturing(capture) as post_events:
         found = check_execution(system, result, config)
-        stab_time = None
-        stab_converged = None
-        if config.init_mode == "arbitrary":
-            from .arbitrary import stabilization_report
-
-            stab = stabilization_report(result.behavior, system.t, system.r)
-            stab_time = stab.time
-            stab_converged = stab.converged
+        stab = found.stabilization
         packaged = []
         seen = set()
         for violation in found:
@@ -373,8 +366,8 @@ def execute_run(
         steps=result.steps,
         quiescent=result.quiescent,
         behavior_length=len(result.behavior),
-        stabilization_time=stab_time,
-        stab_converged=stab_converged,
+        stabilization_time=None if stab is None else stab.time,
+        stab_converged=None if stab is None else stab.converged,
         state_values=tuple(result.distinct_states()),
         found=found,
         violations=packaged,

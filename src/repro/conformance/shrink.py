@@ -69,9 +69,9 @@ def shrink_script(
     """Shrink ``actions`` while the named oracle still fires.
 
     Every accepted candidate is re-executed from the initial state and
-    re-checked; a candidate is accepted only if the same oracle (by
-    name) is violated again, so the shrinker never drifts onto a
-    different failure.
+    re-checked on the named oracle alone; a candidate is accepted only
+    if that oracle is violated again, so the shrinker never drifts onto
+    a different failure.
     """
     tracer = current_tracer()
     attempts = 0
@@ -95,10 +95,7 @@ def shrink_script(
         if tracer.enabled:
             tracer.count("fuzz.shrink_executions")
         result = execute_script(system, candidate, subseeds, config)
-        verdict = any(
-            v.oracle == oracle_name
-            for v in check_execution(system, result, config)
-        )
+        verdict = bool(check_execution(system, result, config, target=oracle_name))
         verdicts[key] = verdict
         return verdict
 

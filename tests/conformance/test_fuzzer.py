@@ -117,14 +117,20 @@ class TestCampaign:
     def test_reported_oracle_checks_match_traced_counter(self):
         # The default mix injects fail events, on which the validity
         # oracle stands down; the report must count exactly the oracle
-        # applications the traced counter saw.
-        with tracing(MemorySink()) as tracer:
-            campaign = fuzz_campaign(
-                "alternating_bit", "fifo", 3, FuzzConfig(runs=30)
-            )
-            traced = tracer.snapshot_counters()["fuzz.oracle_checks"]
-        reported = campaign.report().counters["fuzz.oracle_checks"]
-        assert reported == campaign.oracle_checks == traced
+        # applications the traced counter saw.  The naive campaign
+        # convicts and shrinks: its shrink candidates' checks are
+        # counted by fuzz.shrink_executions, not here.
+        for protocol, channel, seed, runs in (
+            ("alternating_bit", "fifo", 3, 30),
+            ("naive", "nonfifo", 5, 20),
+        ):
+            with tracing(MemorySink()) as tracer:
+                campaign = fuzz_campaign(
+                    protocol, channel, seed, FuzzConfig(runs=runs)
+                )
+                traced = tracer.snapshot_counters()["fuzz.oracle_checks"]
+            reported = campaign.report().counters["fuzz.oracle_checks"]
+            assert reported == campaign.oracle_checks == traced, protocol
 
 
 class TestCorpus:

@@ -1,4 +1,4 @@
-"""Tests for the fuzzer's oracle layer (scoping, prefix search, catalog)."""
+"""Tests for the fuzzer's oracle layer (scoping, earliest prefix, catalog)."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.conformance import (
     build_script,
     build_system,
     check_execution,
-    earliest_violating_prefix,
     execute_script,
     oracle_catalog,
 )
@@ -115,11 +114,14 @@ class TestCheckExecution:
 
 
 class TestEarliestPrefix:
-    def test_binary_search_matches_linear_scan(self):
+    def test_prefix_length_matches_linear_scan(self):
         system, result = run_once("naive", "nonfifo")
         behavior = result.behavior
         assert not dl4(behavior, "t", "r").holds
-        fast = earliest_violating_prefix(dl4, behavior, "t", "r")
+        (violation,) = [
+            v for v in check_execution(system, result) if v.oracle == "DL4"
+        ]
+        fast = violation.prefix_length
         slow = next(
             n
             for n in range(1, len(behavior) + 1)

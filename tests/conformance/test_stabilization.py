@@ -259,3 +259,26 @@ class TestArbitraryCampaign:
             report.details.pop("pool", None)
             reports.append(json.dumps(report.to_dict(), sort_keys=True))
         assert reports[0] == reports[1]
+
+    def test_stabilization_report_is_computed_once_per_check(
+        self, monkeypatch
+    ):
+        # One report per run, reused by the SSTAB1/SSTAB2 verdicts, the
+        # gauges and the run record; one per shrink candidate's check.
+        from repro.conformance import arbitrary, oracles
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return stabilization_report(*args, **kwargs)
+
+        monkeypatch.setattr(arbitrary, "stabilization_report", counting)
+        monkeypatch.setattr(oracles, "stabilization_report", counting)
+        config = FuzzConfig(
+            runs=5, init_mode="arbitrary", messages=4, max_steps=4000
+        )
+        campaign = fuzz_campaign("alternating_bit", "bounded_nonfifo", 3, config)
+        shrink_checks = sum(v.shrink.attempts for v in campaign.violations)
+        assert campaign.violations and shrink_checks
+        assert len(calls) == config.runs + shrink_checks
