@@ -31,12 +31,18 @@ as a schedule has consumed it.  Their sets draw from the seed block by
 block, on demand: :meth:`DeliverySet.source_of` draws until slot ``j``
 is covered, so a run pays for the receive slots it reads, not for the
 whole horizon.  Anything that needs the whole value (``prefix``,
-``tail_offset``, equality, hashing, pickling, ``repr``, the surgeries)
-draws the rest first, validates it, and drops the generator; the
-finished set is bit-identical to drawing every block up front and holds
-what a constructed set holds.  A finished seeded prefix holds hundreds
-of ints and rides along in every channel state, so the set hashes once
-and keeps the value (:func:`~repro.hashing.cached_hash`).
+``tail_offset``, equality, pickling, ``repr``, the surgeries) draws the
+rest first, validates it, and drops the generator; the finished set is
+bit-identical to drawing every block up front and holds what a
+constructed set holds.
+
+Hashing does not draw the rest.  A set hashes the send indices of its
+first :data:`HASH_WINDOW` receive slots (:meth:`DeliverySet.sources`),
+so a seeded set draws only the blocks covering them, which a run has
+usually drawn already.  Equal sets agree on every slot, so they hash
+equal; sets that differ only past the window share a hash but still
+compare unequal.  Every visited channel state carries its set, so the
+set hashes once and keeps the value (:func:`~repro.hashing.cached_hash`).
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..hashing import cached_hash
+
+#: Receive slots a delivery set's hash covers (see module docs).
+HASH_WINDOW = 32
 
 
 class DeliverySetError(ValueError):
@@ -217,6 +226,10 @@ class DeliverySet:
         if j <= len(prefix):
             return prefix[j - 1]
         return j + self.tail_offset
+
+    def _hash_key(self) -> Tuple[int, ...]:
+        """What :func:`~repro.hashing.cached_hash` hashes: the window."""
+        return self.sources(HASH_WINDOW)
 
     def sources(self, up_to_slot: int) -> Tuple[int, ...]:
         """The send indices of slots ``1..up_to_slot``, in slot order.

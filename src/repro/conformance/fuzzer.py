@@ -21,7 +21,8 @@ Runs are executed through :mod:`repro.conformance.pool`: the full
 sub-seed schedule is derived serially up front and chunked into
 batches, batches fan out to a persistent fork pool (``workers > 1``)
 or run in-process, and the master merges outcomes in run-index order
--- interning each run's (batch-deduplicated) distinct states,
+-- interning each run's distinct states (a pooled batch ships each
+state once),
 assigning corpus credit and replaying each run's captured obs events
 -- so a parallel campaign is byte-identical to a serial one whatever
 the worker count or batch size.
@@ -294,11 +295,11 @@ def fuzz_campaign(
                     )
                     continue
                 tracer.absorb(outcome.pre_events)
-                # ``state_values`` are already deduplicated (within the
-                # run, and against earlier runs of the same batch, whose
-                # values this loop interned first), so the serial credit
-                # arithmetic and the table's insertion order are
-                # unchanged.
+                # ``state_values`` are deduplicated within the run, and
+                # a pooled batch also strips the values its earlier runs
+                # carried, which this loop interned first: either way
+                # the credit and the table's insertion order are the
+                # same.
                 before = len(table)
                 for state in outcome.state_values:
                     table.intern(state)

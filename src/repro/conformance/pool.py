@@ -56,7 +56,9 @@ Why batches rather than one task per item:
   the outcome type may compact it before it leaves the worker
   (:meth:`Outcome.compact`).  Fuzz runs use this to ship each distinct
   visited state at most once per batch (:meth:`RunOutcome.compact`).
-  States travel as plain values: their slices cache structural hashes
+  Compaction runs in workers only: a serial schedule ships nothing, and
+  its master interns every run's states in run order anyway.  States
+  travel as plain values: their slices cache structural hashes
   in-process only (:mod:`repro.hashing`), so the master rehashes each
   unpickled value once under its own hash seed.
 
@@ -132,11 +134,12 @@ class Outcome:
     duration_s: float = 0.0
 
     @classmethod
-    def compact(cls, outcomes: List["Outcome"]) -> None:
+    def compact(cls, outcomes: Sequence["Outcome"]) -> None:
         """Shrink one batch's outcomes in place before they ship.
 
-        Runs inside the worker (and in-process, so serial runs see the
-        same outcomes).  The default keeps everything.
+        Runs inside the worker only (:func:`_pool_batch`): it must not
+        change what the master's in-order merge computes.  The default
+        keeps everything.
         """
 
 
@@ -175,7 +178,7 @@ class RunOutcome(Outcome):
     post_events: Tuple[Event, ...] = ()
 
     @classmethod
-    def compact(cls, outcomes: List["RunOutcome"]) -> None:
+    def compact(cls, outcomes: Sequence["RunOutcome"]) -> None:
         """Attach each state value to the first run of the batch that
         visited it and strip it from later runs' ``state_values``.
 
@@ -439,7 +442,6 @@ def run_batch(
         item.timeout_unavailable = guard["unavailable"]
         item.duration_s = time.perf_counter() - started
         outcomes.append(item)
-    outcome.compact(outcomes)
     return tuple(outcomes)
 
 
@@ -485,7 +487,7 @@ def _init_worker(
 
 def _pool_batch(task: Tuple[int, Tuple[SubSeeds, ...]]) -> Tuple[Outcome, ...]:
     start, batch = task
-    return run_batch(
+    outcomes = run_batch(
         _WORKER["body"],
         _WORKER["outcome"],
         start,
@@ -493,6 +495,8 @@ def _pool_batch(task: Tuple[int, Tuple[SubSeeds, ...]]) -> Tuple[Outcome, ...]:
         run_timeout=_WORKER["run_timeout"],
         resolved=_WORKER["resolved"],
     )
+    _WORKER["outcome"].compact(outcomes)
+    return outcomes
 
 
 def run_partitioned(

@@ -7,9 +7,12 @@ frozen dataclass, so every dict or set probe re-walks the whole
 structure.  :func:`cached_hash` makes a frozen dataclass hash its
 fields on first use and keep the result on the instance.
 
-Equality stays the dataclass-generated field-by-field ``__eq__``, and
-the hash value is exactly the generated one, ``hash(tuple of fields)``,
-so set and dict behaviour is unchanged.  The cached value is never
+Equality stays the dataclass-generated field-by-field ``__eq__``.  The
+hash value is the generated one, ``hash(tuple of fields)``, unless the
+class defines ``_hash_key``: then it is ``hash(_hash_key())``, which
+must agree on equal values.  A delivery set hashes only a window of its
+first slots that way, so hashing never draws a seeded set's rest
+(:mod:`repro.channels.delivery_set`).  The cached value is never
 pickled: string hashes are per-process (``PYTHONHASHSEED``), so a value
 that crosses a process boundary recomputes its hash on the other side.
 """
@@ -30,12 +33,12 @@ def cached_hash(cls):
     # Over two or more fields the getter returns the tuple the generated
     # ``__hash__`` hashes, so the value matches it exactly.
     names = tuple(field.name for field in dataclasses.fields(cls))
-    fields_of = attrgetter(*names)
+    key = cls.__dict__.get("_hash_key", attrgetter(*names))
 
     def __hash__(self) -> int:
         value = self._cached_hash
         if value is None:
-            value = hash(fields_of(self))
+            value = hash(key(self))
             object.__setattr__(self, "_cached_hash", value)
         return value
 

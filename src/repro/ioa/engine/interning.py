@@ -34,12 +34,14 @@ class InternTable:
         self.values: List[Any] = []
 
     def intern(self, value: Hashable) -> int:
-        """The id of ``value``, assigning a fresh one on first sight."""
-        ident = self._ids.get(value)
-        if ident is None:
-            ident = len(self.values)
-            self._ids[value] = ident
-            self.values.append(value)
+        """The id of ``value``, assigning a fresh one on first sight.
+
+        One dict probe, so ``value`` is hashed once either way.
+        """
+        values = self.values
+        ident = self._ids.setdefault(value, len(values))
+        if ident == len(values):
+            values.append(value)
         return ident
 
     def get(self, value: Hashable) -> Optional[int]:

@@ -6,12 +6,13 @@
   :mod:`.crash`): what is *proven*, next to what is declared.
 * **REP304** is the theorem contradiction gate.  It cross-checks the
   claims against the protocol's metadata, the properties inferred in
-  the verdict row, the combinations forbidden outright by Theorem 7.5
-  (no crashing message-independent protocol tolerates crashes) and
-  Theorem 8.5 (no message-independent bounded-header k-bounded
-  protocol is weakly correct over non-FIFO channels), and any recorded
-  fuzz evidence (a crash-free violation over a channel class the
-  protocol claims to be weakly correct over is a definitive
+  the verdict row (an analysis that failed leaves its claim
+  unverified, not refuted), the combinations forbidden outright by
+  Theorem 7.5 (no crashing message-independent protocol tolerates
+  crashes) and Theorem 8.5 (no message-independent bounded-header
+  k-bounded protocol is weakly correct over non-FIFO channels), and
+  any recorded fuzz evidence (a crash-free violation over a channel
+  class the protocol claims to be weakly correct over is a definitive
   refutation; a *clean* fuzz run proves nothing and is never used as
   positive evidence).
 
@@ -38,7 +39,7 @@ from .crash import crash_report
 from .intervals import header_report
 from .registry import rule
 from .source import SourceAudit
-from .taint import message_independent
+from .taint import message_independent, message_report
 
 #: Channel classes a protocol may claim weak correctness over.
 CHANNEL_CLASSES = ("fifo", "nonfifo")
@@ -233,24 +234,35 @@ def check_contradictions(deep):
             **location,
         }
 
-    # (b) claims contradicted by the static analyses
+    # (b) claims contradicted by the static analyses; a failed analysis
+    # refutes nothing, so with no finding to point at the claim is
+    # reported as unverifiable
+    unverified = "failed, so the claim could not be verified"
     if (
         claims.message_independent
         and not inferred["message_independent"]
     ):
+        found = any(
+            report.direct or report.flows
+            for report in map(message_report, deep.audits)
+        )
         yield {
             "message": (
                 f"{deep.name} claims message independence but the "
-                f"taint analysis (REP301/REP201) found payload "
-                f"dependence"
+                f"taint analysis (REP301/REP201) "
+                f"{'found payload dependence' if found else unverified}"
             ),
             **location,
         }
     if claims.crashing and not inferred["crashing"]:
+        found = any(
+            crash_report(audit).stable_fields for audit in deep.audits
+        )
         yield {
             "message": (
                 f"{deep.name} claims to be crashing but the escape "
-                f"analysis found state surviving on_crash"
+                f"analysis "
+                f"{'found state surviving on_crash' if found else unverified}"
             ),
             **location,
         }

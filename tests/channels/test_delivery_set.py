@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.channels.delivery_set import (
+    HASH_WINDOW,
     DeliverySet,
     DeliverySetError,
     random_lossy_fifo,
@@ -345,7 +346,6 @@ class TestDrawnOnDemand:
     def test_hash_prefix_tail_and_repr(self, shape):
         build, eager, _ = shape
         assert hash(build()) == hash(eager)
-        assert hash(build()) == hash((eager.prefix, eager.tail_offset))
         assert build().prefix == eager.prefix
         assert build().tail_offset == eager.tail_offset
         assert repr(build()) == repr(eager)
@@ -363,7 +363,7 @@ class TestDrawnOnDemand:
     @given(seeded_shapes())
     def test_drawn_set_keeps_only_the_value(self, shape):
         build, eager, _ = shape
-        finishers = (hash, repr, lambda ds: ds.prefix, lambda ds: ds.slot_of(1))
+        finishers = (repr, lambda ds: ds.prefix, lambda ds: ds.slot_of(1))
         for finish in finishers:
             lazy = build()
             finish(lazy)
@@ -406,3 +406,119 @@ class TestDrawnOnDemand:
     def test_one_type(self):
         assert type(random_reordering(0, 0.1, 3, 50)) is DeliverySet
         assert type(random_lossy_fifo(0, 0.1, 50)) is DeliverySet
+
+
+# ----------------------------------------------------------------------
+# The hash covers a window of the first receive slots
+# ----------------------------------------------------------------------
+
+
+def equal_forms(ds):
+    """Sets equal to the whole set ``ds``, each built another way."""
+    n = len(ds.prefix)
+    return [
+        DeliverySet(ds.prefix, ds.tail_offset),
+        DeliverySet.from_pairs(ds.pairs(n), ds.tail_offset),
+        pickle.loads(pickle.dumps(ds)),
+    ]
+
+
+def assert_equal_hash_equal(a, b):
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+class TestWindowHash:
+    @given(delivery_sets())
+    def test_equal_sets_hash_equal(self, ds):
+        for other in equal_forms(ds):
+            assert_equal_hash_equal(other, ds)
+
+    @given(seeded_shapes(), st.booleans())
+    def test_lazy_and_eager_sets_hash_equal(self, shape, hash_first):
+        build, eager, _ = shape
+        lazy = build()
+        if hash_first:
+            hash(lazy)  # while still drawing
+        assert_equal_hash_equal(lazy, eager)
+        for other in equal_forms(eager) + [build()]:
+            assert_equal_hash_equal(other, lazy)
+
+    @given(seeded_shapes(), st.booleans())
+    def test_pickled_sets_hash_equal(self, shape, hash_first):
+        build, eager, _ = shape
+        lazy = build()
+        if hash_first:
+            hash(lazy)
+        assert_equal_hash_equal(pickle.loads(pickle.dumps(lazy)), eager)
+
+    @given(seeded_shapes(), st.lists(st.integers(1, 80), max_size=4))
+    def test_surgered_sets_hash_equal(self, shape, slots):
+        build, eager, _ = shape
+        assert_equal_hash_equal(
+            build().delete_slots(slots), eager.delete_slots(slots)
+        )
+        assert_equal_hash_equal(
+            build().delete_slots(reversed(slots)), eager.delete_slots(slots)
+        )
+        if slots:
+            assert_equal_hash_equal(
+                build().delete_slot(slots[0]), eager.delete_slot(slots[0])
+            )
+
+    @given(delivery_sets(), st.integers(1, 15), st.integers(1, 15))
+    def test_equal_surgeries_hash_equal(self, ds, a, b):
+        # Deleting original slots a < b one at a time, the second in
+        # the shifted numbering, is the batch surgery.
+        a, b = sorted((a, b + 15))
+        assert_equal_hash_equal(
+            ds.delete_slot(a).delete_slot(b - 1), ds.delete_slots([b, a])
+        )
+
+    @given(
+        st.permutations(range(1, HASH_WINDOW + 1)),
+        st.permutations(range(HASH_WINDOW + 1, HASH_WINDOW + 5)),
+        st.permutations(range(HASH_WINDOW + 1, HASH_WINDOW + 5)),
+    )
+    def test_sets_differing_past_the_window_collide_but_stay_apart(
+        self, window, first, second
+    ):
+        a = DeliverySet(tuple(window) + tuple(first), 0)
+        b = DeliverySet(tuple(window) + tuple(second), 0)
+        assert hash(a) == hash(b)
+        assert (a == b) == (first == second)
+        table = {a: "a", b: "b"}
+        assert len(table) == (1 if first == second else 2)
+        assert table[b] == "b"
+
+    @given(seeded_shapes(), st.integers(1, 40))
+    def test_lazy_set_and_a_later_surgery_stay_apart(self, shape, past):
+        build, eager, _ = shape
+        lazy = build()
+        other = eager.delete_slot(HASH_WINDOW + past)
+        assert hash(lazy) == hash(other)
+        assert lazy != other
+        assert {lazy: 1, other: 2} == {eager: 1, other: 2}
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+        st.integers(1, 9),
+        st.booleans(),
+    )
+    def test_hash_draws_only_the_blocks_covering_the_window(
+        self, seed, loss, window, fifo
+    ):
+        def build():
+            if fifo:
+                return random_lossy_fifo(seed, loss, 100_000)
+            return random_reordering(seed, loss, window, 100_000)
+
+        hashed, probed = build(), build()
+        hash(hashed)
+        probed.source_of(HASH_WINDOW)
+        assert hashed._pending is not None
+        assert "prefix" not in vars(hashed)
+        assert hashed._pending.drawn == probed._pending.drawn
+        assert len(hashed._pending.drawn) < 1_000
+

@@ -5,11 +5,13 @@ report per station (:mod:`repro.lint.taint`, :mod:`repro.lint.intervals`,
 :mod:`repro.lint.crash`).  These tests count the builds, check that the
 syntactic views never start the dataflow engine on their own, and that
 an engine failure shows up as an "unverified" finding in every
-dataflow view.
+dataflow view, and REP304 then says a claim could not be verified
+instead of reporting a contradiction it never found.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 from collections import Counter
 
@@ -113,6 +115,40 @@ def test_engine_failure_is_reported_unverified(failing_engine):
             assert "RuntimeError('engine down')" in diagnostic.message
     codes = {code for code, _, _ in unverified}
     assert codes == {"REP301", "REP302", "REP303"}
+
+
+def _rep304_messages(module_name: str, claims: dict):
+    """REP304's messages for a fixture protocol declaring ``claims``."""
+    module = importlib.import_module(f"tests.lint.fixtures.{module_name}")
+    protocol = dataclasses.replace(module.PROTOCOL, claims=claims)
+    report = lint_targets([target_from(protocol)], deep=True)
+    return [d.message for d in report.diagnostics if d.code == "REP304"]
+
+
+#: Claims each of the two analyses behind REP304 (b) must back.
+CLAIMS = {
+    "rep301_payload_flow": ({"message_independent": True}, "taint"),
+    "rep303_guarded_survivor": ({"crashing": True}, "escape"),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(CLAIMS))
+def test_rep304_reports_a_found_contradiction(module_name):
+    claims, analysis = CLAIMS[module_name]
+    (message,) = _rep304_messages(module_name, claims)
+    assert f"the {analysis} analysis" in message
+    assert " found " in message and "could not be verified" not in message
+
+
+@pytest.mark.parametrize("module_name", sorted(CLAIMS))
+def test_rep304_says_unverified_when_the_analysis_failed(
+    failing_engine, module_name
+):
+    claims, analysis = CLAIMS[module_name]
+    (message,) = _rep304_messages(module_name, claims)
+    assert f"the {analysis} analysis" in message
+    assert message.endswith("failed, so the claim could not be verified")
+    assert " found " not in message
 
 
 def test_rules_stay_in_code_order_whatever_the_import_order():

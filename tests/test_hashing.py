@@ -88,8 +88,11 @@ class TestEqualValuesHashEqual:
         assert loaded == build(NEW)
         assert hash(loaded) == hash(build(NEW))
 
-    def test_hash_is_the_generated_field_hash(self, case):
-        build, _ = case
+    # A delivery set hashes a window of its slots instead
+    # (``tests/channels/test_delivery_set.py::TestWindowHash``).
+    @pytest.mark.parametrize("name", sorted(set(CASES) - {"DeliverySet"}))
+    def test_hash_is_the_generated_field_hash(self, name):
+        build, _ = CASES[name]
         value = build(NEW)
         fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
         assert hash(value) == hash(fields)
