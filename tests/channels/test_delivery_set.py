@@ -521,4 +521,3 @@ class TestWindowHash:
         assert "prefix" not in vars(hashed)
         assert hashed._pending.drawn == probed._pending.drawn
         assert len(hashed._pending.drawn) < 1_000
-
