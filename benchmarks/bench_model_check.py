@@ -150,9 +150,9 @@ def test_engine_outpaces_reference():
     every non-composition and every fallback.  A ratio against the
     reference BFS timed in the same process holds across runner
     hardware, where absolute states/sec does not.  Each repeat builds a
-    fresh closed system, so no run sees memos warmed by another; the
-    reference's components carry no step memo (``memoize=False``), as
-    the pre-engine explorer had none.
+    fresh closed system, so no run sees caches warmed by another; the
+    closed system's components carry no step memo, as the pre-engine
+    explorer had none.
     """
     import time
     from statistics import median
@@ -161,14 +161,11 @@ def test_engine_outpaces_reference():
     from repro.ioa import explore
     from repro.ioa.engine import explore_engine
 
-    def timed(run, factory, messages, capacity, memoize, repeats=3):
+    def timed(run, factory, messages, capacity, repeats=3):
         seconds = []
         for _ in range(repeats):
             composition, invariant, _ = build_closed_system(
-                factory(),
-                messages=messages,
-                capacity=capacity,
-                memoize=memoize,
+                factory(), messages=messages, capacity=capacity
             )
             started = time.perf_counter()
             result = run(
@@ -182,12 +179,8 @@ def test_engine_outpaces_reference():
 
     speedups = {}
     for name, (factory, messages, capacity) in ENGINE_CASES.items():
-        engine_s, engine = timed(
-            explore_engine, factory, messages, capacity, memoize=True
-        )
-        reference_s, baseline = timed(
-            reference, factory, messages, capacity, memoize=False
-        )
+        engine_s, engine = timed(explore_engine, factory, messages, capacity)
+        reference_s, baseline = timed(reference, factory, messages, capacity)
         assert engine.states == baseline.states, name
         assert engine.truncated == baseline.truncated, name
         speedups[name] = reference_s / engine_s

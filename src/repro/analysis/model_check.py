@@ -26,7 +26,7 @@ from typing import Hashable, Iterable, Optional, Tuple
 
 from ..alphabets import Message, MessageFactory
 from ..ioa.actions import Action
-from ..ioa.automaton import Automaton, State, with_memo
+from ..ioa.automaton import Automaton, State
 from ..ioa.composition import Composition
 from ..ioa.explorer import ExplorationResult, explore
 from ..ioa.signature import ActionSignature
@@ -170,7 +170,6 @@ def build_closed_system(
     messages: int = 2,
     capacity: int = 2,
     reorder_depth: int = 1,
-    memoize: bool = True,
 ):
     """The closed system used for exhaustive verification.
 
@@ -179,9 +178,10 @@ def build_closed_system(
     environment, plus the delivery-prefix invariant over its states.
     Shared by :func:`verify_delivery_order`, the backend differential
     tests and the engine-vs-reference timing in
-    ``benchmarks/bench_model_check.py``.  ``memoize`` attaches a
-    :class:`~repro.ioa.automaton.StepMemo` to every component; the
-    memo-free system steps every query afresh.
+    ``benchmarks/bench_model_check.py``.  The components carry no
+    :class:`~repro.ioa.automaton.StepMemo`: both exploration backends
+    step through the :class:`~repro.ioa.engine.encoding.StateEncoder`,
+    which keeps its own per-slice tables.
     """
     t, r = "t", "r"
     factory = MessageFactory(label="v")
@@ -198,9 +198,6 @@ def build_closed_system(
         ),
         ScriptedEnvironment(t, r, batch),
     ]
-    if memoize:
-        # Every component is finite-state, so every one gets a memo.
-        components = [with_memo(component) for component in components]
     composition = Composition(components, name=f"mc({protocol.name})")
     env_index = 4
 

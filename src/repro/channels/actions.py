@@ -78,11 +78,3 @@ def packet_families(src: str, dst: str) -> Tuple[FamilyKey, ...]:
         action_family(SEND_PKT, src, dst),
         action_family(RECEIVE_PKT, src, dst),
     )
-
-
-def is_send_pkt(action: Action, src: str, dst: str) -> bool:
-    return action.key == (SEND_PKT, (src, dst))
-
-
-def is_receive_pkt(action: Action, src: str, dst: str) -> bool:
-    return action.key == (RECEIVE_PKT, (src, dst))

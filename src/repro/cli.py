@@ -869,7 +869,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         )
     if campaign.deep:
         lines.append(f"  deep oracles: {campaign.deep}")
-    if not campaign.violations:
+    if not campaign.violations and not campaign.failed_runs:
         lines.append("  all oracles held on every run")
     if args.corpus and corpus_new:
         lines.append(
@@ -1076,13 +1076,37 @@ def _trace_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _count(text: str) -> int:
+    """argparse type: a non-negative integer (``0`` is a valid count)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type: a strictly positive number of seconds."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _pool_parent() -> argparse.ArgumentParser:
     """The batched warm-worker pool knobs shared by ``fuzz`` and
     ``load`` (both run on the same partitioned execution engine)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--workers",
-        type=int,
+        type=_at_least_one,
         default=1,
         metavar="N",
         help="shard batched runs across N persistent forked workers "
@@ -1099,7 +1123,7 @@ def _pool_parent() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--run-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per run; a run that exceeds it is "
@@ -1318,10 +1342,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument(
-        "--runs", type=int, default=20, help="fuzz runs per campaign"
+        "--runs", type=_count, default=20, help="fuzz runs per campaign"
     )
     fuzz.add_argument(
-        "--messages", type=int, default=6, help="messages per run script"
+        "--messages", type=_count, default=6, help="messages per run script"
     )
     fuzz.add_argument(
         "--mix",
@@ -1401,14 +1425,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--sessions",
-        type=int,
+        type=_count,
         default=100,
         metavar="N",
         help="concurrent protocol sessions to run",
     )
     load.add_argument(
         "--steps",
-        type=int,
+        type=_count,
         default=4,
         metavar="S",
         help="fresh messages each session's script offers",

@@ -21,11 +21,11 @@ Runs are executed through :mod:`repro.conformance.pool`: the full
 sub-seed schedule is derived serially up front and chunked into
 batches, batches fan out to a persistent fork pool (``workers > 1``)
 or run in-process, and the master merges outcomes in run-index order
--- interning each run's distinct states (a pooled batch ships each
-state once),
-assigning corpus credit and replaying each run's captured obs events
--- so a parallel campaign is byte-identical to a serial one whatever
-the worker count or batch size.
+-- replaying each run's captured ``fuzz.run`` span, then interning the
+run's distinct states (a pooled batch ships each state once) and
+assigning corpus credit under ``fuzz.pool`` -- so a parallel campaign
+is byte-identical to a serial one whatever the worker count or batch
+size.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import List, Optional, Sequence
 
 from ..ioa.engine.interning import InternTable
 from ..obs import (
+    STATUS_ERROR,
     STATUS_OK,
     STATUS_VIOLATION,
     RunReport,
@@ -186,9 +187,13 @@ class FuzzCampaignResult:
             # outcome: byte-identity between worker counts is over
             # everything *except* this key (and duration_s).
             details["pool"] = dict(self.pool)
+        status = STATUS_VIOLATION if self.found_violation else STATUS_OK
+        if self.runs and self.failed_runs == len(self.runs):
+            # Nothing was judged, so nothing is acquitted.
+            status = STATUS_ERROR
         return RunReport(
             command="fuzz",
-            status=STATUS_VIOLATION if self.found_violation else STATUS_OK,
+            status=status,
             counters=counters,
             duration_s=self.duration_s,
             details=details,
@@ -257,15 +262,16 @@ def fuzz_campaign(
             config,
             workers=workers,
             run_timeout=run_timeout,
-            capture=tracer.enabled,
             batch_size=batch_size,
         )
         for outcome in outcomes:
             index, subseeds = outcome.index, outcome.subseeds
-            with tracer.span("fuzz.run", index=index, seed=seed):
-                if tracer.enabled:
-                    tracer.count("fuzz.runs")
-                if outcome.timeout_unavailable and tracer.enabled:
+            # The run's own ``fuzz.run`` span, partial if it failed;
+            # the merge bookkeeping below lands under ``fuzz.pool``.
+            tracer.absorb(outcome.events)
+            if tracer.enabled:
+                tracer.count("fuzz.runs")
+                if outcome.timeout_unavailable:
                     # The per-run wall-clock guard was requested but
                     # could not arm (no SIGALRM off the main thread /
                     # non-POSIX platform); the run executed unguarded.
@@ -274,69 +280,53 @@ def fuzz_campaign(
                         1,
                         reason=outcome.timeout_unavailable,
                     )
-                if outcome.error is not None:
-                    if tracer.enabled:
-                        tracer.count("fuzz.pool.failures")
-                        tracer.point(
-                            "fuzz.run.error",
-                            index=index,
-                            error=outcome.error,
-                        )
-                    runs.append(
-                        RunRecord(
-                            index=index,
-                            subseeds=subseeds,
-                            steps=0,
-                            quiescent=False,
-                            behavior_length=0,
-                            new_states=0,
-                            error=outcome.error,
-                        )
-                    )
-                    continue
-                tracer.absorb(outcome.pre_events)
-                # ``state_values`` are deduplicated within the run, and
-                # a pooled batch also strips the values its earlier runs
-                # carried, which this loop interned first: either way
-                # the credit and the table's insertion order are the
-                # same.
-                before = len(table)
-                for state in outcome.state_values:
-                    table.intern(state)
-                new_states = len(table) - before
+            if outcome.error is not None:
                 if tracer.enabled:
-                    tracer.count("fuzz.states_interned", new_states)
-                tracer.absorb(outcome.post_events)
-                oracle_checks += outcome.oracle_checks
+                    tracer.count("fuzz.pool.failures")
+                    tracer.point(
+                        "fuzz.run.error",
+                        index=index,
+                        error=outcome.error,
+                    )
                 runs.append(
                     RunRecord(
                         index=index,
                         subseeds=subseeds,
-                        steps=outcome.steps,
-                        quiescent=outcome.quiescent,
-                        behavior_length=outcome.behavior_length,
-                        new_states=new_states,
-                        violations=outcome.found,
-                        stabilization_time=outcome.stabilization_time,
-                        stab_converged=outcome.stab_converged,
+                        steps=0,
+                        quiescent=False,
+                        behavior_length=0,
+                        new_states=0,
+                        error=outcome.error,
                     )
                 )
-                if outcome.violations:
-                    violations.extend(outcome.violations)
-                    for packaged in outcome.violations:
-                        corpus.append(
-                            CorpusEntry(
-                                protocol,
-                                channel,
-                                seed,
-                                index,
-                                subseeds,
-                                reason="violation",
-                                oracle=packaged.violation.oracle,
-                                new_states=new_states,
-                            )
-                        )
-                elif new_states >= coverage_threshold:
+                continue
+            # ``state_values`` are deduplicated within the run, and a
+            # pooled batch also strips the values its earlier runs
+            # carried, which this loop interned first: either way the
+            # credit and the table's insertion order are the same.
+            before = len(table)
+            for state in outcome.state_values:
+                table.intern(state)
+            new_states = len(table) - before
+            if tracer.enabled:
+                tracer.count("fuzz.states_interned", new_states)
+            oracle_checks += outcome.oracle_checks
+            runs.append(
+                RunRecord(
+                    index=index,
+                    subseeds=subseeds,
+                    steps=outcome.steps,
+                    quiescent=outcome.quiescent,
+                    behavior_length=outcome.behavior_length,
+                    new_states=new_states,
+                    violations=outcome.found,
+                    stabilization_time=outcome.stabilization_time,
+                    stab_converged=outcome.stab_converged,
+                )
+            )
+            if outcome.violations:
+                violations.extend(outcome.violations)
+                for packaged in outcome.violations:
                     corpus.append(
                         CorpusEntry(
                             protocol,
@@ -344,10 +334,23 @@ def fuzz_campaign(
                             seed,
                             index,
                             subseeds,
-                            reason="coverage",
+                            reason="violation",
+                            oracle=packaged.violation.oracle,
                             new_states=new_states,
                         )
                     )
+            elif new_states >= coverage_threshold:
+                corpus.append(
+                    CorpusEntry(
+                        protocol,
+                        channel,
+                        seed,
+                        index,
+                        subseeds,
+                        reason="coverage",
+                        new_states=new_states,
+                    )
+                )
 
     deep = _deep_oracles(protocol, config, tracer) if config.deep_oracles else {}
 

@@ -30,10 +30,17 @@ item lives here, once:
   was requested but could not be armed (no SIGALRM off the main thread)
   is reported on the outcome as ``timeout_unavailable`` instead of
   being dropped;
-* the fork initializer (:func:`_init_worker`), which detaches the
-  inherited tracer and resolves the registry pair once per worker
-  (the serial path resolves once per schedule), and its one
-  worker-globals dict :data:`_WORKER`;
+* event capture: when the calling process traces, each item runs under
+  a fresh tracer of its own and its events -- the item body's own span
+  and everything nested in it, partial if the item failed -- travel
+  back on :attr:`Outcome.events`.  The master replays every outcome's
+  chunk with :meth:`~repro.obs.Tracer.absorb` in index order, so a
+  serial and a pooled schedule trace the same stream, each item span
+  timed where the item ran;
+* the fork initializer (:func:`_init_worker`), which records whether
+  the master traced, detaches the inherited tracer and resolves the
+  registry pair once per worker (the serial path resolves once per
+  schedule), and its one worker-globals dict :data:`_WORKER`;
 * the broken-pool protocol (:func:`run_partitioned`): a worker dying
   mid-batch breaks the whole executor (failing every sibling's pending
   future too), so the shared pool is rebuilt, unfinished batches are
@@ -83,7 +90,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..ioa.automaton import State
-from ..obs import MemorySink, set_tracer, tracing
+from ..obs import MemorySink, current_tracer, set_tracer, tracing
 from ..obs.events import Event
 from .harness import (
     FuzzConfig,
@@ -123,7 +130,9 @@ class Outcome:
     out or lost its worker); ``timeout_unavailable`` says why a
     requested wall-clock guard could not be armed (the item still ran,
     unguarded); ``duration_s`` is the item's wall-clock time, telemetry
-    outside every identity contract.
+    outside every identity contract.  ``events`` is the item's captured
+    obs chunk (empty unless the calling process traces), which the
+    master absorbs into its own stream.
     """
 
     index: int
@@ -132,6 +141,7 @@ class Outcome:
     timed_out: bool = False
     timeout_unavailable: Optional[str] = None
     duration_s: float = 0.0
+    events: Tuple[Event, ...] = ()
 
     @classmethod
     def compact(cls, outcomes: Sequence["Outcome"]) -> None:
@@ -157,12 +167,6 @@ class RunOutcome(Outcome):
     master interns them (in run-index order) to assign coverage
     credit, so workers never touch the shared
     :class:`~repro.ioa.engine.interning.InternTable`.
-
-    ``pre_events`` and ``post_events`` are the run's captured obs
-    chunks -- everything emitted before and after the interning point
-    of a serial campaign loop -- which the master replays around its
-    own ``fuzz.states_interned`` counter to reproduce the serial
-    stream.
     """
 
     steps: int = 0
@@ -174,8 +178,6 @@ class RunOutcome(Outcome):
     found: List[OracleViolation] = field(default_factory=list)
     violations: List["ViolationReport"] = field(default_factory=list)  # noqa: F821
     oracle_checks: int = 0
-    pre_events: Tuple[Event, ...] = ()
-    post_events: Tuple[Event, ...] = ()
 
     @classmethod
     def compact(cls, outcomes: Sequence["RunOutcome"]) -> None:
@@ -301,17 +303,21 @@ def _alarm(seconds: Optional[float]):
 def _capturing(capture: bool):
     """Capture the block's obs events into a list (empty when off).
 
-    The list is filled when the block *exits* (``MemorySink.events`` is
-    a snapshot), so read it only after the ``with`` statement.
+    The list is filled when the block *exits*, normally or by an
+    exception (``MemorySink.events`` is a snapshot), so read it only
+    after the ``with`` statement; a failed block keeps its partial
+    events.
     """
+    captured: list = []
     if not capture:
-        yield []
+        yield captured
         return
     sink = MemorySink()
-    captured: list = []
-    with tracing(sink):
-        yield captured
-    captured.extend(sink.events)
+    try:
+        with tracing(sink):
+            yield captured
+    finally:
+        captured.extend(sink.events)
 
 
 def execute_run(
@@ -321,27 +327,26 @@ def execute_run(
     index: int,
     subseeds: SubSeeds,
     config: FuzzConfig,
-    capture: bool = False,
     resolved=None,
 ) -> RunOutcome:
     """One complete fuzz run: build, execute, judge, shrink, package.
 
-    The fuzz item body.  Pure in its arguments, which is the whole
-    parallelization argument: the master can replay the outcome stream
-    in index order and obtain the serial campaign verbatim.
-    ``resolved`` is a :func:`~repro.conformance.harness.resolve_pair`
-    result shared by every run of the schedule: its stations and their
-    memos carry over from run to run.
+    The fuzz item body, traced as one ``fuzz.run`` span.  Pure in its
+    arguments, which is the whole parallelization argument: the master
+    can replay the outcome stream in index order and obtain the serial
+    campaign verbatim.  ``resolved`` is a
+    :func:`~repro.conformance.harness.resolve_pair` result shared by
+    every run of the schedule: its stations and their memos carry over
+    from run to run.
     """
     from .fuzzer import _package_violation
 
-    with _capturing(capture) as pre_events:
+    with current_tracer().span("fuzz.run", index=index, seed=seed):
         system = build_system(
             protocol, channel, subseeds, config, resolved=resolved
         )
         script = build_script(system, subseeds, config)
         result = execute_script(system, script.actions, subseeds, config)
-    with _capturing(capture) as post_events:
         found = check_execution(system, result, config)
         stab = found.stabilization
         packaged = []
@@ -363,21 +368,19 @@ def execute_run(
                     violation,
                 )
             )
-    return RunOutcome(
-        index=index,
-        subseeds=subseeds,
-        steps=result.steps,
-        quiescent=result.quiescent,
-        behavior_length=len(result.behavior),
-        stabilization_time=None if stab is None else stab.time,
-        stab_converged=None if stab is None else stab.converged,
-        state_values=tuple(result.distinct_states()),
-        found=found,
-        violations=packaged,
-        oracle_checks=found.checks,
-        pre_events=tuple(pre_events),
-        post_events=tuple(post_events),
-    )
+        return RunOutcome(
+            index=index,
+            subseeds=subseeds,
+            steps=result.steps,
+            quiescent=result.quiescent,
+            behavior_length=len(result.behavior),
+            stabilization_time=None if stab is None else stab.time,
+            stab_converged=None if stab is None else stab.converged,
+            state_values=tuple(result.distinct_states()),
+            found=found,
+            violations=packaged,
+            oracle_checks=found.checks,
+        )
 
 
 def run_batch(
@@ -393,7 +396,9 @@ def run_batch(
 
     Each item runs ``body`` under the wall-clock guard, and every
     exception it raises is contained into an ``outcome`` with
-    ``error`` set.  With ``run_timeout`` set, the whole batch gets
+    ``error`` set.  When the calling process traces, each item's obs
+    events, partial ones included, are captured onto its outcome's
+    ``events``.  With ``run_timeout`` set, the whole batch gets
     ``len(batch) * run_timeout`` seconds: each item's SIGALRM allowance
     is the smaller of ``run_timeout`` and the batch's remaining budget,
     so a batch whose early items eat the budget (timer overshoot,
@@ -402,6 +407,10 @@ def run_batch(
     never notices.  ``clock`` exists so tests can drive the accounting
     deterministically.
     """
+    # A pool worker detached the tracer it inherited at fork and kept
+    # whether it traced (:func:`_init_worker`); in-process, the
+    # caller's own tracer says.
+    capture = _WORKER["capture"] if _WORKER else current_tracer().enabled
     budget = run_timeout * len(batch) if run_timeout else None
     batch_started = clock()
     outcomes: List[Outcome] = []
@@ -426,8 +435,11 @@ def run_batch(
             allowance = min(run_timeout, remaining)
         started = time.perf_counter()
         guard = {"unavailable": None}
+        events: list = []
         try:
-            with _alarm(allowance) as guard:
+            # The alarm is disarmed before the capture restores the
+            # caller's tracer, so a late SIGALRM cannot interrupt that.
+            with _capturing(capture) as events, _alarm(allowance) as guard:
                 item = body(index, subseeds, resolved)
         except RunTimeout as exc:
             item = outcome(
@@ -441,6 +453,7 @@ def run_batch(
             )
         item.timeout_unavailable = guard["unavailable"]
         item.duration_s = time.perf_counter() - started
+        item.events = tuple(events)
         outcomes.append(item)
     return tuple(outcomes)
 
@@ -469,8 +482,10 @@ def _init_worker(
     run_timeout: Optional[float],
 ) -> None:
     # The fork inherits the master's installed tracer -- including any
-    # open JSONL sink file handle.  Detach immediately: workers capture
-    # into per-item MemorySinks and the master replays the chunks.
+    # open JSONL sink file handle.  Keep only whether it traces, and
+    # detach: run_batch captures each item into its own MemorySink and
+    # the master replays the chunks.
+    capture = current_tracer().enabled
     set_tracer(None)
     # Warm start: resolve the registry entries once per worker process,
     # so every item shares the stations and their memos.  The workload
@@ -478,6 +493,7 @@ def _init_worker(
     # ``body`` is a closure: the fork start method inherits it instead
     # of pickling it.
     _WORKER.update(
+        capture=capture,
         body=body,
         outcome=outcome,
         run_timeout=run_timeout,
@@ -522,8 +538,11 @@ def run_partitioned(
     the broken-pool protocol.  The iterator is lazy, so the master
     merges each batch as it completes instead of buffering the whole
     schedule, and it tallies every outcome into the returned
-    :class:`PoolInfo`.
+    :class:`PoolInfo`.  A negative ``run_timeout`` is a
+    configuration error and raises :class:`ValueError`.
     """
+    if run_timeout is not None and run_timeout < 0:
+        raise ValueError(f"run_timeout must not be negative: {run_timeout}")
     workers = max(1, int(workers))
     requested_parallel = workers > 1
     fallback_reason = None
@@ -674,7 +693,6 @@ def run_schedule(
     config: FuzzConfig,
     workers: int = 1,
     run_timeout: Optional[float] = None,
-    capture: bool = False,
     batch_size: Optional[int] = None,
 ) -> Tuple[Iterator[RunOutcome], PoolInfo]:
     """Execute a fuzz schedule; yields outcomes strictly in run-index
@@ -688,14 +706,7 @@ def run_schedule(
 
     def body(index: int, subseeds: SubSeeds, resolved) -> RunOutcome:
         return execute_run(
-            protocol,
-            channel,
-            seed,
-            index,
-            subseeds,
-            config,
-            capture=capture,
-            resolved=resolved,
+            protocol, channel, seed, index, subseeds, config, resolved=resolved
         )
 
     return run_partitioned(

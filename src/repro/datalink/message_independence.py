@@ -66,9 +66,6 @@ class Renaming:
     def apply(self, value: Any) -> Any:
         return rename_messages(value, self._mapping)
 
-    def as_dict(self) -> Dict[Message, Message]:
-        return dict(self._mapping)
-
     def inverse(self) -> "Renaming":
         """The inverse mapping (valid when the renaming is injective)."""
         inverse: Dict[Message, Message] = {}

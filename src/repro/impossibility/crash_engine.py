@@ -158,15 +158,6 @@ class CrashImpossibilityEngine:
             a.payload for a in fragment.actions[:k] if a.key == key
         )
 
-    def _out_packets(
-        self, fragment: ExecutionFragment, station: str, k: int
-    ) -> Tuple[Packet, ...]:
-        """``out_A(alpha, station, k)``: packets sent by the station."""
-        key = (SEND_PKT, (station, self._other(station)))
-        return tuple(
-            a.payload for a in fragment.actions[:k] if a.key == key
-        )
-
     def _alpha_host_state(self, station: str, k: int):
         return self.system.host_state(self.alpha.states[k], station)
 

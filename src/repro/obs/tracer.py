@@ -178,22 +178,25 @@ class Tracer:
     def absorb(self, events: Sequence[Event]) -> None:
         """Re-emit events captured by another tracer as if they were ours.
 
-        The fuzz pool runs work in forked workers, each capturing its
-        event stream into a :class:`~repro.obs.sinks.MemorySink` under a
-        fresh tracer whose span ids start at 0.  Batched pooling ships
-        those chunks per *batch* of runs; the master replays each run's
-        chunks in run-index order -- a deterministic order -- so the
-        merged stream is identical to a serial run's: span ids are
-        remapped onto this tracer's counter in arrival order (exactly
-        the ids a serial run would have allocated), chunk-top-level
-        parents are re-homed onto the currently open span, timestamps
-        are re-stamped against this tracer's epoch, and counter/gauge
-        totals are folded into the running aggregates so manifests and
-        reports see them.  Empty chunks (the common case whenever a
-        captured region emitted nothing) return without allocating.
+        The process pool (:mod:`repro.conformance.pool`) runs each item
+        under a fresh tracer whose span ids start at 0, capturing its
+        events into a :class:`~repro.obs.sinks.MemorySink`, in a worker
+        or in-process alike.  The master replays each item's chunk in
+        index order -- a deterministic order -- so the merged stream is
+        identical whatever ran where: span ids are remapped onto this
+        tracer's counter in arrival order (exactly the ids a serial run
+        would have allocated), chunk-top-level parents are re-homed
+        onto the currently open span, and counter/gauge totals are
+        folded into the running aggregates so manifests and reports see
+        them.  Timestamps keep the chunk's own spacing, shifted so its
+        last event lands at this tracer's current time: a replayed span
+        is as wide as its recorded duration and ends no later than the
+        replay.  Empty chunks (the common case whenever a captured
+        region emitted nothing) return without allocating.
         """
         if not self.enabled or not events:
             return
+        shift = self._now() - events[-1].at
         mapping: Dict[int, int] = {}
         for event in events:
             span = event.span
@@ -215,7 +218,7 @@ class Tracer:
                 Event(
                     event.kind,
                     event.name,
-                    self._now(),
+                    event.at + shift,
                     value=event.value,
                     span=new_span,
                     parent=new_parent,

@@ -8,8 +8,8 @@ schedule -- and multiplexes them through the batched warm-worker pool
 the fuzzer runs on (:func:`repro.conformance.pool.run_partitioned`).
 This module supplies only the pool's item body (:func:`run_session`),
 its outcome type (:class:`SessionOutcome`) and the load report; the
-batching, per-batch wall-clock budget, containment, worker set-up and
-``details.pool`` telemetry are the pool's.
+batching, per-batch wall-clock budget, containment, event capture,
+worker set-up and ``details.pool`` telemetry are the pool's.
 
 Determinism contract, inherited from the pool: the per-session
 :class:`~repro.conformance.harness.SubSeeds` schedule is derived
@@ -24,12 +24,14 @@ composed system over its own seeded channel adversaries), so the shard
 driver runs each session to quiescence and the "event loop" is the
 lazy batch merge.
 
-While merging, the master emits live dashboard telemetry through the
-obs layer: ``load.sessions_done`` / ``load.sessions_active`` gauges,
-``load.sessions`` / ``load.shard.sessions`` counters (the latter
-tagged with its shard id), ``load.timeout_unavailable`` when a
-requested ``--run-timeout`` could not be armed, and per-session spans
-absorbed from the workers' captured event chunks.
+Each session traces itself as one ``load.session`` span; the pool
+captures it where the session ran and the master replays it.  After
+each replay, under ``load.run``, the master emits live dashboard
+telemetry through the obs layer: ``load.sessions_done`` /
+``load.sessions_active`` gauges, ``load.sessions`` /
+``load.shard.sessions`` counters (the latter tagged with its shard
+id), and ``load.timeout_unavailable`` when a requested
+``--run-timeout`` could not be armed.
 
 The CLI entry point is ``repro load --sessions N --steps S``; the
 result is the unified :class:`~repro.obs.RunReport` envelope with
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..conformance.harness import FAULT_MIXES, FuzzConfig, SubSeeds, with_mix
-from ..conformance.pool import Outcome, _capturing, run_partitioned
+from ..conformance.pool import Outcome, run_partitioned
 from ..obs import (
     STATUS_ERROR,
     STATUS_OK,
@@ -107,8 +109,6 @@ class SessionOutcome(Outcome):
     Compact by construction: per-message latencies (step counts) and
     the delivery tallies, never the execution fragment -- a
     thousand-session run must not pickle a thousand executions.
-    ``events`` is the session's captured obs chunk (empty unless the
-    master is tracing), absorbed into the master stream at merge time.
     """
 
     steps: int = 0
@@ -118,7 +118,6 @@ class SessionOutcome(Outcome):
     duplicates: int = 0
     dropped: int = 0
     latencies: Tuple[int, ...] = ()
-    events: Tuple = ()
 
     @property
     def delivery_ratio(self) -> float:
@@ -135,19 +134,18 @@ def run_session(
     index: int,
     subseeds: SubSeeds,
     config: FuzzConfig,
-    capture: bool = False,
     resolved=None,
 ) -> SessionOutcome:
     """One complete session: build, run to quiescence, summarize.
 
-    The load item body; ``config`` is the session's harness config
-    (:func:`_fuzz_config`).  Pure in ``(protocol, channel, subseeds,
-    config)``, which is what lets shards execute anywhere and merge
-    deterministically.
+    The load item body, traced as one ``load.session`` span;
+    ``config`` is the session's harness config (:func:`_fuzz_config`).
+    Pure in ``(protocol, channel, subseeds, config)``, which is what
+    lets shards execute anywhere and merge deterministically.
     """
     from .metrics import channel_stats, delivery_stats
 
-    with _capturing(capture) as events:
+    with current_tracer().span("load.session", index=index):
         session = Session.from_spec(
             protocol, channel, subseeds, config, resolved=resolved
         )
@@ -156,18 +154,17 @@ def run_session(
         dropped = _dropped(
             channel_stats(result.fragment, "t", "r")
         ) + _dropped(channel_stats(result.fragment, "r", "t"))
-    return SessionOutcome(
-        index=index,
-        subseeds=subseeds,
-        steps=result.steps,
-        quiescent=result.quiescent,
-        sent=stats.sent,
-        delivered=stats.delivered,
-        duplicates=stats.duplicates,
-        dropped=dropped,
-        latencies=stats.latencies,
-        events=tuple(events),
-    )
+        return SessionOutcome(
+            index=index,
+            subseeds=subseeds,
+            steps=result.steps,
+            quiescent=result.quiescent,
+            sent=stats.sent,
+            delivered=stats.delivered,
+            duplicates=stats.duplicates,
+            dropped=dropped,
+            latencies=stats.latencies,
+        )
 
 
 @dataclass
@@ -343,20 +340,13 @@ def run_load(
     config = config or LoadConfig()
     fuzz_config = _fuzz_config(config)
     tracer = current_tracer()
-    capture = tracer.enabled
     started = time.perf_counter()
     master = random.Random(seed)
     schedule = [SubSeeds.derive(master) for _ in range(config.sessions)]
 
     def body(index: int, subseeds: SubSeeds, resolved) -> SessionOutcome:
         return run_session(
-            protocol,
-            channel,
-            index,
-            subseeds,
-            fuzz_config,
-            capture=capture,
-            resolved=resolved,
+            protocol, channel, index, subseeds, fuzz_config, resolved=resolved
         )
 
     sessions: List[SessionOutcome] = []
@@ -374,27 +364,25 @@ def run_load(
         if tracer.enabled:
             tracer.count("load.sessions_scheduled", len(schedule))
         for outcome in outcomes:
-            with tracer.span("load.session", index=outcome.index):
-                tracer.absorb(outcome.events)
-                outcome.events = ()  # absorbed; free the chunk
-                sessions.append(outcome)
-                if tracer.enabled:
-                    shard = outcome.index // pool_info.batch_size
-                    tracer.count("load.sessions")
-                    tracer.count("load.shard.sessions", 1, shard=shard)
-                    if outcome.timeout_unavailable:
-                        tracer.count(
-                            "load.timeout_unavailable",
-                            1,
-                            reason=outcome.timeout_unavailable,
-                        )
-                    if outcome.error is not None:
-                        tracer.count("load.failed_sessions")
-                    tracer.gauge("load.sessions_done", len(sessions))
-                    tracer.gauge(
-                        "load.sessions_active",
-                        len(schedule) - len(sessions),
+            tracer.absorb(outcome.events)
+            outcome.events = ()  # absorbed; free the chunk
+            sessions.append(outcome)
+            if tracer.enabled:
+                shard = outcome.index // pool_info.batch_size
+                tracer.count("load.sessions")
+                tracer.count("load.shard.sessions", 1, shard=shard)
+                if outcome.timeout_unavailable:
+                    tracer.count(
+                        "load.timeout_unavailable",
+                        1,
+                        reason=outcome.timeout_unavailable,
                     )
+                if outcome.error is not None:
+                    tracer.count("load.failed_sessions")
+                tracer.gauge("load.sessions_done", len(sessions))
+                tracer.gauge(
+                    "load.sessions_active", len(schedule) - len(sessions)
+                )
 
     return LoadResult(
         protocol=protocol,

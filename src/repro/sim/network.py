@@ -111,9 +111,6 @@ class DataLinkSystem:
         index = TRANSMITTER if station == self.t else RECEIVER
         return state[index]
 
-    def host_core(self, state: State, station: str):
-        return self.host_state(state, station).core
-
     def channel(self, src: str) -> PermissiveChannel:
         """The physical channel whose transmitting end is ``src``."""
         return self.channel_tr if src == self.t else self.channel_rt

@@ -45,9 +45,9 @@ class Session:
     ``max_interleave`` bounds how many fair (locally-controlled) steps
     may run between consecutive inputs; ``max_steps`` bounds the whole
     execution (exhausting it flags the result non-quiescent rather
-    than raising, unless the drain quiesced on its last step).  Passing ``rng`` makes the interleaving draw from a
-    caller-owned :class:`random.Random` instead of a fresh one derived
-    from ``seed`` on each ``run()``.  ``initial_state`` overrides the
+    than raising, unless the drain quiesced on its last step).  Each
+    ``run()`` draws its interleaving from a fresh :class:`random.Random`
+    seeded with ``seed``.  ``initial_state`` overrides the
     composition's initial state -- the hook the self-stabilization
     workloads use to start a conversation from a corrupted state.
     """
@@ -57,7 +57,6 @@ class Session:
     seed: int = 0
     max_interleave: int = 8
     max_steps: int = 200_000
-    rng: Optional[random.Random] = None
     initial_state: Optional[object] = None
 
     @classmethod
@@ -109,11 +108,7 @@ class Session:
     def run(self) -> ScenarioResult:
         """Drive the script with seeded interleaving, drain to quiescence."""
         system = self.system
-        rng = (
-            self.rng
-            if self.rng is not None
-            else random.Random(self.seed)
-        )
+        rng = random.Random(self.seed)
         automaton = system.automaton
         state = (
             self.initial_state

@@ -328,6 +328,91 @@ class TestFuzzCommand:
         with pytest.raises(SystemExit):
             main(["fuzz"])
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--run-timeout", "-1"),
+            ("--run-timeout", "0"),
+            ("--runs", "-4"),
+            ("--messages", "-1"),
+            ("--workers", "0"),
+        ],
+    )
+    def test_invalid_count_and_timeout_flags_rejected(
+        self, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    "fuzz",
+                    "--protocol",
+                    "alternating_bit",
+                    "--channel",
+                    "fifo",
+                    "--out",
+                    str(tmp_path / "repros"),
+                    flag,
+                    value,
+                ]
+            )
+        assert exited.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_zero_runs_is_valid(self, tmp_path, capsys):
+        code = main(
+            [
+                "fuzz",
+                "--protocol",
+                "alternating_bit",
+                "--channel",
+                "fifo",
+                "--runs",
+                "0",
+                "--out",
+                str(tmp_path / "repros"),
+            ]
+        )
+        assert code == 0
+        assert "0 runs" in capsys.readouterr().out
+
+    def test_campaign_whose_every_run_failed_is_an_error(
+        self, tmp_path, capsys
+    ):
+        from repro.conformance.registry import FUZZ_PROTOCOLS
+        from repro.datalink.protocol import DataLinkProtocol
+        from repro.protocols.naive import DirectReceiver, DirectTransmitter
+
+        class BrokenTransmitter(DirectTransmitter):
+            def initial_core(self):
+                raise RuntimeError("injected failure")
+
+        FUZZ_PROTOCOLS["_broken_test"] = lambda: DataLinkProtocol(
+            name="broken",
+            transmitter_factory=BrokenTransmitter,
+            receiver_factory=DirectReceiver,
+            description="every run raises",
+        )
+        try:
+            code = main(
+                [
+                    "fuzz",
+                    "--protocol",
+                    "_broken_test",
+                    "--channel",
+                    "perfect",
+                    "--runs",
+                    "3",
+                    "--out",
+                    str(tmp_path / "repros"),
+                ]
+            )
+        finally:
+            del FUZZ_PROTOCOLS["_broken_test"]
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "3 run(s) failed" in out
+        assert "all oracles held" not in out
+
     def test_bad_replay_file_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
 from repro.conformance import (
     CorpusEntry,
     FuzzConfig,
@@ -99,6 +103,23 @@ class TestCampaign:
         )
         assert campaign.report().status == "ok"
         assert campaign.report().exit_code == 0
+
+    def test_campaign_whose_every_run_failed_is_an_error(self):
+        campaign = fuzz_campaign(
+            "alternating_bit", "fifo", 7, FuzzConfig(runs=2)
+        )
+        first, second = campaign.runs
+        campaign.runs = [replace(first, error="RuntimeError: injected"), second]
+        assert campaign.report().status == "ok"
+        campaign.runs = [replace(run, error="timed out") for run in campaign.runs]
+        assert campaign.report().status == "error"
+        assert campaign.report().exit_code == 2
+
+    def test_negative_run_timeout_rejected(self):
+        with pytest.raises(ValueError, match="run_timeout"):
+            fuzz_campaign(
+                "alternating_bit", "fifo", 7, FuzzConfig(runs=2), run_timeout=-1
+            )
 
     def test_obs_spans_and_counters_emitted(self, tmp_path):
         path = tmp_path / "trace.jsonl"

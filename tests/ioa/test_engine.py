@@ -137,21 +137,20 @@ class TestZooDifferential:
     def test_closed_system_equivalence(self, name):
         protocol_factory, reorder_depth = ZOO[name]
 
-        def build(memoize):
+        def build():
             composition, invariant, _ = build_closed_system(
                 protocol_factory(),
                 messages=2,
                 capacity=2,
                 reorder_depth=reorder_depth,
-                memoize=memoize,
             )
             return composition, invariant
 
-        composition, invariant = build(memoize=False)
+        composition, invariant = build()
         engine = explore_engine(
             composition, invariant=invariant, max_depth=10_000_000
         )
-        ref_composition, ref_invariant = build(memoize=False)
+        ref_composition, ref_invariant = build()
         reference = explore(
             ref_composition,
             invariant=ref_invariant,
@@ -164,7 +163,7 @@ class TestZooDifferential:
         if engine.violation is not None:
             state, trace = engine.violation
             assert len(trace) == len(reference.violation[1])
-            replay_composition, _ = build(memoize=False)
+            replay_composition, _ = build()
             assert_trace_reaches(replay_composition, trace, state)
 
     def test_budget_truncation_equivalence(self):

@@ -8,6 +8,7 @@ from repro.obs import (
     COUNTER,
     SPAN_END,
     SPAN_START,
+    Event,
     MemorySink,
     Tracer,
     current_tracer,
@@ -180,6 +181,23 @@ class TestAbsorb:
         master.absorb(events)
         assert master.counters["items"] == 4
         assert master.gauges["level"] == 0.5
+
+    def test_absorb_keeps_the_chunk_spacing(self):
+        chunk = (
+            Event(SPAN_START, "work", 1.0, span=0),
+            Event(COUNTER, "items", 1.5, value=3, parent=0),
+            Event(SPAN_END, "work", 3.0, value=2.0, span=0),
+        )
+        sink = MemorySink()
+        master = Tracer(sinks=[sink])
+        before = master._now()
+        master.absorb(chunk)
+        after = master._now()
+        start, counter, end = sink.events
+        assert counter.at - start.at == pytest.approx(0.5)
+        assert end.at - start.at == pytest.approx(end.value)
+        # Shifted so the chunk's last event lands at the replay time.
+        assert before <= end.at <= after
 
     def test_absorb_on_disabled_tracer_is_a_noop(self):
         events = self._capture()

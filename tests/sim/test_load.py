@@ -101,6 +101,13 @@ class TestRunLoad:
         with pytest.raises(KeyError):
             run_load("nope", "fifo", 0, LoadConfig(sessions=2))
 
+    def test_negative_run_timeout_rejected(self):
+        with pytest.raises(ValueError, match="run_timeout"):
+            run_load(
+                "alternating_bit", "fifo", 0, LoadConfig(sessions=2),
+                run_timeout=-1,
+            )
+
     def test_sessions_merge_in_index_order(self):
         result = run_load(
             "alternating_bit", "fifo", 3, LoadConfig(sessions=9, messages=2)
@@ -377,6 +384,24 @@ class TestLoadCli:
         note = report["details"]["pool"]["timeout_unavailable"]
         assert note["runs"] == 3
         assert "main thread" in note["reason"]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--sessions", "-3"),
+            ("--steps", "-1"),
+            ("--workers", "0"),
+            ("--run-timeout", "-1"),
+            ("--run-timeout", "0"),
+        ],
+    )
+    def test_invalid_count_and_timeout_flags_rejected(
+        self, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["load", "--sessions", "2", flag, value])
+        assert exited.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_load_unknown_mix_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit):
