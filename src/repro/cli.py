@@ -1114,7 +1114,7 @@ def _pool_parent() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--batch-size",
-        type=int,
+        type=_at_least_one,
         default=None,
         metavar="N",
         help="runs per worker task (default: auto-sized from runs and "

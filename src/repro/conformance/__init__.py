@@ -12,7 +12,6 @@ from .arbitrary import (
     StabilizationReport,
     component_state_pools,
     corrupt_initial_state,
-    explore_corrupted,
     stabilization_report,
 )
 from .corpus import CorpusEntry, append_entries, load_corpus
@@ -111,7 +110,6 @@ __all__ = [
     "execute_run",
     "evidence_from_campaign",
     "execute_script",
-    "explore_corrupted",
     "fuzz_campaign",
     "run_batch",
     "run_schedule",

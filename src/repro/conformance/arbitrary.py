@@ -190,22 +190,3 @@ def stabilization_report(
         time=time,
         converged=length == 0 or time < length,
     )
-
-
-def explore_corrupted(
-    system: DataLinkSystem, subseeds, config=None, **kwargs
-):
-    """Explore a composed system from a corrupted initial state.
-
-    The ``explore()`` entry point of the arbitrary-init mode: state
-    space reachable from the corruption that
-    :func:`corrupt_initial_state` derives for these sub-seeds, with all
-    of :func:`~repro.ioa.explorer.explore`'s knobs available.
-    """
-    from ..ioa.explorer import explore
-
-    return explore(
-        system.automaton,
-        initial_state=corrupt_initial_state(system, subseeds, config),
-        **kwargs,
-    )

@@ -538,12 +538,16 @@ def run_partitioned(
     the broken-pool protocol.  The iterator is lazy, so the master
     merges each batch as it completes instead of buffering the whole
     schedule, and it tallies every outcome into the returned
-    :class:`PoolInfo`.  A negative ``run_timeout`` is a
-    configuration error and raises :class:`ValueError`.
+    :class:`PoolInfo`.  A negative ``run_timeout``, and ``workers`` or
+    ``batch_size`` below 1, are configuration errors and raise
+    :class:`ValueError`.
     """
     if run_timeout is not None and run_timeout < 0:
         raise ValueError(f"run_timeout must not be negative: {run_timeout}")
-    workers = max(1, int(workers))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1: {workers}")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1: {batch_size}")
     requested_parallel = workers > 1
     fallback_reason = None
     context = None
@@ -562,7 +566,6 @@ def run_partitioned(
 
     if batch_size is None:
         batch_size = auto_batch_size(len(schedule), workers)
-    batch_size = max(1, int(batch_size))
     batches: List[Tuple[int, Tuple[SubSeeds, ...]]] = [
         (start, tuple(schedule[start : start + batch_size]))
         for start in range(0, len(schedule), batch_size)

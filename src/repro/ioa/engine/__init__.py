@@ -4,11 +4,12 @@
 other call on the pure-Python engine; the pieces are exposed here for
 direct use and benchmarking:
 
-* :mod:`.core` -- serial trace-free BFS with state interning and
-  memoized composition stepping (the pure-Python engine);
+* :mod:`.core` -- the pure-Python engine: one serial trace-free BFS
+  loop, run over an automaton's plain states or, for a composition,
+  over interned codes with memoized component stepping;
 * :mod:`.interning` -- the dense-id intern table;
 * :mod:`.encoding` -- the flat state encoder (tuple and packed forms)
-  shared by both backends;
+  shared by both backends, with the Python search's stepping memos;
 * :mod:`.accel` -- the compiled packed-key search core (built on
   demand from ``_accel.c``).
 """

@@ -9,8 +9,8 @@ same ``truncated`` flag, and a shortest (layer-minimal) counterexample
 * **Trace-free frontiers.**  The naive explorer carries the full
   ``(action, ...)`` trace tuple in every frontier entry, an O(depth)
   copy per enqueued state that dominates allocation on deep runs.  The
-  engine instead records a parent-pointer map ``state -> (predecessor,
-  action)`` (one dict slot per state) and reconstructs the
+  engine instead records a parent-pointer map ``node -> (predecessor,
+  label)`` (one dict slot per state) and reconstructs the
   counterexample by walking the pointers only when a violation is
   actually found.
 
@@ -28,6 +28,15 @@ same ``truncated`` flag, and a shortest (layer-minimal) counterexample
   slice value it has already answered for.  Most steps touch 1-2 of
   the components; every other slice's answers come from the caches.
 
+There is one search loop, :func:`explore_engine`.  It runs over one of
+two node spaces: :class:`_Plain`, whose nodes are an automaton's own
+states and whose labels are actions, or :class:`_Encoded`, whose nodes
+are a composition's :class:`~.encoding.StateEncoder` codes and whose
+labels are action tokens.  A space only translates (``encode``,
+``decode``, ``states``, ``trace``) and steps (``expand``); the loop
+owns the parent map, the budgets, the input-enabledness and invariant
+checks and the per-layer instrumentation.
+
 Budget semantics (documented contract): when the ``max_states`` budget
 is hit the search stops *immediately* -- it breaks out of both the
 successor and the frontier loops -- rather than grinding through the
@@ -40,21 +49,24 @@ still certifies every reported state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
+    Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...obs import RunReport
+    from ...obs import RunReport, Tracer
 
 from ...obs import current_tracer
 from ..actions import Action
@@ -64,6 +76,10 @@ from .encoding import StateEncoder
 
 Environment = Optional[Callable[[State], Iterable[Action]]]
 Invariant = Optional[Callable[[State], bool]]
+#: A search node: a plain state, or a composition's encoded state.
+Node = Any
+#: Parent pointers: node -> (predecessor node, label), None at the start.
+Parents = Dict[Node, Optional[Tuple[Node, Any]]]
 
 
 class InputEnablednessError(RuntimeError):
@@ -142,80 +158,38 @@ def explore_engine(
 ) -> ExplorationResult:
     """Serial engine entry point (see module docstring).
 
-    Compositions take the interned fast path; any other automaton gets
-    the generic trace-free BFS.  ``validate=True`` additionally checks,
-    at every expanded state, that each environment-offered input action
-    is enabled, raising :class:`InputEnablednessError` otherwise.
-    ``initial_state`` starts the search from the given (possibly
-    unreachable) state instead of the automaton's own initial state.
+    Compositions are searched over their interned codes, any other
+    automaton over its plain states; the loop is the same.
+    ``validate=True`` additionally checks, at every expanded state,
+    that each environment-offered input action is enabled, raising
+    :class:`InputEnablednessError` otherwise.  ``initial_state`` starts
+    the search from the given (possibly unreachable) state instead of
+    the automaton's own initial state.
     """
-    if isinstance(automaton, Composition):
-        return _CompositionSearch(automaton).run(
-            environment,
-            invariant,
-            max_states,
-            max_depth,
-            validate,
-            initial_state,
-        )
-    return _explore_generic(
-        automaton,
-        environment,
-        invariant,
-        max_states,
-        max_depth,
-        validate,
-        initial_state,
-    )
-
-
-# ----------------------------------------------------------------------
-# Generic trace-free BFS (any automaton)
-# ----------------------------------------------------------------------
-
-
-def _reconstruct(parents: Dict, state) -> Tuple[Action, ...]:
-    """Walk parent pointers back to the start, returning the action trace."""
-    actions: List[Action] = []
-    cursor = state
-    while True:
-        entry = parents[cursor]
-        if entry is None:
-            break
-        cursor, action = entry
-        actions.append(action)
-    actions.reverse()
-    return tuple(actions)
-
-
-def _explore_generic(
-    automaton: Automaton,
-    environment: Environment,
-    invariant: Invariant,
-    max_states: int,
-    max_depth: int,
-    validate: bool = False,
-    initial_state: Optional[State] = None,
-) -> ExplorationResult:
     start = (
         initial_state
         if initial_state is not None
         else automaton.initial_state()
     )
-    signature = automaton.signature if validate else None
     if invariant is not None and not invariant(start):
         return ExplorationResult({start}, False, (start, ()))
-    # parents doubles as the seen set: state -> (predecessor, action),
-    # None for the start state.
-    parents: Dict[State, Optional[Tuple[State, Action]]] = {start: None}
-    layer: List[State] = [start]
-    depth = 0
-    truncated = False
-    transitions = automaton.transitions
-    enabled = automaton.enabled_local_actions
     tracer = current_tracer()
+    space: Union[_Plain, _Encoded] = (
+        _Encoded(automaton, count_memo=tracer.enabled)
+        if isinstance(automaton, Composition)
+        else _Plain(automaton)
+    )
     if tracer.enabled:
         tracer.count("explore.states", 1)  # the start state
+    signature = automaton.signature if validate else None
+    start_node = space.encode(start)
+    # parents doubles as the seen set.
+    parents: Parents = {start_node: None}
+    layer: List[Node] = [start_node]
+    depth = 0
+    truncated = False
+    decode = space.decode
+    expand = space.expand
     while layer:
         if depth >= max_depth:
             truncated = True
@@ -224,47 +198,42 @@ def _explore_generic(
         # three aggregate emissions per BFS layer (no-ops when tracing
         # is off), so the hot successor loop stays untouched.
         with tracer.span("explore.layer", depth=depth, width=len(layer)):
-            next_layer: List[State] = []
+            next_layer: List[Node] = []
             fired = 0
-            for state in layer:
-                actions: List[Action] = list(enabled(state))
+            offered: Iterable[Action] = ()
+            for node in layer:
                 if environment is not None:
-                    offered = list(environment(state))
+                    current = decode(node)
+                    offered = list(environment(current))
                     if signature is not None:
                         for action in offered:
                             if signature.is_input(
                                 action
-                            ) and not transitions(state, action):
+                            ) and not automaton.transitions(current, action):
                                 raise InputEnablednessError(
-                                    automaton, state, action
+                                    automaton, current, action
                                 )
-                    actions.extend(offered)
-                for action in actions:
-                    for successor in transitions(state, action):
-                        fired += 1
-                        if successor in parents:
-                            continue
-                        parents[successor] = (state, action)
-                        if invariant is not None and not invariant(
-                            successor
-                        ):
+                for label, successor in expand(node, offered):
+                    fired += 1
+                    if successor in parents:
+                        continue
+                    parents[successor] = (node, label)
+                    if invariant is not None:
+                        reached = decode(successor)
+                        if not invariant(reached):
+                            space.emit_totals(tracer)
                             return ExplorationResult(
-                                set(parents),
+                                space.states(parents),
                                 truncated,
-                                (
-                                    successor,
-                                    _reconstruct(parents, successor),
-                                ),
+                                (reached, space.trace(parents, successor)),
                             )
-                        if len(parents) > max_states:
-                            # Budget spent: stop the whole search at once
-                            # (see module docstring for the contract).
-                            del parents[successor]
-                            truncated = True
-                            break
-                        next_layer.append(successor)
-                    if truncated:
+                    if len(parents) > max_states:
+                        # Budget spent: stop the whole search at once
+                        # (see module docstring for the contract).
+                        del parents[successor]
+                        truncated = True
                         break
+                    next_layer.append(successor)
                 if truncated:
                     break
             if tracer.enabled:
@@ -275,55 +244,108 @@ def _explore_generic(
             break
         layer = next_layer
         depth += 1
-    return ExplorationResult(set(parents), truncated)
+    space.emit_totals(tracer)
+    return ExplorationResult(space.states(parents), truncated)
+
+
+def _reconstruct(parents: Dict, state) -> Tuple:
+    """Walk parent pointers back to the start, returning the labels."""
+    labels: List = []
+    cursor = state
+    while True:
+        entry = parents[cursor]
+        if entry is None:
+            break
+        cursor, label = entry
+        labels.append(label)
+    labels.reverse()
+    return tuple(labels)
 
 
 # ----------------------------------------------------------------------
-# Interned fast path for compositions
+# Node spaces
 # ----------------------------------------------------------------------
 
 
-class _CompositionSearch:
-    """BFS over interned (encoded) states of a :class:`Composition`.
+class _Plain:
+    """Any automaton: nodes are its states, labels its actions."""
 
-    Encoded states are tuples of per-slot slice ids.  The mapping and
-    the stepping caches live in the search's :class:`StateEncoder`,
-    mapping ``sid`` to the slice's enabled (token, owners) pairs and
-    ``(sid, token)`` to the successor slice ids, so a slice value is
-    only ever stepped once per action no matter how many composed
-    states contain it.
-    """
+    def __init__(self, automaton: Automaton):
+        self.enabled = automaton.enabled_local_actions
+        self.transitions = automaton.transitions
 
-    def __init__(self, composition: Composition):
-        self.composition = composition
-        self.n = len(composition.components)
-        self.encoder = StateEncoder(composition)
+    def encode(self, state: State) -> State:
+        return state
 
-    # -- encoding (delegated to the encoder) ----------------------------
-
-    def encode(self, state: State) -> Tuple[int, ...]:
-        return self.encoder.encode(state)
-
-    def decode(self, encoded: Tuple[int, ...]) -> State:
-        return self.encoder.decode(encoded)
-
-    def _successor_sids(
-        self, slot: int, sid: int, token: int
-    ) -> Tuple[int, ...]:
-        return self.encoder.successor_sids(slot, sid, token)
-
-    # -- expansion ------------------------------------------------------
+    def decode(self, node: State) -> State:
+        return node
 
     def expand(
-        self, encoded: Tuple[int, ...], extra_actions: Iterable[Action]
-    ) -> Iterable[Tuple[int, Tuple[int, ...]]]:
+        self, state: State, offered: Iterable[Action]
+    ) -> Iterator[Tuple[Action, State]]:
+        """Yield ``(action, successor)``: enabled local actions first,
+        then the offered inputs, as the naive explorer visits them."""
+        transitions = self.transitions
+        for action in chain(self.enabled(state), offered):
+            for successor in transitions(state, action):
+                yield action, successor
+
+    def states(self, parents: Parents) -> Set[State]:
+        return set(parents)
+
+    def trace(self, parents: Parents, state: State) -> Tuple[Action, ...]:
+        return _reconstruct(parents, state)
+
+    def emit_totals(self, tracer: "Tracer") -> None:
+        """Plain states intern nothing, so there is nothing to report."""
+
+
+class _Encoded:
+    """A composition: nodes are tuples of per-slot slice ids, labels
+    action tokens.
+
+    The mapping and the stepping caches live in the space's
+    :class:`StateEncoder`, mapping ``sid`` to the slice's enabled
+    (token, owners) pairs and ``(sid, token)`` to the successor slice
+    ids, so a slice value is only ever stepped once per action no
+    matter how many composed states contain it.  With ``count_memo``
+    (a traced run) the step lookups go through a counting shim whose
+    totals :meth:`emit_totals` reports; an untraced run steps straight
+    through the encoder.
+    """
+
+    def __init__(self, composition: Composition, count_memo: bool = False):
+        encoder = StateEncoder(composition)
+        self.encoder = encoder
+        self.n = encoder.n
+        self.encode = encoder.encode
+        self.decode = encoder.decode
+        self.successor_sids = encoder.successor_sids
+        self.memo_queries = 0
+        self.memo_hits = 0
+        if count_memo:
+            steps_by_sid = encoder.steps_by_sid
+            inner = encoder.successor_sids
+
+            def counting(slot: int, sid: int, token: int) -> Tuple[int, ...]:
+                self.memo_queries += 1
+                if token in steps_by_sid[slot][sid]:
+                    self.memo_hits += 1
+                return inner(slot, sid, token)
+
+            self.successor_sids = counting
+
+    def expand(
+        self, encoded: Tuple[int, ...], offered: Iterable[Action]
+    ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """Yield ``(action token, successor encoded state)`` in the same
         deterministic order the naive explorer visits successors."""
         encoder = self.encoder
+        successor_sids = self.successor_sids
         pairs: List[Tuple[int, Tuple[int, ...]]] = []
         for slot in range(self.n):
             pairs.extend(encoder.enabled_pairs(slot, encoded[slot]))
-        for action in extra_actions:
+        for action in offered:
             token = encoder.token(action)
             pairs.append((token, encoder.owners_of_token[token]))
         for token, owners in pairs:
@@ -331,173 +353,46 @@ class _CompositionSearch:
                 continue
             if len(owners) == 1:
                 slot = owners[0]
-                for sid in self._successor_sids(slot, encoded[slot], token):
+                for sid in successor_sids(slot, encoded[slot], token):
                     yield token, encoded[:slot] + (sid,) + encoded[slot + 1 :]
                 continue
             per_owner: List[Tuple[int, ...]] = []
-            enabled_everywhere = True
             for slot in owners:
-                successors = self._successor_sids(
-                    slot, encoded[slot], token
-                )
+                successors = successor_sids(slot, encoded[slot], token)
                 if not successors:
-                    enabled_everywhere = False
                     break
                 per_owner.append(successors)
-            if not enabled_everywhere:
-                continue
-            for combo in product(*per_owner):
-                successor = list(encoded)
-                for position, slot in enumerate(owners):
-                    successor[slot] = combo[position]
-                yield token, tuple(successor)
+            else:
+                for combo in product(*per_owner):
+                    successor = list(encoded)
+                    for position, slot in enumerate(owners):
+                        successor[slot] = combo[position]
+                    yield token, tuple(successor)
 
-    # -- search ---------------------------------------------------------
-
-    def run(
-        self,
-        environment: Environment,
-        invariant: Invariant,
-        max_states: int,
-        max_depth: int,
-        validate: bool = False,
-        initial_state: Optional[State] = None,
-    ) -> ExplorationResult:
-        signature = self.composition.signature if validate else None
-        start = (
-            initial_state
-            if initial_state is not None
-            else self.composition.initial_state()
-        )
-        if invariant is not None and not invariant(start):
-            return ExplorationResult({start}, False, (start, ()))
-        tracer = current_tracer()
-        if tracer.enabled:
-            self._install_memo_counters()
-            tracer.count("explore.states", 1)  # the start state
-        start_enc = self.encode(start)
-        # Encoded parent pointers: enc -> (predecessor enc, action token).
-        parents: Dict[Tuple[int, ...], Optional[Tuple]] = {start_enc: None}
-        layer: List[Tuple[int, ...]] = [start_enc]
-        depth = 0
-        truncated = False
+    def states(self, parents: Parents) -> Set[State]:
         decode = self.decode
-        expand = self.expand
-        while layer:
-            if depth >= max_depth:
-                truncated = True
-                break
-            # One span + aggregate counters per layer (no-op when
-            # tracing is off); the per-state expansion loop is untouched.
-            with tracer.span(
-                "explore.layer", depth=depth, width=len(layer)
-            ):
-                next_layer: List[Tuple[int, ...]] = []
-                fired = 0
-                extra: Iterable[Action]
-                for encoded in layer:
-                    if environment is not None:
-                        current = decode(encoded)
-                        extra = list(environment(current))
-                        if signature is not None:
-                            for action in extra:
-                                if signature.is_input(
-                                    action
-                                ) and not self.composition.transitions(
-                                    current, action
-                                ):
-                                    raise InputEnablednessError(
-                                        self.composition, current, action
-                                    )
-                    else:
-                        extra = ()
-                    for token, succ_enc in expand(encoded, extra):
-                        fired += 1
-                        if succ_enc in parents:
-                            continue
-                        parents[succ_enc] = (encoded, token)
-                        if invariant is not None:
-                            real = decode(succ_enc)
-                            if not invariant(real):
-                                self._emit_totals(tracer)
-                                return ExplorationResult(
-                                    self._decode_all(parents),
-                                    truncated,
-                                    (real, self._trace(parents, succ_enc)),
-                                )
-                        if len(parents) > max_states:
-                            # Budget spent: break out of every loop at once
-                            # (module docstring documents the contract).
-                            del parents[succ_enc]
-                            truncated = True
-                            break
-                        next_layer.append(succ_enc)
-                    if truncated:
-                        break
-                if tracer.enabled:
-                    tracer.count("explore.transitions", fired)
-                    tracer.count("explore.states", len(next_layer))
-                    tracer.gauge("explore.frontier", len(next_layer))
-            if truncated:
-                break
-            layer = next_layer
-            depth += 1
-        self._emit_totals(tracer)
-        return ExplorationResult(self._decode_all(parents), truncated)
+        return {decode(encoded) for encoded in parents}
 
-    # -- observability (only active under an enabled tracer) ------------
+    def trace(
+        self, parents: Parents, encoded: Tuple[int, ...]
+    ) -> Tuple[Action, ...]:
+        action_of_token = self.encoder.action_of_token
+        return tuple(
+            action_of_token[token]
+            for token in _reconstruct(parents, encoded)
+        )
 
-    def _install_memo_counters(self) -> None:
-        """Shadow the cached-query methods with counting wrappers.
-
-        Installed per-instance and only when tracing is on, so the
-        tracing-off hot path carries no extra branches or increments.
-        """
-        self._step_queries = 0
-        self._step_hits = 0
-        inner = self._successor_sids
-        steps_by_sid = self.encoder.steps_by_sid
-
-        def counting(slot: int, sid: int, token: int) -> Tuple[int, ...]:
-            self._step_queries += 1
-            if token in steps_by_sid[slot][sid]:
-                self._step_hits += 1
-            return inner(slot, sid, token)
-
-        self._successor_sids = counting  # type: ignore[method-assign]
-
-    def _emit_totals(self, tracer) -> None:
+    def emit_totals(self, tracer: "Tracer") -> None:
         """Counters/gauges summarizing the interning and memo caches."""
         if not tracer.enabled:
             return
-        tracer.count(
-            "explore.slices_interned", self.encoder.slices_interned()
-        )
+        tracer.count("explore.slices_interned", self.encoder.slices_interned())
         tracer.count(
             "explore.actions_interned", len(self.encoder.action_of_token)
         )
-        queries = getattr(self, "_step_queries", 0)
-        if queries:
+        if self.memo_queries:
             tracer.gauge(
-                "explore.memo_hit_rate", self._step_hits / queries
+                "explore.memo_hit_rate", self.memo_hits / self.memo_queries
             )
-            tracer.count("explore.memo_queries", queries)
-            tracer.count("explore.memo_hits", self._step_hits)
-
-    def _trace(
-        self, parents: Dict, encoded: Tuple[int, ...]
-    ) -> Tuple[Action, ...]:
-        actions: List[Action] = []
-        cursor = encoded
-        while True:
-            entry = parents[cursor]
-            if entry is None:
-                break
-            cursor, token = entry
-            actions.append(self.encoder.action_of_token[token])
-        actions.reverse()
-        return tuple(actions)
-
-    def _decode_all(self, parents: Dict) -> Set[State]:
-        decode = self.decode
-        return {decode(encoded) for encoded in parents}
+            tracer.count("explore.memo_queries", self.memo_queries)
+            tracer.count("explore.memo_hits", self.memo_hits)

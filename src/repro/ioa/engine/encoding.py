@@ -4,11 +4,16 @@ The exploration engine's hot loop must never touch nested dataclass
 states: a composed state is encoded as a flat tuple of per-slot slice
 ids (dense ints assigned by per-slot :class:`.interning.InternTable`\\ s)
 or, when every slot fits its bit budget, packed into a *single* machine
-integer.  :class:`StateEncoder` owns that mapping plus the per-slice
-successor memo tables keyed by ``(slice id, action token)``, so both
-backends of :func:`repro.ioa.explorer.explore` -- the pure-Python
-engine (tuple codes) and the compiled core (packed codes) -- share one
-encoding and one set of stepping caches.
+integer.  :class:`StateEncoder` owns that mapping, which both
+backends of :func:`repro.ioa.explorer.explore` share -- the
+pure-Python engine (tuple codes) and the compiled core (packed
+codes).  It also owns per-slice stepping tables keyed by ``(slice id,
+action token)``.  Those serve the Python search, which answers almost
+every step from them.  The compiled core keeps its own per-slice memos
+and calls :meth:`StateEncoder.enabled_pairs` and
+:meth:`StateEncoder.successor_sids` only on its own misses, so it
+never finds an answer in the encoder's tables; it uses the encoder to
+step and intern each new slice.
 
 What the encoding preserves (and what it does not): encoding is a
 bijection between the composed states seen so far and their flat
@@ -61,8 +66,9 @@ class StateEncoder:
     """Encoder between composed states and flat int codes.
 
     One encoder per exploration: it owns the per-slot slice
-    :class:`InternTable`\\ s, the action-token table and the stepping
-    memos, so any number of backends can share the same ids.
+    :class:`InternTable`\\ s, the action-token table and the Python
+    search's stepping memos, so any number of backends can share the
+    same ids.
 
     Flat forms:
 
@@ -218,9 +224,11 @@ class StateEncoder:
     ) -> Tuple[int, ...]:
         """Successor slice ids of ``(slot, sid)`` under action ``token``.
 
-        This is the per-slice successor memo: a slice value is stepped
-        at most once per action token no matter how many composed
-        states contain it or how many backends ask.
+        This is the Python search's per-slice successor memo: a slice
+        value is stepped at most once per action token no matter how
+        many composed states contain it.  The compiled core asks only
+        when its own memo misses, so on that path the table never
+        answers; it is filled there all the same.
         """
         steps = self.steps_by_sid[slot][sid]
         successors = steps.get(token)
@@ -232,8 +240,8 @@ class StateEncoder:
                 values[sid], self.action_of_token[token]
             )
             # Inlined intern_slice: this is the warmup hot path (one
-            # call per distinct (slice, action) pair, straight off the
-            # compiled backend's cache-miss callback).
+            # call per distinct (slice, action) pair, and every call
+            # the compiled backend's cache-miss callback makes).
             fresh = []
             enabled_side = self.enabled_by_sid[slot]
             steps_side = self.steps_by_sid[slot]

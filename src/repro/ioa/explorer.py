@@ -9,10 +9,11 @@ order over any FIFO-channel adversary with at most N in-flight packets".
 :func:`explore` is the public entry point and the one place a backend
 is chosen.  By default it runs closed compositions on the compiled
 packed-key core (:mod:`repro.ioa.engine.accel`) and every other call on
-the pure-Python engine (:mod:`repro.ioa.engine.core`), which keeps
-trace-free parent-pointer frontiers, interns composed states and
-memoizes component stepping; when the compiled core cannot run, the
-engine answers and ``result.fallback`` says why.  The original naive
+the pure-Python engine (:mod:`repro.ioa.engine.core`): one search loop
+with trace-free parent-pointer frontiers, run over plain states or,
+for a composition, over interned states with memoized component
+stepping.  When the compiled core cannot run, the engine answers and
+``result.fallback`` says why.  The original naive
 breadth-first search is preserved verbatim behind
 ``explore(engine="reference")``: it is the differential-testing oracle
 both backends are validated against, and the ground truth for the

@@ -28,10 +28,10 @@ Each session traces itself as one ``load.session`` span; the pool
 captures it where the session ran and the master replays it.  After
 each replay, under ``load.run``, the master emits live dashboard
 telemetry through the obs layer: ``load.sessions_done`` /
-``load.sessions_active`` gauges, ``load.sessions`` /
-``load.shard.sessions`` counters (the latter tagged with its shard
-id), and ``load.timeout_unavailable`` when a requested
-``--run-timeout`` could not be armed.
+``load.sessions_active`` gauges, the ``load.sessions`` counter, and
+``load.timeout_unavailable`` when a requested ``--run-timeout`` could
+not be armed.  The shard layout follows the batch size, so it stays
+out of the stream and lives in ``details.pool.shards``.
 
 The CLI entry point is ``repro load --sessions N --steps S``; the
 result is the unified :class:`~repro.obs.RunReport` envelope with
@@ -368,9 +368,7 @@ def run_load(
             outcome.events = ()  # absorbed; free the chunk
             sessions.append(outcome)
             if tracer.enabled:
-                shard = outcome.index // pool_info.batch_size
                 tracer.count("load.sessions")
-                tracer.count("load.shard.sessions", 1, shard=shard)
                 if outcome.timeout_unavailable:
                     tracer.count(
                         "load.timeout_unavailable",

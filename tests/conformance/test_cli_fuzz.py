@@ -336,6 +336,8 @@ class TestFuzzCommand:
             ("--runs", "-4"),
             ("--messages", "-1"),
             ("--workers", "0"),
+            ("--batch-size", "0"),
+            ("--batch-size", "-3"),
         ],
     )
     def test_invalid_count_and_timeout_flags_rejected(

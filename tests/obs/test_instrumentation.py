@@ -17,32 +17,48 @@ def abp_closed_system(messages=2, capacity=2):
     return composition, invariant
 
 
+def counter_automaton():
+    """A plain (non-composed) automaton: the search walks its states."""
+    from ..ioa.toys import Counter
+
+    return Counter(5), None
+
+
+#: Both node spaces of the engine's one search loop: an interned
+#: composition and a plain automaton.
+SYSTEMS = (abp_closed_system, counter_automaton)
+
+
 class TestExploreInstrumentation:
     def test_state_counter_matches_result(self):
         from repro.ioa import explore
 
-        composition, invariant = abp_closed_system()
-        with tracing(MemorySink()) as tracer:
-            result = explore(composition, invariant=invariant)
-        totals = tracer.snapshot_counters()
-        assert totals["explore.states"] == len(result.states)
-        assert totals["explore.transitions"] >= len(result.states) - 1
+        for system in SYSTEMS:
+            automaton, invariant = system()
+            with tracing(MemorySink()) as tracer:
+                result = explore(automaton, invariant=invariant)
+            totals = tracer.snapshot_counters()
+            assert totals["explore.states"] == len(result.states), system
+            assert (
+                totals["explore.transitions"] >= len(result.states) - 1
+            ), system
 
     def test_layer_spans_and_frontier_gauge(self):
         from repro.ioa.engine import explore_engine
 
-        composition, invariant = abp_closed_system()
-        sink = MemorySink()
-        with tracing(sink) as tracer:
-            explore_engine(composition, invariant=invariant)
-        spans = [
-            e for e in sink.events
-            if e.kind == "span_start" and e.name == "explore.layer"
-        ]
-        assert spans
-        assert spans[0].fields["depth"] == 0
-        assert spans[0].fields["width"] == 1
-        assert "explore.frontier" in tracer.gauges
+        for system in SYSTEMS:
+            automaton, invariant = system()
+            sink = MemorySink()
+            with tracing(sink) as tracer:
+                explore_engine(automaton, invariant=invariant)
+            spans = [
+                e for e in sink.events
+                if e.kind == "span_start" and e.name == "explore.layer"
+            ]
+            assert spans, system
+            assert spans[0].fields["depth"] == 0
+            assert spans[0].fields["width"] == 1
+            assert "explore.frontier" in tracer.gauges, system
 
     def test_memo_statistics_emitted_for_compositions(self):
         from repro.ioa.engine import explore_engine

@@ -53,17 +53,32 @@ class TestNoOpOverhead:
         explore(composition, invariant=invariant)
         assert tracer.counters == before
 
-    def test_disabled_run_installs_no_memo_shim(self):
+    def test_disabled_run_installs_no_memo_shim(self, monkeypatch):
         from repro.analysis.model_check import build_closed_system
-        from repro.ioa.engine.core import _CompositionSearch
+        from repro.ioa.engine import core
         from repro.protocols import alternating_bit_protocol
 
+        spaces = []
+
+        class Recorded(core._Encoded):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spaces.append(self)
+
+        monkeypatch.setattr(core, "_Encoded", Recorded)
         composition, invariant, _ = build_closed_system(
             alternating_bit_protocol(), messages=1, capacity=1
         )
-        search = _CompositionSearch(composition)
-        search.run(None, invariant, 50_000, 10_000)
-        assert not hasattr(search, "_step_queries")
+        core.explore_engine(composition, invariant=invariant)
+        with tracing(MemorySink()):
+            core.explore_engine(composition, invariant=invariant)
+        untraced, traced = spaces
+        # Untraced, the search steps straight through the encoder; the
+        # traced run shows the check can tell the shim apart.
+        assert untraced.successor_sids == untraced.encoder.successor_sids
+        assert untraced.memo_queries == 0
+        assert traced.successor_sids != traced.encoder.successor_sids
+        assert traced.memo_queries > 0
 
     def test_tracing_off_not_slower_than_traced(self):
         from repro.ioa import explore

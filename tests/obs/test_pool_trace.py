@@ -32,15 +32,8 @@ def _fuzz(workers):
 
 
 def _load(workers):
-    # A fixed batch size: the ``load.shard.sessions`` counter is tagged
-    # with the shard, which follows the batching.
     run_load(
-        "alternating_bit",
-        "fifo",
-        0,
-        LoadConfig(sessions=8),
-        workers=workers,
-        batch_size=4,
+        "alternating_bit", "fifo", 0, LoadConfig(sessions=8), workers=workers
     )
 
 

@@ -108,6 +108,14 @@ class TestRunLoad:
                 run_timeout=-1,
             )
 
+    @pytest.mark.parametrize("knob", ["batch_size", "workers"])
+    def test_pool_size_below_one_rejected(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            run_load(
+                "alternating_bit", "fifo", 0, LoadConfig(sessions=4),
+                **{knob: 0},
+            )
+
     def test_sessions_merge_in_index_order(self):
         result = run_load(
             "alternating_bit", "fifo", 3, LoadConfig(sessions=9, messages=2)
@@ -391,6 +399,8 @@ class TestLoadCli:
             ("--sessions", "-3"),
             ("--steps", "-1"),
             ("--workers", "0"),
+            ("--batch-size", "0"),
+            ("--batch-size", "-3"),
             ("--run-timeout", "-1"),
             ("--run-timeout", "0"),
         ],

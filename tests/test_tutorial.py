@@ -381,8 +381,10 @@ class TestSection12Load:
             assert tracer.gauges["load.sessions_done"] == 5
             assert tracer.gauges["load.sessions_active"] == 0
         names = {event.name for event in sink.events}
-        assert "load.shard.sessions" in names
         assert "load.session" in names
+        # The shard layout follows the batch size, not the stream.
+        assert "load.shard.sessions" not in names
+        assert tracer.counters["load.sessions"] == 5
 
 
 class TestSection13Stabilization:
