@@ -314,7 +314,7 @@ class _Encoded:
     through the encoder.
     """
 
-    def __init__(self, composition: Composition, count_memo: bool = False):
+    def __init__(self, composition: Composition, count_memo: bool):
         encoder = StateEncoder(composition)
         self.encoder = encoder
         self.n = encoder.n
