@@ -21,6 +21,7 @@ from repro.protocols import (
     sliding_window_protocol,
     stenning_protocol,
 )
+from tests.ioa.reference_explorer import reference_explore
 
 VERIFIED = {
     "abp": (alternating_bit_protocol, 2, 2),
@@ -158,7 +159,6 @@ def test_engine_outpaces_reference():
     from statistics import median
 
     from repro.analysis.model_check import build_closed_system
-    from repro.ioa import explore
     from repro.ioa.engine import explore_engine
 
     def timed(run, factory, messages, capacity, repeats=3):
@@ -174,13 +174,12 @@ def test_engine_outpaces_reference():
             seconds.append(time.perf_counter() - started)
         return median(seconds), result
 
-    def reference(composition, **kwargs):
-        return explore(composition, engine="reference", **kwargs)
-
     speedups = {}
     for name, (factory, messages, capacity) in ENGINE_CASES.items():
         engine_s, engine = timed(explore_engine, factory, messages, capacity)
-        reference_s, baseline = timed(reference, factory, messages, capacity)
+        reference_s, baseline = timed(
+            reference_explore, factory, messages, capacity
+        )
         assert engine.states == baseline.states, name
         assert engine.truncated == baseline.truncated, name
         speedups[name] = reference_s / engine_s

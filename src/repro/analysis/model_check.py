@@ -179,9 +179,9 @@ def build_closed_system(
     Shared by :func:`verify_delivery_order`, the backend differential
     tests and the engine-vs-reference timing in
     ``benchmarks/bench_model_check.py``.  The components carry no
-    :class:`~repro.ioa.automaton.StepMemo`: both exploration backends
-    step through the :class:`~repro.ioa.engine.encoding.StateEncoder`,
-    which keeps its own per-slice tables.
+    slice table: both exploration backends step through the
+    :class:`~repro.ioa.engine.encoding.StateEncoder`, which keeps a
+    fresh one per slot.
     """
     t, r = "t", "r"
     factory = MessageFactory(label="v")

@@ -84,8 +84,8 @@ def _closed_system(
     """Protocol + bounded nondet channels + scripted environment."""
     t, r = "t", "r"
     transmitter, receiver = protocol.build(t, r, ghost_uids=False)
-    # The refinement walk revisits component slices constantly; a memo
-    # on each finite-state component makes those queries hits.
+    # The refinement walk revisits component slices constantly; a slice
+    # table on each finite-state component makes those queries hits.
     components = [
         transmitter,
         receiver,

@@ -140,7 +140,7 @@ def resolve_pair(protocol_name: str, channel_name: str):
     """``(protocol, stations, channel builder)`` from the fuzz registries.
 
     ``stations`` is the protocol's transmitter and receiver, each with a
-    :class:`~repro.ioa.automaton.StepMemo`.  Every system
+    :class:`~repro.ioa.engine.interning.SliceTable`.  Every system
     :func:`build_system` composes from one result shares them, so what
     one run computed answers every later run, for as long as the
     result lives: the pool resolves once per serial schedule or worker.

@@ -336,7 +336,7 @@ def execute_run(
     can replay the outcome stream in index order and obtain the serial
     campaign verbatim.  ``resolved`` is a
     :func:`~repro.conformance.harness.resolve_pair` result shared by
-    every run of the schedule: its stations and their memos carry over
+    every run of the schedule: its stations and their tables carry over
     from run to run.
     """
     from .fuzzer import _package_violation
@@ -488,7 +488,7 @@ def _init_worker(
     capture = current_tracer().enabled
     set_tracer(None)
     # Warm start: resolve the registry entries once per worker process,
-    # so every item shares the stations and their memos.  The workload
+    # so every item shares the stations and their tables.  The workload
     # validated the names already, so this cannot ordinarily raise.
     # ``body`` is a closure: the fork start method inherits it instead
     # of pickling it.
@@ -587,7 +587,7 @@ def run_partitioned(
         info.mode = "serial-fallback" if requested_parallel else "serial"
         info.fallback_reason = reason if requested_parallel else None
         # Resolve once, as each pool worker does: every item shares the
-        # stations and their memos, which die with this iterator.
+        # stations and their tables, which die with this iterator.
         resolved = resolve_pair(protocol, channel)
         outcomes = (
             item

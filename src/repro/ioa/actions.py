@@ -13,8 +13,8 @@ immutable value carrying:
 
 Actions compare by value and are hashable, so they can live in sets,
 signatures and schedules.  The hash is computed once per action and
-kept (:func:`repro.hashing.cached_hash`): every station memo probe
-hashes one.
+kept (:func:`repro.hashing.cached_hash`): every slice table interns
+the actions it meets.
 """
 
 from __future__ import annotations

@@ -20,8 +20,10 @@ execution gives fair turns to every task.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -35,6 +37,9 @@ from typing import (
 
 from .actions import Action
 from .signature import ActionSignature
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .engine.interning import SliceTable
 
 State = Any
 
@@ -51,27 +56,19 @@ _UNSEEN = object()
 TaskGroup = Tuple[int, Tuple[Action, ...]]
 
 
-class StepMemo:
-    """An automaton's answers, kept per slice state.
+def with_memo(automaton: "Automaton") -> "Automaton":
+    """``automaton`` with a fresh
+    :class:`~repro.ioa.engine.interning.SliceTable` attached.
 
-    ``enabled[state]`` holds what :meth:`Automaton.enabled_local_actions`
-    gave in ``state`` and ``steps[(state, action)]`` what
-    :meth:`Automaton.transitions` gave.  Automata are pure functions of
-    immutable states, so the answers hold as long as the memo lives.  A
-    composition consults the memo of each component carrying one.  It
-    pays only where slices repeat: a fuzz campaign's or load run's
+    It pays only where slices repeat: a fuzz campaign's or load run's
     stations, an exhaustive walk's finite-state components; a seeded
     channel's states never repeat, so channels carry none.
     """
+    from .engine.interning import SliceTable
 
-    def __init__(self):
-        self.enabled: Dict[Any, Tuple[Action, ...]] = {}
-        self.steps: Dict[Tuple[Any, Action], Tuple[Any, ...]] = {}
-
-
-def with_memo(automaton: "Automaton") -> "Automaton":
-    """``automaton`` with a fresh :class:`StepMemo` attached."""
-    automaton.memo = StepMemo()
+    # Weakly: a strong back-reference is a cycle, which would keep a
+    # finished run's slices alive until the cycle collector runs.
+    automaton.table = SliceTable(weakref.proxy(automaton))
     return automaton
 
 
@@ -83,8 +80,8 @@ class SliceMemory:
     automata are pure functions of immutable states, and holding the
     slice keeps its identity from being reused.  Tasks are interned:
     ``task_names[id]`` is the ``repr`` the scheduler breaks ties by.
-    It lasts one composition; a component's :class:`StepMemo` can
-    outlast many and answers the slices it has seen.
+    It lasts one composition; a component's slice table can outlast
+    many and answers every slice it has seen.
     """
 
     def __init__(self, size: int):
@@ -168,8 +165,8 @@ class Automaton(ABC):
 
     name: str = "automaton"
 
-    #: Answers kept across runs (:func:`with_memo`), or ``None``.
-    memo: Optional[StepMemo] = None
+    #: Per-slice answers kept across runs (:func:`with_memo`), or ``None``.
+    table: Optional["SliceTable"] = None
 
     # ------------------------------------------------------------------
     # Interface to implement

@@ -31,8 +31,9 @@ class Composition(Automaton):
     The composed state is a tuple with one slot per component, in the
     order the components were given.  The composition keeps no answers
     of its own: a component that carries a
-    :class:`~repro.ioa.automaton.StepMemo` has its steps and enabled
-    sets answered from it, and every other component is asked afresh.
+    :class:`~repro.ioa.engine.interning.SliceTable` has its steps and
+    enabled sets answered from it, and every other component is asked
+    afresh.
     """
 
     #: sentinel marking a component name shared by several components
@@ -150,7 +151,7 @@ class Composition(Automaton):
         self, index: int, component_state: State, action: Action
     ) -> Tuple[State, ...]:
         """``components[index].transitions(component_state, action)``,
-        from the component's :class:`~repro.ioa.automaton.StepMemo` if any.
+        from the component's table if it carries one.
 
         Most steps change only one or two slices, so an exhaustive walk
         asks the same (slice, action) pair across thousands of composed
@@ -158,32 +159,11 @@ class Composition(Automaton):
         after run.
         """
         component = self._components[index]
-        memo = component.memo
-        if memo is None:
+        table = component.table
+        if table is None:
             return component.transitions(component_state, action)
-        key = (component_state, action)
-        post = memo.steps.get(key)
-        if post is None:
-            post = memo.steps[key] = component.transitions(
-                component_state, action
-            )
-        return post
-
-    def component_enabled_local_actions(
-        self, index: int, component_state: State
-    ) -> Tuple[Action, ...]:
-        """The enabled local actions of one component slice, as a tuple,
-        from the component's :class:`~repro.ioa.automaton.StepMemo` if any."""
-        component = self._components[index]
-        memo = component.memo
-        if memo is None:
-            return tuple(component.enabled_local_actions(component_state))
-        actions = memo.enabled.get(component_state)
-        if actions is None:
-            actions = memo.enabled[component_state] = tuple(
-                component.enabled_local_actions(component_state)
-            )
-        return actions
+        ids = table.successors_of(component_state, action)
+        return tuple(map(table.values.__getitem__, ids))
 
     def transitions(self, state: State, action: Action) -> Tuple[State, ...]:
         owners = self._family_owners.get(action.key)
@@ -207,13 +187,14 @@ class Composition(Automaton):
     def enabled_local_actions(self, state: State) -> Iterable[Action]:
         # An action locally controlled by one component may be an input
         # of others; it is enabled in the composition since inputs are
-        # always enabled.  Components without a memo stay lazy: callers
+        # always enabled.  Components without a table stay lazy: callers
         # like is_quiescent stop at the first action.
         for i, component in enumerate(self._components):
-            if component.memo is None:
+            table = component.table
+            if table is None:
                 yield from component.enabled_local_actions(state[i])
             else:
-                yield from self.component_enabled_local_actions(i, state[i])
+                yield from table.enabled_actions(table.intern(state[i]))
 
     def slice_view(self) -> SliceView:
         return ComponentSlices(self, self._slice_memory)
@@ -269,8 +250,8 @@ class ComponentSlices(SliceView):
     A step on ``pi`` moves only the slices of the components with ``pi``
     in their signature, so the other slices keep their task groups.  The
     memory lives as long as the composition, so consecutive runs from
-    states sharing slices (a Session's bursts) reuse them too; a slice
-    a component's memo has seen is answered from it, from any earlier run.
+    states sharing slices (a Session's bursts) reuse them too.  A
+    component's table groups each of its slices once, for every run.
     """
 
     def slices(self, state: State) -> Sequence[State]:
@@ -278,9 +259,19 @@ class ComponentSlices(SliceView):
 
     def enumerate(self, index: int, piece: State) -> Tuple[TaskGroup, ...]:
         composition: Composition = self.automaton
-        return self._group(
-            composition.component_enabled_local_actions(index, piece),
-            composition.task_of,
+        component = composition._components[index]
+        table = component.table
+        if table is None:
+            return self._group(
+                component.enabled_local_actions(piece), composition.task_of
+            )
+        # The composition's task is (owner, the owner's own task).
+        task_id = self.memory.task_id
+        groups = table.task_groups(table.intern(piece))
+        if len(groups) == 1:
+            return ((task_id((index, groups[0][0])), groups[0][1]),)
+        return tuple(
+            (task_id((index, task)), candidates) for task, candidates in groups
         )
 
     def step(self, state: State, action: Action) -> Tuple[State, ...]:
@@ -292,7 +283,14 @@ class ComponentSlices(SliceView):
             return ()
         post = list(state)
         for i in owners:
-            choices = composition.component_transitions(i, state[i], action)
+            component = composition._components[i]
+            table = component.table
+            if table is None:
+                choices = component.transitions(state[i], action)
+            else:
+                # The table answers with ids: read only the first choice.
+                ids = table.successors_of(state[i], action)
+                choices = (table.values[ids[0]],) if ids else ()
             if not choices:
                 return ()
             post[i] = choices[0]

@@ -7,9 +7,9 @@ direct use and benchmarking:
 * :mod:`.core` -- the pure-Python engine: one serial trace-free BFS
   loop, run over an automaton's plain states or, for a composition,
   over interned codes with memoized component stepping;
-* :mod:`.interning` -- the dense-id intern table;
+* :mod:`.interning` -- the dense-id intern table and the slice table;
 * :mod:`.encoding` -- the flat state encoder (tuple and packed forms)
-  shared by both backends, with the Python search's stepping memos;
+  shared by both backends, with one slice table per slot;
 * :mod:`.accel` -- the compiled packed-key search core (built on
   demand from ``_accel.c``).
 """

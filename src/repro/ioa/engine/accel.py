@@ -362,9 +362,7 @@ def explore_accel(
         tracer.count(
             "explore.slices_interned", encoder.slices_interned()
         )
-        tracer.count(
-            "explore.actions_interned", len(encoder.action_of_token)
-        )
+        tracer.count("explore.actions_interned", len(encoder.actions))
         tracer.count("explore.accel_steps", stats["step_calls"])
         tracer.count(
             "explore.accel_invariant_calls", stats["invariant_calls"]
@@ -383,7 +381,7 @@ def explore_accel(
             _, parent, token = search.entry(index)
             if parent < 0:
                 break
-            actions.append(encoder.action_of_token[token])
+            actions.append(encoder.actions.values[token])
             index = parent
         actions.reverse()
         return ExplorationResult(

@@ -22,11 +22,12 @@ same ``truncated`` flag, and a shortest (layer-minimal) counterexample
   share slice objects, giving identity fast paths to any later
   equality check.
 
-* **Memoized stepping.**  Per-slot caches map (slice id, action token)
-  to successor slice ids and slice id to the slice's enabled local
+* **Memoized stepping.**  Each slot's
+  :class:`~.interning.SliceTable` maps (slice id, action token) to
+  successor slice ids and slice id to the slice's enabled local
   actions, so the cross-product step never re-asks a component about a
   slice value it has already answered for.  Most steps touch 1-2 of
-  the components; every other slice's answers come from the caches.
+  the components; every other slice's answers come from the tables.
 
 There is one search loop, :func:`explore_engine`.  It runs over one of
 two node spaces: :class:`_Plain`, whose nodes are an automaton's own
@@ -73,6 +74,7 @@ from ..actions import Action
 from ..automaton import Automaton, State
 from ..composition import Composition
 from .encoding import StateEncoder
+from .interning import SliceTable
 
 Environment = Optional[Callable[[State], Iterable[Action]]]
 Invariant = Optional[Callable[[State], bool]]
@@ -188,6 +190,7 @@ def explore_engine(
     layer: List[Node] = [start_node]
     depth = 0
     truncated = False
+    violation: Optional[Tuple[State, Tuple[Action, ...]]] = None
     decode = space.decode
     expand = space.expand
     while layer:
@@ -221,12 +224,10 @@ def explore_engine(
                     if invariant is not None:
                         reached = decode(successor)
                         if not invariant(reached):
-                            space.emit_totals(tracer)
-                            return ExplorationResult(
-                                space.states(parents),
-                                truncated,
-                                (reached, space.trace(parents, successor)),
-                            )
+                            violation = (reached, space.trace(parents, successor))
+                            # Reached, so counted with this layer's states.
+                            next_layer.append(successor)
+                            break
                     if len(parents) > max_states:
                         # Budget spent: stop the whole search at once
                         # (see module docstring for the contract).
@@ -234,18 +235,18 @@ def explore_engine(
                         truncated = True
                         break
                     next_layer.append(successor)
-                if truncated:
+                if truncated or violation is not None:
                     break
             if tracer.enabled:
                 tracer.count("explore.transitions", fired)
                 tracer.count("explore.states", len(next_layer))
                 tracer.gauge("explore.frontier", len(next_layer))
-        if truncated:
+        if truncated or violation is not None:
             break
         layer = next_layer
         depth += 1
     space.emit_totals(tracer)
-    return ExplorationResult(space.states(parents), truncated)
+    return ExplorationResult(space.states(parents), truncated, violation)
 
 
 def _reconstruct(parents: Dict, state) -> Tuple:
@@ -304,36 +305,32 @@ class _Encoded:
     """A composition: nodes are tuples of per-slot slice ids, labels
     action tokens.
 
-    The mapping and the stepping caches live in the space's
-    :class:`StateEncoder`, mapping ``sid`` to the slice's enabled
-    (token, owners) pairs and ``(sid, token)`` to the successor slice
-    ids, so a slice value is only ever stepped once per action no
-    matter how many composed states contain it.  With ``count_memo``
-    (a traced run) the step lookups go through a counting shim whose
-    totals :meth:`emit_totals` reports; an untraced run steps straight
-    through the encoder.
+    The mapping and the per-slice answers live in the space's
+    :class:`StateEncoder` and its slot tables, so a slice value is
+    stepped once per action no matter how many composed states contain
+    it.  With ``count_memo`` (a traced run) the step lookups go through
+    a counting shim whose totals :meth:`emit_totals` reports; an
+    untraced run steps straight through the tables.
     """
 
     def __init__(self, composition: Composition, count_memo: bool):
         encoder = StateEncoder(composition)
         self.encoder = encoder
-        self.n = encoder.n
+        self.tables = encoder.slice_tables
         self.encode = encoder.encode
         self.decode = encoder.decode
-        self.successor_sids = encoder.successor_sids
+        self.successors = SliceTable.successors
         self.memo_queries = 0
         self.memo_hits = 0
         if count_memo:
-            steps_by_sid = encoder.steps_by_sid
-            inner = encoder.successor_sids
 
-            def counting(slot: int, sid: int, token: int) -> Tuple[int, ...]:
+            def counting(table: SliceTable, sid: int, token: int) -> Tuple[int, ...]:
                 self.memo_queries += 1
-                if token in steps_by_sid[slot][sid]:
+                if token in table.steps[sid]:
                     self.memo_hits += 1
-                return inner(slot, sid, token)
+                return table.successors(sid, token)
 
-            self.successor_sids = counting
+            self.successors = counting
 
     def expand(
         self, encoded: Tuple[int, ...], offered: Iterable[Action]
@@ -341,27 +338,30 @@ class _Encoded:
         """Yield ``(action token, successor encoded state)`` in the same
         deterministic order the naive explorer visits successors."""
         encoder = self.encoder
-        successor_sids = self.successor_sids
-        pairs: List[Tuple[int, Tuple[int, ...]]] = []
-        for slot in range(self.n):
-            pairs.extend(encoder.enabled_pairs(slot, encoded[slot]))
-        for action in offered:
-            token = encoder.token(action)
-            pairs.append((token, encoder.owners_of_token[token]))
-        for token, owners in pairs:
+        tables = self.tables
+        successors = self.successors
+        tokens: List[int] = []
+        for table, sid in zip(tables, encoded):
+            tokens.extend(table.enabled_ids(sid))
+        tokens.extend(map(encoder.actions.intern, offered))
+        owners_of_token = encoder.owners_of_token
+        if len(owners_of_token) < len(encoder.actions.values):
+            owners_of_token = encoder.owners()
+        for token in tokens:
+            owners = owners_of_token[token]
             if not owners:
                 continue
             if len(owners) == 1:
                 slot = owners[0]
-                for sid in successor_sids(slot, encoded[slot], token):
+                for sid in successors(tables[slot], encoded[slot], token):
                     yield token, encoded[:slot] + (sid,) + encoded[slot + 1 :]
                 continue
             per_owner: List[Tuple[int, ...]] = []
             for slot in owners:
-                successors = successor_sids(slot, encoded[slot], token)
-                if not successors:
+                ids = successors(tables[slot], encoded[slot], token)
+                if not ids:
                     break
-                per_owner.append(successors)
+                per_owner.append(ids)
             else:
                 for combo in product(*per_owner):
                     successor = list(encoded)
@@ -376,10 +376,9 @@ class _Encoded:
     def trace(
         self, parents: Parents, encoded: Tuple[int, ...]
     ) -> Tuple[Action, ...]:
-        action_of_token = self.encoder.action_of_token
+        actions = self.encoder.actions.values
         return tuple(
-            action_of_token[token]
-            for token in _reconstruct(parents, encoded)
+            actions[token] for token in _reconstruct(parents, encoded)
         )
 
     def emit_totals(self, tracer: "Tracer") -> None:
@@ -387,9 +386,7 @@ class _Encoded:
         if not tracer.enabled:
             return
         tracer.count("explore.slices_interned", self.encoder.slices_interned())
-        tracer.count(
-            "explore.actions_interned", len(self.encoder.action_of_token)
-        )
+        tracer.count("explore.actions_interned", len(self.encoder.actions))
         if self.memo_queries:
             tracer.gauge(
                 "explore.memo_hit_rate", self.memo_hits / self.memo_queries

@@ -2,18 +2,16 @@
 
 The exploration engine's hot loop must never touch nested dataclass
 states: a composed state is encoded as a flat tuple of per-slot slice
-ids (dense ints assigned by per-slot :class:`.interning.InternTable`\\ s)
-or, when every slot fits its bit budget, packed into a *single* machine
-integer.  :class:`StateEncoder` owns that mapping, which both
-backends of :func:`repro.ioa.explorer.explore` share -- the
-pure-Python engine (tuple codes) and the compiled core (packed
-codes).  It also owns per-slice stepping tables keyed by ``(slice id,
-action token)``.  Those serve the Python search, which answers almost
-every step from them.  The compiled core keeps its own per-slice memos
-and calls :meth:`StateEncoder.enabled_pairs` and
-:meth:`StateEncoder.successor_sids` only on its own misses, so it
-never finds an answer in the encoder's tables; it uses the encoder to
-step and intern each new slice.
+ids (dense ints assigned by per-slot
+:class:`.interning.SliceTable`\\ s) or, when every slot fits its bit
+budget, packed into a *single* machine integer.  :class:`StateEncoder`
+owns that mapping, which both backends of
+:func:`repro.ioa.explorer.explore` share -- the pure-Python engine
+(tuple codes) and the compiled core (packed codes).  The Python search
+answers steps and enabled sets from the tables.  The compiled core
+keeps them in its own memos and calls :meth:`StateEncoder.enabled_pairs`
+and :meth:`StateEncoder.successor_sids` once per miss, which step and
+intern through the tables but keep no answer.
 
 What the encoding preserves (and what it does not): encoding is a
 bijection between the composed states seen so far and their flat
@@ -33,12 +31,11 @@ plain states directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..actions import Action
 from ..automaton import State
 from ..composition import Composition
-from .interning import InternTable
+from .interning import InternTable, SliceTable
 
 __all__ = [
     "EncodingOverflow",
@@ -65,10 +62,9 @@ class EncodingOverflow(RuntimeError):
 class StateEncoder:
     """Encoder between composed states and flat int codes.
 
-    One encoder per exploration: it owns the per-slot slice
-    :class:`InternTable`\\ s, the action-token table and the Python
-    search's stepping memos, so any number of backends can share the
-    same ids.
+    One encoder per exploration: it owns one fresh
+    :class:`SliceTable` per slot and the action-token table the slot
+    tables share, so any number of backends can share the same ids.
 
     Flat forms:
 
@@ -77,41 +73,15 @@ class StateEncoder:
       (raises :class:`EncodingOverflow` past the budget).
     """
 
-    __slots__ = (
-        "composition",
-        "components",
-        "n",
-        "family_owners",
-        "slice_tables",
-        "enabled_by_sid",
-        "steps_by_sid",
-        "token_of_action",
-        "action_of_token",
-        "owners_of_token",
-        "bits_per_slot",
-        "shifts",
-        "slot_capacity",
-    )
-
     def __init__(self, composition: Composition, pack_bits: int = PACK_BITS):
-        self.composition = composition
-        self.components = composition.components
-        self.n = len(self.components)
+        self.n = len(composition.components)
         self.family_owners = composition.family_owners
-        self.slice_tables: List[InternTable] = [
-            InternTable() for _ in range(self.n)
+        # Action tokens: one dense id space across the slot tables.
+        self.actions = InternTable()
+        self.slice_tables: List[SliceTable] = [
+            SliceTable(component, self.actions)
+            for component in composition.components
         ]
-        # sid -> tuple[(token, owners)] of enabled local actions (lazy).
-        self.enabled_by_sid: List[
-            List[Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]]]
-        ] = [[] for _ in range(self.n)]
-        # sid -> {token: tuple[successor sid, ...]} (lazy per token).
-        self.steps_by_sid: List[List[Dict[int, Tuple[int, ...]]]] = [
-            [] for _ in range(self.n)
-        ]
-        # Action interning: token ids are dense.
-        self.token_of_action: Dict[Action, int] = {}
-        self.action_of_token: List[Action] = []
         self.owners_of_token: List[Tuple[int, ...]] = []
         # Packed form: an equal split of the bit budget across slots.
         self.bits_per_slot = max(1, pack_bits // max(1, self.n))
@@ -120,35 +90,23 @@ class StateEncoder:
         )
         self.slot_capacity = 1 << self.bits_per_slot
 
-    # -- slice and action interning -------------------------------------
+    # -- action interning -----------------------------------------------
 
-    def intern_slice(self, slot: int, slice_state: State) -> int:
-        """The dense id of one component slice, growing the side tables."""
-        sid = self.slice_tables[slot].intern(slice_state)
-        if sid == len(self.enabled_by_sid[slot]):
-            self.enabled_by_sid[slot].append(None)
-            self.steps_by_sid[slot].append({})
-        return sid
-
-    def token(self, action: Action) -> int:
-        """The dense token id of an action (owners resolved on first sight)."""
-        token = self.token_of_action.get(action)
-        if token is None:
-            token = len(self.action_of_token)
-            self.token_of_action[action] = token
-            self.action_of_token.append(action)
-            self.owners_of_token.append(
-                tuple(self.family_owners.get(action.key, ()))
-            )
-        return token
+    def owners(self) -> List[Tuple[int, ...]]:
+        """``owners_of_token`` (each action's owner slots), grown to date."""
+        owners, actions = self.owners_of_token, self.actions.values
+        if len(owners) < len(actions):
+            for action in actions[len(owners) :]:
+                owners.append(tuple(self.family_owners.get(action.key, ())))
+        return owners
 
     # -- encoding -------------------------------------------------------
 
     def encode(self, state: State) -> Tuple[int, ...]:
         """The flat tuple code of a composed state."""
         return tuple(
-            self.intern_slice(slot, slice_state)
-            for slot, slice_state in enumerate(state)
+            table.intern(slice_state)
+            for table, slice_state in zip(self.slice_tables, state)
         )
 
     def decode(self, encoded: Sequence[int]) -> State:
@@ -200,63 +158,28 @@ class StateEncoder:
             for slot, shift in enumerate(self.shifts)
         )
 
-    # -- memoized component stepping ------------------------------------
+    # -- the compiled core's miss callbacks -----------------------------
 
     def enabled_pairs(
         self, slot: int, sid: int
     ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        """``(token, owners)`` pairs of the slice's enabled local actions."""
-        pairs = self.enabled_by_sid[slot][sid]
-        if pairs is None:
-            slice_state = self.slice_tables[slot].values[sid]
-            fresh: List[Tuple[int, Tuple[int, ...]]] = []
-            for action in self.components[slot].enabled_local_actions(
-                slice_state
-            ):
-                token = self.token(action)
-                fresh.append((token, self.owners_of_token[token]))
-            pairs = tuple(fresh)
-            self.enabled_by_sid[slot][sid] = pairs
-        return pairs
+        """``(token, owners)`` pairs of the slice's enabled local actions.
+
+        Asked afresh: the compiled core keeps the answer.
+        """
+        table = self.slice_tables[slot]
+        enabled = table.automaton.enabled_local_actions(table.values[sid])
+        tokens = tuple(map(self.actions.intern, enabled))
+        return tuple(zip(tokens, map(self.owners().__getitem__, tokens)))
 
     def successor_sids(
         self, slot: int, sid: int, token: int
     ) -> Tuple[int, ...]:
         """Successor slice ids of ``(slot, sid)`` under action ``token``.
 
-        This is the Python search's per-slice successor memo: a slice
-        value is stepped at most once per action token no matter how
-        many composed states contain it.  The compiled core asks only
-        when its own memo misses, so on that path the table never
-        answers; it is filled there all the same.
+        Stepped and interned afresh: the compiled core keeps the answer.
         """
-        steps = self.steps_by_sid[slot][sid]
-        successors = steps.get(token)
-        if successors is None:
-            table = self.slice_tables[slot]
-            values = table.values
-            ids = table._ids
-            raw = self.components[slot].transitions(
-                values[sid], self.action_of_token[token]
-            )
-            # Inlined intern_slice: this is the warmup hot path (one
-            # call per distinct (slice, action) pair, and every call
-            # the compiled backend's cache-miss callback makes).
-            fresh = []
-            enabled_side = self.enabled_by_sid[slot]
-            steps_side = self.steps_by_sid[slot]
-            for post in raw:
-                post_sid = ids.get(post)
-                if post_sid is None:
-                    post_sid = len(values)
-                    ids[post] = post_sid
-                    values.append(post)
-                    enabled_side.append(None)
-                    steps_side.append({})
-                fresh.append(post_sid)
-            successors = tuple(fresh)
-            steps[token] = successors
-        return successors
+        return self.slice_tables[slot].step(sid, self.actions.values[token])
 
     # -- statistics -----------------------------------------------------
 

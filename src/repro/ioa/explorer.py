@@ -13,11 +13,10 @@ the pure-Python engine (:mod:`repro.ioa.engine.core`): one search loop
 with trace-free parent-pointer frontiers, run over plain states or,
 for a composition, over interned states with memoized component
 stepping.  When the compiled core cannot run, the engine answers and
-``result.fallback`` says why.  The original naive
-breadth-first search is preserved verbatim behind
-``explore(engine="reference")``: it is the differential-testing oracle
-both backends are validated against, and the ground truth for the
-result contract.
+``result.fallback`` says why.  The original naive breadth-first search
+is kept in the test suite (``tests/ioa/reference_explorer.py``): it is
+the differential-testing oracle both backends are validated against,
+and the ground truth for the result contract.
 
 Budget contract (every backend): when the ``max_states`` budget is
 reached the search stops immediately -- no further successors of the
@@ -30,7 +29,7 @@ truncated run.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Callable, Iterable, Optional, Set
 
 from ..obs import current_tracer
 from .actions import Action
@@ -57,7 +56,6 @@ def explore(
     max_states: int = 50_000,
     max_depth: int = 10_000,
     validate: bool = False,
-    engine: str = "auto",
     initial_state: Optional[State] = None,
 ) -> ExplorationResult:
     """Breadth-first exploration of reachable states.
@@ -82,9 +80,8 @@ def explore(
     no transition, :class:`InputEnablednessError` is raised (this is
     ``Automaton.check_input_enabled`` wired into the engine).
 
-    ``engine`` is ``"auto"`` (the default) or ``"reference"``.
-    ``"auto"`` runs a :class:`~repro.ioa.composition.Composition` with
-    no ``environment``/``validate`` on the compiled packed-key core
+    A :class:`~repro.ioa.composition.Composition` with no
+    ``environment``/``validate`` runs on the compiled packed-key core
     (:func:`repro.ioa.engine.accel.explore_accel`, built on demand from
     ``engine/_accel.c``) and everything else on the pure-Python engine
     (:func:`repro.ioa.engine.core.explore_engine`).  When the compiled
@@ -93,34 +90,8 @@ def explore(
     packing mid-search -- the engine answers instead and says why:
     the reason lands in ``result.fallback`` and, under tracing, is
     counted as ``explore.accel_fallback``.  ``REPRO_ACCEL_REQUIRE=1``
-    turns a build or load failure into an error.  ``"reference"`` is
-    the original naive BFS kept verbatim as the differential-testing
-    oracle (``validate`` is not supported with it).
+    turns a build or load failure into an error.
     """
-    if engine == "reference":
-        if validate:
-            raise ValueError(
-                "validate=True is not supported by the reference "
-                "explorer; use the default engine"
-            )
-        result = _reference_bfs(
-            automaton,
-            environment=environment or (lambda _: ()),
-            invariant=invariant,
-            max_states=max_states,
-            max_depth=max_depth,
-            initial_state=initial_state,
-        )
-        # The oracle body stays uninstrumented (it is the verbatim
-        # baseline); the dispatcher reports its one headline figure.
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("explore.states", len(result.states))
-        return result
-    if engine != "auto":
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'auto' or 'reference'"
-        )
     fallback: Optional[str] = None
     if (
         isinstance(automaton, Composition)
@@ -162,62 +133,6 @@ def explore(
     )
     result.fallback = fallback
     return result
-
-
-def _reference_bfs(
-    automaton: Automaton,
-    environment: Callable[[State], Iterable[Action]] = lambda _: (),
-    invariant: Optional[Callable[[State], bool]] = None,
-    max_states: int = 50_000,
-    max_depth: int = 10_000,
-    initial_state: Optional[State] = None,
-) -> ExplorationResult:
-    """The original naive BFS, kept as the differential-testing oracle.
-
-    Carries the full action trace in every frontier entry (O(depth)
-    memory per state) and re-derives every component step; the engine
-    behind :func:`explore` must return exactly this reachable-state
-    set, ``truncated`` flag, and an equally short counterexample.
-    """
-    from collections import deque
-
-    start = (
-        initial_state
-        if initial_state is not None
-        else automaton.initial_state()
-    )
-    if invariant is not None and not invariant(start):
-        return ExplorationResult({start}, False, (start, ()))
-
-    seen: Set[State] = {start}
-    frontier = deque([(start, (), 0)])
-    truncated = False
-    while frontier:
-        state, trace, depth = frontier.popleft()
-        if depth >= max_depth:
-            truncated = True
-            continue
-        actions: List[Action] = list(automaton.enabled_local_actions(state))
-        actions.extend(environment(state))
-        for action in actions:
-            for successor in automaton.transitions(state, action):
-                if successor in seen:
-                    continue
-                new_trace = trace + (action,)
-                if invariant is not None and not invariant(successor):
-                    seen.add(successor)
-                    return ExplorationResult(
-                        seen, truncated, (successor, new_trace)
-                    )
-                if len(seen) >= max_states:
-                    # Budget spent: stop at once instead of grinding
-                    # through the remaining successors and frontier
-                    # (every queued state was already invariant-checked
-                    # when it was enqueued).
-                    return ExplorationResult(seen, True)
-                seen.add(successor)
-                frontier.append((successor, new_trace, depth + 1))
-    return ExplorationResult(seen, truncated)
 
 
 def reachable_states(

@@ -68,7 +68,7 @@ def check_refinement(
     trace per frontier entry, a parent-pointer map records one
     (predecessor, action) pair per state and the failing trace is
     reconstructed only when a condition is actually violated.  The
-    composition's memoized component stepping makes the per-step
+    slice tables on the composition's components make the per-step
     transition queries cache hits.
     """
     start = implementation.initial_state()

@@ -78,7 +78,7 @@ class Session:
         supplying the channel adversary and script knobs (defaults
         apply when omitted); ``resolved`` is a
         :func:`~repro.conformance.harness.resolve_pair` result whose
-        stations (and their memos) the session shares with the rest of
+        stations (and their tables) the session shares with the rest of
         its load run.
         """
         # Lazy: conformance imports sim, so the façade must not import

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.alphabets import Message
 from repro.analysis import (
@@ -10,7 +11,9 @@ from repro.analysis import (
     verify_abp_refinement,
     verify_refinement,
 )
+from repro.analysis import refinement_proofs
 from repro.analysis.refinement_proofs import eager_mapping
+from repro.ioa.automaton import with_memo
 from repro.datalink import receive_msg, send_msg
 from repro.ioa import check_refinement
 from repro.protocols import eager_protocol
@@ -94,3 +97,32 @@ class TestAbpRefinement:
         assert not result.holds
         assert result.failing_trace
         assert "not a specification step" in result.failure
+
+
+class TestSliceTables:
+    """The refinement walk steps through ``Composition.transitions`` and
+    ``enabled_local_actions``, which answer from the components' slice
+    tables; the tables may change nothing it concludes."""
+
+    PROOFS = {
+        "abp": lambda: verify_abp_refinement(messages=2, capacity=2),
+        "eager": lambda: verify_refinement(
+            eager_protocol(), eager_mapping, messages=1, capacity=2
+        ),
+    }
+
+    @pytest.mark.parametrize("proof", sorted(PROOFS))
+    def test_same_result_with_and_without_tables(self, monkeypatch, proof):
+        tables = []
+
+        def recorded(component):
+            tables.append(with_memo(component).table)
+            return component
+
+        monkeypatch.setattr(refinement_proofs, "with_memo", recorded)
+        tabled = self.PROOFS[proof]()
+        assert len(tables) == 5 and all(len(table) for table in tables)
+        monkeypatch.setattr(refinement_proofs, "with_memo", lambda c: c)
+        untabled = self.PROOFS[proof]()
+        assert untabled == tabled
+        assert tabled.holds == (proof == "abp")

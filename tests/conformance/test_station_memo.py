@@ -2,7 +2,7 @@
 
 Each fuzz campaign or load run resolves its registry pair once per
 process (:func:`repro.conformance.harness.resolve_pair`): one station
-pair, each station with a :class:`~repro.ioa.automaton.StepMemo`, shared
+pair, each station with a :class:`~repro.ioa.engine.interning.SliceTable`, shared
 by every run.  The memo may only ever answer what the station would
 have computed, so memoised sessions must equal memo-free ones, and it
 must die with the run that built it.
@@ -88,13 +88,13 @@ def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
         protocol, channel, SubSeeds.derive(master), config, resolved=memoised
     )
     assert (system.transmitter, system.receiver) == stations
-    assert [c.memo is not None for c in system.composition.components] == [
+    assert [c.table is not None for c in system.composition.components] == [
         True,
         True,
         False,
         False,
     ]
-    assert all(station.memo is None for station in plain[1])
+    assert all(station.table is None for station in plain[1])
     for _ in range(20):
         subseeds = SubSeeds.derive(master)
         runs = [
@@ -107,13 +107,13 @@ def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
         assert with_memo.fragment == without.fragment
         assert with_memo.behavior == without.behavior
         assert with_memo.quiescent == without.quiescent
-    assert stations[0].memo.steps, "the memo was never consulted"
+    assert stations[0].table.steps, "the memo was never consulted"
 
 
 @pytest.mark.parametrize("engine", [CrashImpossibilityEngine, BoundedHeaderEngine])
 def test_engine_built_stations_carry_no_memo(engine):
     system = engine(alternating_bit_protocol()).system
-    assert [c.memo for c in system.composition.components] == [None] * 4
+    assert [c.table for c in system.composition.components] == [None] * 4
 
 
 def test_memo_dies_with_its_run(monkeypatch):
@@ -122,7 +122,7 @@ def test_memo_dies_with_its_run(monkeypatch):
     def recorded(protocol, channel):
         resolved = resolve_pair(protocol, channel)
         for station in resolved[1]:
-            memos.append((weakref.ref(station.memo), len(station.memo.steps)))
+            memos.append((weakref.ref(station.table), len(station.table.steps)))
         return resolved
 
     monkeypatch.setattr(pool, "resolve_pair", recorded)

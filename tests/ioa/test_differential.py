@@ -28,6 +28,8 @@ from repro.ioa.engine.core import explore_engine
 from repro.ioa.explorer import explore
 from repro.protocols import alternating_bit_protocol
 
+from .reference_explorer import reference_explore
+
 PROTOCOLS = ("alternating_bit", "stenning", "sliding_window")
 CHANNELS = ("fifo", "nonfifo", "bounded_nonfifo")
 
@@ -37,14 +39,10 @@ CONFIG = FuzzConfig(messages=2, capacity=2, horizon=16, reorder_window=2)
 MAX_STATES = 1500
 
 
-def _reference(composition, **options):
-    return explore(composition, engine="reference", **options)
-
-
 #: Name -> explorer; each takes the automaton plus ``explore`` options.
 ENGINES = {
     "default": explore,
-    "reference": _reference,
+    "reference": reference_explore,
     "engine": explore_engine,
 }
 if accel_backend_id():

@@ -93,7 +93,7 @@ class TestOverflow:
         for pool in _POOLS:
             seen.append(pool[: min(3, len(pool))])
         for slice_state in seen[0]:
-            encoder.intern_slice(0, slice_state)
+            encoder.slice_tables[0].intern(slice_state)
         overflowing = (2,) + (0,) * (encoder.n - 1)
         try:
             encoder.pack(overflowing)

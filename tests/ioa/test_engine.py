@@ -3,7 +3,7 @@
 The engine (:func:`repro.ioa.engine.explore_engine`: trace-free
 parent-pointer frontiers, state interning, memoized component
 stepping) must be observationally identical to the original naive
-breadth-first search, kept behind ``explore(engine="reference")``:
+breadth-first search, kept in ``reference_explorer.py``:
 same reachable-state set, same ``truncated`` flag, and a counterexample
 of the same (layer-minimal) length that actually replays on the
 automaton.  These tests call the engine directly, because ``explore()``
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ioa import Composition, explore
+from repro.ioa import Composition
 from repro.ioa.automaton import with_memo
 from repro.ioa.engine import InternTable, explore_engine
 from repro.analysis.model_check import build_closed_system
@@ -31,6 +31,7 @@ from repro.protocols import (
     stenning_protocol,
 )
 
+from .reference_explorer import reference_explore
 from .toys import Counter, Echo, Forwarder, Nondet, ping
 
 
@@ -43,7 +44,7 @@ def assert_equivalent(automaton_factory, reference_factory=None, **kwargs):
     """
     reference_factory = reference_factory or automaton_factory
     engine = explore_engine(automaton_factory(), **kwargs)
-    reference = explore(reference_factory(), engine="reference", **kwargs)
+    reference = reference_explore(reference_factory(), **kwargs)
     assert engine.states == reference.states
     assert engine.truncated == reference.truncated
     assert (engine.violation is None) == (reference.violation is None)
@@ -151,11 +152,10 @@ class TestZooDifferential:
             composition, invariant=invariant, max_depth=10_000_000
         )
         ref_composition, ref_invariant = build()
-        reference = explore(
+        reference = reference_explore(
             ref_composition,
             invariant=ref_invariant,
             max_depth=10_000_000,
-            engine="reference",
         )
         assert engine.states == reference.states
         assert engine.truncated == reference.truncated
@@ -178,11 +178,10 @@ class TestZooDifferential:
             composition, invariant=invariant, max_states=500
         )
         ref_composition, ref_invariant = build()
-        reference = explore(
+        reference = reference_explore(
             ref_composition,
             invariant=ref_invariant,
             max_states=500,
-            engine="reference",
         )
         assert engine.truncated and reference.truncated
         assert len(engine.states) == 500
@@ -315,10 +314,9 @@ class TestFuzzSeedDifferential:
         engine = explore_engine(
             self.build_fuzz_seeded_system(subseeds), max_states=400
         )
-        reference = explore(
+        reference = reference_explore(
             self.build_fuzz_seeded_system(subseeds),
             max_states=400,
-            engine="reference",
         )
         assert len(engine.states) > 1
         assert engine.states == reference.states

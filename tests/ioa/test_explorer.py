@@ -13,6 +13,7 @@ from repro.ioa.engine.accel import (
 )
 from repro.ioa.engine.core import explore_engine
 from repro.obs import MemorySink, tracing
+from .reference_explorer import reference_explore
 from .toys import Counter, Echo, Forwarder, Nondet, ping
 
 
@@ -104,9 +105,7 @@ class TestDispatcher:
         assert isinstance(result.states, LazyStateSet)
         assert result.fallback is None
         assert "fallback" not in result.report().details
-        assert result.states == explore(
-            _countdown_pair(), engine="reference"
-        ).states
+        assert result.states == reference_explore(_countdown_pair()).states
 
     @pytest.mark.parametrize(
         "automaton, options",
@@ -134,9 +133,7 @@ class TestDispatcher:
         assert result.fallback == "forced load failure"
         assert result.report().details["fallback"] == result.fallback
         assert tracer.snapshot_counters()["explore.accel_fallback"] == 1
-        assert result.states == explore(
-            _countdown_pair(), engine="reference"
-        ).states
+        assert result.states == reference_explore(_countdown_pair()).states
 
     def test_require_turns_a_load_failure_into_an_error(
         self, monkeypatch
@@ -156,8 +153,3 @@ class TestDispatcher:
         assert type(result.states) is set
         assert result.states == explore_engine(_narrow_slots()).states
         assert {state[0] for state in result.states} == set(range(6))
-
-    @pytest.mark.parametrize("name", ["accel", "disk", "bogus"])
-    def test_only_auto_and_reference_are_engines(self, name):
-        with pytest.raises(ValueError, match="unknown engine"):
-            explore(_countdown_pair(), engine=name)

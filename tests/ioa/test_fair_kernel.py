@@ -306,8 +306,8 @@ class TestReEnumeration:
         automaton = system.automaton
         components = system.composition.components
         owners = system.composition.family_owners
-        # The stations carry memos; the seeded channels never do.
-        assert [c.memo is not None for c in components] == [
+        # The stations carry tables; the seeded channels never do.
+        assert [c.table is not None for c in components] == [
             True,
             True,
             False,
@@ -325,8 +325,8 @@ class TestReEnumeration:
         previous = system.initial_state()
         run_to_quiescence(automaton, previous)
         assert sorted(calls) == [0, 1, 2, 3]
-        # What each station's memo has seen, kept alongside it.
-        seen = {i: set(components[i].memo.enabled) for i in (0, 1)}
+        # What each station's table has seen, kept alongside it.
+        seen = {i: set(components[i].table.values) for i in (0, 1)}
         steps = hits = 0
         for action in script.actions:
             state = automaton.step(previous, action)
@@ -358,4 +358,4 @@ class TestReEnumeration:
         assert steps > 20
         assert hits, "no station slice repeated: the memo went untested"
         for i in (0, 1):
-            assert set(components[i].memo.enabled) == seen[i]
+            assert set(components[i].table.values) == seen[i]

@@ -90,16 +90,31 @@ class TestExploreInstrumentation:
         assert totals["explore.states"] == len(result.states)
         assert totals["explore.accel_steps"] > 0
 
-    def test_reference_engine_also_counts_states(self):
-        from repro.ioa import explore
+    def test_backends_count_a_violating_search_alike(self):
+        # The search stops inside the layer that reached the violation;
+        # that layer's states and transitions must still be counted.
+        from repro.analysis.model_check import build_closed_system
+        from repro.ioa.engine import explore_engine
+        from repro.ioa.engine.accel import accel_backend_id, explore_accel
+        from repro.protocols import eager_protocol
 
-        composition, invariant = abp_closed_system(messages=1, capacity=1)
-        with tracing(MemorySink()) as tracer:
-            result = explore(
-                composition, invariant=invariant, engine="reference"
+        backends = [explore_engine]
+        if accel_backend_id() is not None:
+            backends.append(explore_accel)
+        counted = []
+        for backend in backends:
+            composition, invariant, _ = build_closed_system(
+                eager_protocol(), messages=2, capacity=2
             )
-        totals = tracer.snapshot_counters()
-        assert totals["explore.states"] == len(result.states)
+            with tracing(MemorySink()) as tracer:
+                result = backend(composition, invariant=invariant)
+            assert not result.ok
+            totals = tracer.snapshot_counters()
+            assert totals["explore.states"] == len(result.states), backend
+            counted.append(
+                (totals["explore.states"], totals["explore.transitions"])
+            )
+        assert len(set(counted)) == 1, counted
 
 
 class TestSimInstrumentation:

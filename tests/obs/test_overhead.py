@@ -56,6 +56,7 @@ class TestNoOpOverhead:
     def test_disabled_run_installs_no_memo_shim(self, monkeypatch):
         from repro.analysis.model_check import build_closed_system
         from repro.ioa.engine import core
+        from repro.ioa.engine.interning import SliceTable
         from repro.protocols import alternating_bit_protocol
 
         spaces = []
@@ -73,11 +74,11 @@ class TestNoOpOverhead:
         with tracing(MemorySink()):
             core.explore_engine(composition, invariant=invariant)
         untraced, traced = spaces
-        # Untraced, the search steps straight through the encoder; the
-        # traced run shows the check can tell the shim apart.
-        assert untraced.successor_sids == untraced.encoder.successor_sids
+        # Untraced, the search steps straight through the slice tables;
+        # the traced run shows the check can tell the shim apart.
+        assert untraced.successors is SliceTable.successors
         assert untraced.memo_queries == 0
-        assert traced.successor_sids != traced.encoder.successor_sids
+        assert traced.successors is not SliceTable.successors
         assert traced.memo_queries > 0
 
     def test_tracing_off_not_slower_than_traced(self):

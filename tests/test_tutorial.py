@@ -186,12 +186,13 @@ class TestSection5Backends:
         from repro.analysis import build_closed_system
         from repro.ioa import explore
         from repro.protocols import alternating_bit_protocol
+        from tests.ioa.reference_explorer import reference_explore
 
         system, invariant, _ = build_closed_system(
             alternating_bit_protocol(), messages=3, capacity=3
         )
         fast = explore(system, invariant=invariant)
-        oracle = explore(system, invariant=invariant, engine="reference")
+        oracle = reference_explore(system, invariant=invariant)
         assert fast.states == oracle.states
         assert not fast.truncated
         # Lazy set views answer membership without materializing.
