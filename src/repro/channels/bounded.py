@@ -44,7 +44,7 @@ from .actions import (
     SEND_PKT,
     WAKE,
     physical_layer_signature,
-    receive_pkt,
+    receive_actions,
 )
 from .permissive import ChannelSurgeryError
 
@@ -118,6 +118,7 @@ class BoundedChannel(Automaton):
         self.src = src
         self.dst = dst
         self.capacity = capacity
+        self._receives = receive_actions(src, dst)
         self.horizon = horizon
         # The whole adversary is fixed here, from the seed alone: which
         # send indices are lost and each index's delivery priority.
@@ -251,7 +252,7 @@ class BoundedChannel(Automaton):
     ) -> Iterable[Action]:
         deliverable = self.deliverable(state)
         if deliverable is not None:
-            yield receive_pkt(self.src, self.dst, deliverable[1])
+            yield self._receives[deliverable[1]]
 
     def task_of(self, action: Action) -> Hashable:
         return (self.name, "deliver")

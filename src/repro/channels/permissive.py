@@ -38,7 +38,7 @@ from .actions import (
     SEND_PKT,
     WAKE,
     physical_layer_signature,
-    receive_pkt,
+    receive_actions,
 )
 from .delivery_set import DeliverySet, DeliverySetError
 
@@ -157,6 +157,7 @@ class PermissiveChannel(Automaton):
         self._validate_delivery(self._initial_delivery)
         self._signature = physical_layer_signature(src, dst)
         self._direction = (src, dst)
+        self._receives = receive_actions(src, dst)
         self.name = name or f"channel[{src}->{dst}]"
 
     # ------------------------------------------------------------------
@@ -213,7 +214,7 @@ class PermissiveChannel(Automaton):
     ) -> Iterable[Action]:
         deliverable = state.deliverable()
         if deliverable is not None:
-            yield receive_pkt(self.src, self.dst, deliverable[1])
+            yield self._receives[deliverable[1]]
 
     def task_of(self, action: Action) -> Hashable:
         # All output actions in a single class (paper, Section 6.1).

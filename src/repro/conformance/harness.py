@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from ..alphabets import MessageFactory
 from ..channels.properties import feed_all
@@ -23,7 +23,7 @@ from ..ioa.automaton import with_memo
 from ..sim.faults import FaultPlan, GeneratedScript, generate_script
 from ..sim.network import DataLinkSystem
 from ..sim.runner import ScenarioResult
-from ..sim.session import Session
+from ..sim.session import Checkpoints, Session
 from .registry import resolve_fuzz_channel, resolve_fuzz_protocol
 
 
@@ -220,6 +220,8 @@ def execute_script(
     actions: Sequence[Action],
     subseeds: SubSeeds,
     config: FuzzConfig,
+    stop_when: Optional[Callable[[Action], bool]] = None,
+    checkpoints: Optional[Checkpoints] = None,
 ) -> ScenarioResult:
     """Run a script under the run's interleaving sub-seed.
 
@@ -231,6 +233,13 @@ def execute_script(
     composition's initial state; because the corruption is a pure
     function of (system, subseeds, config), the shrinker and the
     replayer reconstruct the identical corrupted start for free.
+
+    ``stop_when`` and ``checkpoints`` go to :meth:`Session.run
+    <repro.sim.session.Session.run>`: the run ends right after the
+    first action ``stop_when`` holds for, and resumes from the deepest
+    checkpoint of an earlier script of the same (system, subseeds,
+    config) that shares its input prefix.  The result is the plain
+    run's, cut at the stop.
     """
     initial_state = None
     if config.init_mode == "arbitrary":
@@ -244,7 +253,7 @@ def execute_script(
         max_interleave=config.max_interleave,
         max_steps=config.max_steps,
         initial_state=initial_state,
-    ).run()
+    ).run(stop_when, checkpoints)
 
 
 def script_admissible(
@@ -262,4 +271,4 @@ def script_admissible(
     """
     monitors = [MONITORS[n](t, r) for n in ("DL-well-formed", "DL1", "DL2", "DL3")]
     feed_all(monitors, actions)
-    return all(monitor.result().holds for monitor in monitors)
+    return all(monitor.violation() is None for monitor in monitors)

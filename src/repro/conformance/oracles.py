@@ -214,7 +214,30 @@ def check_execution(system, result, config=None, target=None) -> Findings:
         and getattr(config, "init_mode", "clean") == "arbitrary"
     ):
         return _check_stabilization(system, result, target)
-    t, r, quiescent = system.t, system.r, result.quiescent
+    dl_judged, pl_judged = _judged(system, target, result.quiescent)
+    feed_all([monitor for _, monitor, _ in dl_judged], result.behavior)
+    feed_all([monitor for _, monitor, _ in pl_judged], result.fragment.actions)
+    findings = Findings()
+    for oracle, monitor, direction in dl_judged + pl_judged:
+        if oracle.name == "valid" and not monitor.fault_free_with_wake:
+            continue
+        findings.checks += 1
+        witness = monitor.violation()
+        if witness is not None:
+            prefix = monitor.first + 1 if oracle.scope == PREFIX else None
+            findings.append(_violation(oracle, witness, direction, prefix))
+    _count(findings, target)
+    return findings
+
+
+def _judged(system, target: Optional[str], quiescent: bool):
+    """The monitors of the DL and PL oracles that apply to a run.
+
+    Two lists of ``(oracle, monitor, direction)``: the DL monitors read
+    the behavior, the PL monitors the action sequence of ``direction``.
+    ``valid`` shares the DL monitors built before it.
+    """
+    t, r = system.t, system.r
     built: dict = {}  # oracle name -> monitor, shared with validity
     dl_judged = []
     for oracle in DL_ORACLES:
@@ -234,19 +257,72 @@ def check_execution(system, result, config=None, target=None) -> Findings:
         if _applies(oracle, target, quiescent)
         and (channel.fifo_only or not oracle.fifo_only)
     ]
-    feed_all([monitor for _, monitor, _ in dl_judged], result.behavior)
-    feed_all([monitor for _, monitor, _ in pl_judged], result.fragment.actions)
-    findings = Findings()
-    for oracle, monitor, direction in dl_judged + pl_judged:
-        if oracle.name == "valid" and not monitor.fault_free_with_wake:
-            continue
-        findings.checks += 1
-        witness = monitor.violation()
-        if witness is not None:
-            prefix = monitor.first + 1 if oracle.scope == PREFIX else None
-            findings.append(_violation(oracle, witness, direction, prefix))
-    _count(findings, target)
-    return findings
+    return dl_judged, pl_judged
+
+
+def prefix_scoped(target: str, config=None) -> bool:
+    """Does ``target`` name a prefix-scope oracle that judges the run?
+
+    True for the DL/PL safety oracles, except under
+    ``init_mode="arbitrary"``, where only the stabilization family
+    judges.
+    """
+    if getattr(config, "init_mode", "clean") == "arbitrary":
+        return False
+    return any(
+        oracle.name == target and oracle.scope == PREFIX
+        for oracle in DL_ORACLES + PL_ORACLES
+    )
+
+
+class PrefixWatch:
+    """One prefix-scope oracle's monitors as a run's stop predicate.
+
+    Called on each action of a run in order (the ``stop_when`` of
+    :meth:`~repro.sim.session.Session.run`), it feeds the target's DL
+    monitors the external actions at their behavior index and its PL
+    monitors every action at its run index, as :func:`check_execution`
+    does, and holds once a monitor turns violated.  A prefix-scope
+    predicate stays violated on every extension, so ``violated`` after
+    the (possibly stopped) run is the verdict ``check_execution(...,
+    target=target)`` reaches on the whole run.
+    """
+
+    def __init__(self, system, target: str):
+        dl_judged, pl_judged = _judged(system, target, quiescent=False)
+        signature = system.automaton.signature
+        self._external = signature.inputs | signature.outputs
+        self._dl = _by_key(monitor for _, monitor, _ in dl_judged)
+        self._pl = _by_key(monitor for _, monitor, _ in pl_judged)
+        self._behavior_index = 0
+        self._index = 0
+        self.violated = False
+
+    def __call__(self, action) -> bool:
+        key = (action.name, action.direction)
+        if self._dl and key in self._external:
+            index = self._behavior_index
+            self._behavior_index = index + 1
+            for monitor in self._dl.get(key, ()):
+                monitor.observe(index, action)
+                if monitor.violation() is not None:
+                    self.violated = True
+        index = self._index
+        self._index = index + 1
+        for monitor in self._pl.get(key, ()):
+            monitor.observe(index, action)
+            if monitor.violation() is not None:
+                self.violated = True
+        return self.violated
+
+
+def _by_key(monitors) -> dict:
+    """Action family -> the monitors that observe it."""
+    table: dict = {}
+    for monitor in monitors:
+        for key in monitor.keys:
+            table.setdefault(key, []).append(monitor)
+    return table
 
 
 def _applies(oracle: Oracle, target: Optional[str], quiescent: bool) -> bool:

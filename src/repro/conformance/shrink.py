@@ -30,6 +30,20 @@ re-executions only, so the budget buys strictly more distinct
 candidates than before -- the search is deterministic either way.
 This matters doubly since shrinking runs *inside* the fuzz-pool
 workers: wasted re-executions there serialize whole batches.
+
+A re-execution is not a run from the initial state.  Every candidate
+of one shrink shares the system, seeds and start, so its run up to its
+first input that no earlier candidate executed at that position is an
+earlier candidate's: it resumes from that input boundary, held in a
+per-shrink :class:`~repro.sim.session.Checkpoints` trie.  For a
+prefix-scope target (outside ``init_mode="arbitrary"``) the target's
+monitors are the run's stop predicate and give the verdict
+(:class:`~repro.conformance.oracles.PrefixWatch`): the run ends at the
+target's first violating event, or at once if the resumed prefix
+already violated.  Quiescent- and run-scope targets drain and are
+checked whole.  Either way the verdict is the full re-execution's, so
+the search, its budget and its result do not change; a resumed or
+early-answered candidate still counts as one attempt.
 """
 
 from __future__ import annotations
@@ -40,8 +54,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..ioa.actions import Action
 from ..obs import current_tracer
 from ..sim.network import DataLinkSystem
+from ..sim.session import Checkpoints
 from .harness import FuzzConfig, SubSeeds, execute_script, script_admissible
-from .oracles import check_execution
+from .oracles import PrefixWatch, check_execution, prefix_scoped
 
 
 @dataclass
@@ -68,10 +83,46 @@ def shrink_script(
 ) -> ShrinkResult:
     """Shrink ``actions`` while the named oracle still fires.
 
-    Every accepted candidate is re-executed from the initial state and
-    re-checked on the named oracle alone; a candidate is accepted only
-    if that oracle is violated again, so the shrinker never drifts onto
-    a different failure.
+    Each candidate is executed under the original adversary, resuming
+    from the deepest checkpoint an earlier candidate left on its input
+    prefix, and judged on the named oracle alone -- by the target's
+    monitors as the run goes for a prefix-scope target, by
+    :func:`check_execution` on the drained run otherwise.  A candidate
+    is accepted only if that oracle is violated again, so the shrinker
+    never drifts onto a different failure.  A traced shrink counts the
+    steps taken from checkpoints in ``fuzz.shrink_resumed_steps``.
+    """
+    tracer = current_tracer()
+    checkpoints = Checkpoints()
+    watched = prefix_scoped(oracle_name, config)
+
+    def violates(candidate: Sequence[Action]) -> bool:
+        watch = PrefixWatch(system, oracle_name) if watched else None
+        result = execute_script(
+            system, candidate, subseeds, config, watch, checkpoints
+        )
+        if tracer.enabled:
+            tracer.count("fuzz.shrink_resumed_steps", result.resumed)
+        if watch is not None:
+            return watch.violated
+        return bool(check_execution(system, result, config, target=oracle_name))
+
+    return shrink_search(system, actions, oracle_name, config, violates)
+
+
+def shrink_search(
+    system: DataLinkSystem,
+    actions: Sequence[Action],
+    oracle_name: str,
+    config: FuzzConfig,
+    violates: Callable[[Sequence[Action]], bool],
+) -> ShrinkResult:
+    """The deletion search around one candidate verdict.
+
+    ``violates`` executes an admissible candidate and tells whether
+    the target oracle fires; the search memoizes its verdicts, skips
+    inadmissible candidates and stops calling it once
+    ``config.shrink_budget`` calls were made.
     """
     tracer = current_tracer()
     attempts = 0
@@ -94,9 +145,7 @@ def shrink_script(
         attempts += 1
         if tracer.enabled:
             tracer.count("fuzz.shrink_executions")
-        result = execute_script(system, candidate, subseeds, config)
-        verdict = bool(check_execution(system, result, config, target=oracle_name))
-        verdicts[key] = verdict
+        verdict = verdicts[key] = violates(key)
         return verdict
 
     current: List[Action] = list(actions)

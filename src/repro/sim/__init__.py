@@ -36,10 +36,11 @@ from .scheduler import (
     deterministic_tie_break,
     seeded_tie_break,
 )
-from .session import Session
+from .session import Checkpoints, Session
 
 __all__ = [
     "ChannelStats",
+    "Checkpoints",
     "DataLinkSystem",
     "DeliveryStats",
     "FaultPlan",

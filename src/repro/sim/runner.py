@@ -19,11 +19,17 @@ from ..obs import STATUS_OK, RunReport
 
 @dataclass
 class ScenarioResult:
-    """Outcome of one simulated scenario."""
+    """Outcome of one simulated scenario.
+
+    A run that a ``stop_when`` predicate cut short is not quiescent.
+    ``resumed`` counts the fragment's steps that were taken from a
+    checkpoint rather than executed.
+    """
 
     fragment: ExecutionFragment
     behavior: Tuple[Action, ...]
     quiescent: bool
+    resumed: int = 0
 
     @property
     def steps(self) -> int:

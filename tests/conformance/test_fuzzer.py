@@ -134,6 +134,34 @@ class TestCampaign:
         assert "fuzz.shrink" in span_names
         assert "fuzz.oracle_checks" in counter_names
         assert "fuzz.shrink_executions" in counter_names
+        assert "fuzz.shrink_resumed_steps" in counter_names
+
+    def test_shrink_counters_match_the_search(self):
+        # Every attempt is one execution, resumed or not; a resumed one
+        # takes some of its steps from a checkpoint.
+        with tracing(MemorySink()) as tracer:
+            campaign = fuzz_campaign("naive", "nonfifo", 7, FuzzConfig(runs=4))
+            counters = tracer.snapshot_counters()
+        attempts = sum(v.shrink.attempts for v in campaign.violations)
+        assert attempts > 0
+        assert counters["fuzz.shrink_executions"] == attempts
+        assert 0 < counters["fuzz.shrink_resumed_steps"] < counters["sim.steps"]
+
+    def test_untraced_shrink_counts_nothing(self, monkeypatch):
+        from repro.obs import current_tracer
+
+        tracer = current_tracer()
+        assert not tracer.enabled
+
+        count = type(tracer).count
+
+        def refuse(self, name, *args, **kwargs):
+            assert not name.startswith("fuzz.shrink"), name
+            return count(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(type(tracer), "count", refuse)
+        campaign = fuzz_campaign("naive", "nonfifo", 7, FuzzConfig(runs=2))
+        assert any(v.shrink.attempts for v in campaign.violations)
 
     def test_reported_oracle_checks_match_traced_counter(self):
         # The default mix injects fail events, on which the validity

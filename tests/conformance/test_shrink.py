@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.channels.actions import WAKE
 from repro.conformance import (
     FuzzConfig,
@@ -111,3 +113,95 @@ class TestShrink:
         # Whatever survives must still be a well-formed script.
         assert script_admissible(shrunk.actions, system.t, system.r)
         assert shrunk.length <= len(script.actions)
+
+
+# ----------------------------------------------------------------------
+# Differential: checkpointed, early-stopping shrink vs full re-execution
+# ----------------------------------------------------------------------
+
+MATRIX_PROTOCOLS = ("naive", "naive_direct", "alternating_bit", "mod_stenning")
+MATRIX_CHANNELS = ("fifo", "nonfifo", "bounded_nonfifo")
+MATRIX_MIXES = ("default", "crash-storm", "link-flap", "reorder-flood")
+
+
+def _violations(protocol, channel, config, seed, runs):
+    """Each run's script with its distinct violated oracles, as the
+    fuzzer shrinks them."""
+    import random
+
+    from repro.conformance.harness import resolve_pair
+
+    master = random.Random(seed)
+    resolved = resolve_pair(protocol, channel)
+    for _ in range(runs):
+        seeds = SubSeeds.derive(master)
+        system = build_system(
+            protocol, channel, seeds, config, resolved=resolved
+        )
+        script = build_script(system, seeds, config)
+        result = execute_script(system, script.actions, seeds, config)
+        found = check_execution(system, result, config)
+        for oracle in dict.fromkeys(v.oracle for v in found):
+            yield system, script.actions, oracle, seeds
+
+
+def _compare(protocol, channel, config, seed=11, runs=3):
+    from tests.conformance.reference_shrink import reference_shrink
+
+    compared = []
+    for system, actions, oracle, seeds in _violations(
+        protocol, channel, config, seed, runs
+    ):
+        shrunk = shrink_script(system, actions, oracle, seeds, config)
+        reference = reference_shrink(system, actions, oracle, seeds, config)
+        assert (
+            shrunk.actions,
+            shrunk.attempts,
+            shrunk.rounds,
+            shrunk.budget_exhausted,
+        ) == (
+            reference.actions,
+            reference.attempts,
+            reference.rounds,
+            reference.budget_exhausted,
+        ), (protocol, channel, oracle)
+        compared.append(oracle)
+    return compared
+
+
+class TestCheckpointedShrinkMatchesReference:
+    """The shrinker resumes candidates from checkpoints and stops
+    prefix-scope targets at their first violation; its results must be
+    those of re-executing every candidate in full."""
+
+    @pytest.mark.parametrize("channel", MATRIX_CHANNELS)
+    @pytest.mark.parametrize("protocol", MATRIX_PROTOCOLS)
+    def test_fault_mixes(self, protocol, channel):
+        from repro.conformance import with_mix
+
+        compared = []
+        for mix in MATRIX_MIXES:
+            compared += _compare(protocol, channel, with_mix(FuzzConfig(), mix))
+        if protocol.startswith("naive"):
+            assert compared
+
+    @pytest.mark.parametrize("channel", ("nonfifo", "bounded_nonfifo"))
+    @pytest.mark.parametrize("protocol", MATRIX_PROTOCOLS)
+    def test_arbitrary_init(self, protocol, channel):
+        config = FuzzConfig(init_mode="arbitrary", messages=4, max_steps=4000)
+        compared = _compare(protocol, channel, config, seed=3, runs=4)
+        assert all(oracle.startswith("SSTAB") for oracle in compared)
+
+    def test_matrix_shrinks_every_scope(self):
+        # Prefix-scope (DL4/DL6) and quiescent-scope targets both occur
+        # on the naive strawman, so both verdict paths are compared.
+        compared = _compare("naive", "nonfifo", FuzzConfig(), runs=6)
+        assert {"DL4", "DL6"} & set(compared)
+        assert {"DL7", "DL8", "valid"} & set(compared)
+
+    def test_arbitrary_init_convicts(self):
+        config = FuzzConfig(init_mode="arbitrary", messages=4, max_steps=4000)
+        compared = _compare(
+            "alternating_bit", "bounded_nonfifo", config, seed=3, runs=5
+        )
+        assert "SSTAB2" in compared

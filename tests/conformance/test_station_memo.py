@@ -137,3 +137,27 @@ def test_memo_dies_with_its_run(monkeypatch):
     assert [size for _, size in memos] == [0, 0, 0, 0]
     assert all(memo() is None for memo, _ in memos)
     assert first.report().counters == second.report().counters
+
+
+@pytest.mark.parametrize("channel", ["nonfifo", "bounded_nonfifo"])
+def test_delivered_packets_probe_the_tables_by_identity(monkeypatch, channel):
+    # Channels are rebuilt for every session while the stations' tables
+    # serve the whole load run, so each channel must enumerate the very
+    # receive_pkt object a table stored: a probe with an equal copy
+    # pays a field-by-field comparison.
+    from repro.channels.actions import RECEIVE_PKT
+    from repro.ioa.engine.interning import SliceTable
+
+    probes = []
+    successors_of = SliceTable.successors_of
+
+    def recorded(self, value, action):
+        if action.name == RECEIVE_PKT:
+            aid = self.actions._ids.get(action)
+            if aid is not None:
+                probes.append(self.actions.values[aid] is action)
+        return successors_of(self, value, action)
+
+    monkeypatch.setattr(SliceTable, "successors_of", recorded)
+    run_load("alternating_bit", channel, 5, LOAD)
+    assert probes and all(probes)
