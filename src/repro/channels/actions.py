@@ -10,7 +10,7 @@ receives a single notification stream.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..alphabets import Packet
 from ..ioa.actions import Action, action_family, directed
@@ -36,13 +36,15 @@ def receive_pkt(src: str, dst: str, packet: Packet) -> Action:
 class ReceiveActions(dict):
     """``packet -> receive_pkt^{src,dst}(packet)``, one object per packet.
 
-    Channels are rebuilt for every run, while a campaign's stations keep
-    one slice table whose steps are keyed by action.  A channel that
-    enumerates its delivery through the direction's shared table
-    (:func:`receive_actions`) hands the stations the action object they
-    stored, so a probe matches by identity instead of comparing fields.
-    A full table starts over; the actions it hands out after that are
-    equal to the stored ones, just not identical.
+    A channel enumerates its delivery through one of these, so it
+    builds each packet's action once rather than on every enumeration.
+    Channels are rebuilt for every run while a campaign's stations keep
+    slice tables whose steps are keyed by action; a table shared by the
+    channels of all those runs
+    (:func:`~repro.conformance.harness.resolve_pair`) hands the stations
+    the very object they stored, so a probe matches by identity instead
+    of comparing fields.  A full table starts over; the actions it hands
+    out after that are equal to the stored ones, just not identical.
     """
 
     limit = 1 << 12
@@ -57,17 +59,6 @@ class ReceiveActions(dict):
             self.clear()
         action = self[packet] = receive_pkt(self.src, self.dst, packet)
         return action
-
-
-_RECEIVE_ACTIONS: Dict[Tuple[str, str], ReceiveActions] = {}
-
-
-def receive_actions(src: str, dst: str) -> ReceiveActions:
-    """The process-wide :class:`ReceiveActions` of direction ``src -> dst``."""
-    table = _RECEIVE_ACTIONS.get((src, dst))
-    if table is None:
-        table = _RECEIVE_ACTIONS[src, dst] = ReceiveActions(src, dst)
-    return table
 
 
 def wake(src: str, dst: str) -> Action:

@@ -43,8 +43,8 @@ from .actions import (
     RECEIVE_PKT,
     SEND_PKT,
     WAKE,
+    ReceiveActions,
     physical_layer_signature,
-    receive_actions,
 )
 from .permissive import ChannelSurgeryError
 
@@ -118,7 +118,7 @@ class BoundedChannel(Automaton):
         self.src = src
         self.dst = dst
         self.capacity = capacity
-        self._receives = receive_actions(src, dst)
+        self.receives = ReceiveActions(src, dst)
         self.horizon = horizon
         # The whole adversary is fixed here, from the seed alone: which
         # send indices are lost and each index's delivery priority.
@@ -252,7 +252,7 @@ class BoundedChannel(Automaton):
     ) -> Iterable[Action]:
         deliverable = self.deliverable(state)
         if deliverable is not None:
-            yield self._receives[deliverable[1]]
+            yield self.receives[deliverable[1]]
 
     def task_of(self, action: Action) -> Hashable:
         return (self.name, "deliver")

@@ -37,8 +37,8 @@ from .actions import (
     RECEIVE_PKT,
     SEND_PKT,
     WAKE,
+    ReceiveActions,
     physical_layer_signature,
-    receive_actions,
 )
 from .delivery_set import DeliverySet, DeliverySetError
 
@@ -137,7 +137,10 @@ class PermissiveChannel(Automaton):
     """The universal (non-FIFO) physical channel ``C-bar^{src,dst}``.
 
     The start state's delivery set defaults to FIFO/no-loss but may be
-    any delivery set (the paper's arbitrary initial ``S``).
+    any delivery set (the paper's arbitrary initial ``S``).  ``receives``
+    is the :class:`~repro.channels.actions.ReceiveActions` the channel
+    enumerates its deliveries through; channels of one direction may
+    share one.
     """
 
     fifo_only = False
@@ -157,7 +160,7 @@ class PermissiveChannel(Automaton):
         self._validate_delivery(self._initial_delivery)
         self._signature = physical_layer_signature(src, dst)
         self._direction = (src, dst)
-        self._receives = receive_actions(src, dst)
+        self.receives = ReceiveActions(src, dst)
         self.name = name or f"channel[{src}->{dst}]"
 
     # ------------------------------------------------------------------
@@ -214,7 +217,7 @@ class PermissiveChannel(Automaton):
     ) -> Iterable[Action]:
         deliverable = state.deliverable()
         if deliverable is not None:
-            yield self._receives[deliverable[1]]
+            yield self.receives[deliverable[1]]
 
     def task_of(self, action: Action) -> Hashable:
         # All output actions in a single class (paper, Section 6.1).

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..alphabets import MessageFactory
+from ..channels.actions import ReceiveActions
 from ..channels.properties import feed_all
 from ..datalink.properties import MONITORS
 from ..ioa.actions import Action
@@ -144,10 +145,23 @@ def resolve_pair(protocol_name: str, channel_name: str):
     :func:`build_system` composes from one result shares them, so what
     one run computed answers every later run, for as long as the
     result lives: the pool resolves once per serial schedule or worker.
+    The channels the builder makes share one
+    :class:`~repro.channels.actions.ReceiveActions` per direction, which
+    lives as long as the stations' tables, so a delivery probes them
+    with the action object they stored.
     """
     protocol = resolve_fuzz_protocol(protocol_name)
     stations = tuple(with_memo(station) for station in protocol.build())
-    return protocol, stations, resolve_fuzz_channel(channel_name)
+    build_channel = resolve_fuzz_channel(channel_name)
+    receives: Dict[Tuple[str, str], ReceiveActions] = {}
+
+    def build(src, dst, *args, **kwargs):
+        channel = build_channel(src, dst, *args, **kwargs)
+        if isinstance(getattr(channel, "receives", None), ReceiveActions):
+            channel.receives = receives.setdefault((src, dst), channel.receives)
+        return channel
+
+    return protocol, stations, build
 
 
 def build_system(
