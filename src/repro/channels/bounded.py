@@ -93,7 +93,8 @@ class BoundedChannel(Automaton):
     ``reorder_window`` parameterize a seeded adversary plan over send
     indices ``1..horizon``; beyond the horizon the channel is FIFO and
     lossless, which preserves the harness's quiescence guarantee for
-    retransmitting protocols.
+    retransmitting protocols.  Deliveries are enumerated through
+    ``receives``, as in :class:`~repro.channels.permissive.PermissiveChannel`.
     """
 
     fifo_only = False
