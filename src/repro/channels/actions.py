@@ -10,6 +10,7 @@ receives a single notification stream.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 from ..alphabets import Packet
@@ -61,16 +62,21 @@ class ReceiveActions(dict):
         return action
 
 
+# One object per endpoint pair, so every script's wake, fail and crash
+# match a station slice table's stored key by identity.
+@lru_cache(maxsize=256)
 def wake(src: str, dst: str) -> Action:
     """``wake^{src,dst}``: the medium (direction src->dst) became active."""
     return directed(WAKE, src, dst)
 
 
+@lru_cache(maxsize=256)
 def fail(src: str, dst: str) -> Action:
     """``fail^{src,dst}``: the medium (direction src->dst) became inactive."""
     return directed(FAIL, src, dst)
 
 
+@lru_cache(maxsize=256)
 def crash(src: str, dst: str) -> Action:
     """``crash^{src,dst}``: station ``src`` suffered a hardware crash."""
     return directed(CRASH, src, dst)

@@ -106,7 +106,6 @@ from .sim import (
     DataLinkSystem,
     FaultPlan,
     Session,
-    delivery_stats,
     generate_script,
 )
 
@@ -393,14 +392,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result = Session(
             system, tuple(script.actions), seed=args.seed
         ).run()
-        stats = delivery_stats(result.fragment)
         audit = check_datalink_trace(
             result.behavior, quiescent=result.quiescent
         )
+    report = result.report(duration_s=time.perf_counter() - started)
+    details = report.details
     lines = [
-        f"sent {stats.sent}, delivered {stats.delivered}, duplicates "
-        f"{stats.duplicates}, steps {result.steps}, quiescent "
-        f"{result.quiescent}"
+        f"sent {details['sent']}, delivered {details['delivered']}, "
+        f"duplicates {details['duplicates']}, steps {result.steps}, "
+        f"quiescent {result.quiescent}"
     ]
     if args.msc:
         from .analysis import render_fragment
@@ -409,7 +409,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(render_fragment(result.fragment))
     lines.append("")
     lines.append(audit.describe())
-    report = result.report(duration_s=time.perf_counter() - started)
     report.status = STATUS_OK if audit.ok else STATUS_VIOLATION
     report.details["audit"] = {
         name: audit.results[name].holds for name in sorted(audit.results)

@@ -7,6 +7,8 @@ transmitting station's crash, ``crash^{r,t}`` the receiving station's.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..alphabets import Message
 from ..ioa.actions import Action, action_family, directed
 from ..ioa.signature import ActionSignature
@@ -16,6 +18,10 @@ SEND_MSG = "send_msg"
 RECEIVE_MSG = "receive_msg"
 
 
+# Recent actions are kept: the scripts of a fuzz campaign or load run
+# resubmit equal messages, and each then hands the stations' slice
+# tables the very object they stored (as ReceiveActions does).
+@lru_cache(maxsize=256)
 def send_msg(t: str, r: str, message: Message) -> Action:
     """``send_msg^{t,r}(m)``: the environment submits ``m`` at station t."""
     return directed(SEND_MSG, t, r, message)

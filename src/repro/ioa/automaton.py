@@ -31,7 +31,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -51,9 +50,25 @@ class TransitionError(RuntimeError):
 #: Placeholder for a slot no slice has been enumerated in yet.
 _UNSEEN = object()
 
+#: What :meth:`SliceView.advance` returns for a step an owner refuses.
+REFUSED = object()
+
 #: A task's enabled actions as the fair kernel keeps them: the task's
-#: interned id and its candidates in enumeration order.
-TaskGroup = Tuple[int, Tuple[Action, ...]]
+#: name (see :class:`TaskNames`) and its candidates in enumeration order.
+TaskGroup = Tuple[str, Tuple[Action, ...]]
+
+
+class TaskNames(dict):
+    """``task -> repr(task)``: the name the fair kernel serves a task by
+    and breaks ties by.  A distinct task with a name already given
+    raises ``ValueError`` rather than share the first one's turns."""
+
+    def __missing__(self, task: Hashable) -> str:
+        name = repr(task)
+        if name in self.values():
+            raise ValueError(f"two distinct tasks share the name {name}")
+        self[task] = name
+        return name
 
 
 def with_memo(automaton: "Automaton") -> "Automaton":
@@ -72,83 +87,63 @@ def with_memo(automaton: "Automaton") -> "Automaton":
     return automaton
 
 
-class SliceMemory:
-    """What the fair kernel keeps of an automaton's slices between steps.
-
-    ``kept[i]`` is the slice last enumerated in slot ``i`` and
-    ``groups[i]`` its task groups.  Keying on identity is sound because
-    automata are pure functions of immutable states, and holding the
-    slice keeps its identity from being reused.  Tasks are interned:
-    ``task_names[id]`` is the ``repr`` the scheduler breaks ties by.
-    It lasts one composition; a component's slice table can outlast
-    many and answers every slice it has seen.
-    """
-
-    def __init__(self, size: int):
-        self.kept: List[Any] = [_UNSEEN] * size
-        self.groups: List[Tuple[TaskGroup, ...]] = [()] * size
-        self.task_names: List[str] = []
-        self._task_ids: Dict[Hashable, int] = {}
-
-    def task_id(self, task: Hashable) -> int:
-        task_id = self._task_ids.get(task)
-        if task_id is None:
-            task_id = self._task_ids[task] = len(self.task_names)
-            self.task_names.append(repr(task))
-        return task_id
-
-
 class SliceView:
     """The fair-stepping kernel's view of an automaton: a vector of slices.
 
     A step changes only the slices its action's owners hold, so the
-    kernel (:func:`repro.ioa.fairness.run_to_quiescence`) keeps each
-    slice's enabled local actions, grouped by task, in ``memory`` and
-    re-enumerates a slice only when it is a new object.
+    kernel (:func:`repro.ioa.fairness.run_to_quiescence`) keeps, per
+    slot ``i``, the slice last enumerated there (``kept[i]``) and its
+    enabled local actions grouped by task (``groups[i]``).  A run's
+    :meth:`start` and each :meth:`advance` re-enumerate only the slices
+    that are not the ones kept.  Keying on identity is sound because
+    automata are pure functions of immutable states, and holding the
+    slice keeps its identity from being reused.  ``task_names`` names
+    the tasks of untabled slots; a table names its own slot's and
+    answers every slice it has seen, for as long as it lives.
 
     This base view has one slice, the whole state, whose tasks are
-    exactly ``automaton.task_of(action)``, and a fresh memory per run.
-    :class:`Composition` overrides it with one slice per component and a
-    memory that outlives the run.
+    exactly ``automaton.task_of(action)``, and lasts one run.
+    :class:`Composition` overrides it with one slice per component and
+    keeps its view for every run.
     """
 
-    def __init__(
-        self, automaton: "Automaton", memory: Optional[SliceMemory] = None
-    ):
+    def __init__(self, automaton: "Automaton", size: int = 1):
         self.automaton = automaton
-        self.memory = SliceMemory(1) if memory is None else memory
+        self.kept: List[Any] = [_UNSEEN] * size
+        self.groups: List[Tuple[TaskGroup, ...]] = [()] * size
+        self.task_names = TaskNames()
 
-    def slices(self, state: State) -> Sequence[State]:
-        """The slices of ``state``, one per slot."""
-        return (state,)
+    def start(self, state: State) -> None:
+        """Make the view describe ``state``."""
+        if state is not self.kept[0]:
+            self.groups[0] = self._group(
+                self.automaton.enabled_local_actions(state),
+                self.automaton.task_of,
+            )
+            self.kept[0] = state
 
-    def enumerate(self, index: int, piece: State) -> Tuple[TaskGroup, ...]:
-        """Task groups of one slice, in enumeration order."""
-        return self._group(
-            self.automaton.enabled_local_actions(piece),
-            self.automaton.task_of,
-        )
-
-    def step(self, state: State, action: Action) -> Tuple[State, ...]:
-        """The post-state the kernel takes, as a 1-tuple; ``()`` if refused.
-
-        That is the first choice, the post-state :meth:`Automaton.step`
-        takes.
-        """
-        return self.automaton.transitions(state, action)[:1]
+    def advance(self, state: State, action: Action) -> State:
+        """The post-state the kernel takes, or :data:`REFUSED`: the first
+        choice, as :meth:`Automaton.step` takes it.  ``state`` must be
+        the one the view describes, which the post-state then is."""
+        post = self.automaton.transitions(state, action)
+        if not post:
+            return REFUSED
+        self.start(post[0])
+        return post[0]
 
     def _group(
         self, actions: Iterable[Action], task_of: Callable[[Action], Hashable]
     ) -> Tuple[TaskGroup, ...]:
-        """Group enabled actions by interned task, in enumeration order."""
-        task_id = self.memory.task_id
+        """Group enabled actions by named task, in enumeration order."""
+        names = self.task_names
         actions = tuple(actions)
         if len(actions) < 2:
             # Most slices enable at most one action.
-            return ((task_id(task_of(actions[0])), actions),) if actions else ()
-        by_task: Dict[int, List[Action]] = {}
+            return ((names[task_of(actions[0])], actions),) if actions else ()
+        by_task: Dict[str, List[Action]] = {}
         for action in actions:
-            by_task.setdefault(task_id(task_of(action)), []).append(action)
+            by_task.setdefault(names[task_of(action)], []).append(action)
         return tuple(
             (task, tuple(candidates)) for task, candidates in by_task.items()
         )

@@ -12,16 +12,17 @@ execution of the composition projects to an execution of each component).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+import weakref
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .actions import Action
-from .automaton import Automaton, SliceMemory, SliceView, State, TaskGroup
+from .automaton import REFUSED, Automaton, SliceView, State
 from .execution import ExecutionFragment
 from .signature import (
     ActionSignature,
     SignatureError,
     compatibility_conflicts,
-    compose_signatures,
+    union_signature,
 )
 
 
@@ -33,7 +34,8 @@ class Composition(Automaton):
     of its own: a component that carries a
     :class:`~repro.ioa.engine.interning.SliceTable` has its steps and
     enabled sets answered from it, and every other component is asked
-    afresh.
+    afresh.  Only the fair kernel's view, built on its first run,
+    remembers the slices that run left.
     """
 
     #: sentinel marking a component name shared by several components
@@ -45,9 +47,9 @@ class Composition(Automaton):
         name: str = "composition",
     ):
         components = list(components)
+        signatures = [c.signature for c in components]
         conflicts = compatibility_conflicts(
-            [c.signature for c in components],
-            names=[repr(c.name) for c in components],
+            signatures, names=[repr(c.name) for c in components]
         )
         if conflicts:
             raise SignatureError(
@@ -60,9 +62,7 @@ class Composition(Automaton):
             )
         self.name = name
         self._components: Tuple[Automaton, ...] = tuple(components)
-        self._signature = compose_signatures(
-            c.signature for c in components
-        )
+        self._signature = union_signature(signatures)
         # Pre-compute, per component, which action families it knows.
         self._family_owners: Dict[Tuple, List[int]] = {}
         for i, component in enumerate(self._components):
@@ -86,10 +86,9 @@ class Composition(Automaton):
         for i, component in enumerate(self._components):
             for family in component.signature.local:
                 self._local_owner[family] = i
-        # What the fair kernel keeps of the component slices between
-        # runs; the view holding it is built per run, so no reference
-        # cycle keeps a dropped composition's last states alive.
-        self._slice_memory = SliceMemory(len(self._components))
+        # The fair kernel's view, built on the first run and kept, with
+        # what it knows of the component slices, for every later one.
+        self._slice_view: Optional[ComponentSlices] = None
 
     # ------------------------------------------------------------------
     # Component access
@@ -147,32 +146,25 @@ class Composition(Automaton):
     def initial_state(self) -> State:
         return tuple(c.initial_state() for c in self._components)
 
-    def component_transitions(
-        self, index: int, component_state: State, action: Action
-    ) -> Tuple[State, ...]:
-        """``components[index].transitions(component_state, action)``,
-        from the component's table if it carries one.
-
-        Most steps change only one or two slices, so an exhaustive walk
-        asks the same (slice, action) pair across thousands of composed
-        states, and a campaign's stations meet the same slices run
-        after run.
-        """
-        component = self._components[index]
-        table = component.table
-        if table is None:
-            return component.transitions(component_state, action)
-        ids = table.successors_of(component_state, action)
-        return tuple(map(table.values.__getitem__, ids))
-
     def transitions(self, state: State, action: Action) -> Tuple[State, ...]:
         owners = self._family_owners.get(action.key)
         if not owners:
             return ()
-        # Every owning component must be able to take the step.
+        # Every owning component must be able to take the step; one
+        # with a table answers from it, as the same (slice, action)
+        # pairs recur across an exhaustive walk's states and a
+        # campaign's runs.
         per_component_choices: List[Tuple[State, ...]] = []
         for i in owners:
-            choices = self.component_transitions(i, state[i], action)
+            component = self._components[i]
+            table = component.table
+            if table is None:
+                choices = component.transitions(state[i], action)
+            else:
+                ids = table.successors(
+                    table.intern(state[i]), table.actions.intern(action)
+                )
+                choices = tuple(map(table.values.__getitem__, ids))
             if not choices:
                 return ()
             per_component_choices.append(choices)
@@ -197,7 +189,13 @@ class Composition(Automaton):
                 yield from table.enabled_actions(table.intern(state[i]))
 
     def slice_view(self) -> SliceView:
-        return ComponentSlices(self, self._slice_memory)
+        view = self._slice_view
+        if view is None:
+            # Weakly: a strong back-reference is a cycle, which would
+            # keep a dropped composition's last states alive until the
+            # cycle collector runs.
+            view = self._slice_view = ComponentSlices(weakref.proxy(self))
+        return view
 
     def task_of(self, action: Action) -> Hashable:
         # The fair kernel calls this per enumerated action: spell the
@@ -249,49 +247,79 @@ class ComponentSlices(SliceView):
 
     A step on ``pi`` moves only the slices of the components with ``pi``
     in their signature, so the other slices keep their task groups.  The
-    memory lives as long as the composition, so consecutive runs from
-    states sharing slices (a Session's bursts) reuse them too.  A
-    component's table groups each of its slices once, for every run.
+    view lives as long as the composition, so consecutive runs from
+    states sharing slices (a Session's bursts) reuse them too.
+
+    A component with a slice table steps by id: its slot's slice id is
+    kept with the slice (``sids[i]``, set by :meth:`start`), so a step
+    reads ``table.steps[sid][action id]`` and the post-slice's task
+    groups from the table's cache for the slot, hashing no slice.
+    Other components step through their own ``transitions`` and are
+    re-enumerated when their slice changes.
     """
 
-    def slices(self, state: State) -> Sequence[State]:
-        return state
+    def __init__(self, composition: Composition):
+        super().__init__(composition, len(composition.components))
+        self.sids: List[int] = [-1] * len(composition.components)
+        self.components = composition.components
+        self.owners = composition.family_owners
+        self.tables = [component.table for component in self.components]
+        self.caches = [
+            None if table is None else table.slot_cache(index)
+            for index, table in enumerate(self.tables)
+        ]
 
-    def enumerate(self, index: int, piece: State) -> Tuple[TaskGroup, ...]:
-        composition: Composition = self.automaton
-        component = composition._components[index]
-        table = component.table
-        if table is None:
-            return self._group(
-                component.enabled_local_actions(piece), composition.task_of
-            )
-        # The composition's task is (owner, the owner's own task).
-        task_id = self.memory.task_id
-        groups = table.task_groups(table.intern(piece))
-        if len(groups) == 1:
-            return ((task_id((index, groups[0][0])), groups[0][1]),)
-        return tuple(
-            (task_id((index, task)), candidates) for task, candidates in groups
-        )
+    def start(self, state: State) -> None:
+        kept = self.kept
+        for i, piece in enumerate(state):
+            if piece is kept[i]:
+                continue
+            table = self.tables[i]
+            if table is None:
+                self.groups[i] = self._group(
+                    self.components[i].enabled_local_actions(piece),
+                    self.automaton.task_of,
+                )
+            else:
+                sid = self.sids[i] = table.intern(piece)
+                groups = self.caches[i].get(sid)
+                self.groups[i] = (
+                    table.slot_groups(i, sid) if groups is None else groups
+                )
+            kept[i] = piece
 
-    def step(self, state: State, action: Action) -> Tuple[State, ...]:
+    def advance(self, state: State, action: Action) -> State:
         # Only the owners step, each taking its first choice: the first
         # combination Composition.transitions would produce.
-        composition: Composition = self.automaton
-        owners = composition.family_owners.get((action.name, action.direction))
+        owners = self.owners.get((action.name, action.direction))
         if not owners:
-            return ()
+            return REFUSED
+        kept, groups, sids = self.kept, self.groups, self.sids
         post = list(state)
         for i in owners:
-            component = composition._components[i]
-            table = component.table
+            table = self.tables[i]
             if table is None:
+                component = self.components[i]
                 choices = component.transitions(state[i], action)
-            else:
-                # The table answers with ids: read only the first choice.
-                ids = table.successors_of(state[i], action)
-                choices = (table.values[ids[0]],) if ids else ()
-            if not choices:
-                return ()
-            post[i] = choices[0]
-        return (tuple(post),)
+                if not choices:
+                    return REFUSED
+                piece = choices[0]
+                if piece is not kept[i]:
+                    groups[i] = self._group(
+                        component.enabled_local_actions(piece),
+                        self.automaton.task_of,
+                    )
+                    post[i] = kept[i] = piece
+                continue
+            sid = sids[i]
+            ids = table.steps[sid].get(table.actions._ids.get(action))
+            if ids is None:
+                ids = table.successors(sid, table.actions.intern(action))
+            if not ids:
+                return REFUSED
+            if ids[0] != sid:
+                sid = sids[i] = ids[0]
+                post[i] = kept[i] = table.values[sid]
+                cached = self.caches[i].get(sid)
+                groups[i] = table.slot_groups(i, sid) if cached is None else cached
+        return tuple(post)

@@ -14,7 +14,8 @@ tuples share their slice objects and equality checks between them hit
 CPython's per-element identity fast path.
 
 :class:`SliceTable` is the one place per-slice answers live: the
-encoder holds one per slot, and a campaign's stations carry one each.
+encoder holds one per slot, and a campaign's stations carry one each,
+which also name their slices' task groups for the fair kernel.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..actions import Action
-from ..automaton import Automaton
-
-#: Enabled actions by their automaton's own task, in enumeration order.
-ByTask = Tuple[Tuple[Hashable, Tuple[Action, ...]], ...]
+from ..automaton import Automaton, TaskGroup, TaskNames
 
 
 class InternTable:
@@ -74,11 +72,12 @@ class SliceTable(InternTable):
 
     Actions get ids from ``actions`` (shared by tables that must agree
     on them).  Per slice id ``sid``, filled on first use: ``enabled[sid]``
-    holds the enabled local actions' ids, ``groups[sid]`` those actions
-    grouped by the automaton's own ``task_of``, and ``steps[sid][action
-    id]`` the post-slices' ids.  The answers hold as long as the table
-    lives, as automata are pure functions of immutable states.  A table
-    knows neither its slot nor any composition's task ids.
+    holds the enabled local actions' ids and ``steps[sid][action id]``
+    the post-slices' ids.  For the fair kernel, ``slot_cache(slot)``
+    maps a slice id to its task groups as a composition with the
+    automaton in that slot names them (:meth:`slot_groups`).  The
+    answers hold as long as the table lives, as automata are pure
+    functions of immutable states.
     """
 
     def __init__(self, automaton: Automaton, actions: Optional[InternTable] = None):
@@ -86,8 +85,9 @@ class SliceTable(InternTable):
         self.automaton = automaton
         self.actions = InternTable() if actions is None else actions
         self.enabled: List[Optional[Tuple[int, ...]]] = []
-        self.groups: Dict[int, ByTask] = {}
         self.steps: List[Dict[int, Tuple[int, ...]]] = []
+        self._slots: Dict[int, Dict[int, Tuple[TaskGroup, ...]]] = {}
+        self._task_names = TaskNames()
 
     def intern(self, value: Hashable) -> int:
         """The id of ``value``; a fresh id gets empty answer slots."""
@@ -109,24 +109,28 @@ class SliceTable(InternTable):
     def enabled_actions(self, sid: int) -> Tuple[Action, ...]:
         return tuple(map(self.actions.values.__getitem__, self.enabled_ids(sid)))
 
-    def task_groups(self, sid: int) -> ByTask:
-        groups = self.groups.get(sid)
-        if groups is None:
-            by_task: Dict[Hashable, List[Action]] = {}
-            for action in self.enabled_actions(sid):
-                by_task.setdefault(self.automaton.task_of(action), []).append(action)
-            groups = self.groups[sid] = tuple(
-                (task, tuple(actions)) for task, actions in by_task.items()
-            )
-        return groups
+    def slot_cache(self, slot: int) -> Dict[int, Tuple[TaskGroup, ...]]:
+        """Slice id -> task groups in ``slot``, as far as computed."""
+        return self._slots.setdefault(slot, {})
 
-    def successors_of(self, value: Hashable, action: Action) -> Tuple[int, ...]:
-        """:meth:`successors` of a slice value under an action."""
-        sid = self._ids.get(value)
-        aid = self.actions._ids.get(action)
-        if sid is None or aid is None:
-            return self.successors(self.intern(value), self.actions.intern(action))
-        return self.steps[sid].get(aid) or self.successors(sid, aid)
+    def slot_groups(self, slot: int, sid: int) -> Tuple[TaskGroup, ...]:
+        """Slice ``sid``'s enabled actions grouped by the task a
+        composition with the automaton in ``slot`` gives them, ``(slot,
+        automaton.task_of(action))``, each named by its ``repr``.
+
+        Kept in :meth:`slot_cache`, so compositions placing the
+        automaton in the same slot share the groups.  The slot leads
+        each name, so names from different slots never clash.
+        """
+        task_of, names = self.automaton.task_of, self._task_names
+        by_task: Dict[str, List[Action]] = {}
+        for action in self.enabled_actions(sid):
+            name = names[slot, task_of(action)]
+            by_task.setdefault(name, []).append(action)
+        groups = self.slot_cache(slot)[sid] = tuple(
+            (name, tuple(actions)) for name, actions in by_task.items()
+        )
+        return groups
 
     def step(self, sid: int, action: Action) -> Tuple[int, ...]:
         """Post-slice ids under ``action``, computed afresh, not kept."""

@@ -21,8 +21,9 @@ component of a composition, see :meth:`Automaton.slice_view`) and keeps
 each slice's enabled actions grouped by task, so a step re-enumerates
 only the slices of the components that own its action.  A component
 with a :class:`~repro.ioa.engine.interning.SliceTable` (a fuzz
-campaign's or load run's stations) answers those task groups and steps
-from it whenever it met the slice before, in this or an earlier run.
+campaign's or load run's stations) is stepped by slice id: the view
+keeps its slot's id, and the table answers the step and the next task
+groups whenever it met them before, in this or an earlier run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .actions import Action
-from .automaton import Automaton, State, TransitionError
+from .automaton import REFUSED, Automaton, State, TransitionError
 from .execution import ExecutionFragment
 
 
@@ -93,9 +94,10 @@ def run_to_quiescence(
     whole state otherwise.  It keeps each slice's enabled actions grouped
     by task and re-enumerates a slice only when a step replaced it, which
     only the components owning the step's action do.  Only those owners
-    step, each through its own ``transitions`` (every precondition is
-    still checked, or answered by its slice table) and each taking its first
-    choice.
+    step (:meth:`~repro.ioa.automaton.SliceView.advance`), each through
+    its own ``transitions`` or by id through its slice table, so every
+    precondition is still checked or answered, and each takes its first
+    choice.  Tasks are served by name, their ``repr``.
 
     Parameters
     ----------
@@ -119,30 +121,24 @@ def run_to_quiescence(
         If an owner of the chosen action refuses it.
     """
     view = automaton.slice_view()
-    memory = view.memory
-    kept, groups, names = memory.kept, memory.groups, memory.task_names
-    slots = range(len(kept))
+    view.start(state)
+    groups = view.groups
+    advance = view.advance
     states = [state]
     actions: List[Action] = []
     current = state
-    last_served: Dict[int, int] = {}
+    last_served: Dict[str, int] = {}
     clock = 0
     while True:
-        pieces = view.slices(current)
-        for i in slots:
-            if pieces[i] is not kept[i]:
-                groups[i] = view.enumerate(i, pieces[i])
-                kept[i] = pieces[i]
         # Serve the task that has waited longest (never-served tasks
-        # first), ties broken by repr; on a full tie the first task in
-        # enumeration order wins, as under min().
-        task = None
+        # first), ties broken by name, the task's repr; on a full tie
+        # the first task in enumeration order wins, as under min().  No
+        # task was served after the clock, so the first one seen leads.
+        task, best = None, clock + 1
         for slot_groups in groups:
             for group_task, group_candidates in slot_groups:
                 served = last_served.get(group_task, -1)
-                if task is None or served < best or (
-                    served == best and names[group_task] < names[task]
-                ):
+                if served < best or (served == best and group_task < task):
                     task, candidates, best = group_task, group_candidates, served
         if task is None:
             break
@@ -153,13 +149,13 @@ def run_to_quiescence(
         action = tie_break(candidates) if tie_break else candidates[0]
         clock += 1
         last_served[task] = clock
-        post = view.step(current, action)
-        if not post:
+        post = advance(current, action)
+        if post is REFUSED:
             raise TransitionError(
                 f"{automaton.name}: action {action} not enabled in state "
                 f"{current!r}"
             )
-        current = post[0]
+        current = post
         states.append(current)
         actions.append(action)
         if stop_when is not None and stop_when(action):

@@ -198,16 +198,7 @@ def strongly_compatible(signatures: Iterable[ActionSignature]) -> bool:
     1. no family is an output of two signatures, and
     2. no internal family of one signature appears in another.
     """
-    sigs = list(signatures)
-    for i, si in enumerate(sigs):
-        for j, sj in enumerate(sigs):
-            if i == j:
-                continue
-            if si.outputs & sj.outputs:
-                return False
-            if si.internals & sj.all_families:
-                return False
-    return True
+    return not compatibility_conflicts(signatures)
 
 
 def compatibility_conflicts(
@@ -261,6 +252,12 @@ def compose_signatures(signatures: Iterable[ActionSignature]) -> ActionSignature
             kind="compatibility",
             conflicts=conflicts,
         )
+    return union_signature(sigs)
+
+
+def union_signature(sigs: Sequence[ActionSignature]) -> ActionSignature:
+    """:func:`compose_signatures` for a caller that already checked
+    strong compatibility."""
     all_inputs: FrozenSet[FamilyKey] = frozenset().union(
         *(s.inputs for s in sigs)
     ) if sigs else frozenset()

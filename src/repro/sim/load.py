@@ -55,7 +55,6 @@ from ..obs import (
     current_tracer,
 )
 from .metrics import percentile_summary
-from .runner import _dropped
 from .session import Session
 
 #: Fraction digits kept for ratio/mean fields in the report details --
@@ -143,7 +142,7 @@ def run_session(
     Pure in ``(protocol, channel, subseeds, config)``, which is what
     lets shards execute anywhere and merge deterministically.
     """
-    from .metrics import channel_stats, delivery_stats
+    from .metrics import delivery_stats
 
     with current_tracer().span("load.session", index=index):
         session = Session.from_spec(
@@ -151,9 +150,6 @@ def run_session(
         )
         result = session.run()
         stats = delivery_stats(result.fragment)
-        dropped = _dropped(
-            channel_stats(result.fragment, "t", "r")
-        ) + _dropped(channel_stats(result.fragment, "r", "t"))
         return SessionOutcome(
             index=index,
             subseeds=subseeds,
@@ -162,7 +158,7 @@ def run_session(
             sent=stats.sent,
             delivered=stats.delivered,
             duplicates=stats.duplicates,
-            dropped=dropped,
+            dropped=stats.dropped,
             latencies=stats.latencies,
         )
 

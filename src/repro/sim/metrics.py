@@ -21,12 +21,14 @@ from ..datalink.message_independence import packet_class
 
 @dataclass
 class DeliveryStats:
-    """Per-run delivery statistics."""
+    """Per-run delivery statistics; ``dropped`` counts the packets, in
+    either direction, that left a channel's send side and never arrived."""
 
     sent: int
     delivered: int
     duplicates: int
     latencies: Tuple[int, ...]  # steps from send_msg to receive_msg
+    dropped: int = 0
 
     @property
     def delivery_ratio(self) -> float:
@@ -69,17 +71,25 @@ class ChannelStats:
 def delivery_stats(
     fragment: ExecutionFragment, t: str = "t", r: str = "r"
 ) -> DeliveryStats:
-    """Delivery counts and latencies from a full execution fragment."""
-    send_key = (SEND_MSG, (t, r))
-    receive_key = (RECEIVE_MSG, (t, r))
+    """Delivery counts, latencies and dropped packets from a full
+    execution fragment, in one pass over its actions."""
+    forward = (t, r)
     send_index: Dict[Message, int] = {}
     delivered: Dict[Message, int] = {}
     duplicates = 0
     latencies: List[int] = []
+    # Packets sent minus packets received, per direction.
+    in_flight = {forward: 0, (r, t): 0}
     for index, action in enumerate(fragment.actions):
-        if action.key == send_key:
+        name = action.name
+        if name == SEND_PKT or name == RECEIVE_PKT:
+            if action.direction in in_flight:
+                in_flight[action.direction] += 1 if name == SEND_PKT else -1
+        elif action.direction != forward:
+            continue
+        elif name == SEND_MSG:
             send_index.setdefault(action.payload, index)
-        elif action.key == receive_key:
+        elif name == RECEIVE_MSG:
             message = action.payload
             if message in delivered:
                 duplicates += 1
@@ -98,6 +108,7 @@ def delivery_stats(
         delivered=len(delivered),
         duplicates=duplicates,
         latencies=tuple(latencies),
+        dropped=sum(max(0, count) for count in in_flight.values()),
     )
 
 

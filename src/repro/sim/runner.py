@@ -9,11 +9,12 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from ..ioa.actions import Action
 from ..ioa.execution import ExecutionFragment
+from ..ioa.signature import ActionSignature
 from ..obs import STATUS_OK, RunReport
 
 
@@ -23,13 +24,24 @@ class ScenarioResult:
 
     A run that a ``stop_when`` predicate cut short is not quiescent.
     ``resumed`` counts the fragment's steps that were taken from a
-    checkpoint rather than executed.
+    checkpoint rather than executed.  Built with ``signature`` and no
+    behavior, the result works out :attr:`behavior` on first read.
     """
 
     fragment: ExecutionFragment
-    behavior: Tuple[Action, ...]
+    _behavior: Optional[Tuple[Action, ...]] = field(compare=False)
     quiescent: bool
     resumed: int = 0
+    signature: Optional[ActionSignature] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def behavior(self) -> Tuple[Action, ...]:
+        """The fragment's external actions under ``signature``."""
+        if self._behavior is None:
+            self._behavior = self.fragment.behavior(self.signature)
+        return self._behavior
 
     @property
     def steps(self) -> int:
@@ -59,19 +71,15 @@ class ScenarioResult:
         successful run whatever the protocol did; correctness verdicts
         come from the trace auditors, which the CLI folds in on top.
         """
-        from .metrics import channel_stats, delivery_stats
+        from .metrics import delivery_stats
 
-        t, r = stations
-        stats = delivery_stats(self.fragment, t, r)
+        stats = delivery_stats(self.fragment, *stations)
         counters = {
             "sim.steps": self.steps,
             "sim.messages_sent": stats.sent,
             "sim.messages_delivered": stats.delivered,
             "sim.duplicate_deliveries": stats.duplicates,
-            "sim.packets_dropped": _dropped(
-                channel_stats(self.fragment, t, r)
-            )
-            + _dropped(channel_stats(self.fragment, r, t)),
+            "sim.packets_dropped": stats.dropped,
         }
         return RunReport(
             command="simulate",
@@ -88,7 +96,3 @@ class ScenarioResult:
             },
         )
 
-
-def _dropped(stats) -> int:
-    """Packets that left a channel's send side and never arrived."""
-    return max(0, stats.packets_sent - stats.packets_received)

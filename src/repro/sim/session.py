@@ -38,7 +38,7 @@ from ..ioa.fairness import FairnessTimeout, run_to_quiescence
 from ..channels.actions import CRASH, FAIL
 from ..obs import current_tracer
 from .network import DataLinkSystem
-from .runner import ScenarioResult, _dropped
+from .runner import ScenarioResult
 
 
 @dataclass
@@ -249,23 +249,25 @@ class Session:
         stopped: bool = False,
         resumed: int = 0,
     ) -> ScenarioResult:
-        """Build the result; emit the packet-level counters when tracing."""
+        """Build the result, its behavior left to the first read; emit
+        the packet-level counters when tracing."""
         system = self.system
         fragment = ExecutionFragment(tuple(states), tuple(actions))
         result = ScenarioResult(
-            fragment, system.behavior(fragment), quiescent, resumed
+            fragment,
+            None,
+            quiescent,
+            resumed,
+            signature=system.automaton.signature,
         )
         if tracer.enabled:
-            from .metrics import channel_stats, delivery_stats
+            from .metrics import delivery_stats
 
             stats = delivery_stats(fragment, system.t, system.r)
             tracer.count("sim.steps", len(fragment))
             tracer.count("sim.messages_delivered", stats.delivered)
             tracer.count("sim.duplicate_deliveries", stats.duplicates)
-            dropped = _dropped(
-                channel_stats(fragment, system.t, system.r)
-            ) + _dropped(channel_stats(fragment, system.r, system.t))
-            tracer.count("sim.packets_dropped", dropped)
+            tracer.count("sim.packets_dropped", stats.dropped)
             if not quiescent and not stopped:
                 tracer.count("sim.nonquiescent_runs")
         return result

@@ -22,6 +22,7 @@ from repro.conformance.harness import build_system, resolve_pair
 from repro.conformance.registry import FUZZ_PROTOCOLS
 from repro.impossibility.crash_engine import CrashImpossibilityEngine
 from repro.impossibility.header_engine import BoundedHeaderEngine
+from repro.ioa import run_to_quiescence
 from repro.protocols import alternating_bit_protocol
 from repro.sim import Session
 from repro.sim.load import LoadConfig, run_load, with_load_mix
@@ -144,20 +145,89 @@ def test_delivered_packets_probe_the_tables_by_identity(monkeypatch, channel):
     # Channels are rebuilt for every session while the stations' tables
     # serve the whole load run, so each channel must enumerate the very
     # receive_pkt object a table stored: a probe with an equal copy
-    # pays a field-by-field comparison.
+    # pays a field-by-field comparison.  Tables are probed by action
+    # when the fair kernel steps a station and when an input steps the
+    # composition.
     from repro.channels.actions import RECEIVE_PKT
-    from repro.ioa.engine.interning import SliceTable
+    from repro.ioa.composition import ComponentSlices, Composition
 
     probes = []
-    successors_of = SliceTable.successors_of
 
-    def recorded(self, value, action):
-        if action.name == RECEIVE_PKT:
-            aid = self.actions._ids.get(action)
-            if aid is not None:
-                probes.append(self.actions.values[aid] is action)
-        return successors_of(self, value, action)
+    def probe(components, action):
+        for i in components.family_owners.get(action.key, ()):
+            table = components.components[i].table
+            if table is not None and action.name == RECEIVE_PKT:
+                aid = table.actions._ids.get(action)
+                if aid is not None:
+                    probes.append(table.actions.values[aid] is action)
 
-    monkeypatch.setattr(SliceTable, "successors_of", recorded)
+    transitions = Composition.transitions
+    advance = ComponentSlices.advance
+
+    def recorded(self, state, action):
+        probe(self, action)
+        return transitions(self, state, action)
+
+    def stepped(self, state, action):
+        probe(self.automaton, action)
+        return advance(self, state, action)
+
+    monkeypatch.setattr(Composition, "transitions", recorded)
+    monkeypatch.setattr(ComponentSlices, "advance", stepped)
     run_load("alternating_bit", channel, 5, LOAD)
     assert probes and all(probes)
+
+
+@pytest.mark.parametrize("protocol", ["alternating_bit", "sliding_window"])
+def test_warm_id_caches_step_like_the_reference(monkeypatch, protocol):
+    # Two load runs share one resolve_pair, so the second steps its
+    # stations by id from tables and group caches the first filled.
+    # Every fair run of both must equal the reference loop's.
+    from repro.sim import session as session_module
+    from tests.ioa.test_fair_kernel import assert_kernel_matches
+
+    resolved = resolve_pair(protocol, "nonfifo")
+    monkeypatch.setattr(pool, "resolve_pair", lambda *names: resolved)
+    kernel = session_module.run_to_quiescence
+    checked = []
+
+    def checked_kernel(automaton, state, max_steps=100_000, **kwargs):
+        outcome = assert_kernel_matches(automaton, state, max_steps=max_steps)
+        checked.append(outcome)
+        return kernel(automaton, state, max_steps=max_steps, **kwargs)
+
+    def sizes():
+        # Slices, kept steps and cached task groups, per station.
+        return [
+            (len(table), sum(map(len, table.steps)), len(table.slot_cache(i)))
+            for i, table in enumerate(station.table for station in resolved[1])
+        ]
+
+    monkeypatch.setattr(session_module, "run_to_quiescence", checked_kernel)
+    first = run_load(protocol, "nonfifo", 7, LOAD).report().counters
+    cold = sizes()
+    del checked[:]
+    second = run_load(protocol, "nonfifo", 7, LOAD).report().counters
+    assert second == first
+    assert checked and all(outcome[0] != "refused" for outcome in checked)
+    # Warm: the second run met no slice, step or task group anew.
+    assert sizes() == cold
+
+
+def test_tabled_owner_refusal_raises_warm_and_cold():
+    from repro.ioa import Composition, Hidden, TransitionError
+    from repro.ioa.automaton import with_memo
+    from tests.ioa.test_fair_kernel import Jammed, assert_kernel_matches
+    from tests.ioa.toys import Echo
+
+    jammed = with_memo(Jammed())
+    for automaton in (
+        Composition([jammed, Echo()]),
+        Hidden(Composition([jammed, with_memo(Echo())]), []),
+    ):
+        for _ in range(2):  # cold, then from the table's cached refusal
+            outcome = assert_kernel_matches(automaton, automaton.initial_state())
+            assert outcome[0] == "refused"
+        with pytest.raises(TransitionError):
+            run_to_quiescence(automaton, automaton.initial_state())
+    assert jammed.table.steps[0], "the refusal was never kept"

@@ -38,6 +38,7 @@ from repro.ioa import (
     run_to_quiescence,
 )
 from repro.ioa.automaton import State
+from repro.ioa.composition import ComponentSlices
 from repro.sim.scheduler import seeded_tie_break
 
 from .toys import PONG, Counter, Echo, Forwarder, Nondet, ping
@@ -301,7 +302,7 @@ class TestReEnumeration:
             component.enabled_local_actions = counted
         return system, build_script(system, subseeds, config), calls
 
-    def test_each_step_enumerates_only_its_owners(self):
+    def test_each_step_enumerates_only_its_owners(self, monkeypatch):
         system, script, calls = self._counting_system()
         automaton = system.automaton
         components = system.composition.components
@@ -315,9 +316,10 @@ class TestReEnumeration:
         ]
         batches: List[List[int]] = []
 
-        def cut(action):
-            # Called after each step: the calls since the previous cut
-            # enumerated the state that step started from.
+        def cut(action=None):
+            # Called once the run's start state is entered and after
+            # each step: the calls since the previous cut enumerated the
+            # slices the input or that step replaced.
             batches.append(sorted(calls))
             del calls[:]
             return False
@@ -325,6 +327,13 @@ class TestReEnumeration:
         previous = system.initial_state()
         run_to_quiescence(automaton, previous)
         assert sorted(calls) == [0, 1, 2, 3]
+        start = ComponentSlices.start
+
+        def started(view, state):
+            start(view, state)
+            cut()
+
+        monkeypatch.setattr(ComponentSlices, "start", started)
         # What each station's table has seen, kept alongside it.
         seen = {i: set(components[i].table.values) for i in (0, 1)}
         steps = hits = 0
@@ -332,12 +341,14 @@ class TestReEnumeration:
             state = automaton.step(previous, action)
             del calls[:], batches[:]
             fragment = run_to_quiescence(automaton, state, stop_when=cut)
-            batches.append(sorted(calls))
+            # Nothing is enumerated after the last step.
+            assert calls == []
             # Each state is enumerated only in the slices the input or
             # step before it replaced, and only owners replace slices; a
             # replaced station slice is enumerated iff its memo is cold.
             starts = (previous,) + fragment.states
             moved_by = (action,) + fragment.actions
+            assert len(batches) == len(moved_by)
             for batch, before, after, stepped in zip(
                 batches, starts, fragment.states, moved_by
             ):

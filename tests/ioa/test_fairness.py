@@ -188,3 +188,51 @@ class TestFairExtension:
         prefix = apply_inputs(echo, (), [ping(9)])
         fragment = fair_extension(echo, prefix)
         assert fragment.actions[: len(prefix)] == prefix.actions
+
+
+class TestTaskNames:
+    """The kernel keys tasks by their ``repr``, which is sound only if
+    no two distinct tasks of one composition share one."""
+
+    class Twin:
+        """Distinct values that print alike."""
+
+        def __init__(self, tag):
+            self.tag = tag
+
+        def __eq__(self, other):
+            return isinstance(other, type(self)) and other.tag == self.tag
+
+        def __hash__(self):
+            return hash(self.tag)
+
+        def __repr__(self):
+            return "twin"
+
+    def test_distinct_tasks_sharing_a_repr_raise(self):
+        class TwoTasks(Echo):
+            def transitions(self, state, action):
+                return (state,) if action.name == "pong" else ()
+
+            def enabled_local_actions(self, state):
+                yield pong(0)
+                yield pong(1)
+
+            def task_of(self, action):
+                return TestTaskNames.Twin(action.payload)
+
+        with pytest.raises(ValueError, match="share"):
+            run_to_quiescence(TwoTasks(), (), max_steps=3)
+
+    @pytest.mark.parametrize("channel", ["fifo", "nonfifo", "bounded_nonfifo"])
+    def test_fuzz_systems_name_every_task_apart(self, channel):
+        import random
+
+        from repro.conformance import FuzzConfig, SubSeeds, build_system
+        from repro.conformance.registry import FUZZ_PROTOCOLS
+
+        for protocol in sorted(FUZZ_PROTOCOLS):
+            subseeds = SubSeeds.derive(random.Random(protocol))
+            system = build_system(protocol, channel, subseeds, FuzzConfig())
+            tasks = set(system.automaton.tasks())
+            assert len({repr(task) for task in tasks}) == len(tasks)

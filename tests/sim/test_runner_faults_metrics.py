@@ -258,3 +258,64 @@ class TestMetrics:
         assert stats.delivery_ratio == 0.0
         totals = tracer.snapshot_counters()
         assert totals["sim.anomaly.unsent_delivery"] == 1
+
+
+def _separate_passes(fragment, t="t", r="r"):
+    """The counts as the per-purpose passes computed them: messages by
+    ``(name, direction)`` key, and each direction's drops as its
+    ``channel_stats`` sends minus receives, floored at 0."""
+    send_key, receive_key = ("send_msg", (t, r)), ("receive_msg", (t, r))
+    send_index, delivered, duplicates, latencies = {}, {}, 0, []
+    for index, action in enumerate(fragment.actions):
+        if action.key == send_key:
+            send_index.setdefault(action.payload, index)
+        elif action.key == receive_key:
+            if action.payload in delivered:
+                duplicates += 1
+                continue
+            delivered[action.payload] = index
+            if action.payload in send_index:
+                latencies.append(index - send_index[action.payload])
+    dropped = 0
+    for src, dst in ((t, r), (r, t)):
+        link = channel_stats(fragment, src, dst)
+        dropped += max(0, link.packets_sent - link.packets_received)
+    return (len(send_index), len(delivered), duplicates, tuple(latencies), dropped)
+
+
+class TestOnePassCounts:
+    """``delivery_stats`` counts messages, latencies and dropped packets
+    in one pass, and a session result works out its behavior on first
+    read; both must answer what the separate passes did."""
+
+    @pytest.mark.parametrize("channel", ["fifo", "nonfifo", "bounded_nonfifo"])
+    def test_matches_the_separate_passes_over_the_fuzz_matrix(self, channel):
+        import pickle
+        import random
+
+        from repro.conformance import FuzzConfig, SubSeeds
+        from repro.conformance.registry import FUZZ_PROTOCOLS
+
+        config = FuzzConfig(messages=3, shrink=False, max_steps=2_000)
+        dropped = 0
+        for protocol in sorted(FUZZ_PROTOCOLS):
+            master = random.Random(f"{protocol}/{channel}")
+            for _ in range(3):
+                session = Session.from_spec(
+                    protocol, channel, SubSeeds.derive(master), config
+                )
+                result = session.run()
+                stats = delivery_stats(result.fragment)
+                assert (
+                    stats.sent,
+                    stats.delivered,
+                    stats.duplicates,
+                    stats.latencies,
+                    stats.dropped,
+                ) == _separate_passes(result.fragment)
+                dropped += stats.dropped
+                copy = pickle.loads(pickle.dumps(result))
+                expected = session.system.behavior(result.fragment)
+                assert result.behavior == expected
+                assert copy.behavior == expected
+        assert dropped, "no packet was dropped: the drop count went untested"
