@@ -110,6 +110,9 @@ def run_to_quiescence(
         as a tuple in enumeration order (default: the first, which makes
         runs deterministic).
 
+    Neither callback may run the kernel on the same composition: its
+    view describes the state the run is in between steps.
+
     Raises
     ------
     FairnessTimeout
