@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .actions import Action
 from .automaton import REFUSED, Automaton, SliceView, State
@@ -34,8 +34,8 @@ class Composition(Automaton):
     of its own: a component that carries a
     :class:`~repro.ioa.engine.interning.SliceTable` has its steps and
     enabled sets answered from it, and every other component is asked
-    afresh.  Only the fair kernel's view, built on its first run,
-    remembers the slices that run left.
+    afresh.  Only the fair kernel's view remembers the slices its last
+    run left.
     """
 
     #: sentinel marking a component name shared by several components
@@ -86,9 +86,11 @@ class Composition(Automaton):
         for i, component in enumerate(self._components):
             for family in component.signature.local:
                 self._local_owner[family] = i
-        # The fair kernel's view, built on the first run and kept, with
-        # what it knows of the component slices, for every later one.
-        self._slice_view: Optional[ComponentSlices] = None
+        # The fair kernel's view, kept with what it knows of the
+        # component slices for every run.  Its back-reference is weak:
+        # a strong one is a cycle, which would keep a dropped
+        # composition's last states alive until the cycle collector runs.
+        self._slice_view = ComponentSlices(weakref.proxy(self))
 
     # ------------------------------------------------------------------
     # Component access
@@ -189,13 +191,7 @@ class Composition(Automaton):
                 yield from table.enabled_actions(table.intern(state[i]))
 
     def slice_view(self) -> SliceView:
-        view = self._slice_view
-        if view is None:
-            # Weakly: a strong back-reference is a cycle, which would
-            # keep a dropped composition's last states alive until the
-            # cycle collector runs.
-            view = self._slice_view = ComponentSlices(weakref.proxy(self))
-        return view
+        return self._slice_view
 
     def task_of(self, action: Action) -> Hashable:
         # The fair kernel calls this per enumerated action: spell the
