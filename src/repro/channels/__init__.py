@@ -9,7 +9,6 @@ from .actions import (
     crash,
     fail,
     packet_families,
-    physical_families,
     physical_layer_signature,
     receive_pkt,
     send_pkt,
@@ -70,7 +69,6 @@ __all__ = [
     "lossy_fifo_channel",
     "packet_families",
     "perfect_fifo_channel",
-    "physical_families",
     "physical_layer_signature",
     "pl1",
     "pl2",

@@ -95,17 +95,6 @@ def physical_layer_signature(src: str, dst: str) -> ActionSignature:
     )
 
 
-def physical_families(src: str, dst: str) -> Tuple[FamilyKey, ...]:
-    """All physical-layer action families for the given direction."""
-    return (
-        action_family(SEND_PKT, src, dst),
-        action_family(RECEIVE_PKT, src, dst),
-        action_family(WAKE, src, dst),
-        action_family(FAIL, src, dst),
-        action_family(CRASH, src, dst),
-    )
-
-
 def packet_families(src: str, dst: str) -> Tuple[FamilyKey, ...]:
     """The ``send_pkt``/``receive_pkt`` families hidden by ``hide_Phi``."""
     return (

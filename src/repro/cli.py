@@ -809,7 +809,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 replay_subseeds=replay_subseeds,
                 workers=args.workers,
                 run_timeout=args.run_timeout,
-                batch_size=args.batch_size,
             )
         except KeyError as exc:
             raise SystemExit(str(exc.args[0]))
@@ -930,7 +929,6 @@ def cmd_load(args: argparse.Namespace) -> int:
                 config,
                 workers=args.workers,
                 run_timeout=args.run_timeout,
-                batch_size=args.batch_size,
             )
         except KeyError as exc:
             raise SystemExit(str(exc.args[0]))
@@ -1110,15 +1108,6 @@ def _pool_parent() -> argparse.ArgumentParser:
         metavar="N",
         help="shard batched runs across N persistent forked workers "
         "(deterministic merge: output is byte-identical to --workers 1)",
-    )
-    parent.add_argument(
-        "--batch-size",
-        type=_at_least_one,
-        default=None,
-        metavar="N",
-        help="runs per worker task (default: auto-sized from runs and "
-        "workers; batching amortizes fork/IPC overhead and never "
-        "changes the output)",
     )
     parent.add_argument(
         "--run-timeout",

@@ -24,8 +24,7 @@ or run in-process, and the master merges outcomes in run-index order
 -- replaying each run's captured ``fuzz.run`` span, then interning the
 run's distinct states (a pooled batch ships each state once) and
 assigning corpus credit under ``fuzz.pool`` -- so a parallel campaign
-is byte-identical to a serial one whatever the worker count or batch
-size.
+is byte-identical to a serial one whatever the worker count.
 """
 
 from __future__ import annotations
@@ -206,10 +205,8 @@ def fuzz_campaign(
     seed: int,
     config: Optional[FuzzConfig] = None,
     replay_subseeds: Optional[Sequence[SubSeeds]] = None,
-    coverage_threshold: int = DEFAULT_COVERAGE_THRESHOLD,
     workers: int = 1,
     run_timeout: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> FuzzCampaignResult:
     """Run one fuzz campaign.
 
@@ -217,15 +214,16 @@ def fuzz_campaign(
     before ``config.runs`` freshly derived runs.  Determinism contract:
     two campaigns with equal arguments produce identical results,
     including identical shrunk scripts and repro documents -- and
-    neither ``workers`` nor ``batch_size`` is part of the outcome: the
-    sub-seed schedule is derived serially before any run executes,
-    workers return pure per-run outcomes in per-batch envelopes, and
-    the master interns visited states and assigns corpus/coverage
-    credit in run-index order, so ``workers=N`` is byte-identical to
-    ``workers=1`` at any batching (violations, repro documents, corpus
-    entries, counters, trace events).  ``batch_size`` fixes how many
-    consecutive runs one worker task executes (default: auto-sized
-    from the schedule length and worker count).  ``run_timeout``
+    ``workers`` is not part of the outcome: the sub-seed schedule is
+    derived serially before any run executes, workers return pure
+    per-run outcomes in per-batch envelopes (batches are sized from
+    the schedule length and worker count), and the master interns
+    visited states and assigns corpus/coverage credit in run-index
+    order, so ``workers=N`` is byte-identical to ``workers=1``
+    (violations, repro documents, corpus entries, counters, trace
+    events).  A run that adds at least
+    :data:`~repro.conformance.corpus.DEFAULT_COVERAGE_THRESHOLD`
+    first-seen states enters the corpus.  ``run_timeout``
     bounds each run's wall-clock seconds (batches are additionally
     held to a ``len(batch) * run_timeout`` total); a run that exceeds
     it (or raises, or loses its worker) is recorded as a failed
@@ -262,7 +260,6 @@ def fuzz_campaign(
             config,
             workers=workers,
             run_timeout=run_timeout,
-            batch_size=batch_size,
         )
         for outcome in outcomes:
             index, subseeds = outcome.index, outcome.subseeds
@@ -339,7 +336,7 @@ def fuzz_campaign(
                             new_states=new_states,
                         )
                     )
-            elif new_states >= coverage_threshold:
+            elif new_states >= DEFAULT_COVERAGE_THRESHOLD:
                 corpus.append(
                     CorpusEntry(
                         protocol,

@@ -56,7 +56,7 @@ item lives here, once:
 Why batches rather than one task per item:
 
 * **amortized IPC**: one submit/result round-trip and one pickle per
-  ~``batch_size`` items instead of per item;
+  batch instead of per item;
 * **warm workers**: the executor is built once per schedule and stays
   up across batches;
 * **compact streaming**: a batch ships as one tuple of outcomes, and
@@ -68,6 +68,10 @@ Why batches rather than one task per item:
   travel as plain values: their slices cache structural hashes
   in-process only (:mod:`repro.hashing`), so the master rehashes each
   unpickled value once under its own hash seed.
+
+Batches are sized from the schedule length and the worker count alone
+(:func:`auto_batch_size`): the layout tunes only speed, and the merged
+result is the same at every size.
 
 Short schedules are still executed in-process (forking pays off only
 once there is enough work to amortize pool start-up), and on platforms
@@ -523,13 +527,12 @@ def run_partitioned(
     outcome: Type[Outcome],
     workers: int = 1,
     run_timeout: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> Tuple[Iterator[Outcome], PoolInfo]:
     """Run ``body`` over ``schedule`` and yield one ``outcome`` per
     item, strictly in schedule order.
 
-    Items are sharded into batches of ``batch_size`` consecutive items
-    (default: :func:`auto_batch_size`), executed through
+    Items are sharded into batches of :func:`auto_batch_size`
+    consecutive items, executed through
     :func:`run_batch` in-process or on a persistent fork pool of
     ``workers`` processes that :func:`_init_worker` warms with the
     ``(protocol, channel)`` registry pair (either way, resolved once
@@ -538,16 +541,13 @@ def run_partitioned(
     the broken-pool protocol.  The iterator is lazy, so the master
     merges each batch as it completes instead of buffering the whole
     schedule, and it tallies every outcome into the returned
-    :class:`PoolInfo`.  A negative ``run_timeout``, and ``workers`` or
-    ``batch_size`` below 1, are configuration errors and raise
-    :class:`ValueError`.
+    :class:`PoolInfo`.  A negative ``run_timeout``, and ``workers``
+    below 1, are configuration errors and raise :class:`ValueError`.
     """
     if run_timeout is not None and run_timeout < 0:
         raise ValueError(f"run_timeout must not be negative: {run_timeout}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1: {workers}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1: {batch_size}")
     requested_parallel = workers > 1
     fallback_reason = None
     context = None
@@ -564,8 +564,7 @@ def run_partitioned(
             f"{PARALLEL_THRESHOLD}-run pool threshold"
         )
 
-    if batch_size is None:
-        batch_size = auto_batch_size(len(schedule), workers)
+    batch_size = auto_batch_size(len(schedule), workers)
     batches: List[Tuple[int, Tuple[SubSeeds, ...]]] = [
         (start, tuple(schedule[start : start + batch_size]))
         for start in range(0, len(schedule), batch_size)
@@ -696,7 +695,6 @@ def run_schedule(
     config: FuzzConfig,
     workers: int = 1,
     run_timeout: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> Tuple[Iterator[RunOutcome], PoolInfo]:
     """Execute a fuzz schedule; yields outcomes strictly in run-index
     order.
@@ -720,5 +718,4 @@ def run_schedule(
         RunOutcome,
         workers=workers,
         run_timeout=run_timeout,
-        batch_size=batch_size,
     )

@@ -15,7 +15,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..alphabets import Message
 from ..channels.actions import CRASH, FAIL, WAKE

@@ -15,7 +15,7 @@ are evidence (not proof) of it -- the repository's positive controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..ioa.actions import Action
 from ..ioa.schedule_module import ModuleVerdict
@@ -57,7 +57,6 @@ def check_protocol(
     seeds: Sequence[int] = tuple(range(10)),
     messages: int = 10,
     weak: bool = False,
-    plan: Optional[FaultPlan] = None,
     max_steps: int = 200_000,
 ) -> CorrectnessReport:
     """Run the protocol over seeded channels and check each behavior.
@@ -80,9 +79,9 @@ def check_protocol(
             channel_builder("t", "r", seed),
             channel_builder("r", "t", seed + 7919),
         )
-        script_plan = plan or FaultPlan(messages=messages, seed=seed)
-        script_plan.seed = seed
-        script = generate_script(system, script_plan)
+        script = generate_script(
+            system, FaultPlan(messages=messages, seed=seed)
+        )
         result = Session(
             system, tuple(script.actions), seed=seed, max_steps=max_steps
         ).run()

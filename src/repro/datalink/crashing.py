@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Set
 
 from ..alphabets import MessageFactory
-from ..channels.actions import crash
 from .protocol import DataLinkProtocol, HostState
 
 

@@ -38,9 +38,6 @@ class Composition(Automaton):
     run left.
     """
 
-    #: sentinel marking a component name shared by several components
-    _AMBIGUOUS = -1
-
     def __init__(
         self,
         components: Sequence[Automaton],
@@ -68,16 +65,6 @@ class Composition(Automaton):
         for i, component in enumerate(self._components):
             for family in component.signature.all_families:
                 self._family_owners.setdefault(family, []).append(i)
-        # Name -> index lookup table (with_component_state is hit inside
-        # the impossibility engines' surgery loops, so the per-call linear
-        # scan became measurable).  Duplicated names map to _AMBIGUOUS so
-        # lookups still fail loudly.
-        self._index_by_name: Dict[str, int] = {}
-        for i, component in enumerate(self._components):
-            if component.name in self._index_by_name:
-                self._index_by_name[component.name] = self._AMBIGUOUS
-            else:
-                self._index_by_name[component.name] = i
         # Family -> owning-component index for locally-controlled actions.
         # Strong compatibility makes the owner unique (outputs belong to
         # one signature; internals are private), so task_of is a dict hit
@@ -111,14 +98,15 @@ class Composition(Automaton):
 
     def component_index(self, name: str) -> int:
         """Index of the (unique) component with the given name."""
-        index = self._index_by_name.get(name)
-        if index is None or index == self._AMBIGUOUS:
-            found = sum(1 for c in self._components if c.name == name)
+        found = [
+            i for i, c in enumerate(self._components) if c.name == name
+        ]
+        if len(found) != 1:
             raise KeyError(
                 f"expected exactly one component named {name!r}, "
-                f"found {found}"
+                f"found {len(found)}"
             )
-        return index
+        return found[0]
 
     def component_state(self, state: State, name: str) -> State:
         """The slice of the composed ``state`` belonging to component ``name``."""
@@ -129,10 +117,10 @@ class Composition(Automaton):
     ) -> State:
         """Composed state with one component's slice replaced.
 
-        This is the hook the impossibility engines use for adversary
-        surgery on channel states (paper Lemmas 6.3 and 6.5-6.7): the
-        surgery functions justify that the replacement state is reachable
-        under the same schedule via a different start-state choice.
+        A by-name lookup for callers holding only a composition; the
+        impossibility engines' adversary surgeries (paper Lemmas 6.3
+        and 6.5-6.7) go through
+        :meth:`~repro.sim.network.DataLinkSystem.with_channel_state`.
         """
         index = self.component_index(name)
         return state[:index] + (new_component_state,) + state[index + 1 :]

@@ -52,7 +52,7 @@ except ImportError:  # pragma: no cover - unreachable on supported versions
 from ...obs import current_tracer
 from ..automaton import State
 from ..composition import Composition
-from .core import Environment, ExplorationResult, Invariant
+from .core import ExplorationResult, Invariant
 from .encoding import EncodingOverflow, StateEncoder
 
 __all__ = [
@@ -285,11 +285,9 @@ def _projection_mask(
 
 def explore_accel(
     automaton: Any,
-    environment: Environment = None,
     invariant: Invariant = None,
     max_states: int = 50_000,
     max_depth: int = 10_000,
-    validate: bool = False,
     initial_state: Optional[State] = None,
 ) -> ExplorationResult:
     """Compiled-backend exploration (same contract as the engine).
@@ -302,12 +300,6 @@ def explore_accel(
     """
     if not isinstance(automaton, Composition):
         raise AccelUnavailable("accel backend requires a Composition")
-    if environment is not None:
-        raise AccelUnavailable(
-            "environment callbacks require decoded states per expansion"
-        )
-    if validate:
-        raise AccelUnavailable("validate=True runs on the pure engine")
     module = _load_module()
 
     encoder = StateEncoder(automaton)

@@ -113,7 +113,6 @@ def trace_run(
     protocol: Optional[str] = None,
     seed: Optional[int] = None,
     config: Optional[Dict[str, object]] = None,
-    extra_sinks: Sequence[Sink] = (),
 ) -> Iterator[Tracer]:
     """Trace the block to ``target`` and close with a manifest.
 
@@ -131,7 +130,7 @@ def trace_run(
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
     status = "ok"
-    with tracing(counting, *extra_sinks) as tracer:
+    with tracing(counting) as tracer:
         try:
             yield tracer
         except BaseException:

@@ -170,16 +170,14 @@ def crash_storm(
     crashes: int,
     messages_between: int = 2,
     seed: int = 0,
-    factory: Optional[MessageFactory] = None,
-    rng: Optional[random.Random] = None,
 ) -> GeneratedScript:
     """A script alternating bursts of sends with host crashes.
 
     Used by the non-volatile-memory experiments (E5): after each crash
     both stations are woken and a fresh burst of messages is submitted.
     """
-    rng = rng if rng is not None else random.Random(seed)
-    factory = factory or MessageFactory(label="s")
+    rng = random.Random(seed)
+    factory = MessageFactory(label="s")
     actions: List[Action] = [system.wake_t(), system.wake_r()]
     messages: List[Message] = []
 

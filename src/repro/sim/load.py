@@ -17,12 +17,14 @@ serially up front from one master seed (session id = schedule index),
 sessions are sharded across workers in contiguous batches **by session
 id**, and the master's merge loop consumes shard streams strictly in
 session-index order -- so every aggregate (throughput counters,
-latency and delivery-ratio percentiles, per-shard summaries, the
-``--trace`` event stream) is byte-identical whatever ``--workers`` or
-``--batch-size`` says.  Sessions share no state (each is its own
-composed system over its own seeded channel adversaries), so the shard
-driver runs each session to quiescence and the "event loop" is the
-lazy batch merge.
+latency and delivery-ratio percentiles, the ``--trace`` event stream)
+is byte-identical whatever ``--workers`` says.  Batches are sized from
+the session count and the worker count
+(:func:`~repro.conformance.pool.auto_batch_size`), so only the shard
+layout follows ``--workers``.  Sessions share no state (each is its
+own composed system over its own seeded channel adversaries), so the
+shard driver runs each session to quiescence and the "event loop" is
+the lazy batch merge.
 
 Each session traces itself as one ``load.session`` span; the pool
 captures it where the session ran and the master replays it.  After
@@ -202,7 +204,7 @@ class LoadResult:
         summary is a pure function of the outcomes and the batch size
         -- identical whichever worker executed each shard.
         """
-        size = int(self.pool.get("batch_size") or 1) or 1
+        size = self.pool["batch_size"]
         shards: List[Dict[str, int]] = []
         for start in range(0, len(self.sessions), size):
             chunk = self.sessions[start : start + size]
@@ -312,14 +314,14 @@ def run_load(
     config: Optional[LoadConfig] = None,
     workers: int = 1,
     run_timeout: Optional[float] = None,
-    batch_size: Optional[int] = None,
 ) -> LoadResult:
     """Run one multi-session load campaign.
 
     Derives ``config.sessions`` per-session SubSeeds bundles from the
     master ``seed`` (session id = derivation index), shards them
-    across ``workers`` persistent forked workers in ``batch_size``
-    chunks of consecutive session ids, and merges the shard streams in
+    across ``workers`` persistent forked workers in chunks of
+    consecutive session ids sized from the session and worker counts,
+    and merges the shard streams in
     session-index order, emitting the live obs gauges as sessions
     complete.  ``run_timeout`` bounds each session's wall-clock
     seconds (shards are additionally held to a ``len(batch) *
@@ -355,7 +357,6 @@ def run_load(
             SessionOutcome,
             workers=workers,
             run_timeout=run_timeout,
-            batch_size=batch_size,
         )
         if tracer.enabled:
             tracer.count("load.sessions_scheduled", len(schedule))

@@ -164,11 +164,9 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def percentile_summary(
-    values: Sequence[float], qs: Sequence[float] = (50, 95, 99)
-) -> Dict[str, float]:
+def percentile_summary(values: Sequence[float]) -> Dict[str, float]:
     """``{"p50": ..., "p95": ..., "p99": ...}`` via :func:`percentile`."""
-    return {f"p{q:g}": percentile(values, q) for q in qs}
+    return {f"p{q}": percentile(values, q) for q in (50, 95, 99)}
 
 
 def distinct_headers_used(

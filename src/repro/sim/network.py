@@ -21,7 +21,6 @@ from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import apply_inputs, fair_extension
 from ..ioa.hiding import Hidden
 from ..channels.actions import crash, fail, packet_families, wake
-from ..channels.delivery_set import DeliverySet
 from ..channels.permissive import (
     PermissiveChannel,
     PermissiveChannelState,
@@ -219,14 +218,12 @@ def fifo_system(
     protocol: DataLinkProtocol,
     t: str = "t",
     r: str = "r",
-    delivery_tr: Optional[DeliverySet] = None,
-    delivery_rt: Optional[DeliverySet] = None,
 ) -> DataLinkSystem:
     """``D-hat'(A)``: the protocol over two permissive FIFO channels."""
     return DataLinkSystem.build(
         protocol,
-        PermissiveFifoChannel(t, r, initial_delivery=delivery_tr),
-        PermissiveFifoChannel(r, t, initial_delivery=delivery_rt),
+        PermissiveFifoChannel(t, r),
+        PermissiveFifoChannel(r, t),
         t,
         r,
     )
@@ -236,14 +233,12 @@ def permissive_system(
     protocol: DataLinkProtocol,
     t: str = "t",
     r: str = "r",
-    delivery_tr: Optional[DeliverySet] = None,
-    delivery_rt: Optional[DeliverySet] = None,
 ) -> DataLinkSystem:
     """``D-bar'(A)``: the protocol over two permissive (non-FIFO) channels."""
     return DataLinkSystem.build(
         protocol,
-        PermissiveChannel(t, r, initial_delivery=delivery_tr),
-        PermissiveChannel(r, t, initial_delivery=delivery_rt),
+        PermissiveChannel(t, r),
+        PermissiveChannel(r, t),
         t,
         r,
     )

@@ -336,8 +336,6 @@ class TestFuzzCommand:
             ("--runs", "-4"),
             ("--messages", "-1"),
             ("--workers", "0"),
-            ("--batch-size", "0"),
-            ("--batch-size", "-3"),
         ],
     )
     def test_invalid_count_and_timeout_flags_rejected(
@@ -359,6 +357,25 @@ class TestFuzzCommand:
             )
         assert exited.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_batch_size_flag_is_gone(self, tmp_path, capsys):
+        # Batches are sized from the run and worker counts alone.
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    "fuzz",
+                    "--protocol",
+                    "alternating_bit",
+                    "--channel",
+                    "fifo",
+                    "--out",
+                    str(tmp_path / "repros"),
+                    "--batch-size",
+                    "4",
+                ]
+            )
+        assert exited.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
     def test_zero_runs_is_valid(self, tmp_path, capsys):
         code = main(

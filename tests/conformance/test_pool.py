@@ -9,6 +9,7 @@ recorded as a failed run, never a dead campaign.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -78,7 +79,14 @@ def test_trace_stream_is_worker_count_invariant():
 # The batched merge must stay byte-identical to serial wherever the
 # batch boundaries land: runs not divisible by the worker count, a
 # degenerate one-run-per-task batching, and a single batch swallowing
-# the whole schedule.
+# the whole schedule.  Batches are always auto-sized, so the tests pin
+# a layout by replacing ``pool.auto_batch_size``.
+
+
+def _pin_batch_size(monkeypatch, size):
+    from repro.conformance import pool
+
+    monkeypatch.setattr(pool, "auto_batch_size", lambda runs, workers: size)
 
 
 @pytest.mark.parametrize(
@@ -86,21 +94,37 @@ def test_trace_stream_is_worker_count_invariant():
     [
         (3, None),  # 7 runs over 3 workers: auto-sized, uneven split
         (4, 3),  # final batch is a 1-run remainder
-        (4, 1),  # degenerate: one task per run (the PR-5 shape)
+        (4, 1),  # degenerate: one task per run
         (4, 64),  # batch larger than the whole schedule: one task
     ],
 )
-def test_batch_boundaries_match_serial(workers, batch_size):
+def test_batch_boundaries_match_serial(monkeypatch, workers, batch_size):
     config = FuzzConfig(runs=7)
     serial = fuzz_campaign(PROTOCOL, "nonfifo", 13, config)
+    if batch_size is not None:
+        _pin_batch_size(monkeypatch, batch_size)
     pooled = fuzz_campaign(
-        PROTOCOL, "nonfifo", 13, config,
-        workers=workers, batch_size=batch_size,
+        PROTOCOL, "nonfifo", 13, config, workers=workers
     )
     assert _fingerprint(serial) == _fingerprint(pooled)
     assert pooled.pool["mode"] == "fork"
     if batch_size is not None:
         assert pooled.pool["batch_size"] == batch_size
+        assert pooled.pool["batches"] == math.ceil(7 / batch_size)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_batches_are_auto_sized(workers):
+    from repro.conformance.pool import auto_batch_size
+
+    runs = 9
+    campaign = fuzz_campaign(
+        "alternating_bit", "fifo", 4, FuzzConfig(runs=runs), workers=workers
+    )
+    pool = campaign.report().to_dict()["details"]["pool"]
+    size = auto_batch_size(runs, workers)
+    assert pool["batch_size"] == size
+    assert pool["batches"] == math.ceil(runs / size)
 
 
 def test_pool_modes_are_surfaced():
@@ -166,7 +190,7 @@ def test_worker_crash_is_contained():
     assert campaign.report().counters["fuzz.failed_runs"] == 3
 
 
-def test_worker_crash_mid_batch_fails_only_that_batch():
+def test_worker_crash_mid_batch_fails_only_that_batch(monkeypatch):
     """A hard worker death fails exactly the crashing batch's runs.
 
     Breaking the executor fails *every* pending future, so sibling
@@ -193,15 +217,11 @@ def test_worker_crash_mid_batch_fails_only_that_batch():
 
     config = FuzzConfig(runs=runs, shrink=False)
     serial = fuzz_campaign(PROTOCOL, "perfect", seed, config)
+    _pin_batch_size(monkeypatch, batch_size)
     FUZZ_CHANNELS["_crash_batch"] = crashing_channel
     try:
         campaign = fuzz_campaign(
-            PROTOCOL,
-            "_crash_batch",
-            seed,
-            config,
-            workers=2,
-            batch_size=batch_size,
+            PROTOCOL, "_crash_batch", seed, config, workers=2
         )
     finally:
         del FUZZ_CHANNELS["_crash_batch"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import threading
@@ -108,13 +109,31 @@ class TestRunLoad:
                 run_timeout=-1,
             )
 
-    @pytest.mark.parametrize("knob", ["batch_size", "workers"])
+    @pytest.mark.parametrize("knob", ["workers"])
     def test_pool_size_below_one_rejected(self, knob):
         with pytest.raises(ValueError, match=knob):
             run_load(
                 "alternating_bit", "fifo", 0, LoadConfig(sessions=4),
                 **{knob: 0},
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shards_are_auto_sized(self, workers):
+        from repro.conformance.pool import auto_batch_size
+
+        sessions = 9
+        result = run_load(
+            "alternating_bit",
+            "fifo",
+            3,
+            LoadConfig(sessions=sessions, messages=2),
+            workers=workers,
+        )
+        pool = result.report().details["pool"]
+        size = auto_batch_size(sessions, workers)
+        assert pool["batch_size"] == size
+        assert pool["batches"] == math.ceil(sessions / size)
+        assert len(pool["shards"]) == pool["batches"]
 
     def test_sessions_merge_in_index_order(self):
         result = run_load(
@@ -181,6 +200,7 @@ class TestRunLoad:
             seed=0,
             config=LoadConfig(sessions=1),
             sessions=[outcome],
+            pool={"batch_size": 1},
         )
         assert result.report().status == "error"
 
@@ -191,6 +211,7 @@ class TestRunLoad:
             seed=0,
             config=LoadConfig(sessions=0),
             sessions=[],
+            pool={"batch_size": 1},
         )
         report = result.report()
         assert report.status == "ok"
@@ -258,7 +279,7 @@ class TestRunLoad:
         )
         assert "timeout_unavailable" not in guarded.pool
 
-    def test_worker_crash_mid_shard_fails_only_that_shard(self):
+    def test_worker_crash_mid_shard_fails_only_that_shard(self, monkeypatch):
         """A hard worker death fails exactly the crashing shard's
         sessions; the sibling shards equal the serial run."""
         from repro.conformance import SubSeeds, pool
@@ -280,15 +301,14 @@ class TestRunLoad:
 
         config = LoadConfig(sessions=sessions, messages=2)
         serial = run_load("alternating_bit", "perfect", seed, config)
+        # Batches are always auto-sized; pin the layout through it.
+        monkeypatch.setattr(
+            pool, "auto_batch_size", lambda runs, workers: batch_size
+        )
         FUZZ_CHANNELS["_crash_shard"] = crashing_channel
         try:
             pooled = run_load(
-                "alternating_bit",
-                "_crash_shard",
-                seed,
-                config,
-                workers=2,
-                batch_size=batch_size,
+                "alternating_bit", "_crash_shard", seed, config, workers=2
             )
         finally:
             del FUZZ_CHANNELS["_crash_shard"]
@@ -399,8 +419,6 @@ class TestLoadCli:
             ("--sessions", "-3"),
             ("--steps", "-1"),
             ("--workers", "0"),
-            ("--batch-size", "0"),
-            ("--batch-size", "-3"),
             ("--run-timeout", "-1"),
             ("--run-timeout", "0"),
         ],
@@ -412,6 +430,13 @@ class TestLoadCli:
             main(["load", "--sessions", "2", flag, value])
         assert exited.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_batch_size_flag_is_gone(self, capsys):
+        # Shards are sized from the session and worker counts alone.
+        with pytest.raises(SystemExit) as exited:
+            main(["load", "--sessions", "2", "--batch-size", "4"])
+        assert exited.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
     def test_load_unknown_mix_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit):
