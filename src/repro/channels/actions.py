@@ -39,13 +39,14 @@ class ReceiveActions(dict):
 
     A channel enumerates its delivery through one of these, so it
     builds each packet's action once rather than on every enumeration.
-    Channels are rebuilt for every run while a campaign's stations keep
-    slice tables whose steps are keyed by action; a table shared by the
-    channels of all those runs
-    (:func:`~repro.conformance.harness.resolve_pair`) hands the stations
-    the very object they stored, so a probe matches by identity instead
-    of comparing fields.  A full table starts over; the actions it hands
-    out after that are equal to the stored ones, just not identical.
+    A campaign's stations keep slice tables whose steps are keyed by
+    action, and every run of the campaign steps the same channel
+    automaton per direction
+    (:func:`~repro.conformance.harness.resolve_pair`), so its table
+    hands the stations the very object they stored and a probe matches
+    by identity instead of comparing fields.  A full table starts over;
+    the actions it hands out after that are equal to the stored ones,
+    just not identical.
     """
 
     limit = 1 << 12

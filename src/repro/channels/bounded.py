@@ -18,7 +18,8 @@ picks the buffered packet with the smallest priority, so the channel
 drains whenever it is scheduled and retransmitting protocols still
 quiesce.  Beyond ``horizon`` the plan is FIFO and lossless (overflow
 drops aside), mirroring the delivery-set channels' eventually-clean
-tails.
+tails.  Like a permissive channel's delivery set, the plan is part of
+the start state (Section 2.2), so one channel automaton serves every seed.
 
 The Lemma 6.x-style surgeries (``make_clean``, ``with_waiting``,
 ``lose_all_in_transit``) rewrite the buffer instead of a delivery set:
@@ -29,7 +30,8 @@ bypass the adversarial plan (tracked by ``surgery_floor``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 from ..alphabets import Packet
@@ -49,6 +51,47 @@ from .actions import (
 from .permissive import ChannelSurgeryError
 
 
+@dataclass(frozen=True)
+class BoundedPlan:
+    """A bounded channel's adversary: capacity and seeded per-send verdicts.
+
+    Send index ``i <= horizon`` is lost if ``lost[i-1]`` and otherwise
+    delivers with priority ``i + offsets[i-1]``; later sends are
+    lossless and FIFO.  The verdicts are drawn on first use from the
+    fields alone (no hash() or draw order), so a plan replays in any
+    process and pickles as its fields.  The default plan is lossless
+    FIFO throughout.
+    """
+
+    seed: int = 0
+    loss_rate: float = 0.0
+    reorder_window: int = 1
+    horizon: int = 0
+    capacity: int = 4
+
+    def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise ValueError("capacity must be positive")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError("loss_rate must be in [0, 1)")
+        if self.reorder_window < 1:
+            raise ValueError("reorder_window must be positive")
+
+    def __reduce__(self):
+        return BoundedPlan, astuple(self)
+
+    @cached_property
+    def verdicts(self) -> Tuple[Tuple[bool, ...], Tuple[int, ...]]:
+        """``(lost, offsets)`` over send indices ``1..horizon``."""
+        rng = random.Random(self.seed)
+        lost = []
+        offsets = []
+        for _ in range(self.horizon):
+            lost.append(rng.random() < self.loss_rate)
+            offsets.append(rng.randrange(self.reorder_window))
+        return tuple(lost), tuple(offsets)
+
+
 @cached_hash
 @dataclass(frozen=True)
 class BoundedChannelState:
@@ -61,6 +104,8 @@ class BoundedChannelState:
     ``forced`` record adversary surgeries: sends with index above a
     positive ``surgery_floor`` bypass the loss/reorder plan, and a
     non-empty ``forced`` pins the exact order of the next deliveries.
+    ``plan`` is the adversary fixed at the start, which every step
+    carries along and equality, hashing and ``repr`` ignore.
     """
 
     counter1: int = 0
@@ -69,6 +114,7 @@ class BoundedChannelState:
     dropped: int = 0
     surgery_floor: int = 0
     forced: Tuple[int, ...] = ()
+    plan: BoundedPlan = field(default=BoundedPlan(), compare=False, repr=False)
 
     def in_transit_indices(self) -> Tuple[int, ...]:
         """Send indices currently buffered, in send order."""
@@ -93,8 +139,10 @@ class BoundedChannel(Automaton):
     ``reorder_window`` parameterize a seeded adversary plan over send
     indices ``1..horizon``; beyond the horizon the channel is FIFO and
     lossless, which preserves the harness's quiescence guarantee for
-    retransmitting protocols.  Deliveries are enumerated through
-    ``receives``, as in :class:`~repro.channels.permissive.PermissiveChannel`.
+    retransmitting protocols.  The arguments choose the start state's
+    :class:`BoundedPlan`; a step follows the plan of its pre-state.
+    Deliveries are enumerated through ``receives``, as in
+    :class:`~repro.channels.permissive.PermissiveChannel`.
     """
 
     fifo_only = False
@@ -110,31 +158,13 @@ class BoundedChannel(Automaton):
         capacity: int = 4,
         name: Optional[str] = None,
     ):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        if reorder_window < 1:
-            raise ValueError("reorder_window must be positive")
+        plan = BoundedPlan(seed, loss_rate, reorder_window, horizon, capacity)
+        self._start = BoundedChannelState(plan=plan)
         self.src = src
         self.dst = dst
-        self.capacity = capacity
         self.receives = ReceiveActions(src, dst)
-        self.horizon = horizon
-        # The whole adversary is fixed here, from the seed alone: which
-        # send indices are lost and each index's delivery priority.
-        # Nothing downstream may depend on hash() or draw order, so the
-        # plan replays identically in any process.
-        rng = random.Random(seed)
-        lost = []
-        offsets = []
-        for _ in range(horizon):
-            lost.append(rng.random() < loss_rate)
-            offsets.append(rng.randrange(reorder_window))
-        self._lost = tuple(lost)
-        self._offsets = tuple(offsets)
         self._signature = physical_layer_signature(src, dst)
-        self.name = name or f"bounded[{src}->{dst},cap={capacity}]"
+        self.name = name or f"bounded[{src}->{dst}]"
 
     # ------------------------------------------------------------------
 
@@ -143,7 +173,7 @@ class BoundedChannel(Automaton):
         return self._signature
 
     def initial_state(self) -> BoundedChannelState:
-        return BoundedChannelState()
+        return self._start
 
     def _is_lost(self, state: BoundedChannelState, index: int) -> bool:
         """Does the adversary plan drop this send?
@@ -154,17 +184,15 @@ class BoundedChannel(Automaton):
         """
         if state.surgery_floor and index > state.surgery_floor:
             return False
-        if index > self.horizon:
-            return False
-        return self._lost[index - 1]
+        lost = state.plan.verdicts[0]
+        return index <= len(lost) and lost[index - 1]
 
     def _priority(self, state: BoundedChannelState, index: int) -> int:
         """The delivery priority of a buffered send index (smaller first)."""
         if state.surgery_floor and index > state.surgery_floor:
             return index
-        if index > self.horizon:
-            return index
-        return index + self._offsets[index - 1]
+        offsets = state.plan.verdicts[1]
+        return index + offsets[index - 1] if index <= len(offsets) else index
 
     def deliverable(
         self, state: BoundedChannelState
@@ -190,37 +218,22 @@ class BoundedChannel(Automaton):
             return ()
         if action.name == SEND_PKT:
             index = state.counter1 + 1
-            if self._is_lost(state, index):
-                return (
-                    BoundedChannelState(
-                        index,
-                        state.counter2,
-                        state.buffer,
-                        state.dropped,
-                        state.surgery_floor,
-                        state.forced,
-                    ),
-                )
-            if len(state.buffer) >= self.capacity:
-                # The hard capacity invariant: a full channel drops.
-                return (
-                    BoundedChannelState(
-                        index,
-                        state.counter2,
-                        state.buffer,
-                        state.dropped + 1,
-                        state.surgery_floor,
-                        state.forced,
-                    ),
-                )
+            buffer, dropped = state.buffer, state.dropped
+            if not self._is_lost(state, index):
+                if len(buffer) < state.plan.capacity:
+                    buffer += ((index, action.payload),)
+                else:
+                    # The hard capacity invariant: a full channel drops.
+                    dropped += 1
             return (
                 BoundedChannelState(
                     index,
                     state.counter2,
-                    state.buffer + ((index, action.payload),),
-                    state.dropped,
+                    buffer,
+                    dropped,
                     state.surgery_floor,
                     state.forced,
+                    state.plan,
                 ),
             )
         if action.name == RECEIVE_PKT:
@@ -242,6 +255,7 @@ class BoundedChannel(Automaton):
                     state.dropped,
                     state.surgery_floor,
                     forced,
+                    state.plan,
                 ),
             )
         if action.name in (WAKE, FAIL, CRASH):
@@ -280,6 +294,7 @@ class BoundedChannel(Automaton):
             state.dropped,
             state.counter1,
             (),
+            state.plan,
         )
 
     def with_waiting(
@@ -313,6 +328,7 @@ class BoundedChannel(Automaton):
             state.dropped,
             state.counter1,
             tuple(indices),
+            state.plan,
         )
 
     def lose_all_in_transit(

@@ -137,10 +137,10 @@ class PermissiveChannel(Automaton):
     """The universal (non-FIFO) physical channel ``C-bar^{src,dst}``.
 
     The start state's delivery set defaults to FIFO/no-loss but may be
-    any delivery set (the paper's arbitrary initial ``S``).  ``receives``
-    is the :class:`~repro.channels.actions.ReceiveActions` the channel
-    enumerates its deliveries through; channels of one direction may
-    share one.
+    any delivery set (the paper's arbitrary initial ``S``), given here
+    or in a start state built outside.  ``receives`` is the
+    :class:`~repro.channels.actions.ReceiveActions` the channel
+    enumerates its deliveries through.
     """
 
     fifo_only = False

@@ -16,9 +16,10 @@ This module supplies the two halves of that workload:
   The product of locally-reachable states is generally *not* jointly
   reachable -- stations disagree about sequence numbers, channels hold
   ghost packets -- which is exactly the self-stabilization adversary.
-  The choice is a pure function of ``(system, subseeds, config)``, so
-  the shrinker and the replayer reconstruct the identical corrupted
-  start, and campaigns stay byte-identical at any worker count.
+  The choice is a pure function of ``(system, subseeds, config)``:
+  :func:`~repro.conformance.harness.build_system` computes it once per
+  run as the system's ``start``, the replayer rebuilds the identical
+  one, and campaigns stay byte-identical at any worker count.
 
 * **Measurement** -- :func:`stabilization_report` scans a finite
   data-link behavior backwards for the longest *violation-free suffix*:
@@ -111,10 +112,11 @@ def corrupt_initial_state(
 ) -> Tuple[object, ...]:
     """A corrupted composed start state for one arbitrary-init run.
 
-    Each component starts in some state it could locally reach; the
-    combination is generally not jointly reachable.  Pure in
-    ``(system, subseeds)``: the probe walk is deterministic and the
-    per-component choice draws from :func:`corruption_rng`.
+    Each component starts in some state it could locally reach from
+    ``system``'s clean start; the combination is generally not jointly
+    reachable.  Pure in ``(system, subseeds)``: the probe walk is
+    deterministic and the per-component choice draws from
+    :func:`corruption_rng`.
     """
     pools = component_state_pools(system)
     rng = corruption_rng(subseeds)

@@ -1,13 +1,13 @@
 """The fuzz campaign driver.
 
 One campaign = one (protocol, channel, seed, config) quadruple.  The
-campaign master RNG derives per-run :class:`SubSeeds`; each run builds a
-fresh system against sub-seeded channel adversaries, generates a
-well-formed fault script, executes it under seeded fair interleaving,
-and checks the execution against every applicable oracle
-(:mod:`repro.conformance.oracles`).  Violating runs are shrunk to
-locally-minimal scripts (:mod:`repro.conformance.shrink`) -- one
-repro per *distinct violated oracle* per run -- and packaged as
+campaign master RNG derives per-run :class:`SubSeeds`; each run starts
+the campaign's one composed system from its sub-seeded channel
+adversaries, generates a well-formed fault script, executes it under
+seeded fair interleaving, and checks the execution against every
+applicable oracle (:mod:`repro.conformance.oracles`).  Violating runs
+are shrunk to locally-minimal scripts (:mod:`repro.conformance.shrink`)
+-- one repro per *distinct violated oracle* per run -- and packaged as
 replayable repro documents (:mod:`repro.conformance.replay`).
 
 Coverage is measured with the exploration engine's

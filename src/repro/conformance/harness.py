@@ -3,20 +3,22 @@
 One campaign seed must pin down *everything*: the channel adversaries
 (delivery sets), the generated input script, and the fair interleaving.
 The harness derives four independent 32-bit sub-seeds per run from a
-single master :class:`random.Random` and rebuilds identical systems from
-them, so the shrinker can re-run *modified* scripts against the exact
-channel/interleaving adversary that produced the original violation,
-and a replay file can reproduce a violation from the sub-seeds alone.
+single master :class:`random.Random` and rebuilds identical start
+states from them, so the shrinker can re-run *modified* scripts against
+the exact channel/interleaving adversary that produced the original
+violation, and a replay file can reproduce a violation from the
+sub-seeds alone.  The composed system itself is built once per
+(protocol, channel) pair (:func:`resolve_pair`): runs differ only in
+their start state.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from ..alphabets import MessageFactory
-from ..channels.actions import ReceiveActions
 from ..channels.properties import feed_all
 from ..datalink.properties import MONITORS
 from ..ioa.actions import Action
@@ -25,6 +27,7 @@ from ..sim.faults import FaultPlan, GeneratedScript, generate_script
 from ..sim.network import DataLinkSystem
 from ..sim.runner import ScenarioResult
 from ..sim.session import Checkpoints, Session
+from .arbitrary import corrupt_initial_state
 from .registry import resolve_fuzz_channel, resolve_fuzz_protocol
 
 
@@ -138,30 +141,27 @@ class SubSeeds:
 
 
 def resolve_pair(protocol_name: str, channel_name: str):
-    """``(protocol, stations, channel builder)`` from the fuzz registries.
+    """``(system, start)`` from the fuzz registries.
 
-    ``stations`` is the protocol's transmitter and receiver, each with a
-    :class:`~repro.ioa.engine.interning.SliceTable`.  Every system
-    :func:`build_system` composes from one result shares them, so what
-    one run computed answers every later run, for as long as the
-    result lives: the pool resolves once per serial schedule or worker.
-    The channels the builder makes share one
-    :class:`~repro.channels.actions.ReceiveActions` per direction, which
-    lives as long as the stations' tables, so a delivery probes them
-    with the action object they stored.
+    ``system`` composes the protocol's transmitter and receiver, each
+    with a :class:`~repro.ioa.engine.interning.SliceTable`, with the
+    channel family's two seed-free channel automata; ``start`` is the
+    family's seeded start-state builder.  Every run :func:`build_system`
+    makes from one result shares the composition, its fair kernel's
+    view and the stations' tables, so what one run computed answers
+    every later run, for as long as the result lives: the pool resolves
+    once per serial schedule or worker.  Runs of one result must not
+    interleave: the kernel's view describes one run at a time.
     """
     protocol = resolve_fuzz_protocol(protocol_name)
-    stations = tuple(with_memo(station) for station in protocol.build())
-    build_channel = resolve_fuzz_channel(channel_name)
-    receives: Dict[Tuple[str, str], ReceiveActions] = {}
-
-    def build(src, dst, *args, **kwargs):
-        channel = build_channel(src, dst, *args, **kwargs)
-        if isinstance(getattr(channel, "receives", None), ReceiveActions):
-            channel.receives = receives.setdefault((src, dst), channel.receives)
-        return channel
-
-    return protocol, stations, build
+    family = resolve_fuzz_channel(channel_name)
+    system = DataLinkSystem.build(
+        protocol,
+        family.automaton("t", "r"),
+        family.automaton("r", "t"),
+        stations=tuple(with_memo(station) for station in protocol.build()),
+    )
+    return system, family.start
 
 
 def build_system(
@@ -171,41 +171,27 @@ def build_system(
     config: FuzzConfig,
     resolved=None,
 ) -> DataLinkSystem:
-    """Compose the protocol with two sub-seeded channels.
+    """The resolved system, started where this run starts.
 
-    Rebuilding with the same arguments yields a system with an identical
-    initial state (the automata are stateless; all run state lives in
-    immutable state tuples), which is what lets the shrinker and the
-    replayer re-run scripts against the original adversary.  Pass
-    ``resolved`` (a :func:`resolve_pair` result) to skip the registry
-    lookups and compose its shared stations; the channels are still
-    built fresh from the sub-seeds and never memoised, so the rebuild
-    contract is unchanged.
+    The channels start in states built from their sub-seeds and the
+    config's channel knobs; under ``init_mode="arbitrary"`` the whole
+    start is then corrupted (:func:`corrupt_initial_state`).  The
+    start is a pure function of ``(subseeds, config)``, which is what
+    lets the shrinker and the replayer re-run scripts against the
+    original adversary.  Pass ``resolved`` (a :func:`resolve_pair`
+    result) to skip the registry lookups and share its system; the
+    result is that system with its ``start`` replaced.
     """
-    protocol, stations, build_channel = resolved or resolve_pair(
-        protocol_name, channel_name
+    system, start = resolved or resolve_pair(protocol_name, channel_name)
+    knobs = (config.loss_rate, config.reorder_window, config.horizon, config.capacity)
+    system = replace(
+        system,
+        start=system.composition.initial_state()[:2]
+        + (start(subseeds.channel_tr, *knobs), start(subseeds.channel_rt, *knobs)),
     )
-    channel_tr = build_channel(
-        "t",
-        "r",
-        subseeds.channel_tr,
-        config.loss_rate,
-        config.reorder_window,
-        config.horizon,
-        capacity=config.capacity,
-    )
-    channel_rt = build_channel(
-        "r",
-        "t",
-        subseeds.channel_rt,
-        config.loss_rate,
-        config.reorder_window,
-        config.horizon,
-        capacity=config.capacity,
-    )
-    return DataLinkSystem.build(
-        protocol, channel_tr, channel_rt, stations=stations
-    )
+    if config.init_mode == "arbitrary":
+        system = replace(system, start=corrupt_initial_state(system, subseeds, config))
+    return system
 
 
 def build_script(
@@ -237,16 +223,14 @@ def execute_script(
     stop_when: Optional[Callable[[Action], bool]] = None,
     checkpoints: Optional[Checkpoints] = None,
 ) -> ScenarioResult:
-    """Run a script under the run's interleaving sub-seed.
+    """Run a script from the system's start under the run's
+    interleaving sub-seed.
 
     The interleave RNG is rebuilt fresh on every ``run()``, so
     executing the same (system, actions, subseeds) triple is
     bit-identical -- the contract the shrinker's re-validation and
-    ``--replay`` rely on.  Under ``init_mode="arbitrary"`` the run
-    starts from a sub-seed-determined corrupted state instead of the
-    composition's initial state; because the corruption is a pure
-    function of (system, subseeds, config), the shrinker and the
-    replayer reconstruct the identical corrupted start for free.
+    ``--replay`` rely on.  The start, corrupted or not, is the one
+    :func:`build_system` put on ``system``.
 
     ``stop_when`` and ``checkpoints`` go to :meth:`Session.run
     <repro.sim.session.Session.run>`: the run ends right after the
@@ -255,18 +239,12 @@ def execute_script(
     config) that shares its input prefix.  The result is the plain
     run's, cut at the stop.
     """
-    initial_state = None
-    if config.init_mode == "arbitrary":
-        from .arbitrary import corrupt_initial_state
-
-        initial_state = corrupt_initial_state(system, subseeds, config)
     return Session(
         system=system,
         script=tuple(actions),
         seed=subseeds.interleave,
         max_interleave=config.max_interleave,
         max_steps=config.max_steps,
-        initial_state=initial_state,
     ).run(stop_when, checkpoints)
 
 

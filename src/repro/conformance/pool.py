@@ -340,8 +340,8 @@ def execute_run(
     can replay the outcome stream in index order and obtain the serial
     campaign verbatim.  ``resolved`` is a
     :func:`~repro.conformance.harness.resolve_pair` result shared by
-    every run of the schedule: its stations and their tables carry over
-    from run to run.
+    every run of the schedule: its composed system, the stations'
+    tables and the fair kernel's view carry over from run to run.
     """
     from .fuzzer import _package_violation
 
@@ -491,8 +491,9 @@ def _init_worker(
     # the master replays the chunks.
     capture = current_tracer().enabled
     set_tracer(None)
-    # Warm start: resolve the registry entries once per worker process,
-    # so every item shares the stations and their tables.  The workload
+    # Warm start: resolve the registry pair once per worker process, so
+    # every item starts the one composed system, sharing its stations'
+    # tables and its fair kernel's view.  The workload
     # validated the names already, so this cannot ordinarily raise.
     # ``body`` is a closure: the fork start method inherits it instead
     # of pickling it.
@@ -585,8 +586,8 @@ def run_partitioned(
     def _serial(reason: Optional[str]) -> Tuple[Iterator[Outcome], PoolInfo]:
         info.mode = "serial-fallback" if requested_parallel else "serial"
         info.fallback_reason = reason if requested_parallel else None
-        # Resolve once, as each pool worker does: every item shares the
-        # stations and their tables, which die with this iterator.
+        # Resolve once, as each pool worker does: every item starts the
+        # one composed system, which dies with this iterator.
         resolved = resolve_pair(protocol, channel)
         outcomes = (
             item

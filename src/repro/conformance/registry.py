@@ -4,10 +4,13 @@ The conformance fuzzer is a *composition* harness: any registered
 protocol can be driven over any registered channel family.  Protocol
 entries are zero-argument factories (the fuzzer never parameterizes
 them mid-campaign, so a campaign is fully described by two registry
-names plus a seed).  Channel entries build one directed physical
-channel from a sub-seed and the campaign's fault mix; the permissive
+names plus a seed).  Channel entries are
+:class:`ChannelFamily` pairs: a seed-free directed channel automaton,
+built once per campaign, and the seeded start state a run puts it in
+(the paper's start-state choice, Section 2.2).  The permissive
 families realize the paper's C-hat (FIFO) and C-bar (non-FIFO) with a
-seeded delivery set, so the channel adversary replays exactly.
+seeded delivery set in that start state, so the channel adversary
+replays exactly.
 
 Names are normalized (``-`` and ``_`` interchangeable), matching the
 ``repro fuzz --protocol/--channel`` CLI flags.
@@ -15,12 +18,17 @@ Names are normalized (``-`` and ``_`` interchangeable), matching the
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, NamedTuple
 
-from ..channels.bounded import BoundedChannel
+from ..channels.bounded import BoundedChannel, BoundedChannelState, BoundedPlan
 from ..channels.delivery_set import random_lossy_fifo, random_reordering
-from ..channels.permissive import PermissiveChannel, PermissiveFifoChannel
+from ..channels.permissive import (
+    PermissiveChannel,
+    PermissiveChannelState,
+    PermissiveFifoChannel,
+)
 from ..datalink.protocol import DataLinkProtocol
+from ..ioa.automaton import Automaton
 from ..protocols import (
     alternating_bit_protocol,
     baratz_segall_protocol,
@@ -75,67 +83,43 @@ def resolve_fuzz_protocol(name: str) -> DataLinkProtocol:
     return _entry(FUZZ_PROTOCOLS, "protocol", name)()
 
 
-def _fifo_channel(
-    src, dst, seed, loss_rate, reorder_window, horizon, capacity=4
-):
-    """C-hat with a seeded monotone (lossy FIFO) delivery set."""
-    return PermissiveFifoChannel(
-        src,
-        dst,
-        initial_delivery=random_lossy_fifo(seed, loss_rate, horizon),
-        name=f"fuzz-fifo[{src}->{dst},seed={seed}]",
-    )
+class ChannelFamily(NamedTuple):
+    """A channel family: ``automaton(src, dst)`` builds the directed
+    channel, ``start(seed, loss, window, horizon, capacity)`` the start
+    state one run's sub-seed and fault mix put it in."""
+
+    automaton: Callable[[str, str], Automaton]
+    start: Callable[[int, float, int, int, int], object]
 
 
-def _nonfifo_channel(
-    src, dst, seed, loss_rate, reorder_window, horizon, capacity=4
-):
-    """C-bar with a seeded reordering + lossy delivery set."""
-    return PermissiveChannel(
-        src,
-        dst,
-        initial_delivery=random_reordering(
-            seed, loss_rate, reorder_window, horizon
-        ),
-        name=f"fuzz-nonfifo[{src}->{dst},seed={seed}]",
-    )
+def _fifo_start(seed, loss_rate, reorder_window, horizon, capacity):
+    """C-hat: a seeded monotone (lossy FIFO) delivery set."""
+    delivery = random_lossy_fifo(seed, loss_rate, horizon)
+    return PermissiveChannelState(delivery=delivery)
 
 
-def _perfect_channel(
-    src, dst, seed, loss_rate, reorder_window, horizon, capacity=4
-):
-    """A loss-free FIFO control channel (the identity delivery set)."""
-    return PermissiveFifoChannel(
-        src, dst, name=f"fuzz-perfect[{src}->{dst}]"
-    )
+def _nonfifo_start(seed, loss_rate, reorder_window, horizon, capacity):
+    """C-bar: a seeded reordering + lossy delivery set."""
+    delivery = random_reordering(seed, loss_rate, reorder_window, horizon)
+    return PermissiveChannelState(delivery=delivery)
 
 
-def _bounded_nonfifo_channel(
-    src, dst, seed, loss_rate, reorder_window, horizon, capacity=4
-):
-    """Bounded-capacity non-FIFO lossy channel (arXiv:1011.3632)."""
-    return BoundedChannel(
-        src,
-        dst,
-        seed=seed,
-        loss_rate=loss_rate,
-        reorder_window=reorder_window,
-        horizon=horizon,
-        capacity=capacity,
-        name=f"fuzz-bounded[{src}->{dst},seed={seed},cap={capacity}]",
-    )
-
-
-#: name -> channel builder ``(src, dst, seed, loss, window, horizon,
-#: capacity=4)``.
-FUZZ_CHANNELS: Dict[str, Callable] = {
-    "fifo": _fifo_channel,
-    "nonfifo": _nonfifo_channel,
-    "perfect": _perfect_channel,
-    "bounded_nonfifo": _bounded_nonfifo_channel,
+#: name -> channel family; ``perfect`` is the loss-free FIFO control
+#: (the identity delivery set), ``bounded_nonfifo`` the bounded-capacity
+#: lossy reordering channel (arXiv:1011.3632), whose plan takes the
+#: start builder's arguments as they come.
+FUZZ_CHANNELS: Dict[str, ChannelFamily] = {
+    "fifo": ChannelFamily(PermissiveFifoChannel, _fifo_start),
+    "nonfifo": ChannelFamily(PermissiveChannel, _nonfifo_start),
+    "perfect": ChannelFamily(
+        PermissiveFifoChannel, lambda *knobs: PermissiveChannelState()
+    ),
+    "bounded_nonfifo": ChannelFamily(
+        BoundedChannel, lambda *knobs: BoundedChannelState(plan=BoundedPlan(*knobs))
+    ),
 }
 
 
-def resolve_fuzz_channel(name: str) -> Callable:
-    """Look up a channel builder by fuzz-registry name."""
+def resolve_fuzz_channel(name: str) -> ChannelFamily:
+    """Look up a channel family by fuzz-registry name."""
     return _entry(FUZZ_CHANNELS, "channel", name)

@@ -8,13 +8,15 @@ structure.  :func:`cached_hash` makes a frozen dataclass hash its
 fields on first use and keep the result on the instance.
 
 Equality stays the dataclass-generated field-by-field ``__eq__``.  The
-hash value is the generated one, ``hash(tuple of fields)``, unless the
-class defines ``_hash_key``: then it is ``hash(_hash_key())``, which
-must agree on equal values.  A delivery set hashes only a window of its
-first slots that way, so hashing never draws a seeded set's rest
-(:mod:`repro.channels.delivery_set`).  The cached value is never
-pickled: string hashes are per-process (``PYTHONHASHSEED``), so a value
-that crosses a process boundary recomputes its hash on the other side.
+hash value is the generated one, the hash of the tuple of compared
+fields (``compare=False`` fields take no part, as in ``__eq__``),
+unless the class defines ``_hash_key``: then it is
+``hash(_hash_key())``, which must agree on equal values.  A delivery
+set hashes only a window of its first slots that way, so hashing never
+draws a seeded set's rest (:mod:`repro.channels.delivery_set`).  The
+cached value is never pickled: string hashes are per-process
+(``PYTHONHASHSEED``), so a value that crosses a process boundary
+recomputes its hash on the other side.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ def cached_hash(cls):
     constructor, :func:`dataclasses.replace` or unpickling all start
     without a cache, so they hash like a freshly built equal value.
     """
+    fields = dataclasses.fields(cls)
+    names = tuple(field.name for field in fields)
     # Over two or more fields the getter returns the tuple the generated
     # ``__hash__`` hashes, so the value matches it exactly.
-    names = tuple(field.name for field in dataclasses.fields(cls))
-    key = cls.__dict__.get("_hash_key", attrgetter(*names))
+    compared = (field.name for field in fields if field.compare)
+    key = cls.__dict__.get("_hash_key", attrgetter(*compared))
 
     def __hash__(self) -> int:
         value = self._cached_hash
@@ -43,9 +47,9 @@ def cached_hash(cls):
         return value
 
     def __getstate__(self) -> dict:
-        # The fields and nothing else, read as attributes so a value
-        # that computes a field on first read (a seeded delivery set)
-        # pickles its finished form.
+        # Every field, compared or not, and nothing else, read as
+        # attributes so a value that computes a field on first read (a
+        # seeded delivery set) pickles its finished form.
         return {name: getattr(self, name) for name in names}
 
     cls._cached_hash = None

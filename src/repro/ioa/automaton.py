@@ -61,7 +61,8 @@ TaskGroup = Tuple[str, Tuple[Action, ...]]
 class TaskNames(dict):
     """``task -> repr(task)``: the name the fair kernel serves a task by
     and breaks ties by.  A distinct task with a name already given
-    raises ``ValueError`` rather than share the first one's turns."""
+    raises ``ValueError`` rather than share the first one's turns.
+    Names last as long as their view, so they must not name a run's seed."""
 
     def __missing__(self, task: Hashable) -> str:
         name = repr(task)
@@ -177,9 +178,9 @@ class Automaton(ABC):
         """A start state of the automaton.
 
         The paper allows a set of start states; automata with genuinely
-        nondeterministic starts (the permissive channels, whose delivery
-        set is arbitrary) are parameterized by their start choice at
-        construction time, so a single state suffices here.
+        nondeterministic starts (the channels, whose delivery set or
+        plan is arbitrary) return a default one, and callers that need
+        another pass it in (``DataLinkSystem.start``, ``initial_state=``).
         """
 
     @abstractmethod

@@ -232,7 +232,8 @@ class ComponentSlices(SliceView):
     A step on ``pi`` moves only the slices of the components with ``pi``
     in their signature, so the other slices keep their task groups.  The
     view lives as long as the composition, so consecutive runs from
-    states sharing slices (a Session's bursts) reuse them too.
+    states sharing slices (a Session's bursts, and every run of a fuzz
+    campaign or load run, which share one composition) reuse them too.
 
     A component with a slice table steps by id: its slot's slice id is
     kept with the slice (``sids[i]``, set by :meth:`start`), so a step

@@ -21,10 +21,11 @@ latency and delivery-ratio percentiles, the ``--trace`` event stream)
 is byte-identical whatever ``--workers`` says.  Batches are sized from
 the session count and the worker count
 (:func:`~repro.conformance.pool.auto_batch_size`), so only the shard
-layout follows ``--workers``.  Sessions share no state (each is its
-own composed system over its own seeded channel adversaries), so the
-shard driver runs each session to quiescence and the "event loop" is
-the lazy batch merge.
+layout follows ``--workers``.  Sessions share no run state (each
+starts the process's one composed system from its own seeded channel
+adversaries, and sessions never interleave), so the shard driver runs
+each session to quiescence and the "event loop" is the lazy batch
+merge.
 
 Each session traces itself as one ``load.session`` span; the pool
 captures it where the session ran and the master replays it.  After

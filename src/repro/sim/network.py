@@ -47,7 +47,9 @@ class DataLinkSystem:
 
     The composed state is the 4-tuple (transmitter, receiver, channel
     t->r, channel r->t).  ``automaton`` is the hidden composition
-    ``D'(A)`` whose behaviors are data-link-layer behaviors.
+    ``D'(A)`` whose behaviors are data-link-layer behaviors.  ``start``,
+    if set, is the start state (Section 2.2) a fuzz run begins in; see
+    :func:`~repro.conformance.harness.build_system`.
     """
 
     t: str
@@ -59,6 +61,7 @@ class DataLinkSystem:
     channel_rt: PermissiveChannel
     composition: Composition
     automaton: Hidden
+    start: Optional[State] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -103,6 +106,8 @@ class DataLinkSystem:
     # ------------------------------------------------------------------
 
     def initial_state(self) -> State:
+        if self.start is not None:
+            return self.start
         return self.composition.initial_state()
 
     def host_state(self, state: State, station: str) -> HostState:

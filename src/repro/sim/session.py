@@ -49,10 +49,9 @@ class Session:
     may run between consecutive inputs; ``max_steps`` bounds the whole
     execution (exhausting it flags the result non-quiescent rather
     than raising, unless the drain quiesced on its last step).  Each
-    ``run()`` draws its interleaving from a fresh :class:`random.Random`
-    seeded with ``seed``.  ``initial_state`` overrides the
-    composition's initial state -- the hook the self-stabilization
-    workloads use to start a conversation from a corrupted state.
+    ``run()`` starts from ``system.initial_state()`` (a corrupted start
+    is the system's own ``start``) and draws its interleaving from a
+    fresh :class:`random.Random` seeded with ``seed``.
 
     ``run()`` draws exactly one slack per input, so input i's burst
     length depends only on ``seed`` and i.  Runs of one setup that
@@ -69,7 +68,6 @@ class Session:
     seed: int = 0
     max_interleave: int = 8
     max_steps: int = 200_000
-    initial_state: Optional[object] = None
 
     @classmethod
     def from_spec(
@@ -90,8 +88,8 @@ class Session:
         supplying the channel adversary and script knobs (defaults
         apply when omitted); ``resolved`` is a
         :func:`~repro.conformance.harness.resolve_pair` result whose
-        stations (and their tables) the session shares with the rest of
-        its load run.
+        composed system (stations, their tables and the fair kernel's
+        view) the session starts, as does the rest of its load run.
         """
         # Lazy: conformance imports sim, so the façade must not import
         # conformance at module scope.
@@ -145,7 +143,7 @@ class Session:
         slack_bound = self.max_interleave + 1
         if checkpoints is None:
             node, index = None, 0
-            states = [self._initial_state()]
+            states = [system.initial_state()]
             actions = []
         else:
             node, index = checkpoints.deepest(self)
@@ -235,11 +233,6 @@ class Session:
                 resumed=resumed,
             )
 
-    def _initial_state(self):
-        if self.initial_state is not None:
-            return self.initial_state
-        return self.system.initial_state()
-
     def _finish(
         self,
         states: list,
@@ -295,11 +288,14 @@ class Checkpoints:
 
     A trie over script inputs: the node for an input prefix holds the
     run's state, states and actions after that prefix's last burst.
-    Runs sharing it must share the system, seed, ``max_interleave``,
-    ``max_steps`` and initial state -- then a run's course up to its
-    first new input is an earlier run's, since the states are immutable
-    and input i's slack is the seed's i-th draw.  The first run binds
-    the trie to its setup; a run of another setup raises ``ValueError``.
+    Runs sharing it must share the system (start state included),
+    seed, ``max_interleave`` and ``max_steps`` -- then a run's course
+    up to its first new input is an earlier run's, since the states are
+    immutable and input i's slack is the seed's i-th draw.  The first
+    run binds the trie to its setup; a run of another setup raises
+    ``ValueError``.  The system is bound by identity, so two runs that
+    :func:`~repro.conformance.harness.build_system` started separately
+    never share a trie, even from equal starts.
     """
 
     __slots__ = ("root", "_setup")
@@ -314,7 +310,7 @@ class Checkpoints:
         setup = (session.seed, session.max_interleave, session.max_steps)
         if self.root is None:
             self._setup = (session.system,) + setup
-            self.root = _Checkpoint([session._initial_state()], [])
+            self.root = _Checkpoint([session.system.initial_state()], [])
         elif self._setup[0] is not session.system or self._setup[1:] != setup:
             raise ValueError("checkpoints belong to another session setup")
         node, depth = self.root, 0

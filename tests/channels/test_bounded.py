@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from repro.channels import (
     receive_pkt,
     send_pkt,
 )
+from repro.channels.bounded import BoundedPlan
 
 
 def packets(n):
@@ -82,8 +84,8 @@ class TestBasics:
     def test_same_seed_same_plan(self):
         a = BoundedChannel("t", "r", seed=9, loss_rate=0.4, reorder_window=3)
         b = BoundedChannel("t", "r", seed=9, loss_rate=0.4, reorder_window=3)
-        assert a._lost == b._lost
-        assert a._offsets == b._offsets
+        a_plan, b_plan = a.initial_state().plan, b.initial_state().plan
+        assert a_plan.verdicts == b_plan.verdicts
 
     def test_channel_is_declared_non_fifo(self):
         assert BoundedChannel.fifo_only is False
@@ -95,6 +97,47 @@ class TestBasics:
         state = loaded_channel(channel, 2)
         for action in (wake("t", "r"), fail("t", "r"), crash("t", "r")):
             assert channel.transitions(state, action) == (state,)
+
+
+class TestPlanInState:
+    """The adversary plan rides in the state but is no part of its identity."""
+
+    def states(self):
+        # Two starts that differ only in their plans: one loses send 1
+        # outright (seed 0's first draw), the other delivers it.
+        keep = BoundedChannelState(plan=BoundedPlan(horizon=1))
+        lose = BoundedChannelState(plan=BoundedPlan(0, 0.999, horizon=1))
+        return keep, lose
+
+    def test_equal_and_hash_equal_but_step_differently(self):
+        keep, lose = self.states()
+        assert keep == lose and hash(keep) == hash(lose)
+        assert repr(keep) == repr(lose)
+        channel = BoundedChannel("t", "r")
+        send = send_pkt("t", "r", packets(1)[0])
+        assert channel.step(keep, send).occupancy() == 1
+        assert channel.step(lose, send).occupancy() == 0
+
+    def test_steps_and_surgeries_carry_the_plan(self):
+        channel = BoundedChannel("t", "r", seed=3, loss_rate=0.3, reorder_window=3)
+        plan = channel.initial_state().plan
+        state = loaded_channel(channel, 6, deliver=2)
+        assert state.plan is plan
+        assert channel.make_clean(state).plan is plan
+        assert channel.with_waiting(state, state.in_transit_indices()).plan is plan
+
+    def test_plan_survives_pickling(self):
+        state = loaded_channel(
+            BoundedChannel("t", "r", seed=5, loss_rate=0.3, capacity=3), 4
+        )
+        shipped = pickle.dumps(state)
+        loaded = pickle.loads(shipped)
+        assert loaded == state
+        assert loaded.plan == state.plan
+        assert loaded.plan.capacity == 3
+        # The plan travels as its fields and draws its verdicts anew.
+        assert b"verdicts" not in shipped
+        assert loaded.plan.verdicts == state.plan.verdicts
 
 
 class TestSurgeries:
@@ -213,8 +256,9 @@ class TestBoundedProperties:
     @settings(max_examples=80, deadline=None)
     def test_capacity_is_a_hard_invariant(self, run):
         channel, trajectory, _, _ = run
+        capacity = channel.initial_state().plan.capacity
         for state in trajectory:
-            assert state.occupancy() <= channel.capacity
+            assert state.occupancy() <= capacity
 
     @given(bounded_runs())
     @settings(max_examples=80, deadline=None)
@@ -257,7 +301,8 @@ class TestBoundedProperties:
         keep = data.draw(st.integers(0, len(chosen)))
         indices = list(chosen[:keep])
         surgered = channel.with_waiting(state, indices)
-        assert surgered.occupancy() == len(indices) <= channel.capacity
+        capacity = channel.initial_state().plan.capacity
+        assert surgered.occupancy() == len(indices) <= capacity
         # Exactly the chosen sends deliver, in the forced order, and
         # the drained channel is clean: loss and reordering are closed
         # under the surgery (the adversary plan no longer applies).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -39,10 +40,11 @@ class TestRegistry:
             resolve_fuzz_channel("nope")
 
     def test_fifo_channel_is_fifo_only(self):
-        channel = resolve_fuzz_channel("fifo")("t", "r", 1, 0.2, 4, 64)
-        assert channel.fifo_only
-        nonfifo = resolve_fuzz_channel("nonfifo")("t", "r", 1, 0.2, 4, 64)
-        assert not nonfifo.fifo_only
+        fifo = resolve_fuzz_channel("fifo")
+        assert fifo.automaton("t", "r").fifo_only
+        assert fifo.start(1, 0.2, 4, 64, 4).delivery.is_monotone()
+        nonfifo = resolve_fuzz_channel("nonfifo")
+        assert not nonfifo.automaton("t", "r").fifo_only
 
 
 class TestSubSeeds:
@@ -135,3 +137,105 @@ class TestAdmissibility:
             system.wake_t(),
         )
         assert not script_admissible(bad, "t", "r")
+
+
+class TestOneSystemPerResolve:
+    """A campaign composes its pair once; a run differs only in its start."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of registry resolves and of the automata they compose."""
+        from repro.channels.bounded import BoundedChannel
+        from repro.channels.permissive import PermissiveChannel
+        from repro.conformance import pool
+        from repro.ioa.composition import Composition
+        from repro.ioa.hiding import Hidden
+
+        counts = collections.Counter()
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Composition, "__init__", "composition")
+        count(Hidden, "__init__", "hidden")
+        count(PermissiveChannel, "__init__", "channel")
+        count(BoundedChannel, "__init__", "channel")
+        count(pool, "resolve_pair", "resolve")
+        return counts
+
+    ONE = {"resolve": 1, "composition": 1, "hidden": 1, "channel": 2}
+
+    @pytest.mark.parametrize(
+        "protocol, channel",
+        [("alternating_bit", "fifo"), ("naive", "bounded_nonfifo")],
+    )
+    def test_serial_campaign(self, built, protocol, channel):
+        from repro.conformance import fuzz_campaign
+
+        config = FuzzConfig(runs=20, messages=3, shrink_budget=40)
+        campaign = fuzz_campaign(protocol, channel, 3, config)
+        assert len(campaign.runs) == 20
+        assert built == self.ONE
+
+    def test_load_run(self, built):
+        from repro.sim.load import LoadConfig, run_load
+
+        result = run_load(
+            "alternating_bit", "nonfifo", 3, LoadConfig(sessions=200, messages=2)
+        )
+        assert len(result.sessions) == 200
+        assert built == self.ONE
+
+    @pytest.mark.parametrize("channel", ["nonfifo", "bounded_nonfifo"])
+    def test_runs_share_the_composition_not_the_start(self, channel):
+        from repro.conformance.harness import resolve_pair
+
+        config = FuzzConfig()
+        resolved = resolve_pair("alternating_bit", channel)
+        a, b = (
+            build_system("alternating_bit", channel, seeds, config, resolved)
+            for seeds in (SubSeeds(1, 2, 3, 4), SubSeeds(5, 6, 7, 8))
+        )
+        assert a.composition is b.composition is resolved[0].composition
+        assert a.automaton is b.automaton
+        assert resolved[0].start is None
+        if channel == "nonfifo":
+            assert a.initial_state() != b.initial_state()
+        else:
+            # A bounded channel's plan takes no part in state equality.
+            assert a.initial_state() == b.initial_state()
+            assert a.initial_state()[2].plan != b.initial_state()[2].plan
+
+    def test_arbitrary_campaign_probes_once_per_run(self, monkeypatch):
+        import dataclasses
+
+        from repro.conformance import arbitrary, fuzz_campaign
+
+        probes = []
+        pools = arbitrary.component_state_pools
+
+        def counted(system):
+            probes.append(system)
+            return pools(system)
+
+        monkeypatch.setattr(arbitrary, "component_state_pools", counted)
+        config = dataclasses.replace(
+            FuzzConfig(),
+            runs=5,
+            messages=4,
+            max_steps=4000,
+            init_mode="arbitrary",
+        )
+        campaign = fuzz_campaign(
+            "alternating_bit", "bounded_nonfifo", 3, config
+        )
+        # Shrinking re-executes convicted runs, from the corrupted start
+        # their run computed once.
+        assert any(v.shrink.attempts for v in campaign.violations)
+        assert len(probes) == len(campaign.runs) == 5

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.conformance import (
     DL_ORACLES,
     PL_ORACLES,

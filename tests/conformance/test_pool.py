@@ -210,15 +210,15 @@ def test_worker_crash_mid_batch_fails_only_that_batch(monkeypatch):
     crash_tr = schedule[4].channel_tr
     base = FUZZ_CHANNELS["perfect"]
 
-    def crashing_channel(src, dst, chan_seed, loss, window, horizon, capacity=4):
-        if pool._WORKER and src == "t" and chan_seed == crash_tr:
+    def crashing_start(chan_seed, loss, window, horizon, capacity):
+        if pool._WORKER and chan_seed == crash_tr:
             os._exit(41)
-        return base(src, dst, chan_seed, loss, window, horizon, capacity)
+        return base.start(chan_seed, loss, window, horizon, capacity)
 
     config = FuzzConfig(runs=runs, shrink=False)
     serial = fuzz_campaign(PROTOCOL, "perfect", seed, config)
     _pin_batch_size(monkeypatch, batch_size)
-    FUZZ_CHANNELS["_crash_batch"] = crashing_channel
+    FUZZ_CHANNELS["_crash_batch"] = base._replace(start=crashing_start)
     try:
         campaign = fuzz_campaign(
             PROTOCOL, "_crash_batch", seed, config, workers=2

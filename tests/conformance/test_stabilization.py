@@ -22,8 +22,6 @@ import dataclasses
 from dataclasses import replace
 from typing import Iterable
 
-import pytest
-
 from repro.alphabets import Message, Packet
 from repro.conformance import (
     FUZZ_PROTOCOLS,
@@ -137,11 +135,11 @@ def run_mutant(
     name = "_stab_mutant"
     _register(name, transmitter, receiver)
     try:
-        system = build_system(name, "perfect", seeds, config)
-        script = build_script(system, seeds, config)
         # Judge a *clean-start* execution: the oracle verdicts must not
         # depend on the corruption machinery, only on the behavior.
         clean_config = dataclasses.replace(config, init_mode="clean")
+        system = build_system(name, "perfect", seeds, clean_config)
+        script = build_script(system, seeds, config)
         result = execute_script(system, script.actions, seeds, clean_config)
         violations = check_execution(system, result, config)
     finally:

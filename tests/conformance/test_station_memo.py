@@ -19,12 +19,12 @@ import pytest
 
 from repro.conformance import FuzzConfig, SubSeeds, fuzz_campaign, pool
 from repro.conformance.harness import build_system, resolve_pair
-from repro.conformance.registry import FUZZ_PROTOCOLS
+from repro.conformance.registry import FUZZ_CHANNELS, FUZZ_PROTOCOLS
 from repro.impossibility.crash_engine import CrashImpossibilityEngine
 from repro.impossibility.header_engine import BoundedHeaderEngine
 from repro.ioa import run_to_quiescence
 from repro.protocols import alternating_bit_protocol
-from repro.sim import Session
+from repro.sim import DataLinkSystem, Session
 from repro.sim.load import LoadConfig, run_load, with_load_mix
 
 LOAD = with_load_mix(LoadConfig(sessions=6, messages=2), "drop-flood")
@@ -81,8 +81,15 @@ def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
     # a 60,000-step session's channel states take gigabytes to retain.
     config = FuzzConfig(messages=3, shrink=False, max_steps=2_000)
     memoised = resolve_pair(protocol, channel)
-    registry_protocol, stations, build_channel = memoised
-    plain = (registry_protocol, registry_protocol.build(), build_channel)
+    resolved_system, start = memoised
+    stations = (resolved_system.transmitter, resolved_system.receiver)
+    family = FUZZ_CHANNELS[channel]
+    plain_system = DataLinkSystem.build(
+        resolved_system.protocol,
+        family.automaton("t", "r"),
+        family.automaton("r", "t"),
+    )
+    plain = (plain_system, start)
     master = random.Random(f"{protocol}/{channel}")
     # Every system shares the memoised stations; its channels never memoise.
     system = build_system(
@@ -95,7 +102,8 @@ def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
         False,
         False,
     ]
-    assert all(station.table is None for station in plain[1])
+    assert plain_system.transmitter.table is None
+    assert plain_system.receiver.table is None
     for _ in range(20):
         subseeds = SubSeeds.derive(master)
         runs = [
@@ -122,7 +130,7 @@ def test_memo_dies_with_its_run(monkeypatch):
 
     def recorded(protocol, channel):
         resolved = resolve_pair(protocol, channel)
-        for station in resolved[1]:
+        for station in (resolved[0].transmitter, resolved[0].receiver):
             memos.append((weakref.ref(station.table), len(station.table.steps)))
         return resolved
 
@@ -142,8 +150,8 @@ def test_memo_dies_with_its_run(monkeypatch):
 
 @pytest.mark.parametrize("channel", ["nonfifo", "bounded_nonfifo"])
 def test_delivered_packets_probe_the_tables_by_identity(monkeypatch, channel):
-    # Channels are rebuilt for every session while the stations' tables
-    # serve the whole load run, so each channel must enumerate the very
+    # Every session of the load run steps the same two channels and the
+    # same stations' tables, so each channel must enumerate the very
     # receive_pkt object a table stored: a probe with an equal copy
     # pays a field-by-field comparison.  Tables are probed by action
     # when the fair kernel steps a station and when an input steps the
@@ -200,7 +208,10 @@ def test_warm_id_caches_step_like_the_reference(monkeypatch, protocol):
         # Slices, kept steps and cached task groups, per station.
         return [
             (len(table), sum(map(len, table.steps)), len(table.slot_cache(i)))
-            for i, table in enumerate(station.table for station in resolved[1])
+            for i, table in enumerate(
+                station.table
+                for station in (resolved[0].transmitter, resolved[0].receiver)
+            )
         ]
 
     monkeypatch.setattr(session_module, "run_to_quiescence", checked_kernel)

@@ -281,42 +281,49 @@ class TestFuzzSeedDifferential:
         from repro.conformance import FuzzConfig, resolve_fuzz_channel
 
         config = FuzzConfig()
-        build_channel = resolve_fuzz_channel("fifo")
+        family = resolve_fuzz_channel("fifo")
 
-        def channel(src, dst, seed):
-            return build_channel(
-                src,
-                dst,
+        def start(seed):
+            return family.start(
                 seed,
                 config.loss_rate,
                 config.reorder_window,
                 config.horizon,
+                config.capacity,
             )
 
         transmitter, receiver = alternating_bit_protocol().build(
             "t", "r", ghost_uids=False
         )
         batch = MessageFactory(label="v").fresh_many(2)
-        return Composition(
+        composition = Composition(
             [
                 transmitter,
                 receiver,
-                channel("t", "r", subseeds.channel_tr),
-                channel("r", "t", subseeds.channel_rt),
+                family.automaton("t", "r"),
+                family.automaton("r", "t"),
                 ScriptedEnvironment("t", "r", batch),
             ],
             name="fuzz-seeded",
         )
+        stations = composition.initial_state()
+        seeded = stations[:2] + (
+            start(subseeds.channel_tr),
+            start(subseeds.channel_rt),
+            stations[4],
+        )
+        return composition, seeded
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_engines_agree_on_fuzz_discovered_seed(self, index):
         subseeds = self.discovered_subseeds()[index]
+        composition, start = self.build_fuzz_seeded_system(subseeds)
         engine = explore_engine(
-            self.build_fuzz_seeded_system(subseeds), max_states=400
+            composition, max_states=400, initial_state=start
         )
+        composition, start = self.build_fuzz_seeded_system(subseeds)
         reference = reference_explore(
-            self.build_fuzz_seeded_system(subseeds),
-            max_states=400,
+            composition, max_states=400, initial_state=start
         )
         assert len(engine.states) > 1
         assert engine.states == reference.states

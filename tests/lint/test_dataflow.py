@@ -8,7 +8,6 @@ from repro.lint.claims import ClaimError, parse_claims
 from repro.lint.crash import crash_report
 from repro.lint.dataflow import (
     Interval,
-    Record,
     StrSet,
     TOP,
     TupleVal,

@@ -79,9 +79,8 @@ class TestDeliverySetsStayLazy:
         config = _fuzz_config(with_load_mix(LoadConfig(), "drop-flood"))
         session = Session.from_spec("alternating_bit", "nonfifo", seed, config)
         assert session.run().quiescent
-        system = session.system
-        for channel in (system.channel_tr, system.channel_rt):
-            delivery = channel.initial_state().delivery
+        for channel_state in session.system.initial_state()[2:]:
+            delivery = channel_state.delivery
             assert "prefix" not in vars(delivery)
             assert len(delivery._pending.drawn) < config.horizon // 8
 
@@ -292,12 +291,10 @@ class TestRunLoad:
         crash_tr = schedule[4].channel_tr
         base = FUZZ_CHANNELS["perfect"]
 
-        def crashing_channel(
-            src, dst, chan_seed, loss, window, horizon, capacity=4
-        ):
-            if pool._WORKER and src == "t" and chan_seed == crash_tr:
+        def crashing_start(chan_seed, loss, window, horizon, capacity):
+            if pool._WORKER and chan_seed == crash_tr:
                 os._exit(43)
-            return base(src, dst, chan_seed, loss, window, horizon, capacity)
+            return base.start(chan_seed, loss, window, horizon, capacity)
 
         config = LoadConfig(sessions=sessions, messages=2)
         serial = run_load("alternating_bit", "perfect", seed, config)
@@ -305,7 +302,7 @@ class TestRunLoad:
         monkeypatch.setattr(
             pool, "auto_batch_size", lambda runs, workers: batch_size
         )
-        FUZZ_CHANNELS["_crash_shard"] = crashing_channel
+        FUZZ_CHANNELS["_crash_shard"] = base._replace(start=crashing_start)
         try:
             pooled = run_load(
                 "alternating_bit", "_crash_shard", seed, config, workers=2

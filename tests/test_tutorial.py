@@ -405,14 +405,25 @@ class TestSection13Stabilization:
         )
 
     def test_corruption_perturbs_the_transmitter_as_documented(self):
+        import dataclasses
+
         from repro.conformance import SubSeeds, build_system, corrupt_initial_state
 
         seeds = SubSeeds(channel_tr=1, channel_rt=2, script=3, interleave=4)
         config = self.config()
+        clean_system = build_system(
+            "alternating_bit",
+            "bounded_nonfifo",
+            seeds,
+            dataclasses.replace(config, init_mode="clean"),
+        )
         system = build_system("alternating_bit", "bounded_nonfifo", seeds, config)
-        clean = system.automaton.initial_state()
-        corrupted = corrupt_initial_state(system, seeds, config)
+        clean = clean_system.initial_state()
+        corrupted = system.initial_state()
+        assert corrupted == corrupt_initial_state(clean_system, seeds, config)
         assert corrupted != clean
+        tx = clean[0]
+        assert (tx.core.bit, tx.core.awake, tx.uid_counter) == (0, False, 0)
         tx = corrupted[0]
         assert (tx.core.bit, tx.core.awake, tx.uid_counter) == (1, True, 6)
 
