@@ -27,6 +27,7 @@ Packets are structured as ``(header, body)``:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple
@@ -126,7 +127,8 @@ def rename_messages(value: Any, mapping: Mapping[Message, Message]) -> Any:
 
     Supported containers: ``Message``, :class:`Packet`, tuples, lists
     (returned as tuples), frozensets, dicts (keys and values), and frozen
-    dataclasses composed of supported values.  Scalars pass through.
+    dataclasses composed of supported values, rebuilt from their init
+    fields (the others derive from those).  Scalars pass through.
     """
     if isinstance(value, Message):
         return mapping.get(value, value)
@@ -148,16 +150,16 @@ def rename_messages(value: Any, mapping: Mapping[Message, Message]) -> Any:
             for k, v in value.items()
         }
     if hasattr(value, "__dataclass_fields__"):
-        import dataclasses
-
-        return dataclasses.replace(
-            value,
-            **{
-                f.name: rename_messages(getattr(value, f.name), mapping)
-                for f in dataclasses.fields(value)
-            },
-        )
+        return _rebuild(value, lambda field: rename_messages(field, mapping))
     return value
+
+
+def _rebuild(value: Any, walk) -> Any:
+    """The dataclass ``value`` with ``walk`` applied to each init field."""
+    fields = dataclasses.fields(value)
+    return dataclasses.replace(
+        value, **{f.name: walk(getattr(value, f.name)) for f in fields if f.init}
+    )
 
 
 def strip_uids(value: Any) -> Any:
@@ -184,15 +186,7 @@ def strip_uids(value: Any) -> Any:
     if isinstance(value, dict):
         return {strip_uids(k): strip_uids(v) for k, v in value.items()}
     if hasattr(value, "__dataclass_fields__"):
-        import dataclasses
-
-        return dataclasses.replace(
-            value,
-            **{
-                f.name: strip_uids(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
-        )
+        return _rebuild(value, strip_uids)
     return value
 
 
@@ -215,8 +209,6 @@ def messages_in(value: Any) -> Tuple[Message, ...]:
                 walk(k)
                 walk(val)
         elif hasattr(v, "__dataclass_fields__"):
-            import dataclasses
-
             for f in dataclasses.fields(v):
                 walk(getattr(v, f.name))
 

@@ -21,8 +21,8 @@ drops aside), mirroring the delivery-set channels' eventually-clean
 tails.  Like a permissive channel's delivery set, the plan is part of
 the start state (Section 2.2), so one channel automaton serves every seed.
 
-The Lemma 6.x-style surgeries (``make_clean``, ``with_waiting``,
-``lose_all_in_transit``) rewrite the buffer instead of a delivery set:
+The Lemma 6.x-style surgeries (``make_clean``, ``with_waiting``) rewrite
+the buffer instead of a delivery set:
 a clean bounded channel is simply an empty buffer whose future sends
 bypass the adversarial plan (tracked by ``surgery_floor``).
 """
@@ -330,9 +330,3 @@ class BoundedChannel(Automaton):
             tuple(indices),
             state.plan,
         )
-
-    def lose_all_in_transit(
-        self, state: BoundedChannelState
-    ) -> BoundedChannelState:
-        """Lemma 6.6 with the empty subsequence: lose everything in transit."""
-        return self.make_clean(state)

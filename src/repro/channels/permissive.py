@@ -5,8 +5,9 @@ its state holds two counters, the partial map ``packet`` from send indices
 to packets, and a :class:`~repro.channels.delivery_set.DeliverySet` ``S``
 fixing which sends are delivered at which receive slots.  The
 ``receive_pkt(p)`` precondition is that ``packet(i) = p`` for the ``i``
-with ``(i, counter2 + 1) in S``.  ``fail``/``wake``/``crash`` inputs have
-no effect.  All outputs form a single task.
+with ``(i, counter2 + 1) in S``; only a receive moves that ``i``, so a
+state keeps it (``due``) across sends.  ``fail``/``wake``/``crash`` inputs
+have no effect.  All outputs form a single task.
 
 ``PermissiveFifoChannel`` is ``C-hat``: identical, but its delivery set is
 required to be monotone, which makes it a FIFO physical channel.
@@ -23,7 +24,7 @@ initial ``S``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 from ..alphabets import Packet
@@ -54,13 +55,17 @@ class PermissiveChannelState:
 
     ``counter1`` counts ``send_pkt`` events, ``counter2`` counts
     ``receive_pkt`` events, ``sent[i-1]`` is ``packet(i)``, and
-    ``delivery`` is the delivery set ``S``.
+    ``delivery`` is the delivery set ``S``.  ``due`` is slot
+    ``counter2 + 1``'s send index: a send carries it over, any other new
+    state computes it on first use, and equality, hashing and ``repr``
+    ignore it.
     """
 
     counter1: int = 0
     counter2: int = 0
     sent: Tuple[Packet, ...] = ()
     delivery: DeliverySet = DeliverySet.fifo()
+    due: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     # -- derived views --------------------------------------------------
 
@@ -77,11 +82,11 @@ class PermissiveChannelState:
         the delivery set's source for slot ``counter2 + 1``, provided
         that send has already occurred.
         """
-        i = self.delivery.source_of(self.counter2 + 1)
-        packet = self.packet_at(i)
-        if packet is None:
-            return None
-        return (i, packet)
+        i = self.due
+        if i is None:
+            i = self.delivery.source_of(self.counter2 + 1)
+            object.__setattr__(self, "due", i)
+        return (i, self.sent[i - 1]) if i <= self.counter1 else None
 
     def delivered_indices(self) -> Tuple[int, ...]:
         """Send indices delivered so far, in delivery order."""
@@ -187,15 +192,15 @@ class PermissiveChannel(Automaton):
             return ()
         name = action.name
         if name == SEND_PKT:
-            packet = action.payload
-            return (
-                PermissiveChannelState(
-                    state.counter1 + 1,
-                    state.counter2,
-                    state.sent + (packet,),
-                    state.delivery,
-                ),
+            post = PermissiveChannelState(
+                state.counter1 + 1,
+                state.counter2,
+                state.sent + (action.payload,),
+                state.delivery,
             )
+            # A send moves no receive slot, so the next one's source stays.
+            object.__setattr__(post, "due", state.due)
+            return (post,)
         if name == RECEIVE_PKT:
             deliverable = state.deliverable()
             if deliverable is None or deliverable[1] != action.payload:
@@ -214,10 +219,11 @@ class PermissiveChannel(Automaton):
 
     def enabled_local_actions(
         self, state: PermissiveChannelState
-    ) -> Iterable[Action]:
+    ) -> Tuple[Action, ...]:
         deliverable = state.deliverable()
-        if deliverable is not None:
-            yield self.receives[deliverable[1]]
+        if deliverable is None:
+            return ()
+        return (self.receives[deliverable[1]],)
 
     def task_of(self, action: Action) -> Hashable:
         # All output actions in a single class (paper, Section 6.1).
@@ -301,12 +307,6 @@ class PermissiveChannel(Automaton):
         floor = max([state.counter1, *prefix]) if prefix else state.counter1
         delivery = DeliverySet(prefix, floor - len(prefix))
         return self._rewrite(state, delivery)
-
-    def lose_all_in_transit(
-        self, state: PermissiveChannelState
-    ) -> PermissiveChannelState:
-        """Lemma 6.6 with the empty subsequence: lose everything in transit."""
-        return self.make_clean(state)
 
 
 class PermissiveFifoChannel(PermissiveChannel):

@@ -108,7 +108,7 @@ def component_state_pools(
 
 
 def corrupt_initial_state(
-    system: DataLinkSystem, subseeds, config=None
+    system: DataLinkSystem, subseeds
 ) -> Tuple[object, ...]:
     """A corrupted composed start state for one arbitrary-init run.
 

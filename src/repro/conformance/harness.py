@@ -190,7 +190,7 @@ def build_system(
         + (start(subseeds.channel_tr, *knobs), start(subseeds.channel_rt, *knobs)),
     )
     if config.init_mode == "arbitrary":
-        system = replace(system, start=corrupt_initial_state(system, subseeds, config))
+        system = replace(system, start=corrupt_initial_state(system, subseeds))
     return system
 
 

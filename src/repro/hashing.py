@@ -33,7 +33,7 @@ def cached_hash(cls):
     without a cache, so they hash like a freshly built equal value.
     """
     fields = dataclasses.fields(cls)
-    names = tuple(field.name for field in fields)
+    names = tuple(field.name for field in fields if field.init)
     # Over two or more fields the getter returns the tuple the generated
     # ``__hash__`` hashes, so the value matches it exactly.
     compared = (field.name for field in fields if field.compare)
@@ -47,9 +47,9 @@ def cached_hash(cls):
         return value
 
     def __getstate__(self) -> dict:
-        # Every field, compared or not, and nothing else, read as
-        # attributes so a value that computes a field on first read (a
-        # seeded delivery set) pickles its finished form.
+        # Every init field (the others derive from them), compared or
+        # not, read as attributes so a value that computes a field on
+        # first read (a seeded delivery set) pickles its finished form.
         return {name: getattr(self, name) for name in names}
 
     cls._cached_hash = None

@@ -46,6 +46,11 @@ State = Any
 class TransitionError(RuntimeError):
     """Raised when an automaton is asked to take a step it cannot take."""
 
+    @classmethod
+    def refused(cls, automaton: "Automaton", state: Any, action: Action):
+        """The error for ``action``, not enabled in ``state``."""
+        return cls(f"{automaton.name}: action {action} not enabled in state {state!r}")
+
 
 #: Placeholder for a slot no slice has been enumerated in yet.
 _UNSEEN = object()
@@ -239,9 +244,7 @@ class Automaton(ABC):
         """
         post = self.transitions(state, action)
         if not post:
-            raise TransitionError(
-                f"{self.name}: action {action} not enabled in state {state!r}"
-            )
+            raise TransitionError.refused(self, state, action)
         return post[0]
 
     def is_quiescent(self, state: State) -> bool:

@@ -240,7 +240,8 @@ class ComponentSlices(SliceView):
     reads ``table.steps[sid][action id]`` and the post-slice's task
     groups from the table's cache for the slot, hashing no slice.
     Other components step through their own ``transitions`` and are
-    re-enumerated when their slice changes.
+    re-enumerated when their slice changes.  A Session steps its script
+    inputs through this view too (:meth:`start`, then :meth:`advance`).
     """
 
     def __init__(self, composition: Composition):

@@ -23,7 +23,8 @@ only the slices of the components that own its action.  A component
 with a :class:`~repro.ioa.engine.interning.SliceTable` (a fuzz
 campaign's or load run's stations) is stepped by slice id: the view
 keeps its slot's id, and the table answers the step and the next task
-groups whenever it met them before, in this or an earlier run.
+groups whenever it met them before, in this or an earlier run.  A
+:class:`~repro.sim.session.Session` steps its inputs through the view too.
 """
 
 from __future__ import annotations
@@ -154,10 +155,7 @@ def run_to_quiescence(
         last_served[task] = clock
         post = advance(current, action)
         if post is REFUSED:
-            raise TransitionError(
-                f"{automaton.name}: action {action} not enabled in state "
-                f"{current!r}"
-            )
+            raise TransitionError.refused(automaton, current, action)
         current = post
         states.append(current)
         actions.append(action)

@@ -193,11 +193,6 @@ class TestSurgeries:
         assert cleaned.is_clean()
         assert cleaned.buffer == channel.make_clean(state).buffer
 
-    def test_lose_all_in_transit_is_make_clean(self):
-        channel = BoundedChannel("t", "r", capacity=8)
-        state = loaded_channel(channel, 4)
-        assert channel.lose_all_in_transit(state) == channel.make_clean(state)
-
 
 # ----------------------------------------------------------------------
 # Property tests: the capacity invariant and conservation laws under

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
-from repro.alphabets import Packet
+from repro.alphabets import Message, Packet, rename_messages, strip_uids
 from repro.channels import (
     DeliverySet,
     DeliverySetError,
     PermissiveChannel,
+    PermissiveChannelState,
     PermissiveFifoChannel,
+    random_lossy_fifo,
     random_reordering,
     receive_pkt,
     send_pkt,
@@ -171,3 +176,75 @@ class TestFifoChannel:
             "t", "r", initial_delivery=DeliverySet((2, 4), 2)
         )
         assert channel.initial_state().delivery.is_monotone()
+
+
+def scratch_deliverable(state):
+    """``deliverable()`` recomputed from the delivery set alone."""
+    i = state.delivery.source_of(state.counter2 + 1)
+    return (i, state.sent[i - 1]) if i <= state.counter1 else None
+
+
+class TestKeptDelivery:
+    """The kept next delivery (``due``) never goes stale.
+
+    Random walks send, receive, rewrite the delivery set (Lemmas 6.3 and
+    6.5-6.7), rename messages, strip uids and pickle, and check the
+    precondition against a from-scratch answer after every step.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "delivery",
+        [
+            lambda seed: random_reordering(seed, 0.3, 4, 48),
+            lambda seed: random_lossy_fifo(seed, 0.3, 48),
+        ],
+        ids=["reordering", "lossy_fifo"],
+    )
+    def test_random_walk(self, seed, delivery):
+        rng = random.Random(seed)
+        channel = PermissiveChannel("t", "r", initial_delivery=delivery(seed))
+        state = channel.initial_state()
+        for step in range(200):
+            move = rng.random()
+            if move < 0.45:
+                packet = Packet("h", (Message(step, "s"),), uid=step)
+                state = channel.step(state, send_pkt("t", "r", packet))
+            elif move < 0.8:
+                for action in channel.enabled_local_actions(state):
+                    state = channel.step(state, action)
+            elif move < 0.84:
+                state = channel.make_clean(state)
+            elif move < 0.88:
+                in_transit = list(state.in_transit_indices())
+                picked = rng.sample(in_transit, rng.randint(0, len(in_transit)))
+                state = channel.with_waiting(state, picked)
+            elif move < 0.92:
+                sent = {packet.body[0] for packet in state.sent}
+                renaming = {m: Message(m.ident + 1000, "s") for m in sent}
+                state = rename_messages(state, renaming)
+            elif move < 0.96:
+                state = strip_uids(state)
+            else:
+                state = pickle.loads(pickle.dumps(state))
+            assert state.deliverable() == scratch_deliverable(state)
+            fresh = PermissiveChannelState(
+                state.counter1, state.counter2, state.sent, state.delivery
+            )
+            assert fresh == state and hash(fresh) == hash(state)
+            assert repr(fresh) == repr(state)
+
+    def test_states_differing_only_in_due_are_equal(self, channel):
+        state = send_all(channel, channel.initial_state(), packets(3))
+        assert state.due is None  # no one has asked yet
+        state.deliverable()
+        kept = channel.step(state, send_pkt("t", "r", Packet("h4", (), uid=4)))
+        assert kept.due == state.due == 1  # carried over by the send
+        fresh = PermissiveChannelState(
+            kept.counter1, kept.counter2, kept.sent, kept.delivery
+        )
+        assert fresh.due is None
+        assert fresh == kept
+        assert hash(fresh) == hash(kept)
+        assert repr(fresh) == repr(kept)
+        assert fresh.deliverable() == kept.deliverable()

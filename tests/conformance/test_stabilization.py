@@ -187,18 +187,16 @@ class TestCorruption:
     def test_corruption_is_deterministic(self):
         config = dataclasses.replace(FuzzConfig(), init_mode="arbitrary")
         system = build_system("alternating_bit", "fifo", SEEDS, config)
-        a = corrupt_initial_state(system, SEEDS, config)
+        a = corrupt_initial_state(system, SEEDS)
         b = corrupt_initial_state(
-            build_system("alternating_bit", "fifo", SEEDS, config),
-            SEEDS,
-            config,
+            build_system("alternating_bit", "fifo", SEEDS, config), SEEDS
         )
         assert a == b
 
     def test_corruption_draws_locally_reachable_slices(self):
         config = dataclasses.replace(FuzzConfig(), init_mode="arbitrary")
         system = build_system("alternating_bit", "fifo", SEEDS, config)
-        corrupted = corrupt_initial_state(system, SEEDS, config)
+        corrupted = corrupt_initial_state(system, SEEDS)
         assert len(corrupted) == len(system.automaton.initial_state())
 
     def test_different_subseeds_vary_the_corruption(self):
@@ -206,9 +204,7 @@ class TestCorruption:
         system = build_system("alternating_bit", "fifo", SEEDS, config)
         states = {
             corrupt_initial_state(
-                system,
-                SubSeeds(s * 4 + 1, s * 4 + 2, s * 4 + 3, s * 4 + 4),
-                config,
+                system, SubSeeds(s * 4 + 1, s * 4 + 2, s * 4 + 3, s * 4 + 4)
             )
             for s in range(8)
         }

@@ -10,7 +10,10 @@ import threading
 
 import pytest
 
+from repro.channels import DeliverySet, PermissiveChannel
+from repro.channels.actions import RECEIVE_PKT
 from repro.cli import main
+from repro.ioa.composition import Composition
 from repro.sim import Session, percentile, percentile_summary
 from repro.sim.load import (
     LoadConfig,
@@ -83,6 +86,47 @@ class TestDeliverySetsStayLazy:
             delivery = channel_state.delivery
             assert "prefix" not in vars(delivery)
             assert len(delivery._pending.drawn) < config.horizon // 8
+
+
+class TestStepCounts:
+    """Call counts of the load path's hot steps: exact, so they do not flake.
+
+    A permissive channel state keeps its next delivery, which a send
+    carries over, so the delivery set is asked once per receive and
+    once per channel at a session's start.  Script inputs step through
+    the fair kernel's view, never through ``Composition.transitions``.
+    """
+
+    def test_drop_flood_asks_the_delivery_set_once_per_receive(self, monkeypatch):
+        counts = {"source_of": 0, "receives": 0, "sessions": 0, "composed": 0}
+
+        def counting(cls, name, key, when=lambda *args: True):
+            original = getattr(cls, name)
+
+            def wrapper(*args):
+                result = original(*args)
+                if when(result, *args):
+                    counts[key] += 1
+                return result
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(DeliverySet, "source_of", "source_of")
+        counting(
+            PermissiveChannel,
+            "transitions",
+            "receives",
+            lambda post, channel, state, action: post
+            and action.name == RECEIVE_PKT,
+        )
+        counting(Session, "run", "sessions")
+        counting(Composition, "transitions", "composed")
+        config = with_load_mix(LoadConfig(sessions=20, messages=4), "drop-flood")
+        run_load("alternating_bit", "nonfifo", 0, config)
+        assert counts["sessions"] == 20
+        assert counts["receives"] > 0
+        assert counts["source_of"] <= counts["receives"] + 2 * counts["sessions"]
+        assert counts["composed"] == 0
 
 
 class TestLoadConfig:

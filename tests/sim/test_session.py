@@ -3,14 +3,20 @@ redesigned :meth:`ScenarioResult.report` signature."""
 
 from __future__ import annotations
 
+import random
 import warnings
 from dataclasses import replace
 
 import pytest
 
-from repro.conformance import FuzzConfig
+from repro.alphabets import Packet
+from repro.channels import receive_pkt, send_pkt
+from repro.conformance import FuzzConfig, SubSeeds
+from repro.conformance.harness import resolve_pair
+from repro.ioa.automaton import TransitionError
 from repro.obs import MemorySink, tracing
 from repro.protocols import alternating_bit_protocol
+from repro.protocols.alternating_bit import ACK
 from repro.sim import (
     Checkpoints,
     FaultPlan,
@@ -67,6 +73,41 @@ class TestSessionFacade:
         a = Session.from_spec("alternating_bit", "nonfifo", 1).run()
         b = Session.from_spec("alternating_bit", "nonfifo", 2).run()
         assert a.behavior != b.behavior
+
+
+class TestInputPath:
+    """Script inputs step through the composition's fair-kernel view."""
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            receive_pkt("r", "t", Packet((ACK, 0))),  # nothing in transit
+            send_pkt("x", "y", Packet("h")),  # no component owns it
+        ],
+    )
+    def test_refused_input_raises_what_step_raises(self, action):
+        session = replace(_session(), script=(action,))
+        with pytest.raises(TransitionError) as expected:
+            session.system.automaton.step(session.system.initial_state(), action)
+        with pytest.raises(TransitionError) as raised:
+            session.run()
+        assert str(raised.value) == str(expected.value)
+
+    def test_sessions_sharing_a_resolved_pair_equal_fresh_ones(self):
+        # Each session starts where the last one's view left off; an
+        # arbitrary start also runs the corruption's probe walk on the
+        # shared composition first.
+        resolved = resolve_pair("alternating_bit", "nonfifo")
+        master = random.Random(5)
+        clean = FuzzConfig(messages=4)
+        arbitrary = replace(clean, init_mode="arbitrary")
+        for config in (clean, arbitrary, clean, arbitrary):
+            seeds = SubSeeds.derive(master)
+            shared = Session.from_spec(
+                "alternating_bit", "nonfifo", seeds, config, resolved=resolved
+            )
+            fresh = Session.from_spec("alternating_bit", "nonfifo", seeds, config)
+            assert shared.run().fragment == fresh.run().fragment
 
 
 #: Eight messages; a candidate that wedges stops at 2,000 steps.

@@ -420,7 +420,7 @@ class TestSection13Stabilization:
         system = build_system("alternating_bit", "bounded_nonfifo", seeds, config)
         clean = clean_system.initial_state()
         corrupted = system.initial_state()
-        assert corrupted == corrupt_initial_state(clean_system, seeds, config)
+        assert corrupted == corrupt_initial_state(clean_system, seeds)
         assert corrupted != clean
         tx = clean[0]
         assert (tx.core.bit, tx.core.awake, tx.uid_counter) == (0, False, 0)
