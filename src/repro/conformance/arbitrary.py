@@ -16,7 +16,7 @@ This module supplies the two halves of that workload:
   The product of locally-reachable states is generally *not* jointly
   reachable -- stations disagree about sequence numbers, channels hold
   ghost packets -- which is exactly the self-stabilization adversary.
-  The choice is a pure function of ``(system, subseeds, config)``:
+  The choice is a pure function of ``(system, subseeds)``:
   :func:`~repro.conformance.harness.build_system` computes it once per
   run as the system's ``start``, the replayer rebuilds the identical
   one, and campaigns stay byte-identical at any worker count.
@@ -40,6 +40,7 @@ from typing import Sequence, Tuple
 from ..alphabets import MessageFactory
 from ..datalink.actions import RECEIVE_MSG, SEND_MSG
 from ..ioa.actions import Action
+from ..ioa.automaton import REFUSED, TransitionError
 from ..ioa.engine.interning import InternTable
 from ..ioa.fairness import FairnessTimeout, run_to_quiescence
 from ..sim.network import DataLinkSystem
@@ -86,6 +87,7 @@ def component_state_pools(
             table.intern(component)
 
     automaton = system.automaton
+    view = automaton.slice_view()
     state = system.initial_state()
     record(state)
     factory = MessageFactory(label="g")
@@ -93,7 +95,11 @@ def component_state_pools(
         system.send(factory.fresh()) for _ in range(PROBE_MESSAGES)
     ]
     for action in inputs:
-        state = automaton.step(state, action)
+        view.start(state)
+        post = view.advance(state, action)
+        if post is REFUSED:
+            raise TransitionError.refused(automaton, state, action)
+        state = post
         record(state)
         try:
             burst = run_to_quiescence(

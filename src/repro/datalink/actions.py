@@ -48,14 +48,6 @@ def data_link_signature(t: str, r: str) -> ActionSignature:
     )
 
 
-def is_send_msg(action: Action, t: str, r: str) -> bool:
-    return action.key == (SEND_MSG, (t, r))
-
-
-def is_receive_msg(action: Action, t: str, r: str) -> bool:
-    return action.key == (RECEIVE_MSG, (t, r))
-
-
 __all__ = [
     "CRASH",
     "FAIL",
@@ -65,8 +57,6 @@ __all__ = [
     "crash",
     "data_link_signature",
     "fail",
-    "is_receive_msg",
-    "is_send_msg",
     "receive_msg",
     "send_msg",
     "wake",

@@ -106,15 +106,24 @@ class DL8Monitor(DL7Monitor):
     """(DL8), quiescent: every send of the unbounded interval is received."""
 
     name = "DL8"
+    #: The open interval last judged and its first unreceived send:
+    #: receipts are kept for good, so the next verdict resumes there.
+    _judged: Sequence = ()
+    _cursor = 0
 
     def violation(self) -> Optional[str]:
-        for index, message in self._open or ():
-            if message not in self._received:
-                return (
-                    f"message {message} sent at event {index} in the "
-                    "unbounded transmitter working interval was never received"
-                )
-        return None
+        sends = self._open or ()
+        if sends is not self._judged:  # another interval opened
+            self._judged, self._cursor = sends, 0
+        while self._cursor < len(sends) and sends[self._cursor][1] in self._received:
+            self._cursor += 1
+        if self._cursor == len(sends):
+            return None
+        index, message = sends[self._cursor]
+        return (
+            f"message {message} sent at event {index} in the "
+            "unbounded transmitter working interval was never received"
+        )
 
 
 # ----------------------------------------------------------------------

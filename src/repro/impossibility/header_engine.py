@@ -14,11 +14,12 @@ permissive non-FIFO channels ``C-bar`` (system ``D-bar'(A)``):
    ``gamma1`` the protocol would use (over cleaned channels, so no
    packet of ``beta`` is re-received -- the k-boundedness witness).  If
    some delivered packet ``p0``'s equivalence class has fewer than ``k``
-   representatives in ``T``, the engine really executes ``gamma1`` only
-   up to ``send_pkt(p0)``, then loses ``p0`` (clean surgery, Lemma 6.3)
-   and lets the protocol finish delivering ``m`` fairly; ``p0`` joins
-   ``T``.  The chain ``T <_k T' <_k ...`` has length at most
-   ``k * |headers(A)|``, so eventually every class is saturated.
+   representatives in ``T``, ``beta`` takes the probe's own prefix of
+   ``gamma1`` through ``send_pkt(p0)``, states and all (not stepped
+   again), then loses ``p0`` (clean surgery, Lemma 6.3) and lets the
+   protocol finish delivering ``m`` fairly; ``p0`` joins ``T``.  The
+   chain ``T <_k T' <_k ...`` has length at most ``k * |headers(A)|``,
+   so eventually every class is saturated.
 
 2. **The contradiction** (Theorem 8.5).  When every packet of the
    probed ``packet_set(m, beta)`` has ``k`` equivalents in ``T``, an
@@ -37,9 +38,9 @@ with unbounded headers (Stenning) are rejected up front -- they fall
 outside the theorem's hypotheses, and indeed escape the construction.
 
 A round costs the same however large ``T`` grows, so the whole
-construction is linear in the chain length: each packet's class is
-computed once, when it joins ``T``, into per-class pools kept in ``T``
-order; validity is re-checked after every round by a
+construction is linear in the chain length: packet classes are
+computed once per (header, arity) pair, ``T`` is kept in per-class pools
+in ``T`` order; validity is re-checked after every round by a
 :class:`~repro.datalink.properties.ValidityMonitor` fed only that round's
 events; and the execution grows as two lists, made a fragment once at
 the end.  Under tracing each step is a span named for its lemma:
@@ -49,7 +50,7 @@ the end.  Under tracing each step is a span named for its lemma:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alphabets import Message, MessageFactory, Packet
@@ -74,14 +75,11 @@ from .certificates import (
 @dataclass
 class _TransitEntry:
     """A packet of ``T``: in transit t->r, with its channel send index
-    and its equivalence class, computed once when it joins ``T``."""
+    and its equivalence class."""
 
     channel_index: int
     packet: Packet
-    cls: Tuple = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.cls = packet_class(self.packet)
+    cls: Tuple
 
 
 @dataclass
@@ -89,6 +87,7 @@ class _Probe:
     """Result of probing ``gamma1`` for one fresh message."""
 
     message: Message
+    states: Tuple  # gamma1's states, from the cleaned state on
     actions: Tuple[Action, ...]  # the full gamma1 schedule (from send_msg)
     received: Tuple[Packet, ...]  # packets received t->r, in order
     classes: Tuple[Tuple, ...]  # their equivalence classes
@@ -113,6 +112,7 @@ class BoundedHeaderEngine:
         self.max_steps = max_steps
         self.t = t
         self.r = r
+        self._receive_key = (RECEIVE_MSG, (t, r))
         self.system: DataLinkSystem = permissive_system(protocol, t, r)
         self.factory = MessageFactory(label="h")
         self.narrative: List[str] = []
@@ -134,6 +134,8 @@ class BoundedHeaderEngine:
         self._actions: List[Action] = []
         # T, split by equivalence class; each pool keeps T's order.
         self._pools: Dict[Tuple, List[_TransitEntry]] = {}
+        # Packet classes by (header, body arity), which determine them.
+        self._classes: Dict[Tuple, Tuple] = {}
         # Validity of beta, fed each action once (see _assert_valid).
         self._validity = ValidityMonitor(t, r)
         self._checked = 0
@@ -150,21 +152,38 @@ class BoundedHeaderEngine:
         )
         self._actions.append(action)
 
-    def _surgery(self, new_state) -> None:
-        self._states[-1] = new_state
+    def _class_of(self, packet: Packet) -> Tuple:
+        """``packet_class(packet)``, computed once per header class."""
+        cls = self._classes.get(packet.header_class)
+        if cls is None:
+            cls = self._classes[packet.header_class] = packet_class(packet)
+        return cls
 
     def _extend(self, fragment: ExecutionFragment) -> None:
-        """Append ``fragment``, as :meth:`ExecutionFragment.extend` does."""
-        if fragment.first_state != self._states[-1]:
-            raise ValueError(
-                "fragments do not compose: final state differs from the "
-                "extension's first state"
-            )
+        """Append ``fragment``, which starts at the final state."""
         self._states.extend(fragment.states[1:])
         self._actions.extend(fragment.actions)
 
-    def _receive_msg_key(self):
-        return (RECEIVE_MSG, (self.t, self.r))
+    def _deliver(
+        self, state, message: Message, inputs, timeout: str, lost: str
+    ) -> ExecutionFragment:
+        """Run fairly from ``state`` until ``receive_msg(message)``,
+        raising ``EngineError(timeout)`` if the run does not quiesce and
+        ``EngineError(lost)`` if it quiesces without that delivery."""
+        key = self._receive_key
+        try:
+            run = self.system.run_fair(
+                state,
+                inputs=inputs,
+                max_steps=self.max_steps,
+                stop_when=lambda a: a.key == key and a.payload == message,
+            )
+        except FairnessTimeout as exc:
+            raise EngineError(timeout) from exc
+        last = run.actions[-1] if run.actions else None
+        if last is None or last.key != key or last.payload != message:
+            raise EngineError(lost)
+        return run
 
     def _assert_valid(self, context: str) -> None:
         """Check that the behavior so far is valid (Section 8.1).
@@ -198,29 +217,15 @@ class BoundedHeaderEngine:
         The main fragment is not modified.
         """
         system = self.system
-        state = system.clean_channels(self._final_state)
-        try:
-            branch = system.run_fair(
-                state,
-                inputs=[system.send(message)],
-                max_steps=self.max_steps,
-                stop_when=lambda a: a.key == self._receive_msg_key()
-                and a.payload == message,
-            )
-        except FairnessTimeout as exc:
-            raise EngineError(
-                f"probe for {message} did not quiesce; the protocol is "
-                "not k-bounded for any usable k"
-            ) from exc
-        delivered = (
-            branch.actions
-            and branch.actions[-1].key == self._receive_msg_key()
+        branch = self._deliver(
+            system.clean_channels(self._final_state),
+            message,
+            [system.send(message)],
+            f"probe for {message} did not quiesce; the protocol is not "
+            "k-bounded for any usable k",
+            f"probe quiesced without delivering {message}: the protocol "
+            "violates (DL8) over the permissive channel",
         )
-        if not delivered:
-            raise EngineError(
-                f"probe quiesced without delivering {message}: the "
-                "protocol violates (DL8) over the permissive channel"
-            )
         received = tuple(
             a.payload
             for a in branch.actions
@@ -228,9 +233,10 @@ class BoundedHeaderEngine:
         )
         return _Probe(
             message,
+            branch.states,
             branch.actions,
             received,
-            tuple(packet_class(p) for p in received),
+            tuple(self._class_of(p) for p in received),
         )
 
     # ------------------------------------------------------------------
@@ -239,56 +245,49 @@ class BoundedHeaderEngine:
 
     def _pump_round(self, probe: _Probe, p0: Packet) -> _TransitEntry:
         """Execute ``rho`` (the prefix of gamma1 through ``send_pkt(p0)``),
-        lose ``p0``, and let the delivery finish fairly (``rho-hat``)."""
+        lose ``p0``, and let the delivery finish fairly (``rho-hat``).
+
+        The system is deterministic and the probe ran gamma1 from
+        ``beta``'s cleaned final state, so ``rho`` is the probe's own
+        prefix, states included: it is not stepped again.
+        """
         system = self.system
-        # The probe branched from the cleaned state; reproduce that.
-        self._surgery(system.clean_channels(self._final_state))
         send_key = (SEND_PKT, (self.t, self.r))
-        p0_index: Optional[int] = None
         rho_had_receive = False
-        for action in probe.actions:
-            self._step(action)
-            if action.key == self._receive_msg_key():
+        for j, action in enumerate(probe.actions):
+            if action.key == self._receive_key:
                 rho_had_receive = True
             if action.key == send_key and action.payload == p0:
-                p0_index = system.channel_state(
-                    self._final_state, self.t
-                ).counter1
                 break
-        if p0_index is None:
+        else:
             raise EngineError(
                 f"send_pkt({p0}) not found in the probed gamma1"
             )
-        entry = _TransitEntry(p0_index, p0)
+        # beta's final state becomes the cleaned one the probe began at.
+        self._states[-1:] = probe.states[: j + 2]
+        self._actions.extend(probe.actions[: j + 1])
+        entry = _TransitEntry(
+            system.channel_state(self._final_state, self.t).counter1,
+            p0,
+            self._class_of(p0),
+        )
 
         if not rho_had_receive:
             # Lemma 6.3: lose everything in transit t->r (including p0),
             # then finish the delivery fairly (rho-hat).
-            self._surgery(system.clean_channel(self._final_state, self.t))
-            try:
-                extension = system.run_fair(
+            self._states[-1] = system.clean_channel(self._final_state, self.t)
+            self._extend(
+                self._deliver(
                     self._final_state,
-                    max_steps=self.max_steps,
-                    stop_when=lambda a: a.key == self._receive_msg_key()
-                    and a.payload == probe.message,
-                )
-            except FairnessTimeout as exc:
-                raise EngineError(
-                    "rho-hat did not quiesce while finishing the "
-                    f"delivery of {probe.message}"
-                ) from exc
-            finished = (
-                extension.actions
-                and extension.actions[-1].key == self._receive_msg_key()
-                and extension.actions[-1].payload == probe.message
-            )
-            if not finished:
-                raise EngineError(
+                    probe.message,
+                    (),
+                    "rho-hat did not quiesce while finishing the delivery "
+                    f"of {probe.message}",
                     f"(DL8) failure during pumping: {probe.message} was "
                     "never delivered after losing p0 -- the protocol is "
-                    "not weakly correct over the permissive channel"
+                    "not weakly correct over the permissive channel",
                 )
-            self._extend(extension)
+            )
         return entry
 
     # ------------------------------------------------------------------
@@ -319,12 +318,8 @@ class BoundedHeaderEngine:
     def _inject(self, images: Sequence[_TransitEntry]) -> None:
         """Lemma 6.7: schedule ``f``'s images as the waiting sequence of
         the non-FIFO channel t->r."""
-        self._surgery(
-            self.system.set_waiting(
-                self._final_state,
-                self.t,
-                [entry.channel_index for entry in images],
-            )
+        self._states[-1] = self.system.set_waiting(
+            self._final_state, self.t, [entry.channel_index for entry in images]
         )
 
     def _replay_receiver(
@@ -478,7 +473,7 @@ class BoundedHeaderEngine:
             ExecutionFragment(tuple(self._states), tuple(self._actions))
         )
         deliveries = [
-            a for a in behavior if a.key == self._receive_msg_key()
+            a for a in behavior if a.key == self._receive_key
         ]
         sends = {
             a.payload for a in behavior if a.key == (SEND_MSG, (self.t, self.r))

@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import replace
 from typing import Iterable
 
-from repro.alphabets import Message, Packet
+from repro.alphabets import Message, MessageFactory, Packet
 from repro.conformance import (
     FUZZ_PROTOCOLS,
     FuzzConfig,
@@ -30,11 +30,15 @@ from repro.conformance import (
     build_script,
     build_system,
     check_execution,
+    component_state_pools,
     corrupt_initial_state,
     fuzz_campaign,
     stabilization_report,
 )
+from repro.conformance.arbitrary import PROBE_BURST, PROBE_MESSAGES
 from repro.datalink.protocol import DataLinkProtocol
+from repro.ioa.composition import Composition
+from repro.ioa.fairness import FairnessTimeout, run_to_quiescence
 from repro.protocols.naive import (
     DATA,
     DirectReceiver,
@@ -147,6 +151,30 @@ def run_mutant(
     return system, result, violations
 
 
+def step_walk_pools(system):
+    """``component_state_pools``'s walk, each input taken by
+    ``Automaton.step``: the reference its pools must equal."""
+    seen = [dict.fromkeys([piece]) for piece in system.initial_state()]
+    state = system.initial_state()
+    factory = MessageFactory(label="g")
+    inputs = [system.wake_t(), system.wake_r()] + [
+        system.send(factory.fresh()) for _ in range(PROBE_MESSAGES)
+    ]
+    for action in inputs:
+        state = system.automaton.step(state, action)
+        try:
+            burst = run_to_quiescence(
+                system.automaton, state, max_steps=PROBE_BURST
+            )
+        except FairnessTimeout as exc:
+            burst = exc.fragment
+        for visited in burst.states:
+            for pool, piece in zip(seen, visited):
+                pool.setdefault(piece)
+        state = burst.final_state
+    return tuple(tuple(pool) for pool in seen)
+
+
 class TestMutantFixtures:
     def test_diverger_violates_exactly_sstab_wf(self):
         _, result, violations = run_mutant(
@@ -198,6 +226,29 @@ class TestCorruption:
         system = build_system("alternating_bit", "fifo", SEEDS, config)
         corrupted = corrupt_initial_state(system, SEEDS)
         assert len(corrupted) == len(system.automaton.initial_state())
+
+    def test_pool_walk_steps_inputs_through_the_kernel_view(
+        self, monkeypatch
+    ):
+        """The probe walk's pools equal those of the same walk stepped
+        with ``Automaton.step``, and it makes no ``Composition.transitions``
+        call: its inputs step the tabled stations by slice id."""
+        config = dataclasses.replace(FuzzConfig(), init_mode="arbitrary")
+        system = build_system(
+            "alternating_bit", "bounded_nonfifo", SEEDS, config
+        )
+        calls = []
+        transitions = Composition.transitions
+
+        def counted(self, state, action):
+            calls.append(action)
+            return transitions(self, state, action)
+
+        monkeypatch.setattr(Composition, "transitions", counted)
+        pools = component_state_pools(system)
+        monkeypatch.undo()
+        assert calls == []
+        assert pools == step_walk_pools(system)
 
     def test_different_subseeds_vary_the_corruption(self):
         config = dataclasses.replace(FuzzConfig(), init_mode="arbitrary")

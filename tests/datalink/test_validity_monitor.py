@@ -31,6 +31,7 @@ from repro.datalink import (
     receive_msg,
     send_msg,
 )
+from repro.datalink.properties import DL8Monitor
 from repro.ioa.schedule_module import PropertyResult
 
 T, R = "t", "r"
@@ -112,6 +113,21 @@ def test_random_schedules_agree_at_every_prefix():
         "ok", "fail/crash", "no", "DL-well-formed", "DL1", "DL2", "DL3",
         "DL4", "DL5", "DL8",
     }
+
+
+def test_dl8_incremental_verdict_agrees_at_every_prefix():
+    """DL8's verdict resumes from its cursor: asked after every event,
+    it must still equal the one-shot ``dl8`` on that prefix."""
+    rng = random.Random(32)
+    for _ in range(1500):
+        schedule = random_schedule(rng)
+        monitor = DL8Monitor(T, R)
+        for index, action in enumerate(schedule):
+            if (action.name, action.direction) in monitor.keys:
+                monitor.observe(index, action)
+            assert monitor.result() == dl8(schedule[: index + 1], T, R), (
+                schedule[: index + 1]
+            )
 
 
 @given(

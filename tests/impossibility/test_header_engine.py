@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.channels.actions import RECEIVE_PKT
+from repro.channels.permissive import PermissiveChannel
 from repro.datalink import dl3, dl_well_formed, wdl_module
 from repro.datalink.actions import receive_msg
+from repro.datalink.message_independence import packet_class
 from repro.impossibility import (
     DUPLICATE_DELIVERY,
     UNSENT_DELIVERY,
@@ -13,6 +16,7 @@ from repro.impossibility import (
     refute_bounded_headers,
 )
 from repro.impossibility.header_engine import BoundedHeaderEngine
+from repro.ioa.composition import Composition
 from repro.protocols import (
     alternating_bit_protocol,
     baratz_segall_protocol,
@@ -107,6 +111,67 @@ class TestDeterminism:
         b = refute_bounded_headers(alternating_bit_protocol())
         assert a.behavior == b.behavior
         assert a.stats == b.stats
+
+
+class TestPumpingCost:
+    def test_rounds_reuse_the_probe_instead_of_stepping(self, monkeypatch):
+        """A round extends beta with its probe's own prefix of gamma1.
+
+        Counts, unlike timings, do not flake: no pump round steps the
+        composition, and each round cleans three channels (two for its
+        probe, one to lose p0) plus two for the last probe.
+        """
+        engine = BoundedHeaderEngine(modulo_stenning_protocol(16))
+        calls = {"transitions": 0, "in_pump": 0, "make_clean": 0}
+        transitions = Composition.transitions
+        make_clean = PermissiveChannel.make_clean
+        pump_round = engine._pump_round
+        pumping = []
+
+        def counted_transitions(self, state, action):
+            calls["transitions"] += 1
+            calls["in_pump"] += bool(pumping)
+            return transitions(self, state, action)
+
+        def counted_make_clean(self, state):
+            calls["make_clean"] += 1
+            return make_clean(self, state)
+
+        def flagged_pump_round(probe, p0):
+            pumping.append(p0)
+            try:
+                return pump_round(probe, p0)
+            finally:
+                pumping.pop()
+
+        monkeypatch.setattr(Composition, "transitions", counted_transitions)
+        monkeypatch.setattr(PermissiveChannel, "make_clean", counted_make_clean)
+        monkeypatch.setattr(engine, "_pump_round", flagged_pump_round)
+        certificate = engine.run()
+        rounds = certificate.stats["pump_rounds"]
+        assert rounds == 17
+        assert calls["transitions"] > 0 and calls["in_pump"] == 0
+        assert calls["make_clean"] <= 3 * rounds + 2
+
+    def test_memoized_classes_equal_packet_class(self):
+        """The engine's per-header class memo agrees with
+        ``packet_class`` on every packet of a refutation."""
+        for protocol in (
+            modulo_stenning_protocol(16),
+            sliding_window_protocol(8),
+        ):
+            engine = BoundedHeaderEngine(protocol)
+            engine.run()
+            memoized = set(engine._classes)
+            received = [
+                action.payload
+                for action in engine._actions
+                if action.key == (RECEIVE_PKT, ("t", "r"))
+            ]
+            for packet in received:
+                assert engine._class_of(packet) == packet_class(packet)
+            # Every class the run memoized was among those checked.
+            assert memoized and memoized <= {p.header_class for p in received}
 
 
 class TestValidityCheckedEveryRound:
