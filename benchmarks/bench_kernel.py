@@ -3,9 +3,11 @@
 The kernel keeps each slot's task groups between steps and steps a
 station by its slice id in the station's table; the reference in
 ``tests/ioa/test_fair_kernel.py`` (``reference_run_to_quiescence``)
-re-enumerates every component and steps the whole composition on every
-step.  The sessions are ``load-dropflood``'s: 200 ``alternating_bit``
-sessions over ``nonfifo`` under the drop-flood mix, all sharing one
+re-enumerates every component and steps the whole composition through
+its ``transitions`` relation on every step.  Script inputs take
+``Automaton.step``, the kernel's view, on both sides.  The sessions
+are ``load-dropflood``'s: 200 ``alternating_bit`` sessions over
+``nonfifo`` under the drop-flood mix, all sharing one
 ``resolve_pair``, so once a first pass has filled the station tables
 every station step is answered from them.  Each trial runs every
 session once, its fair runs on one side or the other, and both sides

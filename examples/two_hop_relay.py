@@ -20,7 +20,7 @@ from typing import Iterable, Tuple
 
 from repro.alphabets import Message, MessageFactory
 from repro.channels import lossy_fifo_channel, packet_families
-from repro.datalink import dl_module, receive_msg, send_msg
+from repro.datalink import receive_msg, send_msg
 from repro.datalink.actions import RECEIVE_MSG, SEND_MSG
 from repro.ioa import (
     Action,

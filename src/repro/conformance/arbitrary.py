@@ -40,7 +40,6 @@ from typing import Sequence, Tuple
 from ..alphabets import MessageFactory
 from ..datalink.actions import RECEIVE_MSG, SEND_MSG
 from ..ioa.actions import Action
-from ..ioa.automaton import REFUSED, TransitionError
 from ..ioa.engine.interning import InternTable
 from ..ioa.fairness import FairnessTimeout, run_to_quiescence
 from ..sim.network import DataLinkSystem
@@ -87,7 +86,6 @@ def component_state_pools(
             table.intern(component)
 
     automaton = system.automaton
-    view = automaton.slice_view()
     state = system.initial_state()
     record(state)
     factory = MessageFactory(label="g")
@@ -95,11 +93,7 @@ def component_state_pools(
         system.send(factory.fresh()) for _ in range(PROBE_MESSAGES)
     ]
     for action in inputs:
-        view.start(state)
-        post = view.advance(state, action)
-        if post is REFUSED:
-            raise TransitionError.refused(automaton, state, action)
-        state = post
+        state = automaton.step(state, action)
         record(state)
         try:
             burst = run_to_quiescence(

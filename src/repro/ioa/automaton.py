@@ -55,7 +55,7 @@ class TransitionError(RuntimeError):
 #: Placeholder for a slot no slice has been enumerated in yet.
 _UNSEEN = object()
 
-#: What :meth:`SliceView.advance` returns for a step an owner refuses.
+#: What :meth:`SliceView.step` returns for a step an owner refuses.
 REFUSED = object()
 
 #: A task's enabled actions as the fair kernel keeps them: the task's
@@ -128,15 +128,19 @@ class SliceView:
             )
             self.kept[0] = state
 
-    def advance(self, state: State, action: Action) -> State:
-        """The post-state the kernel takes, or :data:`REFUSED`: the first
-        choice, as :meth:`Automaton.step` takes it.  ``state`` must be
-        the one the view describes, which the post-state then is."""
+    def step(self, state: State, action: Action) -> State:
+        """The post-state :meth:`Automaton.step` takes, or :data:`REFUSED`:
+        the first choice.  This one-slice view enumerates nothing."""
         post = self.automaton.transitions(state, action)
-        if not post:
-            return REFUSED
-        self.start(post[0])
-        return post[0]
+        return post[0] if post else REFUSED
+
+    def advance(self, state: State, action: Action) -> State:
+        """:meth:`step` from ``state``, which must be the one the view
+        describes; the view then describes the post-state."""
+        post = self.step(state, action)
+        if post is not REFUSED:
+            self.start(post)
+        return post
 
     def _group(
         self, actions: Iterable[Action], task_of: Callable[[Action], Hashable]
@@ -240,12 +244,13 @@ class Automaton(ABC):
 
         Raises :class:`TransitionError` if the action is not enabled.
         Most automata in this repository are deterministic, in which
-        case this is *the* post-state.
+        case this is *the* post-state.  The step is the
+        :meth:`slice_view`'s, so a composition moves its kept view.
         """
-        post = self.transitions(state, action)
-        if not post:
+        post = self.slice_view().step(state, action)
+        if post is REFUSED:
             raise TransitionError.refused(self, state, action)
-        return post[0]
+        return post
 
     def is_quiescent(self, state: State) -> bool:
         """True iff no locally-controlled action is enabled in ``state``.

@@ -35,7 +35,7 @@ class Composition(Automaton):
     :class:`~repro.ioa.engine.interning.SliceTable` has its steps and
     enabled sets answered from it, and every other component is asked
     afresh.  Only the fair kernel's view remembers the slices its last
-    run left.
+    run or step left.
     """
 
     def __init__(
@@ -240,8 +240,11 @@ class ComponentSlices(SliceView):
     reads ``table.steps[sid][action id]`` and the post-slice's task
     groups from the table's cache for the slot, hashing no slice.
     Other components step through their own ``transitions`` and are
-    re-enumerated when their slice changes.  A Session steps its script
-    inputs through this view too (:meth:`start`, then :meth:`advance`).
+    re-enumerated when their slice changes.  :meth:`Automaton.step` on
+    the composition, or on a hiding of it, is :meth:`step`: it starts
+    this view at its state and advances it, so every scripted step (a
+    Session's inputs, Lemma 2.1's, a replayed schedule's, the
+    impossibility engines') leaves the view describing its post-state.
     """
 
     def __init__(self, composition: Composition):
@@ -273,6 +276,10 @@ class ComponentSlices(SliceView):
                     table.slot_groups(i, sid) if groups is None else groups
                 )
             kept[i] = piece
+
+    def step(self, state: State, action: Action) -> State:
+        self.start(state)
+        return self.advance(state, action)
 
     def advance(self, state: State, action: Action) -> State:
         # Only the owners step, each taking its first choice: the first

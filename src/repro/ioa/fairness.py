@@ -23,8 +23,10 @@ only the slices of the components that own its action.  A component
 with a :class:`~repro.ioa.engine.interning.SliceTable` (a fuzz
 campaign's or load run's stations) is stepped by slice id: the view
 keeps its slot's id, and the table answers the step and the next task
-groups whenever it met them before, in this or an earlier run.  A
-:class:`~repro.sim.session.Session` steps its inputs through the view too.
+groups whenever it met them before, in this or an earlier run.
+:meth:`Automaton.step` is the view's step too, so inputs
+(:func:`apply_inputs`, a :class:`~repro.sim.session.Session`'s script)
+and replayed schedules take the path the kernel takes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .actions import Action
 from .automaton import REFUSED, Automaton, State, TransitionError
-from .execution import ExecutionFragment
+from .execution import ExecutionFragment, replay_schedule
 
 
 class FairnessTimeout(RuntimeError):
@@ -65,14 +67,11 @@ def apply_inputs(
     Input-enabledness guarantees every step exists; a missing transition
     indicates a broken automaton and raises :class:`TransitionError`.
     """
-    states = [state]
-    actions = []
+    inputs = tuple(inputs)
     for action in inputs:
         if not automaton.signature.is_input(action):
             raise ValueError(f"{action} is not an input action")
-        states.append(automaton.step(states[-1], action))
-        actions.append(action)
-    return ExecutionFragment(tuple(states), tuple(actions))
+    return replay_schedule(automaton, state, inputs)
 
 
 def run_to_quiescence(
@@ -111,8 +110,9 @@ def run_to_quiescence(
         as a tuple in enumeration order (default: the first, which makes
         runs deterministic).
 
-    Neither callback may run the kernel on the same composition: its
-    view describes the state the run is in between steps.
+    Neither callback may run the kernel on the same composition, nor
+    :meth:`~Automaton.step` it, which moves the same view: the view
+    describes the state the run is in between steps.
 
     Raises
     ------

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from ..ioa.actions import Action
-from ..ioa.automaton import REFUSED, TransitionError
 from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import FairnessTimeout, run_to_quiescence
 from ..channels.actions import CRASH, FAIL
@@ -139,7 +138,6 @@ class Session:
         """
         system = self.system
         automaton = system.automaton
-        view = automaton.slice_view()
         script = self.script
         rng = random.Random(self.seed)
         slack_bound = self.max_interleave + 1
@@ -188,12 +186,7 @@ class Session:
                             tracer.count("sim.crash_injections")
                         elif action.name == FAIL:
                             tracer.count("sim.fail_injections")
-                    # Automaton.step's post-state, by the kernel's view.
-                    view.start(state)
-                    post = view.advance(state, action)
-                    if post is REFUSED:
-                        raise TransitionError.refused(automaton, state, action)
-                    state = post
+                    state = automaton.step(state, action)
                     states.append(state)
                     actions.append(action)
                     slack = rng.randrange(slack_bound)

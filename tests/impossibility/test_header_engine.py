@@ -16,7 +16,7 @@ from repro.impossibility import (
     refute_bounded_headers,
 )
 from repro.impossibility.header_engine import BoundedHeaderEngine
-from repro.ioa.composition import Composition
+from repro.ioa.composition import ComponentSlices
 from repro.protocols import (
     alternating_bit_protocol,
     baratz_segall_protocol,
@@ -122,16 +122,16 @@ class TestPumpingCost:
         probe, one to lose p0) plus two for the last probe.
         """
         engine = BoundedHeaderEngine(modulo_stenning_protocol(16))
-        calls = {"transitions": 0, "in_pump": 0, "make_clean": 0}
-        transitions = Composition.transitions
+        calls = {"steps": 0, "in_pump": 0, "make_clean": 0}
+        step = ComponentSlices.step
         make_clean = PermissiveChannel.make_clean
         pump_round = engine._pump_round
         pumping = []
 
-        def counted_transitions(self, state, action):
-            calls["transitions"] += 1
+        def counted_step(self, state, action):
+            calls["steps"] += 1
             calls["in_pump"] += bool(pumping)
-            return transitions(self, state, action)
+            return step(self, state, action)
 
         def counted_make_clean(self, state):
             calls["make_clean"] += 1
@@ -144,13 +144,13 @@ class TestPumpingCost:
             finally:
                 pumping.pop()
 
-        monkeypatch.setattr(Composition, "transitions", counted_transitions)
+        monkeypatch.setattr(ComponentSlices, "step", counted_step)
         monkeypatch.setattr(PermissiveChannel, "make_clean", counted_make_clean)
         monkeypatch.setattr(engine, "_pump_round", flagged_pump_round)
         certificate = engine.run()
         rounds = certificate.stats["pump_rounds"]
         assert rounds == 17
-        assert calls["transitions"] > 0 and calls["in_pump"] == 0
+        assert calls["steps"] > 0 and calls["in_pump"] == 0
         assert calls["make_clean"] <= 3 * rounds + 2
 
     def test_memoized_classes_equal_packet_class(self):

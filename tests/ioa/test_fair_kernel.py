@@ -3,8 +3,9 @@
 :func:`reference_run_to_quiescence` is the per-step loop that
 :func:`repro.ioa.fairness.run_to_quiescence` used before it kept task
 groups across steps: it rebuilds every component's enabled list on every
-step and steps the whole automaton.  Every test here runs both on the
-same inputs and requires the same fragments and the same exceptions.
+step and steps the whole automaton by its ``transitions``.  Every test
+here runs both on the same inputs and requires the same fragments and
+the same exceptions.
 
 The one intended difference is the exact-budget rule: the reference
 raises :class:`FairnessTimeout` whenever it used its whole budget, even
@@ -51,7 +52,8 @@ def reference_run_to_quiescence(
     stop_when: Optional[Callable[[Action], bool]] = None,
     tie_break: Optional[Callable[[List[Action]], Action]] = None,
 ) -> ExecutionFragment:
-    """The fair executor's former per-step loop, kept verbatim."""
+    """The fair executor's former per-step loop, stepping by
+    ``transitions`` as :meth:`Automaton.step` then did."""
     states = [state]
     actions: List[Action] = []
     current = state
@@ -79,7 +81,12 @@ def reference_run_to_quiescence(
         action = tie_break(candidates) if tie_break else candidates[0]
         clock += 1
         last_served[task] = clock
-        current = automaton.step(current, action)
+        # By the whole automaton's relation, not Automaton.step, which
+        # is the kernel's own view and so no reference for it.
+        post = automaton.transitions(current, action)
+        if not post:
+            raise TransitionError.refused(automaton, current, action)
+        current = post[0]
         states.append(current)
         actions.append(action)
         if stop_when is not None and stop_when(action):
@@ -338,9 +345,13 @@ class TestReEnumeration:
         seen = {i: set(components[i].table.values) for i in (0, 1)}
         steps = hits = 0
         for action in script.actions:
-            state = automaton.step(previous, action)
             del calls[:], batches[:]
+            # The input's step starts the view at previous, which it
+            # already describes, and enumerates the owners' post-slices
+            # as it advances; the run's start then has nothing to add.
+            state = automaton.step(previous, action)
             fragment = run_to_quiescence(automaton, state, stop_when=cut)
+            assert batches.pop(0) == []
             # Nothing is enumerated after the last step.
             assert calls == []
             # Each state is enumerated only in the slices the input or
