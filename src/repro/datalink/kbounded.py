@@ -23,7 +23,6 @@ from typing import List, Tuple
 from ..alphabets import MessageFactory
 from ..channels.actions import RECEIVE_PKT
 from ..ioa.fairness import FairnessTimeout
-from .actions import RECEIVE_MSG
 from .protocol import DataLinkProtocol
 
 
@@ -62,13 +61,8 @@ def probe_k_bound(
         state = system.clean_channels(state)
         message = factory.fresh()
         try:
-            fragment = system.run_fair(
-                state,
-                inputs=[system.send(message)],
-                max_steps=max_steps,
-                stop_when=lambda a: a.key
-                == (RECEIVE_MSG, (system.t, system.r))
-                and a.payload == message,
+            fragment, delivered = system.deliver(
+                state, message, [system.send(message)], max_steps
             )
         except FairnessTimeout:
             return KBoundReport(
@@ -77,11 +71,6 @@ def probe_k_bound(
                 delivered=False,
                 detail=f"message {message} not delivered in {max_steps} steps",
             )
-        delivered = any(
-            a.key == (RECEIVE_MSG, (system.t, system.r))
-            and a.payload == message
-            for a in fragment.actions
-        )
         if not delivered:
             return KBoundReport(
                 max(observations, default=0),

@@ -44,7 +44,12 @@ packet actions hidden) and then:
      **(DL4)**) or ``m3`` was never sent (violating **(DL5)**).
 
 The output is a :class:`~repro.impossibility.certificates.ViolationCertificate`
-whose behavior is re-validated by the independent trace checkers.
+whose behavior is re-validated by the independent trace checkers on
+every path, the reference-phase (DL8) certificate included: all of
+them are issued by the shared construction core
+(:mod:`~repro.impossibility.construction`), which also grows the
+execution and takes the message-independence copy steps of Lemmas 7.1
+and 7.2.
 
 Under tracing each phase is a span named for its lemma:
 ``refute.reference`` (Lemmas 4.1 and 6.3), ``refute.chain`` (7.3),
@@ -61,14 +66,7 @@ from ..alphabets import Message, MessageFactory, Packet, strip_uids
 from ..ioa.actions import Action
 from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import FairnessTimeout
-from ..channels.actions import (
-    CRASH,
-    FAIL,
-    RECEIVE_PKT,
-    SEND_PKT,
-    WAKE,
-    receive_pkt,
-)
+from ..channels.actions import CRASH, FAIL, RECEIVE_PKT, SEND_PKT, WAKE
 from ..datalink.actions import RECEIVE_MSG, SEND_MSG, send_msg
 from ..datalink.message_independence import (
     Renaming,
@@ -76,7 +74,7 @@ from ..datalink.message_independence import (
 )
 from ..datalink.protocol import DataLinkProtocol
 from ..obs import current_tracer
-from ..sim.network import DataLinkSystem, fifo_system
+from ..sim.network import fifo_system
 from .certificates import (
     DUPLICATE_DELIVERY,
     LIVENESS,
@@ -84,6 +82,7 @@ from .certificates import (
     EngineError,
     ViolationCertificate,
 )
+from .construction import Construction
 
 Level = Tuple[str, int]  # (station, prefix length k)
 
@@ -96,8 +95,11 @@ class _AvailableEntry:
     reference: Packet  # the packet of alpha this one is equivalent to
 
 
-class CrashImpossibilityEngine:
+class CrashImpossibilityEngine(Construction):
     """Executable form of the Section 7 construction (see module docs)."""
+
+    theorem = "theorem-7.5"
+    span = "refute.crash"
 
     def __init__(
         self,
@@ -107,16 +109,12 @@ class CrashImpossibilityEngine:
         r: str = "r",
         message_size: int = 0,
     ):
-        self.protocol = protocol
-        self.max_steps = max_steps
-        self.t = t
-        self.r = r
+        super().__init__(
+            protocol, fifo_system(protocol, t, r), max_steps, t, r
+        )
         self.message_size = message_size
-        self.system: DataLinkSystem = fifo_system(protocol, t, r)
         self.factory = MessageFactory(label="c")
         self.renaming = Renaming()  # constructed-world -> alpha-world
-        self.narrative: List[str] = []
-        self.stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # small helpers
@@ -125,26 +123,12 @@ class CrashImpossibilityEngine:
     def _other(self, station: str) -> str:
         return self.r if station == self.t else self.t
 
-    def _host_signature(self, station: str):
-        return (
-            self.system.transmitter.signature
-            if station == self.t
-            else self.system.receiver.signature
-        )
-
-    def _host_automaton(self, station: str):
-        return (
-            self.system.transmitter
-            if station == self.t
-            else self.system.receiver
-        )
-
     def _host_actions(
         self, fragment: ExecutionFragment, station: str, k: int
     ) -> Tuple[Action, ...]:
         """``acts_A(alpha, station, k)``: the station's actions among the
         first ``k`` steps."""
-        signature = self._host_signature(station)
+        signature = self._host_automaton(station).signature
         return tuple(
             a for a in fragment.actions[:k] if signature.contains(a)
         )
@@ -175,42 +159,21 @@ class CrashImpossibilityEngine:
         cannot even deliver one message over ideal channels."""
         system = self.system
         self.m0 = self.factory.fresh(self.message_size)
-        target_key = (RECEIVE_MSG, (self.t, self.r))
-        try:
-            fragment = system.run_fair(
-                system.initial_state(),
-                inputs=[
-                    system.wake_t(),
-                    system.wake_r(),
-                    system.send(self.m0),
-                ],
-                max_steps=self.max_steps,
-                stop_when=lambda a: a.key == target_key
-                and a.payload == self.m0,
-            )
-        except FairnessTimeout as exc:
-            raise EngineError(
-                "protocol does not quiesce over clean FIFO channels; "
-                "cannot construct the reference execution"
-            ) from exc
-        delivered = fragment.actions and fragment.actions[-1].key == target_key
+        fragment, delivered = self._deliver(
+            system.initial_state(),
+            self.m0,
+            [system.wake_t(), system.wake_r(), system.send(self.m0)],
+            "protocol does not quiesce over clean FIFO channels; "
+            "cannot construct the reference execution",
+        )
         if not delivered:
             # Quiesced without delivering m0: (DL8) fails outright.
-            behavior = system.behavior(fragment)
             self.narrative.append(
                 "reference run quiesced without delivering m0: the "
                 "protocol violates (DL8) over ideal FIFO channels"
             )
-            return ViolationCertificate(
-                protocol_name=self.protocol.name,
-                theorem="theorem-7.5",
-                kind=LIVENESS,
-                behavior=behavior,
-                violated=("DL8",),
-                narrative=tuple(self.narrative),
-                stats=dict(self.stats),
-                t=self.t,
-                r=self.r,
+            return self._certify(
+                LIVENESS, system.behavior(fragment), ("DL8",)
             )
         # Lemma 6.3: leave both channels clean at the end of alpha.
         cleaned = system.clean_channels(fragment.final_state)
@@ -232,7 +195,7 @@ class CrashImpossibilityEngine:
     def _build_levels(self) -> List[Level]:
         """The pumping levels, earliest first; the last is ``(t, n)``."""
         n = len(self.alpha)
-        receiver_signature = self._host_signature(self.r)
+        receiver_signature = self._host_automaton(self.r).signature
         n_r = 0
         for index in range(n, 0, -1):
             if receiver_signature.contains(self.alpha.actions[index - 1]):
@@ -244,7 +207,7 @@ class CrashImpossibilityEngine:
             side, k = self.r, n_r
             while True:
                 other = self._other(side)
-                other_signature = self._host_signature(other)
+                other_signature = self._host_automaton(other).signature
                 j = 0
                 for index in range(k - 1, 2, -1):
                     if other_signature.contains(
@@ -263,14 +226,6 @@ class CrashImpossibilityEngine:
     # Phase 2/3: crash-and-replay (Lemma 7.2)
     # ------------------------------------------------------------------
 
-    def _step(self, action: Action) -> None:
-        state = self.system.automaton.step(self.fragment.final_state, action)
-        self.fragment = self.fragment.append(action, state)
-
-    def _surgery(self, new_state) -> None:
-        """Replace the current state via channel surgery (Section 6.3)."""
-        self.fragment = self.fragment.with_final_state(new_state)
-
     def _crash_and_replay(
         self, station: str, k: int
     ) -> Tuple[List[_AvailableEntry], Dict[Message, Message]]:
@@ -284,13 +239,8 @@ class CrashImpossibilityEngine:
         system = self.system
         other = self._other(station)
         automaton = self._host_automaton(station)
-        crash_action = (
-            system.crash_t() if station == self.t else system.crash_r()
-        )
-        self._step(crash_action)
-        crashed_core = system.host_state(
-            self.fragment.final_state, station
-        ).core
+        self._step(system.crash_t() if station == self.t else system.crash_r())
+        crashed_core = system.host_state(self._final_state, station).core
         if crashed_core != automaton.logic.initial_core():
             raise EngineError(
                 f"protocol is not crashing: crash at {station} left core "
@@ -316,44 +266,15 @@ class CrashImpossibilityEngine:
                 self.renaming.bind(fresh, reference.payload)
                 bindings[fresh] = reference.payload
                 self._step(send_msg(self.t, self.r, fresh))
-            elif reference.key == (RECEIVE_PKT, (other, station)):
-                channel_state = system.channel_state(
-                    self.fragment.final_state, other
-                )
-                deliverable = channel_state.deliverable()
-                if deliverable is None:
-                    raise EngineError(
-                        f"replay at {station} expected a waiting packet "
-                        f"equivalent to {reference.payload}, but the "
-                        "channel has none"
-                    )
-                packet = deliverable[1]
-                if not self._equiv(packet, reference.payload):
-                    raise EngineError(
-                        f"waiting packet {packet} is not equivalent to the "
-                        f"reference packet {reference.payload}"
-                    )
-                self._step(receive_pkt(other, station, packet))
             else:
-                # Locally-controlled action: send_pkt or receive_msg.
-                host = system.host_state(self.fragment.final_state, station)
-                candidates = [
-                    a
-                    for a in automaton.enabled_local_actions(host)
-                    if a.key == reference.key
-                    and self._equiv(a.payload, reference.payload)
-                ]
-                if not candidates:
-                    raise EngineError(
-                        f"message-independence failure: no action "
-                        f"equivalent to {reference} is enabled at "
-                        f"{station} (state {host.core!r})"
-                    )
-                chosen = candidates[0]
+                # receive_pkt, send_pkt or receive_msg: an equivalent step.
+                chosen = self._mirror(
+                    reference, self._equiv, "Lemma 7.2 replay"
+                )
                 self._step(chosen)
                 if chosen.key == (SEND_PKT, (station, other)):
                     channel_state = system.channel_state(
-                        self.fragment.final_state, station
+                        self._final_state, station
                     )
                     sent.append(
                         _AvailableEntry(
@@ -361,7 +282,7 @@ class CrashImpossibilityEngine:
                         )
                     )
 
-        final_host = system.host_state(self.fragment.final_state, station)
+        final_host = system.host_state(self._final_state, station)
         reference_state = self._alpha_host_state(station, k)
         if not states_equivalent(final_host, reference_state, self.renaming):
             raise EngineError(
@@ -407,89 +328,34 @@ class CrashImpossibilityEngine:
                     f"transit to {station}"
                 )
             indices.append(found.channel_index)
-        state = self.system.set_waiting(
-            self.fragment.final_state, other, indices
+        self._surgery(
+            self.system.set_waiting(self._final_state, other, indices)
         )
-        self._surgery(state)
 
     # ------------------------------------------------------------------
     # Phase 5: Lemma 7.1 replay back onto alpha
     # ------------------------------------------------------------------
 
-    def _map_suffix_onto_alpha(
-        self, suffix: Sequence[Action]
-    ) -> ExecutionFragment:
+    def _map_suffix_onto_alpha(self, suffix: Sequence[Action]) -> None:
         """Replay the fair-extension suffix from the real end of alpha.
 
-        Every action of the suffix is translated through the accumulated
-        renaming and executed from ``alpha``'s final state (channels
-        clean on both sides, matching the constructed execution).
-        Message-independence (Lemma 7.1) guarantees each translated step
-        is enabled; the engine asserts it.
+        The execution restarts as ``alpha`` (channels clean on both
+        sides, matching the constructed execution) and takes, for every
+        action of the suffix, the step equivalent to it under the
+        accumulated renaming.  Message-independence (Lemma 7.1)
+        guarantees each such step is enabled; the copy step asserts it.
         """
-        system = self.system
-        mapped = ExecutionFragment.initial(self.alpha.final_state)
+
+        def same(mapped, constructed) -> bool:
+            return self._equiv(constructed, mapped)
+
+        self._begin(self.alpha)
         for action in suffix:
-            state = mapped.final_state
-            if action.name == RECEIVE_PKT:
-                src = action.direction[0]
-                channel_state = system.channel_state(state, src)
-                deliverable = channel_state.deliverable()
-                if deliverable is None:
-                    raise EngineError(
-                        "mapped replay expected a deliverable packet on "
-                        f"channel {src} but found none"
-                    )
-                packet = deliverable[1]
-                if not self._equiv(action.payload, packet):
-                    raise EngineError(
-                        f"mapped delivery {packet} does not correspond to "
-                        f"{action.payload}"
-                    )
-                mapped_action = receive_pkt(
-                    src, action.direction[1], packet
-                )
-            elif action.name in (SEND_PKT, RECEIVE_MSG):
-                station = (
-                    action.direction[0]
-                    if action.name == SEND_PKT
-                    else self.r
-                )
-                automaton = self._host_automaton(station)
-                host = system.host_state(state, station)
-                candidates = [
-                    a
-                    for a in automaton.enabled_local_actions(host)
-                    if a.key == action.key
-                    and self._equiv(action.payload, a.payload)
-                ]
-                if not candidates:
-                    raise EngineError(
-                        "message-independence failure in the Lemma 7.1 "
-                        f"replay: no action equivalent to {action} enabled"
-                    )
-                mapped_action = candidates[0]
-            elif action.name in (WAKE, FAIL, CRASH, SEND_MSG):
-                raise EngineError(
-                    f"fair extension unexpectedly contains input {action}"
-                )
-            else:
-                raise EngineError(f"unhandled action {action} in suffix")
-            new_state = system.automaton.step(state, mapped_action)
-            mapped = mapped.append(mapped_action, new_state)
-        return mapped
+            self._step(self._mirror(action, same, "Lemma 7.1 replay"))
 
     # ------------------------------------------------------------------
     # Main entry point
     # ------------------------------------------------------------------
-
-    def run(self) -> ViolationCertificate:
-        """Execute the Theorem 7.5 construction; returns the certificate."""
-        tracer = current_tracer()
-        with tracer.span(
-            "refute.crash", protocol=self.protocol.name
-        ):
-            return self._run(tracer)
 
     def _run(self, tracer) -> ViolationCertificate:
         with tracer.span("refute.reference"):
@@ -506,10 +372,7 @@ class CrashImpossibilityEngine:
         )
 
         # Start the constructed execution: fresh system, both wakes.
-        start = system.run_inputs(
-            system.initial_state(), [system.wake_t(), system.wake_r()]
-        )
-        self.fragment = start
+        self._begin()
 
         available: Dict[str, List[_AvailableEntry]] = {
             self.t: [],
@@ -535,9 +398,10 @@ class CrashImpossibilityEngine:
                 f"sent {len(sent)}"
             )
 
+        receive_key = (RECEIVE_MSG, (self.t, self.r))
         with tracer.span("refute.end_state"):
             # Lemma 7.4 end state: clean both channels.
-            self._surgery(system.clean_channels(self.fragment.final_state))
+            self._surgery(system.clean_channels(self._final_state))
             m1 = next(
                 (
                     fresh
@@ -560,10 +424,9 @@ class CrashImpossibilityEngine:
             # Theorem 7.5: fair extension with no further inputs.
             try:
                 extended = system.run_fair(
-                    self.fragment.final_state,
+                    self._final_state,
                     max_steps=self.max_steps,
-                    stop_when=lambda a: a.key
-                    == (RECEIVE_MSG, (self.t, self.r)),
+                    stop_when=lambda a: a.key == receive_key,
                 )
             except FairnessTimeout as exc:
                 raise EngineError(
@@ -571,74 +434,44 @@ class CrashImpossibilityEngine:
                     "classify the violation"
                 ) from exc
         suffix = extended.actions
-        delivered = [
-            a for a in suffix if a.key == (RECEIVE_MSG, (self.t, self.r))
-        ]
+        delivered = [a for a in suffix if a.key == receive_key]
 
         if not delivered:
             # Quiescent with m1 undelivered: (DL8) violated on the
             # constructed execution itself.
-            full = self.fragment.extend(extended)
-            behavior = system.behavior(full)
+            self._extend(extended)
             self.narrative.append(
                 f"fair extension quiesced without delivering {m1}: "
                 "(DL8) violated"
             )
-            certificate = ViolationCertificate(
-                protocol_name=self.protocol.name,
-                theorem="theorem-7.5",
-                kind=LIVENESS,
-                behavior=behavior,
-                violated=("DL8",),
-                narrative=tuple(self.narrative),
-                stats=dict(self.stats),
-                t=self.t,
-                r=self.r,
-            )
-        else:
-            with tracer.span("refute.map_back"):
-                # Lemma 7.1: replay the suffix from the real end of alpha.
-                mapped = self._map_suffix_onto_alpha(suffix)
-                try:
-                    mapped_quiesced = system.run_fair(
-                        mapped.final_state, max_steps=self.max_steps
+            return self._certify(LIVENESS, self._behavior(), ("DL8",))
+        with tracer.span("refute.map_back"):
+            # Lemma 7.1: replay the suffix from the real end of alpha.
+            self._map_suffix_onto_alpha(suffix)
+            try:
+                self._extend(
+                    system.run_fair(
+                        self._final_state, max_steps=self.max_steps
                     )
-                    mapped = mapped.extend(mapped_quiesced)
-                except FairnessTimeout:
-                    # Safety violations below persist regardless; keep the
-                    # truncated (still valid) execution.
-                    pass
-                m3 = next(
-                    a.payload
-                    for a in mapped.actions
-                    if a.key == (RECEIVE_MSG, (self.t, self.r))
                 )
-                behavior = system.behavior(self.alpha.extend(mapped))
-            kind = DUPLICATE_DELIVERY if m3 == self.m0 else UNSENT_DELIVERY
-            violated = ("DL4",) if m3 == self.m0 else ("DL5",)
-            self.narrative.append(
-                f"fair extension delivered {delivered[0].payload}; mapped "
-                f"back onto alpha (Lemma 7.1) it delivers {m3}: "
-                f"{'duplicate of m0' if m3 == self.m0 else 'never sent'}"
+            except FairnessTimeout:
+                # Safety violations below persist regardless; keep the
+                # truncated (still valid) execution.
+                pass
+            m3 = next(
+                a.payload
+                for a in self._actions[len(self.alpha) :]
+                if a.key == receive_key
             )
-            certificate = ViolationCertificate(
-                protocol_name=self.protocol.name,
-                theorem="theorem-7.5",
-                kind=kind,
-                behavior=behavior,
-                violated=violated,
-                narrative=tuple(self.narrative),
-                stats=dict(self.stats),
-                t=self.t,
-                r=self.r,
-            )
-
-        if not certificate.validate():
-            raise EngineError(
-                "constructed certificate failed independent validation; "
-                "this indicates an engine bug:\n" + certificate.describe()
-            )
-        return certificate
+            behavior = self._behavior()
+        self.narrative.append(
+            f"fair extension delivered {delivered[0].payload}; mapped "
+            f"back onto alpha (Lemma 7.1) it delivers {m3}: "
+            f"{'duplicate of m0' if m3 == self.m0 else 'never sent'}"
+        )
+        if m3 == self.m0:
+            return self._certify(DUPLICATE_DELIVERY, behavior, ("DL4",))
+        return self._certify(UNSENT_DELIVERY, behavior, ("DL5",))
 
 
 def refute_crash_tolerance(

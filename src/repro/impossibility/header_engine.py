@@ -40,12 +40,15 @@ outside the theorem's hypotheses, and indeed escape the construction.
 A round costs the same however large ``T`` grows, so the whole
 construction is linear in the chain length: packet classes are
 computed once per (header, arity) pair, ``T`` is kept in per-class pools
-in ``T`` order; validity is re-checked after every round by a
+in ``T`` order; and validity is re-checked after every round by a
 :class:`~repro.datalink.properties.ValidityMonitor` fed only that round's
-events; and the execution grows as two lists, made a fragment once at
-the end.  Under tracing each step is a span named for its lemma:
-``refute.probe`` (Lemma 8.3), ``refute.inject`` (the map ``f``, Lemma
-6.7), ``refute.pump`` (Lemma 8.4) and ``refute.replay`` (Theorem 8.5).
+events.  The execution under construction, the fair delivery of one
+message, the receiver replay's copy step and the certificate's
+validation come from the shared construction core
+(:mod:`~repro.impossibility.construction`).  Under tracing each step is
+a span named for its lemma: ``refute.probe`` (Lemma 8.3),
+``refute.inject`` (the map ``f``, Lemma 6.7), ``refute.pump`` (Lemma
+8.4) and ``refute.replay`` (Theorem 8.5).
 """
 
 from __future__ import annotations
@@ -55,21 +58,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alphabets import Message, MessageFactory, Packet
 from ..ioa.actions import Action
-from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import FairnessTimeout
-from ..channels.actions import RECEIVE_PKT, SEND_PKT, receive_pkt
+from ..channels.actions import RECEIVE_PKT, SEND_PKT
 from ..datalink.actions import RECEIVE_MSG, SEND_MSG
 from ..datalink.message_independence import equivalent, packet_class
 from ..datalink.properties import ValidityMonitor
 from ..datalink.protocol import DataLinkProtocol
-from ..obs import current_tracer
-from ..sim.network import DataLinkSystem, permissive_system
+from ..sim.network import permissive_system
 from .certificates import (
     DUPLICATE_DELIVERY,
     UNSENT_DELIVERY,
     EngineError,
     ViolationCertificate,
 )
+from .construction import Construction
 
 
 @dataclass
@@ -93,8 +95,11 @@ class _Probe:
     classes: Tuple[Tuple, ...]  # their equivalence classes
 
 
-class BoundedHeaderEngine:
+class BoundedHeaderEngine(Construction):
     """Executable form of the Section 8 construction (see module docs)."""
+
+    theorem = "theorem-8.5"
+    span = "refute.headers"
 
     def __init__(
         self,
@@ -106,17 +111,13 @@ class BoundedHeaderEngine:
         r: str = "r",
         message_size: int = 0,
     ):
-        self.protocol = protocol
+        super().__init__(
+            protocol, permissive_system(protocol, t, r), max_steps, t, r
+        )
         self.declared_k = k
         self.message_size = message_size
-        self.max_steps = max_steps
-        self.t = t
-        self.r = r
         self._receive_key = (RECEIVE_MSG, (t, r))
-        self.system: DataLinkSystem = permissive_system(protocol, t, r)
         self.factory = MessageFactory(label="h")
-        self.narrative: List[str] = []
-        self.stats: Dict[str, int] = {}
         header_space = protocol.header_space()
         if header_space is None:
             raise EngineError(
@@ -128,10 +129,6 @@ class BoundedHeaderEngine:
         # Packet classes are (header, body-arity in {0,1}) pairs.
         self.class_bound = 2 * self.header_count
         self.max_rounds = max_rounds
-        # The execution built so far, as growing lists: the fragment is
-        # built once, at the end, so a step costs the same at any length.
-        self._states: List = []
-        self._actions: List[Action] = []
         # T, split by equivalence class; each pool keeps T's order.
         self._pools: Dict[Tuple, List[_TransitEntry]] = {}
         # Packet classes by (header, body arity), which determine them.
@@ -142,48 +139,12 @@ class BoundedHeaderEngine:
 
     # ------------------------------------------------------------------
 
-    @property
-    def _final_state(self):
-        return self._states[-1]
-
-    def _step(self, action: Action) -> None:
-        self._states.append(
-            self.system.automaton.step(self._states[-1], action)
-        )
-        self._actions.append(action)
-
     def _class_of(self, packet: Packet) -> Tuple:
         """``packet_class(packet)``, computed once per header class."""
         cls = self._classes.get(packet.header_class)
         if cls is None:
             cls = self._classes[packet.header_class] = packet_class(packet)
         return cls
-
-    def _extend(self, fragment: ExecutionFragment) -> None:
-        """Append ``fragment``, which starts at the final state."""
-        self._states.extend(fragment.states[1:])
-        self._actions.extend(fragment.actions)
-
-    def _deliver(
-        self, state, message: Message, inputs, timeout: str, lost: str
-    ) -> ExecutionFragment:
-        """Run fairly from ``state`` until ``receive_msg(message)``,
-        raising ``EngineError(timeout)`` if the run does not quiesce and
-        ``EngineError(lost)`` if it quiesces without that delivery."""
-        key = self._receive_key
-        try:
-            run = self.system.run_fair(
-                state,
-                inputs=inputs,
-                max_steps=self.max_steps,
-                stop_when=lambda a: a.key == key and a.payload == message,
-            )
-        except FairnessTimeout as exc:
-            raise EngineError(timeout) from exc
-        last = run.actions[-1] if run.actions else None
-        if last is None or last.key != key or last.payload != message:
-            raise EngineError(lost)
-        return run
 
     def _assert_valid(self, context: str) -> None:
         """Check that the behavior so far is valid (Section 8.1).
@@ -217,15 +178,18 @@ class BoundedHeaderEngine:
         The main fragment is not modified.
         """
         system = self.system
-        branch = self._deliver(
+        branch, delivered = self._deliver(
             system.clean_channels(self._final_state),
             message,
             [system.send(message)],
             f"probe for {message} did not quiesce; the protocol is not "
             "k-bounded for any usable k",
-            f"probe quiesced without delivering {message}: the protocol "
-            "violates (DL8) over the permissive channel",
         )
+        if not delivered:
+            raise EngineError(
+                f"probe quiesced without delivering {message}: the "
+                "protocol violates (DL8) over the permissive channel"
+            )
         received = tuple(
             a.payload
             for a in branch.actions
@@ -275,19 +239,21 @@ class BoundedHeaderEngine:
         if not rho_had_receive:
             # Lemma 6.3: lose everything in transit t->r (including p0),
             # then finish the delivery fairly (rho-hat).
-            self._states[-1] = system.clean_channel(self._final_state, self.t)
-            self._extend(
-                self._deliver(
-                    self._final_state,
-                    probe.message,
-                    (),
-                    "rho-hat did not quiesce while finishing the delivery "
-                    f"of {probe.message}",
+            self._surgery(system.clean_channel(self._final_state, self.t))
+            rho_hat, delivered = self._deliver(
+                self._final_state,
+                probe.message,
+                (),
+                "rho-hat did not quiesce while finishing the delivery "
+                f"of {probe.message}",
+            )
+            if not delivered:
+                raise EngineError(
                     f"(DL8) failure during pumping: {probe.message} was "
                     "never delivered after losing p0 -- the protocol is "
-                    "not weakly correct over the permissive channel",
+                    "not weakly correct over the permissive channel"
                 )
-            )
+            self._extend(rho_hat)
         return entry
 
     # ------------------------------------------------------------------
@@ -318,9 +284,8 @@ class BoundedHeaderEngine:
     def _inject(self, images: Sequence[_TransitEntry]) -> None:
         """Lemma 6.7: schedule ``f``'s images as the waiting sequence of
         the non-FIFO channel t->r."""
-        self._states[-1] = self.system.set_waiting(
-            self._final_state, self.t, [entry.channel_index for entry in images]
-        )
+        indices = [entry.channel_index for entry in images]
+        self._surgery(self.system.set_waiting(self._final_state, self.t, indices))
 
     def _replay_receiver(
         self, probe: _Probe, images: Sequence[_TransitEntry]
@@ -332,71 +297,30 @@ class BoundedHeaderEngine:
         as in the Theorem 8.5 induction (Lemma 6.4 keeps the waiting
         packets deliverable).
         """
-        system = self.system
-        receiver = system.receiver
-        cursor = 0
-        receiver_signature = receiver.signature
+        receiver_signature = self.system.receiver.signature
+        scheduled = iter(images)
         for action in probe.actions:
             if not receiver_signature.contains(action):
                 continue
-            if action.key == (RECEIVE_PKT, (self.t, self.r)):
-                image = images[cursor]
-                cursor += 1
-                channel_state = system.channel_state(
-                    self._final_state, self.t
-                )
-                deliverable = channel_state.deliverable()
-                if deliverable is None or deliverable[1] != image.packet:
+            step = self._mirror(
+                action, equivalent, "Theorem 8.5 receiver replay"
+            )
+            if step.name == RECEIVE_PKT:
+                image = next(scheduled)
+                if step.payload != image.packet:
                     raise EngineError(
                         "channel did not offer the scheduled T-packet "
                         f"{image.packet}"
                     )
-                if not equivalent(image.packet, action.payload):
-                    raise EngineError(
-                        f"T-packet {image.packet} is not equivalent to "
-                        f"the probed packet {action.payload}"
-                    )
-                self._step(
-                    receive_pkt(self.t, self.r, image.packet)
-                )
-            elif action.key[0] in (SEND_PKT, RECEIVE_MSG):
-                host = system.host_state(self._final_state, self.r)
-                candidates = [
-                    a
-                    for a in receiver.enabled_local_actions(host)
-                    if a.key == action.key
-                    and equivalent(a.payload, action.payload)
-                ]
-                if not candidates:
-                    raise EngineError(
-                        "message-independence failure in the receiver "
-                        f"replay: no action equivalent to {action} enabled"
-                    )
-                self._step(candidates[0])
-            else:
-                raise EngineError(
-                    f"unexpected receiver action {action} in gamma1"
-                )
+            self._step(step)
 
     # ------------------------------------------------------------------
     # Main entry point
     # ------------------------------------------------------------------
 
-    def run(self) -> ViolationCertificate:
-        """Execute the Theorem 8.5 construction; returns the certificate."""
-        tracer = current_tracer()
-        with tracer.span(
-            "refute.headers", protocol=self.protocol.name
-        ):
-            return self._run(tracer)
-
     def _run(self, tracer) -> ViolationCertificate:
         system = self.system
-        start = system.run_inputs(
-            system.initial_state(), [system.wake_t(), system.wake_r()]
-        )
-        self._states = list(start.states)
-        self._actions = list(start.actions)
+        self._begin()
         k = 1 if self.declared_k is None else self.declared_k
         rounds = 0
         while True:
@@ -469,9 +393,7 @@ class BoundedHeaderEngine:
                 )
             except FairnessTimeout:
                 pass  # safety violation below persists on any extension
-        behavior = system.behavior(
-            ExecutionFragment(tuple(self._states), tuple(self._actions))
-        )
+        behavior = self._behavior()
         deliveries = [
             a for a in behavior if a.key == self._receive_key
         ]
@@ -479,29 +401,13 @@ class BoundedHeaderEngine:
             a.payload for a in behavior if a.key == (SEND_MSG, (self.t, self.r))
         }
         phantom = [a.payload for a in deliveries if a.payload not in sends]
-        kind = UNSENT_DELIVERY if phantom else DUPLICATE_DELIVERY
-        violated = ("DL5",) if phantom else ("DL4",)
         self.narrative.append(
             "receiver replay announced a delivery with no send_msg "
             "pending: " + ("(DL5) violated" if phantom else "(DL4) violated")
         )
-        certificate = ViolationCertificate(
-            protocol_name=self.protocol.name,
-            theorem="theorem-8.5",
-            kind=kind,
-            behavior=behavior,
-            violated=violated,
-            narrative=tuple(self.narrative),
-            stats=dict(self.stats),
-            t=self.t,
-            r=self.r,
-        )
-        if not certificate.validate():
-            raise EngineError(
-                "constructed certificate failed independent validation; "
-                "this indicates an engine bug:\n" + certificate.describe()
-            )
-        return certificate
+        if phantom:
+            return self._certify(UNSENT_DELIVERY, behavior, ("DL5",))
+        return self._certify(DUPLICATE_DELIVERY, behavior, ("DL4",))
 
 
 def refute_bounded_headers(

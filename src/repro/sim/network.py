@@ -186,6 +186,23 @@ class DataLinkSystem:
             stop_when=stop_when,
         )
 
+    def deliver(
+        self,
+        state: State,
+        message: Message,
+        inputs: Iterable[Action] = (),
+        max_steps: int = 100_000,
+    ) -> Tuple[ExecutionFragment, bool]:
+        """:meth:`run_fair` until ``receive_msg(message)``.
+
+        Returns the run and whether it delivered ``message``; a run that
+        quiesces first did not.  Raises ``FairnessTimeout`` as
+        :meth:`run_fair` does.
+        """
+        target = self.receive(message)
+        run = self.run_fair(state, inputs, max_steps, stop_when=target.__eq__)
+        return run, run.actions[-1:] == (target,)
+
     def behavior(self, fragment: ExecutionFragment) -> Tuple[Action, ...]:
         """The data-link-layer behavior of an execution of ``D'(A)``."""
         return fragment.behavior(self.automaton.signature)

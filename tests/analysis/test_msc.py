@@ -30,9 +30,9 @@ class TestRenderMsc:
         text = render_msc(trace)
         lines = text.splitlines()
         assert "t station" in lines[0] and "r station" in lines[0]
-        wake_t = next(l for l in lines if l.strip() == "wake")
+        wake_t = next(line for line in lines if line.strip() == "wake")
         assert wake_t.startswith("wake")  # left column
-        recv = next(l for l in lines if "receive_msg" in l)
+        recv = next(line for line in lines if "receive_msg" in line)
         assert recv.startswith(" " * 40)  # right column
 
     def test_packet_arrows(self):

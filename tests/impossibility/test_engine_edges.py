@@ -14,12 +14,17 @@ import pytest
 
 from repro.alphabets import Message, Packet
 from repro.datalink import DataLinkProtocol, TransmitterLogic
+from repro.datalink.message_independence import equivalent
 from repro.impossibility import (
     LIVENESS,
     EngineError,
+    ViolationCertificate,
     refute_bounded_headers,
     refute_crash_tolerance,
 )
+from repro.impossibility import header_engine
+from repro.impossibility.crash_engine import CrashImpossibilityEngine
+from repro.protocols import alternating_bit_protocol, modulo_stenning_protocol
 from repro.protocols.naive import DirectReceiver, _WakeMixin
 
 
@@ -105,3 +110,57 @@ class TestHeaderEngineEdges:
     def test_babbling_protocol_rejected(self):
         with pytest.raises(EngineError):
             refute_bounded_headers(babbling_protocol(), max_steps=5_000)
+
+
+class TestSharedConstructionCore:
+    """Paths both engines take through the shared construction core."""
+
+    @pytest.mark.parametrize(
+        "refute,factory",
+        [
+            # The reference-phase (DL8) certificate of Theorem 7.5.
+            (refute_crash_tolerance, mute_protocol),
+            (refute_crash_tolerance, alternating_bit_protocol),
+            (refute_bounded_headers, lambda: modulo_stenning_protocol(16)),
+        ],
+        ids=["crash-reference-dl8", "crash-abp", "headers-mod-stenning-16"],
+    )
+    def test_every_certificate_is_validated(self, monkeypatch, refute, factory):
+        """No certificate leaves an engine without passing ``validate``."""
+        monkeypatch.setattr(ViolationCertificate, "validate", lambda self: False)
+        with pytest.raises(
+            EngineError,
+            match=r"^constructed certificate failed independent validation",
+        ):
+            refute(factory())
+
+    def test_crash_replay_without_equivalent_action(self, monkeypatch):
+        """A Lemma 7.2 replay step with no equivalent enabled action
+        (messages made inequivalent) raises the shared copy-step error."""
+        original = CrashImpossibilityEngine._equiv
+
+        def packets_only(self, value, reference):
+            return isinstance(value, Packet) and original(self, value, reference)
+
+        monkeypatch.setattr(CrashImpossibilityEngine, "_equiv", packets_only)
+        with pytest.raises(
+            EngineError,
+            match=r"^message-independence failure in the Lemma 7\.2 replay: "
+            r"no action equivalent to receive_msg\^\{t,r\}\(.*\) is enabled at r",
+        ):
+            refute_crash_tolerance(alternating_bit_protocol())
+
+    def test_receiver_replay_without_equivalent_action(self, monkeypatch):
+        """The same copy step fails the Theorem 8.5 receiver replay."""
+
+        def packets_only(value, other):
+            return isinstance(value, Packet) and equivalent(value, other)
+
+        monkeypatch.setattr(header_engine, "equivalent", packets_only)
+        with pytest.raises(
+            EngineError,
+            match=r"^message-independence failure in the Theorem 8\.5 "
+            r"receiver replay: no action equivalent to "
+            r"receive_msg\^\{t,r\}\(.*\) is enabled at r",
+        ):
+            refute_bounded_headers(modulo_stenning_protocol(16))

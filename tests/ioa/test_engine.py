@@ -93,18 +93,28 @@ class TestToyDifferential:
         assert_equivalent(Nondet)
 
     def test_echo_with_environment(self):
-        environment = lambda s: [ping(len(s))] if len(s) < 4 else []
+        def environment(s):
+            return [ping(len(s))] if len(s) < 4 else []
+
         assert_equivalent(Echo, environment=environment)
 
     def test_toy_composition(self):
-        factory = lambda: Composition([Echo(), Forwarder()])
-        environment = lambda s: [ping(len(s[0]))] if len(s[0]) < 3 else []
+        def factory():
+            return Composition([Echo(), Forwarder()])
+
+        def environment(s):
+            return [ping(len(s[0]))] if len(s[0]) < 3 else []
+
         engine, _ = assert_equivalent(factory, environment=environment)
         assert ((), ()) in engine.states
 
     def test_toy_composition_memoized(self):
-        factory = lambda: Composition([with_memo(Echo()), with_memo(Forwarder())])
-        environment = lambda s: [ping(len(s[0]))] if len(s[0]) < 3 else []
+        def factory():
+            return Composition([with_memo(Echo()), with_memo(Forwarder())])
+
+        def environment(s):
+            return [ping(len(s[0]))] if len(s[0]) < 3 else []
+
         assert_equivalent(factory, environment=environment)
 
     def test_max_states_truncation(self):
