@@ -14,19 +14,19 @@ from __future__ import annotations
 import pytest
 
 from repro.alphabets import MessageFactory
-from repro.channels import lossy_fifo_channel
+from repro.channels import PermissiveChannelState, random_lossy_fifo
 from repro.datalink import dl_module
 from repro.protocols import alternating_bit_protocol, sliding_window_protocol
-from repro.sim import DataLinkSystem, channel_stats, delivery_stats
+from repro.sim import channel_stats, delivery_stats, fifo_system
 
 MESSAGES = 15
 
 
-def run_transfer(protocol, loss_rate: float, seed: int):
-    system = DataLinkSystem.build(
-        protocol,
-        lossy_fifo_channel("t", "r", seed=seed, loss_rate=loss_rate),
-        lossy_fifo_channel("r", "t", seed=seed + 997, loss_rate=loss_rate),
+def run_transfer(system, loss_rate: float, seed: int):
+    """Run ``system`` from seeded lossy FIFO channel starts."""
+    system = system.started(
+        PermissiveChannelState(delivery=random_lossy_fifo(seed, loss_rate)),
+        PermissiveChannelState(delivery=random_lossy_fifo(seed + 997, loss_rate)),
     )
     factory = MessageFactory()
     messages = factory.fresh_many(MESSAGES)
@@ -42,10 +42,10 @@ def run_transfer(protocol, loss_rate: float, seed: int):
 @pytest.mark.parametrize("loss", [0.0, 0.2, 0.4, 0.6])
 @pytest.mark.parametrize("window", [1, 4])
 def test_sliding_window_over_lossy_fifo(benchmark, window, loss):
-    protocol = sliding_window_protocol(window)
+    system = fifo_system(sliding_window_protocol(window))
 
     def transfer():
-        return run_transfer(protocol, loss, seed=11)
+        return run_transfer(system, loss, seed=11)
 
     system, fragment = benchmark(transfer)
     stats = delivery_stats(fragment)
@@ -64,11 +64,10 @@ def test_zero_violations_across_seeds(benchmark):
     def sweep():
         violations = 0
         module = dl_module("t", "r")
+        composed = fifo_system(alternating_bit_protocol())
         for seed in range(8):
             for loss in (0.2, 0.5):
-                system, fragment = run_transfer(
-                    alternating_bit_protocol(), loss, seed
-                )
+                system, fragment = run_transfer(composed, loss, seed)
                 if not module.contains(system.behavior(fragment)):
                     violations += 1
         return violations
@@ -90,14 +89,11 @@ def test_overhead_grows_with_loss(benchmark):
 
     def sweep():
         overheads = []
+        system = fifo_system(sliding_window_protocol(4))
         for loss in (0.0, 0.3, 0.6):
             total_sent = 0
             for seed in range(4):
-                _, fragment = run_transfer(
-                    sliding_window_protocol(4), loss, seed
-                )
-                from repro.sim import channel_stats
-
+                _, fragment = run_transfer(system, loss, seed)
                 total_sent += channel_stats(
                     fragment, "t", "r"
                 ).packets_sent

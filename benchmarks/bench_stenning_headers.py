@@ -15,10 +15,10 @@ import pytest
 
 from repro.alphabets import MessageFactory
 from repro.analysis import measure_header_growth
-from repro.channels import reordering_channel
+from repro.channels import PermissiveChannelState, random_reordering
 from repro.datalink import wdl_module
 from repro.protocols import sliding_window_protocol, stenning_protocol
-from repro.sim import DataLinkSystem, delivery_stats
+from repro.sim import delivery_stats, permissive_system
 
 MESSAGES = 12
 
@@ -26,15 +26,12 @@ MESSAGES = 12
 @pytest.mark.parametrize("window", [2, 6])
 @pytest.mark.parametrize("loss", [0.0, 0.25])
 def test_stenning_over_reordering(benchmark, window, loss):
+    composed = permissive_system(stenning_protocol())
+
     def transfer():
-        system = DataLinkSystem.build(
-            stenning_protocol(),
-            reordering_channel(
-                "t", "r", seed=5, loss_rate=loss, window=window
-            ),
-            reordering_channel(
-                "r", "t", seed=55, loss_rate=loss, window=window
-            ),
+        system = composed.started(
+            PermissiveChannelState(delivery=random_reordering(5, loss, window)),
+            PermissiveChannelState(delivery=random_reordering(55, loss, window)),
         )
         factory = MessageFactory()
         messages = factory.fresh_many(MESSAGES)

@@ -11,22 +11,20 @@ Run:  python examples/noisy_link_transfer.py
 """
 
 from repro.alphabets import MessageFactory
-from repro.channels import lossy_fifo_channel
+from repro.channels import PermissiveChannelState, random_lossy_fifo
 from repro.datalink import dl_module
 from repro.protocols import sliding_window_protocol
-from repro.sim import DataLinkSystem, channel_stats, delivery_stats
+from repro.sim import DataLinkSystem, channel_stats, delivery_stats, fifo_system
 
 RECORDS = 20
 LOSS_RATES = (0.0, 0.2, 0.4, 0.6)
 WINDOWS = (1, 4)
 
 
-def transfer(window: int, loss_rate: float, seed: int = 7):
-    protocol = sliding_window_protocol(window)
-    system = DataLinkSystem.build(
-        protocol,
-        lossy_fifo_channel("t", "r", seed=seed, loss_rate=loss_rate),
-        lossy_fifo_channel("r", "t", seed=seed + 1, loss_rate=loss_rate),
+def transfer(system: DataLinkSystem, loss_rate: float, seed: int = 7):
+    system = system.started(
+        PermissiveChannelState(delivery=random_lossy_fifo(seed, loss_rate)),
+        PermissiveChannelState(delivery=random_lossy_fifo(seed + 1, loss_rate)),
     )
     factory = MessageFactory()
     messages = factory.fresh_many(RECORDS)
@@ -50,8 +48,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for window in WINDOWS:
+        system = fifo_system(sliding_window_protocol(window))
         for loss_rate in LOSS_RATES:
-            fragment, ok = transfer(window, loss_rate)
+            fragment, ok = transfer(system, loss_rate)
             stats = delivery_stats(fragment)
             link = channel_stats(fragment, "t", "r")
             overhead = link.packets_sent / max(stats.delivered, 1)

@@ -12,11 +12,11 @@ Run:  python examples/quickstart.py
 """
 
 from repro.alphabets import MessageFactory
-from repro.channels import lossy_fifo_channel
+from repro.channels import PermissiveChannelState, random_lossy_fifo
 from repro.datalink import dl_module
 from repro.impossibility import refute_crash_tolerance
 from repro.protocols import alternating_bit_protocol
-from repro.sim import DataLinkSystem, delivery_stats
+from repro.sim import delivery_stats, fifo_system
 
 
 def main() -> None:
@@ -24,11 +24,12 @@ def main() -> None:
     protocol = alternating_bit_protocol()
     print(f"protocol: {protocol.name} -- {protocol.description}")
 
-    # -- 2. Compose it with two lossy FIFO physical channels -----------
-    system = DataLinkSystem.build(
-        protocol,
-        lossy_fifo_channel("t", "r", seed=1, loss_rate=0.4),
-        lossy_fifo_channel("r", "t", seed=2, loss_rate=0.4),
+    # -- 2. Compose it with two FIFO physical channels, started lossy ---
+    # A channel's adversary is its start state: a seeded delivery set
+    # that loses each packet with probability 0.4 (paper, Section 6.1).
+    system = fifo_system(protocol).started(
+        PermissiveChannelState(delivery=random_lossy_fifo(1, 0.4)),
+        PermissiveChannelState(delivery=random_lossy_fifo(2, 0.4)),
     )
     factory = MessageFactory()
     messages = factory.fresh_many(5)

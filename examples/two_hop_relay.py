@@ -19,7 +19,12 @@ Run:  python examples/two_hop_relay.py
 from typing import Iterable, Tuple
 
 from repro.alphabets import Message, MessageFactory
-from repro.channels import lossy_fifo_channel, packet_families
+from repro.channels import (
+    PermissiveChannelState,
+    PermissiveFifoChannel,
+    packet_families,
+    random_lossy_fifo,
+)
 from repro.datalink import receive_msg, send_msg
 from repro.datalink.actions import RECEIVE_MSG, SEND_MSG
 from repro.ioa import (
@@ -72,21 +77,30 @@ class Relay(Automaton):
 
 
 def build_path():
+    """The hidden nine-automaton path and its start state."""
     t, m, r = "t", "m", "r"
     hop1_tx, hop1_rx = alternating_bit_protocol().build(t, m)
     hop2_tx, hop2_rx = sliding_window_protocol(3).build(m, r)
     components = [
         hop1_tx,
         hop1_rx,
-        lossy_fifo_channel(t, m, seed=3, loss_rate=0.35),
-        lossy_fifo_channel(m, t, seed=4, loss_rate=0.35),
+        PermissiveFifoChannel(t, m),
+        PermissiveFifoChannel(m, t),
         Relay(t, m, r),
         hop2_tx,
         hop2_rx,
-        lossy_fifo_channel(m, r, seed=5, loss_rate=0.35),
-        lossy_fifo_channel(r, m, seed=6, loss_rate=0.35),
+        PermissiveFifoChannel(m, r),
+        PermissiveFifoChannel(r, m),
     ]
     composition = Composition(components, name="two-hop-path")
+    # Each channel starts with its own seeded 35%-loss delivery set.
+    lossy = {2: 3, 3: 4, 7: 5, 8: 6}  # component index -> seed
+    start = tuple(
+        PermissiveChannelState(delivery=random_lossy_fifo(lossy[i], 0.35))
+        if i in lossy
+        else state
+        for i, state in enumerate(composition.initial_state())
+    )
     hidden = hide(
         composition,
         packet_families(t, m)
@@ -98,11 +112,11 @@ def build_path():
         # send_msg^{t,m} in, receive_msg^{m,r} out.
         + (action_family(RECEIVE_MSG, t, m), action_family(SEND_MSG, m, r)),
     )
-    return hidden
+    return hidden, start
 
 
 def main() -> None:
-    path = build_path()
+    path, start = build_path()
     factory = MessageFactory()
     messages = factory.fresh_many(8)
     from repro.channels import wake
@@ -115,7 +129,7 @@ def main() -> None:
     ] + [send_msg("t", "m", message) for message in messages]
     fragment = fair_extension(
         path,
-        ExecutionFragment.initial(path.initial_state()),
+        ExecutionFragment.initial(start),
         inputs=inputs,
         max_steps=500_000,
     )

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..alphabets import MessageFactory
-from ..channels.scripted import reordering_channel
+from ..channels.delivery_set import random_reordering
+from ..channels.permissive import PermissiveChannelState
 from ..datalink.modules import wdl_module
 from ..datalink.protocol import DataLinkProtocol
-from ..sim.network import DataLinkSystem
+from ..sim.network import DataLinkSystem, permissive_system
 from ..sim.session import Session
 
 
@@ -82,20 +83,19 @@ class AblationGrid:
 
 
 def _run_once(
-    protocol: DataLinkProtocol,
+    system: DataLinkSystem,
     displacement: int,
     seed: int,
     messages: int,
     max_steps: int,
 ) -> bool:
     """Run one seeded scenario; True iff the behavior violates WDL."""
-    system = DataLinkSystem.build(
-        protocol,
-        reordering_channel(
-            "t", "r", seed=seed, loss_rate=0.15, window=displacement
+    system = system.started(
+        PermissiveChannelState(
+            delivery=random_reordering(seed, 0.15, displacement)
         ),
-        reordering_channel(
-            "r", "t", seed=seed + 7919, loss_rate=0.15, window=displacement
+        PermissiveChannelState(
+            delivery=random_reordering(seed + 7919, 0.15, displacement)
         ),
     )
     factory = MessageFactory()
@@ -125,12 +125,13 @@ def reordering_tolerance_grid(
     cells: List[AblationCell] = []
     for modulus in moduli:
         protocol = protocol_for_modulus(modulus)
+        system = permissive_system(protocol)
         for displacement in displacements:
             failing = tuple(
                 seed
                 for seed in seeds
                 if _run_once(
-                    protocol_for_modulus(modulus),
+                    system,
                     displacement,
                     seed,
                     messages,

@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..alphabets import MessageFactory
-from ..channels import lossy_fifo_channel, reordering_channel
+from ..channels import (
+    PermissiveChannelState,
+    random_lossy_fifo,
+    random_reordering,
+)
 from ..datalink import dl4, dl5, dl_module, probe_k_bound, wdl_module
 from ..impossibility import (
     EngineError,
@@ -32,12 +36,12 @@ from ..protocols import (
     stenning_protocol,
 )
 from ..sim import (
-    DataLinkSystem,
     Session,
     channel_stats,
     crash_storm,
     delivery_stats,
     fifo_system,
+    permissive_system,
 )
 from .header_growth import measure_header_growth
 from .model_check import verify_delivery_order
@@ -177,11 +181,11 @@ def e3_fifo_table(messages: int = 15) -> Table:
     )
     module = dl_module("t", "r")
     for window in (1, 4):
+        composed = fifo_system(sliding_window_protocol(window))
         for loss in (0.0, 0.2, 0.4, 0.6):
-            system = DataLinkSystem.build(
-                sliding_window_protocol(window),
-                lossy_fifo_channel("t", "r", seed=11, loss_rate=loss),
-                lossy_fifo_channel("r", "t", seed=1008, loss_rate=loss),
+            system = composed.started(
+                PermissiveChannelState(delivery=random_lossy_fifo(11, loss)),
+                PermissiveChannelState(delivery=random_lossy_fifo(1008, loss)),
             )
             factory = MessageFactory()
             batch = factory.fresh_many(messages)
@@ -222,11 +226,11 @@ def e4_growth_table() -> Table:
     # Reordering-correctness spot checks recorded as notes.
     notes = []
     module = wdl_module("t", "r")
+    composed = permissive_system(stenning_protocol())
     for loss, window in ((0.0, 2), (0.25, 6)):
-        system = DataLinkSystem.build(
-            stenning_protocol(),
-            reordering_channel("t", "r", seed=5, loss_rate=loss, window=window),
-            reordering_channel("r", "t", seed=55, loss_rate=loss, window=window),
+        system = composed.started(
+            PermissiveChannelState(delivery=random_reordering(5, loss, window)),
+            PermissiveChannelState(delivery=random_reordering(55, loss, window)),
         )
         factory = MessageFactory()
         batch = factory.fresh_many(12)

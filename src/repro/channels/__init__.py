@@ -42,11 +42,6 @@ from .properties import (
     unbounded_working_interval,
     working_intervals,
 )
-from .scripted import (
-    lossy_fifo_channel,
-    perfect_fifo_channel,
-    reordering_channel,
-)
 
 __all__ = [
     "BoundedChannel",
@@ -66,9 +61,7 @@ __all__ = [
     "crash",
     "crash_intervals",
     "fail",
-    "lossy_fifo_channel",
     "packet_families",
-    "perfect_fifo_channel",
     "physical_layer_signature",
     "pl1",
     "pl2",
@@ -83,7 +76,6 @@ __all__ = [
     "random_lossy_fifo",
     "random_reordering",
     "receive_pkt",
-    "reordering_channel",
     "send_pkt",
     "unbounded_working_interval",
     "wake",

@@ -19,12 +19,12 @@ drains whenever it is scheduled and retransmitting protocols still
 quiesce.  Beyond ``horizon`` the plan is FIFO and lossless (overflow
 drops aside), mirroring the delivery-set channels' eventually-clean
 tails.  Like a permissive channel's delivery set, the plan is part of
-the start state (Section 2.2), so one channel automaton serves every seed.
+the start state (Section 2.2): the automaton takes no adversary, and its
+:meth:`~BoundedChannel.initial_state` carries the lossless FIFO plan, so
+one channel automaton serves every seed.
 
-The Lemma 6.x-style surgeries (``make_clean``, ``with_waiting``) rewrite
-the buffer instead of a delivery set:
-a clean bounded channel is simply an empty buffer whose future sends
-bypass the adversarial plan (tracked by ``surgery_floor``).
+No construction of the paper runs on a bounded channel, so it has no
+Lemma 6.x surgeries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Optional, Tuple
 
 from ..alphabets import Packet
 from ..hashing import cached_hash
@@ -48,7 +48,6 @@ from .actions import (
     ReceiveActions,
     physical_layer_signature,
 )
-from .permissive import ChannelSurgeryError
 
 
 @dataclass(frozen=True)
@@ -100,20 +99,15 @@ class BoundedChannelState:
     ``counter1``/``counter2`` count ``send_pkt``/``receive_pkt`` events
     (matching the permissive channels); ``buffer`` holds the in-transit
     ``(send index, packet)`` pairs in send order; ``dropped`` counts
-    overflow drops (sends into a full channel).  ``surgery_floor`` and
-    ``forced`` record adversary surgeries: sends with index above a
-    positive ``surgery_floor`` bypass the loss/reorder plan, and a
-    non-empty ``forced`` pins the exact order of the next deliveries.
-    ``plan`` is the adversary fixed at the start, which every step
-    carries along and equality, hashing and ``repr`` ignore.
+    overflow drops (sends into a full channel).  ``plan`` is the
+    adversary fixed at the start, which every step carries along and
+    equality, hashing and ``repr`` ignore.
     """
 
     counter1: int = 0
     counter2: int = 0
     buffer: Tuple[Tuple[int, Packet], ...] = ()
     dropped: int = 0
-    surgery_floor: int = 0
-    forced: Tuple[int, ...] = ()
     plan: BoundedPlan = field(default=BoundedPlan(), compare=False, repr=False)
 
     def in_transit_indices(self) -> Tuple[int, ...]:
@@ -124,42 +118,23 @@ class BoundedChannelState:
         """How many packets are in transit."""
         return len(self.buffer)
 
-    def is_clean(self) -> bool:
-        """Empty buffer, future sends FIFO and lossless."""
-        return not self.buffer and (
-            self.surgery_floor >= self.counter1 or self.counter1 == 0
-        )
-
 
 class BoundedChannel(Automaton):
     """A bounded-capacity non-FIFO lossy physical channel.
 
+    A step follows the :class:`BoundedPlan` of its pre-state: the plan's
     ``capacity`` bounds the in-transit buffer (a hard invariant: a send
-    into a full buffer is dropped, never queued).  ``loss_rate`` and
-    ``reorder_window`` parameterize a seeded adversary plan over send
-    indices ``1..horizon``; beyond the horizon the channel is FIFO and
-    lossless, which preserves the harness's quiescence guarantee for
-    retransmitting protocols.  The arguments choose the start state's
-    :class:`BoundedPlan`; a step follows the plan of its pre-state.
+    into a full buffer is dropped, never queued), and its seeded loss
+    and reordering verdicts cover send indices ``1..horizon``; beyond the
+    horizon the channel is FIFO and lossless, which preserves the
+    harness's quiescence guarantee for retransmitting protocols.
     Deliveries are enumerated through ``receives``, as in
     :class:`~repro.channels.permissive.PermissiveChannel`.
     """
 
     fifo_only = False
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        seed: int = 0,
-        loss_rate: float = 0.0,
-        reorder_window: int = 1,
-        horizon: int = 1024,
-        capacity: int = 4,
-        name: Optional[str] = None,
-    ):
-        plan = BoundedPlan(seed, loss_rate, reorder_window, horizon, capacity)
-        self._start = BoundedChannelState(plan=plan)
+    def __init__(self, src: str, dst: str, name: Optional[str] = None):
         self.src = src
         self.dst = dst
         self.receives = ReceiveActions(src, dst)
@@ -173,24 +148,15 @@ class BoundedChannel(Automaton):
         return self._signature
 
     def initial_state(self) -> BoundedChannelState:
-        return self._start
+        return BoundedChannelState()
 
     def _is_lost(self, state: BoundedChannelState, index: int) -> bool:
-        """Does the adversary plan drop this send?
-
-        Surgered states exempt post-surgery sends (``index`` above the
-        floor) so a clean channel stays lossless, exactly like the
-        rewritten delivery sets' FIFO tails.
-        """
-        if state.surgery_floor and index > state.surgery_floor:
-            return False
+        """Does the adversary plan drop this send?"""
         lost = state.plan.verdicts[0]
         return index <= len(lost) and lost[index - 1]
 
     def _priority(self, state: BoundedChannelState, index: int) -> int:
         """The delivery priority of a buffered send index (smaller first)."""
-        if state.surgery_floor and index > state.surgery_floor:
-            return index
         offsets = state.plan.verdicts[1]
         return index + offsets[index - 1] if index <= len(offsets) else index
 
@@ -198,12 +164,6 @@ class BoundedChannel(Automaton):
         self, state: BoundedChannelState
     ) -> Optional[Tuple[int, Packet]]:
         """The unique (send index, packet) the channel delivers next."""
-        if state.forced:
-            head = state.forced[0]
-            for index, packet in state.buffer:
-                if index == head:
-                    return (index, packet)
-            return None
         if not state.buffer:
             return None
         return min(
@@ -231,8 +191,6 @@ class BoundedChannel(Automaton):
                     state.counter2,
                     buffer,
                     dropped,
-                    state.surgery_floor,
-                    state.forced,
                     state.plan,
                 ),
             )
@@ -244,17 +202,12 @@ class BoundedChannel(Automaton):
             buffer = tuple(
                 entry for entry in state.buffer if entry[0] != index
             )
-            forced = state.forced
-            if forced and forced[0] == index:
-                forced = forced[1:]
             return (
                 BoundedChannelState(
                     state.counter1,
                     state.counter2 + 1,
                     buffer,
                     state.dropped,
-                    state.surgery_floor,
-                    forced,
                     state.plan,
                 ),
             )
@@ -274,59 +227,3 @@ class BoundedChannel(Automaton):
 
     def tasks(self) -> Iterable[Hashable]:
         return [(self.name, "deliver")]
-
-    # ------------------------------------------------------------------
-    # Adversary surgeries (the bounded analogue of Lemmas 6.3, 6.5-6.7)
-    # ------------------------------------------------------------------
-
-    def make_clean(self, state: BoundedChannelState) -> BoundedChannelState:
-        """Lemma 6.3 analogue: lose everything in transit, then be FIFO.
-
-        Every buffered packet is dropped and future sends bypass the
-        adversary plan, so the channel acts FIFO with no losses from now
-        on (overflow aside, which an empty buffer makes unreachable
-        until ``capacity`` sends race ahead of delivery).
-        """
-        return BoundedChannelState(
-            state.counter1,
-            state.counter2,
-            (),
-            state.dropped,
-            state.counter1,
-            (),
-            state.plan,
-        )
-
-    def with_waiting(
-        self, state: BoundedChannelState, indices: Sequence[int]
-    ) -> BoundedChannelState:
-        """Lemmas 6.5-6.7 analogue: exactly ``indices`` deliver next, in order.
-
-        The indices must be distinct and currently in transit.  Every
-        other buffered packet is lost, and after the forced deliveries
-        drain the channel is clean.
-        """
-        in_transit = {index: packet for index, packet in state.buffer}
-        seen = set()
-        for index in indices:
-            if index not in in_transit:
-                raise ChannelSurgeryError(
-                    f"send index {index} is not in transit"
-                )
-            if index in seen:
-                raise ChannelSurgeryError(
-                    f"send index {index} scheduled twice"
-                )
-            seen.add(index)
-        buffer = tuple(
-            (index, in_transit[index]) for index in indices
-        )
-        return BoundedChannelState(
-            state.counter1,
-            state.counter2,
-            buffer,
-            state.dropped,
-            state.counter1,
-            tuple(indices),
-            state.plan,
-        )

@@ -27,7 +27,8 @@ exactly.
 
 The seeded generators (:func:`random_lossy_fifo`,
 :func:`random_reordering`) fix ``S`` the way the paper does: only as far
-as a schedule has consumed it.  Their sets draw from the seed block by
+as a schedule has consumed it.  A seeded adversary is a channel start
+state holding one of their sets.  Their sets draw from the seed block by
 block, on demand: :meth:`DeliverySet.source_of` draws until slot ``j``
 is covered, so a run pays for the receive slots it reads, not for the
 whole horizon.  Anything that needs the whole value (``prefix``,
@@ -339,11 +340,15 @@ class DeliverySet:
 
 
 # ----------------------------------------------------------------------
-# Scripted generators used by the simulation harness
+# Seeded generators: the adversaries of simulations and fuzz runs
 # ----------------------------------------------------------------------
 
 #: Send indices in the first block of a lossy FIFO draw.
 _FIFO_BLOCK = 64
+
+#: The default horizon, larger than any simulated run: the sets are drawn
+#: on demand, so a run pays only for the slots it receives.
+DEFAULT_HORIZON = 100_000
 
 
 def _check_parameters(loss_rate: float, horizon: int) -> None:
@@ -354,7 +359,7 @@ def _check_parameters(loss_rate: float, horizon: int) -> None:
 
 
 def random_lossy_fifo(
-    seed: int, loss_rate: float, horizon: int
+    seed: int, loss_rate: float, horizon: int = DEFAULT_HORIZON
 ) -> DeliverySet:
     """A monotone delivery set losing each send independently w.p. ``loss_rate``.
 
@@ -383,7 +388,7 @@ def _lossy_fifo_blocks(
 
 
 def random_reordering(
-    seed: int, loss_rate: float, window: int, horizon: int
+    seed: int, loss_rate: float, window: int, horizon: int = DEFAULT_HORIZON
 ) -> DeliverySet:
     """A (generally non-monotone) delivery set with bounded reordering.
 

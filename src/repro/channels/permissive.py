@@ -12,6 +12,13 @@ have no effect.  All outputs form a single task.
 ``PermissiveFifoChannel`` is ``C-hat``: identical, but its delivery set is
 required to be monotone, which makes it a FIFO physical channel.
 
+The automata take no adversary: ``S`` is part of the start state
+(Section 6.1), and :meth:`initial_state` is the FIFO, loss-free one.  A
+seeded adversary is a :class:`PermissiveChannelState` carrying a seeded
+set (:func:`~repro.channels.delivery_set.random_lossy_fifo`,
+:func:`~repro.channels.delivery_set.random_reordering`), which
+:meth:`~repro.sim.network.DataLinkSystem.started` puts on a system.
+
 The paper resolves the channel's start-state nondeterminism (the choice
 of ``S``) *retroactively*: Lemmas 6.3 and 6.5-6.7 argue that a given
 schedule "can leave" the channel in a state with a rewritten delivery
@@ -141,28 +148,17 @@ class PermissiveChannelState:
 class PermissiveChannel(Automaton):
     """The universal (non-FIFO) physical channel ``C-bar^{src,dst}``.
 
-    The start state's delivery set defaults to FIFO/no-loss but may be
-    any delivery set (the paper's arbitrary initial ``S``), given here
-    or in a start state built outside.  ``receives`` is the
-    :class:`~repro.channels.actions.ReceiveActions` the channel
-    enumerates its deliveries through.
+    The start state's delivery set is FIFO/no-loss; any other start (the
+    paper's arbitrary initial ``S``) is a state built outside.
+    ``receives`` is the :class:`~repro.channels.actions.ReceiveActions`
+    the channel enumerates its deliveries through.
     """
 
     fifo_only = False
 
-    def __init__(
-        self,
-        src: str,
-        dst: str,
-        initial_delivery: Optional[DeliverySet] = None,
-        name: Optional[str] = None,
-    ):
+    def __init__(self, src: str, dst: str, name: Optional[str] = None):
         self.src = src
         self.dst = dst
-        self._initial_delivery = (
-            DeliverySet.fifo() if initial_delivery is None else initial_delivery
-        )
-        self._validate_delivery(self._initial_delivery)
         self._signature = physical_layer_signature(src, dst)
         self._direction = (src, dst)
         self.receives = ReceiveActions(src, dst)
@@ -170,7 +166,9 @@ class PermissiveChannel(Automaton):
 
     # ------------------------------------------------------------------
 
-    def _validate_delivery(self, delivery: DeliverySet) -> None:
+    def check_delivery(self, delivery: DeliverySet) -> None:
+        """Reject a delivery set this channel may not hold: a FIFO
+        channel's must be monotone (Section 6.2)."""
         if self.fifo_only and not delivery.is_monotone():
             raise DeliverySetError(
                 "a FIFO physical channel requires a monotone delivery set"
@@ -181,7 +179,7 @@ class PermissiveChannel(Automaton):
         return self._signature
 
     def initial_state(self) -> PermissiveChannelState:
-        return PermissiveChannelState(delivery=self._initial_delivery)
+        return PermissiveChannelState()
 
     def transitions(
         self, state: PermissiveChannelState, action: Action
@@ -257,7 +255,7 @@ class PermissiveChannel(Automaton):
             raise ChannelSurgeryError(
                 f"rewrite changes already-consumed slot {j}"
             )
-        self._validate_delivery(delivery)
+        self.check_delivery(delivery)
         return PermissiveChannelState(
             state.counter1, state.counter2, state.sent, delivery
         )

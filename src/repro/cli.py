@@ -68,8 +68,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .analysis import check_datalink_trace, measure_header_growth
 from .channels import (
     DeliverySetError,
-    lossy_fifo_channel,
-    reordering_channel,
+    PermissiveChannelState,
+    random_lossy_fifo,
+    random_reordering,
 )
 from .datalink import (
     check_crashing,
@@ -103,10 +104,11 @@ from .protocols import (
     stenning_protocol,
 )
 from .sim import (
-    DataLinkSystem,
     FaultPlan,
     Session,
+    fifo_system,
     generate_script,
+    permissive_system,
 )
 
 #: name -> (factory taking an optional integer parameter, description)
@@ -355,15 +357,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     protocol = resolve_protocol(args.protocol)
     if args.reorder > 1:
-        build = lambda src, dst, seed: reordering_channel(  # noqa: E731
-            src, dst, seed=seed, loss_rate=args.loss, window=args.reorder
+        system = permissive_system(protocol)
+        delivery = lambda seed: random_reordering(  # noqa: E731
+            seed, args.loss, args.reorder
         )
     else:
-        build = lambda src, dst, seed: lossy_fifo_channel(  # noqa: E731
-            src, dst, seed=seed, loss_rate=args.loss
-        )
+        system = fifo_system(protocol)
+        delivery = lambda seed: random_lossy_fifo(seed, args.loss)  # noqa: E731
     try:
-        channels = build("t", "r", args.seed), build("r", "t", args.seed + 1)
+        system = system.started(
+            PermissiveChannelState(delivery=delivery(args.seed)),
+            PermissiveChannelState(delivery=delivery(args.seed + 1)),
+        )
     except DeliverySetError as exc:
         report = RunReport(
             command="simulate",
@@ -372,7 +377,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             details={"protocol": args.protocol, "error": str(exc)},
         )
         return _emit(args, report, [f"bad channel parameters: {exc}"])
-    system = DataLinkSystem.build(protocol, *channels)
     plan = FaultPlan(
         messages=args.messages,
         crash_probability=0.15 if args.crashes else 0.0,

@@ -184,10 +184,8 @@ def build_system(
     """
     system, start = resolved or resolve_pair(protocol_name, channel_name)
     knobs = (config.loss_rate, config.reorder_window, config.horizon, config.capacity)
-    system = replace(
-        system,
-        start=system.composition.initial_state()[:2]
-        + (start(subseeds.channel_tr, *knobs), start(subseeds.channel_rt, *knobs)),
+    system = system.started(
+        start(subseeds.channel_tr, *knobs), start(subseeds.channel_rt, *knobs)
     )
     if config.init_mode == "arbitrary":
         system = replace(system, start=corrupt_initial_state(system, subseeds))

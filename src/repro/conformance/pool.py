@@ -607,7 +607,7 @@ def run_partitioned(
     # whereas the executor fails every pending future with
     # BrokenProcessPool -- which is what makes crash containment
     # possible at all.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     def _make_executor(max_workers: Optional[int] = None) -> ProcessPoolExecutor:
@@ -627,15 +627,25 @@ def run_partitioned(
         for offset, subseeds in enumerate(batch):
             yield outcome(index=start + offset, subseeds=subseeds, error=message)
 
-    def _pooled() -> Iterator[Outcome]:
-        pool = executor
-        futures = {
-            number: pool.submit(_pool_batch, batch)
-            for number, batch in enumerate(batches)
-        }
+    def _submit(pool: ProcessPoolExecutor, batch: Tuple) -> Optional[Future]:
+        """``batch``'s future on ``pool``, or None if the pool broke first."""
         try:
+            return pool.submit(_pool_batch, batch)
+        except BrokenProcessPool:
+            return None
+
+    def _pooled() -> Iterator[Outcome]:
+        pools = [executor]
+        try:
+            # A worker can die while batches are still being submitted,
+            # which breaks the pool for every later ``submit``: such a
+            # batch has no future and is contained like one whose
+            # ``result()`` saw the break.
+            futures = [_submit(executor, batch) for batch in batches]
             for number, (start, batch) in enumerate(batches):
                 try:
+                    if futures[number] is None:
+                        raise BrokenProcessPool("pool broke before submission")
                     yield from futures[number].result()
                 except BrokenProcessPool:
                     # A worker died mid-batch.  The in-worker containment
@@ -650,15 +660,13 @@ def run_partitioned(
                     # so a retry failure pins the crash on exactly this
                     # batch, while an innocent batch re-executes cleanly
                     # (items are pure, so the do-over is byte-identical).
-                    pool = _make_executor()
+                    pools.append(_make_executor())
                     for later in range(number + 1, len(batches)):
                         future = futures[later]
-                        if not (
+                        if future is None or not (
                             future.done() and future.exception() is None
                         ):
-                            futures[later] = pool.submit(
-                                _pool_batch, batches[later]
-                            )
+                            futures[later] = _submit(pools[-1], batches[later])
                     try:
                         retry = _make_executor(max_workers=1)
                         try:
@@ -680,10 +688,13 @@ def run_partitioned(
         finally:
             # By the time we get here every yielded batch has been
             # consumed (or the master is aborting), so waiting is
-            # cheap -- and skipping the wait leaves the executor's
+            # cheap -- and skipping the wait leaves an executor's
             # wakeup pipe to be torn down at interpreter exit, which
             # races the atexit hook into "Bad file descriptor" noise.
-            pool.shutdown(wait=True, cancel_futures=True)
+            # Every pool this campaign built is shut down, the broken
+            # ones included, so no worker outlives it.
+            for pool in pools:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     return _tallied(_pooled()), info
 

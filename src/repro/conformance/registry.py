@@ -7,10 +7,12 @@ them mid-campaign, so a campaign is fully described by two registry
 names plus a seed).  Channel entries are
 :class:`ChannelFamily` pairs: a seed-free directed channel automaton,
 built once per campaign, and the seeded start state a run puts it in
-(the paper's start-state choice, Section 2.2).  The permissive
-families realize the paper's C-hat (FIFO) and C-bar (non-FIFO) with a
-seeded delivery set in that start state, so the channel adversary
-replays exactly.
+(the paper's start-state choice, Section 2.2), through
+:meth:`~repro.sim.network.DataLinkSystem.started` like every other
+seeded caller.  The permissive families realize the paper's C-hat
+(FIFO) and C-bar (non-FIFO) with a seeded delivery set in that start
+state, and the bounded family with a seeded :class:`BoundedPlan`, so the
+channel adversary replays exactly.
 
 Names are normalized (``-`` and ``_`` interchangeable), matching the
 ``repro fuzz --protocol/--channel`` CLI flags.

@@ -6,8 +6,9 @@ that is not decidable, but the permissive channels are universal
 behavior of ``C-bar``), so checking a protocol against many seeded
 delivery sets covers the space of channel behaviors up to the horizon.
 
-The harness runs a protocol over batches of seeded channels and fault
-scripts and checks every resulting fair behavior against ``DL`` or
+The harness composes a protocol with its channels once per batch, starts
+that system from a seeded pair of channel states per seed, runs a fault
+script and checks every resulting fair behavior against ``DL`` or
 ``WDL``.  A single failing behavior refutes correctness; passing runs
 are evidence (not proof) of it -- the repository's positive controls.
 """
@@ -18,10 +19,16 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
 from ..ioa.actions import Action
+from ..ioa.automaton import State
 from ..ioa.schedule_module import ModuleVerdict
-from ..channels.scripted import lossy_fifo_channel, reordering_channel
+from ..channels.delivery_set import (
+    DeliverySet,
+    random_lossy_fifo,
+    random_reordering,
+)
+from ..channels.permissive import PermissiveChannelState
 from ..sim.faults import FaultPlan, generate_script
-from ..sim.network import DataLinkSystem
+from ..sim.network import DataLinkSystem, fifo_system, permissive_system
 from ..sim.session import Session
 from .modules import dl_module, wdl_module
 from .protocol import DataLinkProtocol
@@ -52,16 +59,18 @@ class CorrectnessReport:
 
 
 def check_protocol(
-    protocol: DataLinkProtocol,
-    channel_builder: Callable[[str, str, int], object],
+    system: DataLinkSystem,
+    starts: Callable[[int], Tuple[State, State]],
     seeds: Sequence[int] = tuple(range(10)),
     messages: int = 10,
     weak: bool = False,
     max_steps: int = 200_000,
 ) -> CorrectnessReport:
-    """Run the protocol over seeded channels and check each behavior.
+    """Run a composed system from seeded channel starts and check each
+    behavior.
 
-    ``channel_builder(src, dst, seed)`` constructs one physical channel.
+    ``starts(seed)`` is the ``(t->r, r->t)`` pair of channel start
+    states one run begins in (:meth:`DataLinkSystem.started`).
     ``weak`` selects the ``WDL`` module instead of ``DL``.  Liveness
     (DL8) is only asserted on quiescent runs; a non-quiescent run is
     checked for safety and recorded as failing if it additionally ran
@@ -69,21 +78,15 @@ def check_protocol(
     """
     module_factory = wdl_module if weak else dl_module
     report = CorrectnessReport(
-        protocol.name,
+        system.protocol.name,
         module_factory("t", "r").name,
         runs=len(seeds),
     )
     for seed in seeds:
-        system = DataLinkSystem.build(
-            protocol,
-            channel_builder("t", "r", seed),
-            channel_builder("r", "t", seed + 7919),
-        )
-        script = generate_script(
-            system, FaultPlan(messages=messages, seed=seed)
-        )
+        run = system.started(*starts(seed))
+        script = generate_script(run, FaultPlan(messages=messages, seed=seed))
         result = Session(
-            system, tuple(script.actions), seed=seed, max_steps=max_steps
+            run, tuple(script.actions), seed=seed, max_steps=max_steps
         ).run()
         module = module_factory("t", "r", quiescent=result.quiescent)
         verdict = module.check(result.behavior)
@@ -96,6 +99,17 @@ def check_protocol(
     return report
 
 
+def _seeded_starts(
+    delivery: Callable[[int], DeliverySet]
+) -> Callable[[int], Tuple[State, State]]:
+    """Per-seed channel starts: ``delivery(seed)`` on t->r and
+    ``delivery(seed + 7919)`` on r->t."""
+    return lambda seed: (
+        PermissiveChannelState(delivery=delivery(seed)),
+        PermissiveChannelState(delivery=delivery(seed + 7919)),
+    )
+
+
 def check_over_lossy_fifo(
     protocol: DataLinkProtocol,
     loss_rate: float = 0.3,
@@ -106,10 +120,8 @@ def check_over_lossy_fifo(
 ) -> CorrectnessReport:
     """Correctness over seeded lossy FIFO channels."""
     return check_protocol(
-        protocol,
-        lambda src, dst, seed: lossy_fifo_channel(
-            src, dst, seed=seed, loss_rate=loss_rate
-        ),
+        fifo_system(protocol),
+        _seeded_starts(lambda seed: random_lossy_fifo(seed, loss_rate)),
         seeds=seeds,
         messages=messages,
         weak=weak,
@@ -135,10 +147,8 @@ def check_over_reordering(
     protocols.
     """
     return check_protocol(
-        protocol,
-        lambda src, dst, seed: reordering_channel(
-            src, dst, seed=seed, loss_rate=loss_rate, window=window
-        ),
+        permissive_system(protocol),
+        _seeded_starts(lambda seed: random_reordering(seed, loss_rate, window)),
         seeds=seeds,
         messages=messages,
         weak=weak,

@@ -188,8 +188,10 @@ class Automaton(ABC):
 
         The paper allows a set of start states; automata with genuinely
         nondeterministic starts (the channels, whose delivery set or
-        plan is arbitrary) return a default one, and callers that need
-        another pass it in (``DataLinkSystem.start``, ``initial_state=``).
+        plan is arbitrary) return a default one (FIFO and loss-free),
+        and take no adversary of their own.  A caller that needs another
+        start passes it in: ``DataLinkSystem.started`` for a pair of
+        seeded channel states, ``initial_state=`` elsewhere.
         """
 
     @abstractmethod

@@ -3,14 +3,16 @@
 ``DataLinkSystem`` wires a data link protocol ``A = (A^t, A^r)`` to two
 physical channels and hides the packet actions, producing the automaton
 ``D'(A) = hide_Phi(A^t x A^r x C^{t,r} x C^{r,t})`` whose external actions
-are exactly the data-link-layer actions.  It also exposes the channel
-states for the adversary surgeries of Section 6.3, which is how the
-impossibility engines manipulate executions.
+are exactly the data-link-layer actions.  The channel automata are
+seed-free; a seeded adversary is a pair of channel start states, which
+:meth:`DataLinkSystem.started` puts on a system.  It also exposes the
+channel states for the adversary surgeries of Section 6.3, which is how
+the impossibility engines manipulate executions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from ..alphabets import Message
@@ -48,8 +50,10 @@ class DataLinkSystem:
     The composed state is the 4-tuple (transmitter, receiver, channel
     t->r, channel r->t).  ``automaton`` is the hidden composition
     ``D'(A)`` whose behaviors are data-link-layer behaviors.  ``start``,
-    if set, is the start state (Section 2.2) a fuzz run begins in; see
-    :func:`~repro.conformance.harness.build_system`.
+    if set, is the start state (Section 2.2) a run begins in: seeded
+    channels (:meth:`started`) or, under a fuzz campaign's arbitrary
+    init mode, a corrupted start
+    (:func:`~repro.conformance.harness.build_system`).
     """
 
     t: str
@@ -109,6 +113,26 @@ class DataLinkSystem:
         if self.start is not None:
             return self.start
         return self.composition.initial_state()
+
+    def started(self, channel_tr: State, channel_rt: State) -> "DataLinkSystem":
+        """This system, sharing its automata, with its channels starting
+        in ``channel_tr`` and ``channel_rt`` and its stations in their
+        own start states.
+
+        This is where a channel adversary enters a system: the paper
+        puts ``C-bar``'s delivery set in its start state (Section 6.1).
+        A FIFO channel's set must be monotone (Section 6.2), else this
+        raises ``DeliverySetError``; a seeded monotone set answers that
+        without being drawn.
+        """
+        for channel, state in (
+            (self.channel_tr, channel_tr),
+            (self.channel_rt, channel_rt),
+        ):
+            if channel.fifo_only:
+                channel.check_delivery(state.delivery)
+        stations = self.composition.initial_state()[:CHANNEL_TR]
+        return replace(self, start=stations + (channel_tr, channel_rt))
 
     def host_state(self, state: State, station: str) -> HostState:
         """The protocol automaton state at station ``t`` or ``r``."""

@@ -5,16 +5,17 @@ from __future__ import annotations
 from repro.alphabets import Message, MessageFactory, Packet
 from repro.analysis import render_fragment, render_msc
 from repro.channels import (
+    PermissiveChannelState,
     crash,
     fail,
-    lossy_fifo_channel,
+    random_lossy_fifo,
     receive_pkt,
     send_pkt,
     wake,
 )
 from repro.datalink import receive_msg, send_msg
 from repro.protocols import alternating_bit_protocol
-from repro.sim import DataLinkSystem
+from repro.sim import fifo_system
 
 M1 = Message(1)
 
@@ -61,10 +62,9 @@ class TestRenderMsc:
         assert "fail" in text and "CRASH" in text
 
     def test_full_run_renders(self):
-        system = DataLinkSystem.build(
-            alternating_bit_protocol(),
-            lossy_fifo_channel("t", "r", seed=1, loss_rate=0.4),
-            lossy_fifo_channel("r", "t", seed=2, loss_rate=0.4),
+        system = fifo_system(alternating_bit_protocol()).started(
+            PermissiveChannelState(delivery=random_lossy_fifo(1, 0.4)),
+            PermissiveChannelState(delivery=random_lossy_fifo(2, 0.4)),
         )
         factory = MessageFactory()
         fragment = system.run_fair(

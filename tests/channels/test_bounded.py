@@ -13,7 +13,6 @@ from repro.alphabets import Packet
 from repro.channels import (
     BoundedChannel,
     BoundedChannelState,
-    ChannelSurgeryError,
     receive_pkt,
     send_pkt,
 )
@@ -24,9 +23,15 @@ def packets(n):
     return [Packet(f"h{i}", (), uid=i) for i in range(1, n + 1)]
 
 
-def loaded_channel(channel, n, deliver=0):
-    """Channel with n sends and up to ``deliver`` deliveries performed."""
-    state = channel.initial_state()
+def started(**plan):
+    """A start state carrying ``BoundedPlan(**plan)``."""
+    return BoundedChannelState(plan=BoundedPlan(**plan))
+
+
+def loaded_channel(channel, n, deliver=0, start=None):
+    """Channel with n sends and up to ``deliver`` deliveries performed,
+    from ``start`` (the channel's own start state if None)."""
+    state = channel.initial_state() if start is None else start
     for packet in packets(n):
         state = channel.step(state, send_pkt("t", "r", packet))
     for _ in range(deliver):
@@ -40,21 +45,21 @@ def loaded_channel(channel, n, deliver=0):
 class TestBasics:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            BoundedChannel("t", "r", capacity=0)
+            BoundedPlan(capacity=0)
 
     def test_loss_rate_must_be_sub_unit(self):
         with pytest.raises(ValueError):
-            BoundedChannel("t", "r", loss_rate=1.0)
+            BoundedPlan(loss_rate=1.0)
 
     def test_initial_state_is_clean_and_empty(self):
         channel = BoundedChannel("t", "r")
         state = channel.initial_state()
-        assert state.is_clean()
+        assert state.plan == BoundedPlan()
         assert state.occupancy() == 0
         assert channel.deliverable(state) is None
 
     def test_lossless_fifo_when_unconfigured(self):
-        channel = BoundedChannel("t", "r", capacity=8)
+        channel = BoundedChannel("t", "r")
         state = loaded_channel(channel, 3)
         order = []
         while channel.deliverable(state) is not None:
@@ -64,8 +69,8 @@ class TestBasics:
         assert order == [1, 2, 3]
 
     def test_overflow_drops_and_counts(self):
-        channel = BoundedChannel("t", "r", capacity=2)
-        state = loaded_channel(channel, 5)
+        channel = BoundedChannel("t", "r")
+        state = loaded_channel(channel, 5, start=started(capacity=2))
         assert state.occupancy() == 2
         assert state.dropped == 3
         assert state.counter1 == 5
@@ -73,18 +78,18 @@ class TestBasics:
     def test_plan_losses_are_not_overflow_drops(self):
         # With certain loss on index 1 (seed chosen so the first draw
         # loses), the packet vanishes without touching ``dropped``.
-        channel = BoundedChannel("t", "r", seed=0, loss_rate=0.999)
+        channel = BoundedChannel("t", "r")
         state = channel.step(
-            channel.initial_state(), send_pkt("t", "r", packets(1)[0])
+            started(seed=0, loss_rate=0.999, horizon=1024),
+            send_pkt("t", "r", packets(1)[0]),
         )
         assert state.occupancy() == 0
         assert state.dropped == 0
         assert state.counter1 == 1
 
     def test_same_seed_same_plan(self):
-        a = BoundedChannel("t", "r", seed=9, loss_rate=0.4, reorder_window=3)
-        b = BoundedChannel("t", "r", seed=9, loss_rate=0.4, reorder_window=3)
-        a_plan, b_plan = a.initial_state().plan, b.initial_state().plan
+        knobs = dict(seed=9, loss_rate=0.4, reorder_window=3, horizon=1024)
+        a_plan, b_plan = started(**knobs).plan, started(**knobs).plan
         assert a_plan.verdicts == b_plan.verdicts
 
     def test_channel_is_declared_non_fifo(self):
@@ -118,17 +123,16 @@ class TestPlanInState:
         assert channel.step(keep, send).occupancy() == 1
         assert channel.step(lose, send).occupancy() == 0
 
-    def test_steps_and_surgeries_carry_the_plan(self):
-        channel = BoundedChannel("t", "r", seed=3, loss_rate=0.3, reorder_window=3)
-        plan = channel.initial_state().plan
-        state = loaded_channel(channel, 6, deliver=2)
-        assert state.plan is plan
-        assert channel.make_clean(state).plan is plan
-        assert channel.with_waiting(state, state.in_transit_indices()).plan is plan
+    def test_steps_carry_the_plan(self):
+        start = started(seed=3, loss_rate=0.3, reorder_window=3, horizon=1024)
+        state = loaded_channel(BoundedChannel("t", "r"), 6, 2, start)
+        assert state.plan is start.plan
 
     def test_plan_survives_pickling(self):
         state = loaded_channel(
-            BoundedChannel("t", "r", seed=5, loss_rate=0.3, capacity=3), 4
+            BoundedChannel("t", "r"),
+            4,
+            start=started(seed=5, loss_rate=0.3, horizon=1024, capacity=3),
         )
         shipped = pickle.dumps(state)
         loaded = pickle.loads(shipped)
@@ -138,60 +142,6 @@ class TestPlanInState:
         # The plan travels as its fields and draws its verdicts anew.
         assert b"verdicts" not in shipped
         assert loaded.plan.verdicts == state.plan.verdicts
-
-
-class TestSurgeries:
-    def test_make_clean_empties_and_stays_fifo(self):
-        channel = BoundedChannel(
-            "t", "r", seed=3, loss_rate=0.5, reorder_window=4
-        )
-        state = channel.make_clean(loaded_channel(channel, 6))
-        assert state.is_clean()
-        assert channel.deliverable(state) is None
-        # Post-surgery sends bypass the loss/reorder plan entirely.
-        state = channel.step(state, send_pkt("t", "r", Packet("n", (), uid=99)))
-        deliverable = channel.deliverable(state)
-        assert deliverable is not None and deliverable[1].uid == 99
-
-    def test_make_clean_is_idempotent(self):
-        channel = BoundedChannel("t", "r", seed=3, reorder_window=4)
-        state = channel.make_clean(loaded_channel(channel, 4))
-        assert channel.make_clean(state) == state
-
-    def test_with_waiting_forces_exact_order(self):
-        channel = BoundedChannel("t", "r", capacity=8, reorder_window=2, seed=1)
-        state = loaded_channel(channel, 5)
-        transit = list(state.in_transit_indices())
-        chosen = [transit[-1], transit[0]]
-        surgered = channel.with_waiting(state, chosen)
-        order = []
-        while channel.deliverable(surgered) is not None:
-            _, packet = channel.deliverable(surgered)
-            order.append(packet.uid)
-            surgered = channel.step(
-                surgered, receive_pkt("t", "r", packet)
-            )
-        assert order == chosen
-        assert surgered.is_clean()
-
-    def test_with_waiting_rejects_unsent_index(self):
-        channel = BoundedChannel("t", "r", capacity=8)
-        state = loaded_channel(channel, 2)
-        with pytest.raises(ChannelSurgeryError):
-            channel.with_waiting(state, [7])
-
-    def test_with_waiting_rejects_duplicates(self):
-        channel = BoundedChannel("t", "r", capacity=8)
-        state = loaded_channel(channel, 3)
-        with pytest.raises(ChannelSurgeryError):
-            channel.with_waiting(state, [2, 2])
-
-    def test_empty_waiting_equals_clean(self):
-        channel = BoundedChannel("t", "r", capacity=8)
-        state = loaded_channel(channel, 3)
-        cleaned = channel.with_waiting(state, [])
-        assert cleaned.is_clean()
-        assert cleaned.buffer == channel.make_clean(state).buffer
 
 
 # ----------------------------------------------------------------------
@@ -211,19 +161,17 @@ def bounded_runs(draw):
     capacity = draw(st.integers(1, 5))
     loss = draw(st.sampled_from([0.0, 0.2, 0.5]))
     window = draw(st.integers(1, 6))
-    channel = BoundedChannel(
-        "t",
-        "r",
+    channel = BoundedChannel("t", "r")
+    moves = draw(
+        st.lists(st.sampled_from(["send", "deliver"]), max_size=30)
+    )
+    state = started(
         seed=seed,
         loss_rate=loss,
         reorder_window=window,
         capacity=capacity,
         horizon=32,
     )
-    moves = draw(
-        st.lists(st.sampled_from(["send", "deliver"]), max_size=30)
-    )
-    state = channel.initial_state()
     trajectory = [state]
     sent = []
     delivered = []
@@ -250,8 +198,8 @@ class TestBoundedProperties:
     @given(bounded_runs())
     @settings(max_examples=80, deadline=None)
     def test_capacity_is_a_hard_invariant(self, run):
-        channel, trajectory, _, _ = run
-        capacity = channel.initial_state().plan.capacity
+        _, trajectory, _, _ = run
+        capacity = trajectory[0].plan.capacity
         for state in trajectory:
             assert state.occupancy() <= capacity
 
@@ -274,39 +222,3 @@ class TestBoundedProperties:
         # losses and overflow drops).
         lost = final.counter1 - final.occupancy() - final.counter2
         assert lost >= final.dropped >= 0
-
-    @given(bounded_runs())
-    @settings(max_examples=60, deadline=None)
-    def test_make_clean_closed_under_random_states(self, run):
-        channel, trajectory, _, _ = run
-        for state in trajectory[:: max(1, len(trajectory) // 5)]:
-            cleaned = channel.make_clean(state)
-            assert cleaned.is_clean()
-            assert channel.make_clean(cleaned) == cleaned
-            assert cleaned.counter1 == state.counter1
-            assert cleaned.counter2 == state.counter2
-
-    @given(bounded_runs(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_with_waiting_closed_under_random_states(self, run, data):
-        channel, trajectory, _, _ = run
-        state = trajectory[-1]
-        transit = list(state.in_transit_indices())
-        chosen = data.draw(st.permutations(transit))
-        keep = data.draw(st.integers(0, len(chosen)))
-        indices = list(chosen[:keep])
-        surgered = channel.with_waiting(state, indices)
-        capacity = channel.initial_state().plan.capacity
-        assert surgered.occupancy() == len(indices) <= capacity
-        # Exactly the chosen sends deliver, in the forced order, and
-        # the drained channel is clean: loss and reordering are closed
-        # under the surgery (the adversary plan no longer applies).
-        order = []
-        while channel.deliverable(surgered) is not None:
-            index, packet = channel.deliverable(surgered)
-            order.append(index)
-            surgered = channel.step(
-                surgered, receive_pkt("t", "r", packet)
-            )
-        assert order == indices
-        assert surgered.is_clean()

@@ -14,6 +14,7 @@ from repro.alphabets import Packet
 from repro.channels import (
     DeliverySet,
     PermissiveChannel,
+    PermissiveChannelState,
     PermissiveFifoChannel,
     pl_fifo_module,
     pl_module,
@@ -27,9 +28,13 @@ from repro.ioa import ExecutionFragment, fair_extension
 T, R = "t", "r"
 
 
-def drive_channel(channel, count, interleave_delivery=True):
-    """Send ``count`` packets, letting the channel deliver fairly."""
-    fragment = ExecutionFragment.initial(channel.initial_state())
+def drive_channel(channel, count, delivery=None):
+    """Send ``count`` packets, letting the channel deliver fairly from
+    the start state holding ``delivery`` (FIFO, loss-free if None)."""
+    start = channel.initial_state()
+    if delivery is not None:
+        start = PermissiveChannelState(delivery=delivery)
+    fragment = ExecutionFragment.initial(start)
     inputs = [wake(T, R)] + [
         send_pkt(T, R, Packet(f"h{i}", (), uid=i))
         for i in range(1, count + 1)
@@ -78,10 +83,8 @@ class TestLemma61:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cbar_solves_pl(self, seed):
-        channel = PermissiveChannel(
-            T, R, initial_delivery=random_reordering(seed, 0.3, 4, 100)
-        )
-        fragment = drive_channel(channel, 10)
+        channel = PermissiveChannel(T, R)
+        fragment = drive_channel(channel, 10, random_reordering(seed, 0.3, 4, 100))
         behavior = fragment.behavior(channel.signature)
         assert pl_module(T, R).contains(behavior)
 
@@ -89,18 +92,14 @@ class TestLemma61:
     def test_chat_solves_pl_fifo(self, seed):
         from repro.channels.delivery_set import random_lossy_fifo
 
-        channel = PermissiveFifoChannel(
-            T, R, initial_delivery=random_lossy_fifo(seed, 0.3, 100)
-        )
-        fragment = drive_channel(channel, 10)
+        channel = PermissiveFifoChannel(T, R)
+        fragment = drive_channel(channel, 10, random_lossy_fifo(seed, 0.3, 100))
         behavior = fragment.behavior(channel.signature)
         assert pl_fifo_module(T, R).contains(behavior)
 
     def test_cbar_reordering_behavior_still_in_pl(self):
-        channel = PermissiveChannel(
-            T, R, initial_delivery=DeliverySet((2, 1), 2)
-        )
-        fragment = drive_channel(channel, 2)
+        channel = PermissiveChannel(T, R)
+        fragment = drive_channel(channel, 2, DeliverySet((2, 1), 2))
         behavior = fragment.behavior(channel.signature)
         assert pl_module(T, R).contains(behavior)
         assert not pl_fifo_module(T, R).contains(behavior)
@@ -123,9 +122,9 @@ class TestLemma62:
     )
     def test_target_schedule_realized(self, pairs):
         delivery = DeliverySet.from_pairs(pairs)
-        channel = PermissiveChannel(T, R, initial_delivery=delivery)
+        channel = PermissiveChannel(T, R)
         pkts = {i: Packet(f"h{i}", (), uid=i) for i in range(1, 4)}
-        state = channel.initial_state()
+        state = PermissiveChannelState(delivery=delivery)
         for i in sorted(pkts):
             state = channel.step(state, send_pkt(T, R, pkts[i]))
         received = []

@@ -22,6 +22,8 @@ from repro.channels import (
     fail,
     crash,
 )
+from repro.protocols import alternating_bit_protocol
+from repro.sim import fifo_system
 
 
 def packets(n):
@@ -93,20 +95,18 @@ class TestBasics:
 
     def test_lossy_delivery_set(self):
         # Delivery set skipping send 1: first delivery is packet 2.
-        channel = PermissiveChannel(
-            "t", "r", initial_delivery=DeliverySet((2,), 1)
-        )
+        channel = PermissiveChannel("t", "r")
+        start = PermissiveChannelState(delivery=DeliverySet((2,), 1))
         pkts = packets(2)
-        state = send_all(channel, channel.initial_state(), pkts)
+        state = send_all(channel, start, pkts)
         (action,) = list(channel.enabled_local_actions(state))
         assert action.payload == pkts[1]
 
     def test_reordering_delivery_set(self):
-        channel = PermissiveChannel(
-            "t", "r", initial_delivery=DeliverySet((2, 1), 2)
-        )
+        channel = PermissiveChannel("t", "r")
+        start = PermissiveChannelState(delivery=DeliverySet((2, 1), 2))
         pkts = packets(2)
-        state = send_all(channel, channel.initial_state(), pkts)
+        state = send_all(channel, start, pkts)
         (first,) = list(channel.enabled_local_actions(state))
         assert first.payload == pkts[1]
         state = channel.step(state, first)
@@ -115,10 +115,9 @@ class TestBasics:
 
     def test_stalled_delivery_waits_for_future_send(self):
         # Slot 1 wants send 3: nothing deliverable until 3 sends happen.
-        channel = PermissiveChannel(
-            "t", "r", initial_delivery=DeliverySet((3, 1, 2), 0)
-        )
-        state = send_all(channel, channel.initial_state(), packets(2))
+        channel = PermissiveChannel("t", "r")
+        start = PermissiveChannelState(delivery=DeliverySet((3, 1, 2), 0))
+        state = send_all(channel, start, packets(2))
         assert state.deliverable() is None
 
     def test_single_task(self, channel):
@@ -144,11 +143,10 @@ class TestStateViews:
         assert state.waiting_sequence() == tuple(pkts)
 
     def test_waiting_sequence_stops_at_unsent(self):
-        channel = PermissiveChannel(
-            "t", "r", initial_delivery=DeliverySet((1, 3, 2), 0)
-        )
+        channel = PermissiveChannel("t", "r")
+        start = PermissiveChannelState(delivery=DeliverySet((1, 3, 2), 0))
         pkts = packets(2)
-        state = send_all(channel, channel.initial_state(), pkts)
+        state = send_all(channel, start, pkts)
         # Slot 2 wants send 3 (unsent): waiting stops after packet 1.
         assert state.waiting_sequence() == (pkts[0],)
 
@@ -157,25 +155,39 @@ class TestStateViews:
 
 
 class TestFifoChannel:
-    def test_rejects_non_monotone_start(self):
-        with pytest.raises(DeliverySetError):
-            PermissiveFifoChannel(
-                "t", "r", initial_delivery=DeliverySet((2, 1), 2)
-            )
+    """A FIFO channel's start is checked where a system is started
+    (``DataLinkSystem.started``), on either channel."""
 
-    def test_rejects_non_monotone_seeded_draw_at_construction(self):
+    @pytest.fixture
+    def system(self):
+        return fifo_system(alternating_bit_protocol())
+
+    def test_rejects_non_monotone_start(self, system):
+        fifo = PermissiveChannelState()
+        bad = PermissiveChannelState(delivery=DeliverySet((2, 1), 2))
+        for starts in ((bad, fifo), (fifo, bad)):
+            with pytest.raises(DeliverySetError, match="monotone"):
+                system.started(*starts)
+
+    def test_rejects_non_monotone_seeded_draw_at_construction(self, system):
         # A seeded set is drawn on demand, but the monotonicity check
-        # still runs when the channel is built, not at the first receive.
+        # still runs when the started system is built, not at the first
+        # receive.
         delivery = random_reordering(0, 0.0, 8, 64)
         assert not random_reordering(0, 0.0, 8, 64).is_monotone()
         with pytest.raises(DeliverySetError, match="monotone"):
-            PermissiveFifoChannel("t", "r", initial_delivery=delivery)
+            system.started(
+                PermissiveChannelState(delivery=delivery), PermissiveChannelState()
+            )
 
-    def test_accepts_monotone_lossy(self):
-        channel = PermissiveFifoChannel(
-            "t", "r", initial_delivery=DeliverySet((2, 4), 2)
-        )
-        assert channel.initial_state().delivery.is_monotone()
+    def test_accepts_monotone_lossy(self, system):
+        start = PermissiveChannelState(delivery=DeliverySet((2, 4), 2))
+        started = system.started(start, start)
+        assert started.initial_state()[2:] == (start, start)
+        # A seeded monotone set passes the check without being drawn.
+        seeded = random_lossy_fifo(0, 0.5, 64)
+        system.started(PermissiveChannelState(delivery=seeded), start)
+        assert "prefix" not in vars(seeded)
 
 
 def scratch_deliverable(state):
@@ -203,8 +215,8 @@ class TestKeptDelivery:
     )
     def test_random_walk(self, seed, delivery):
         rng = random.Random(seed)
-        channel = PermissiveChannel("t", "r", initial_delivery=delivery(seed))
-        state = channel.initial_state()
+        channel = PermissiveChannel("t", "r")
+        state = PermissiveChannelState(delivery=delivery(seed))
         for step in range(200):
             move = rng.random()
             if move < 0.45:

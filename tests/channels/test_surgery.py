@@ -12,6 +12,7 @@ from repro.channels import (
     DeliverySet,
     DeliverySetError,
     PermissiveChannel,
+    PermissiveChannelState,
     PermissiveFifoChannel,
     receive_pkt,
     send_pkt,
@@ -167,13 +168,13 @@ def channel_states(draw, fifo: bool = False):
     loss = draw(st.sampled_from([0.0, 0.2, 0.5]))
     if fifo:
         delivery = random_lossy_fifo(seed, loss, horizon=16)
-        channel = PermissiveFifoChannel("t", "r", initial_delivery=delivery)
+        channel = PermissiveFifoChannel("t", "r")
     else:
         window = draw(st.integers(1, 6))
         delivery = random_reordering(seed, loss, window, horizon=16)
-        channel = PermissiveChannel("t", "r", initial_delivery=delivery)
+        channel = PermissiveChannel("t", "r")
     sends = draw(st.integers(0, 12))
-    state = channel.initial_state()
+    state = PermissiveChannelState(delivery=delivery)
     for packet in packets(sends):
         state = channel.step(state, send_pkt("t", "r", packet))
     deliveries = draw(st.integers(0, sends))

@@ -242,6 +242,43 @@ def test_worker_crash_mid_batch_fails_only_that_batch(monkeypatch):
         assert pooled_run.behavior_length == serial_run.behavior_length
 
 
+@pytest.mark.parametrize("broken_submit", [1, 2])
+def test_broken_pool_at_submit_is_contained(monkeypatch, broken_submit):
+    """A pool that breaks while batches are still being submitted.
+
+    The first executor's ``broken_submit``-th ``submit`` (0-based)
+    raises ``BrokenProcessPool``, as it does once a worker has died.
+    The campaign contains it like a break seen at ``result()``: the
+    unsubmitted batches re-execute, so every run equals the serial
+    campaign, and no worker process outlives it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    config = FuzzConfig(runs=8, shrink=False)
+    serial = fuzz_campaign(PROTOCOL, "perfect", 9, config)
+    _pin_batch_size(monkeypatch, 2)
+    submit = ProcessPoolExecutor.submit
+    submitted = {}
+
+    def breaking_submit(self, *args, **kwargs):
+        first = submitted.setdefault("executor", self)
+        if self is first:
+            submitted["count"] = submitted.get("count", -1) + 1
+            if submitted["count"] == broken_submit:
+                raise BrokenProcessPool("injected break at submit")
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+    pooled = fuzz_campaign(PROTOCOL, "perfect", 9, config, workers=2)
+    assert submitted["count"] >= broken_submit
+    assert pooled.pool["failures"] == 0
+    assert all(run.error is None for run in pooled.runs)
+    assert _fingerprint(pooled) == _fingerprint(serial)
+    assert multiprocessing.active_children() == []
+
+
 def _fuzz_body(config):
     """The fuzz item body for ``run_batch``, as ``run_schedule`` builds it."""
     from repro.conformance.pool import execute_run

@@ -9,7 +9,6 @@ from repro.datalink import (
     check_over_reordering,
     check_protocol,
 )
-from repro.channels import perfect_fifo_channel
 from repro.protocols import (
     alternating_bit_protocol,
     direct_protocol,
@@ -18,6 +17,7 @@ from repro.protocols import (
     spontaneous_protocol,
     stenning_protocol,
 )
+from repro.sim import fifo_system
 
 
 class TestPositiveControls:
@@ -77,9 +77,13 @@ class TestNegativeControls:
         assert not report.ok
 
     def test_spontaneous_protocol_violates_dl5(self):
+        system = fifo_system(spontaneous_protocol())
         report = check_protocol(
-            spontaneous_protocol(),
-            lambda src, dst, seed: perfect_fifo_channel(src, dst),
+            system,
+            lambda seed: (
+                system.channel_tr.initial_state(),
+                system.channel_rt.initial_state(),
+            ),
             seeds=range(2),
             messages=3,
         )

@@ -51,9 +51,10 @@ def test_refutations_never_enumerate_the_composition(monkeypatch):
 def _surgeries(system, state):
     """The state after Lemma 6.3 on both channels, and after Lemmas
     6.5-6.7 schedule the t-channel's packets in transit (reversed
-    where the channel may reorder)."""
+    where the channel may reorder).  None on a bounded channel, which
+    has no surgeries."""
     if not isinstance(system.channel_tr, PermissiveChannel):
-        return [system.clean_channels(state)]
+        return []
     channel = system.channel_state(state, system.t)
     waiting = channel.in_transit_indices()
     if system.channel_tr.fifo_only:

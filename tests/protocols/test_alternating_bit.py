@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alphabets import Message, MessageFactory, Packet
-from repro.channels import lossy_fifo_channel
+from repro.channels import PermissiveChannelState, random_lossy_fifo
 from repro.datalink import dl_module
 from repro.protocols.alternating_bit import (
     AbpReceiver,
     AbpTransmitter,
     alternating_bit_protocol,
 )
-from repro.sim import DataLinkSystem, delivery_stats, fifo_system
+from repro.sim import delivery_stats, fifo_system
 
 from ..conftest import deliver_all
 
@@ -119,10 +119,9 @@ class TestEndToEnd:
     @pytest.mark.parametrize("loss", [0.2, 0.5])
     @pytest.mark.parametrize("seed", range(3))
     def test_delivery_under_loss(self, factory, loss, seed):
-        system = DataLinkSystem.build(
-            alternating_bit_protocol(),
-            lossy_fifo_channel("t", "r", seed=seed, loss_rate=loss),
-            lossy_fifo_channel("r", "t", seed=seed + 50, loss_rate=loss),
+        system = fifo_system(alternating_bit_protocol()).started(
+            PermissiveChannelState(delivery=random_lossy_fifo(seed, loss)),
+            PermissiveChannelState(delivery=random_lossy_fifo(seed + 50, loss)),
         )
         messages = factory.fresh_many(6)
         fragment = deliver_all(system, messages)

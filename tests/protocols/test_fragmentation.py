@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alphabets import Message, MessageFactory, Packet
-from repro.channels import lossy_fifo_channel
+from repro.channels import PermissiveChannelState, random_lossy_fifo
 from repro.datalink import dl_module
 from repro.impossibility import (
     refute_bounded_headers,
@@ -19,7 +19,7 @@ from repro.protocols.fragmentation import (
     fragmenting_protocol,
     fragments_needed,
 )
-from repro.sim import DataLinkSystem, channel_stats, delivery_stats, fifo_system
+from repro.sim import channel_stats, delivery_stats, fifo_system
 
 
 class TestFragmentCount:
@@ -153,10 +153,9 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_delivery_under_loss(self, seed):
-        system = DataLinkSystem.build(
-            fragmenting_protocol(chunk=1, max_fragments=3),
-            lossy_fifo_channel("t", "r", seed=seed, loss_rate=0.3),
-            lossy_fifo_channel("r", "t", seed=seed + 5, loss_rate=0.3),
+        system = fifo_system(fragmenting_protocol(chunk=1, max_fragments=3)).started(
+            PermissiveChannelState(delivery=random_lossy_fifo(seed, 0.3)),
+            PermissiveChannelState(delivery=random_lossy_fifo(seed + 5, 0.3)),
         )
         factory = MessageFactory()
         messages = [factory.fresh(size=s) for s in (2, 0, 3)]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.alphabets import Message, Packet
 from repro.analysis import verify_delivery_order
-from repro.channels import lossy_fifo_channel
+from repro.channels import PermissiveChannelState, random_lossy_fifo
 from repro.datalink import (
     check_crashing,
     check_message_independence,
@@ -21,7 +21,7 @@ from repro.protocols.selective_repeat import (
     SrTransmitter,
     selective_repeat_protocol,
 )
-from repro.sim import DataLinkSystem, delivery_stats, fifo_system
+from repro.sim import delivery_stats, fifo_system
 
 from ..conftest import deliver_all
 
@@ -113,10 +113,9 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_delivery_under_loss(self, seed, factory):
-        system = DataLinkSystem.build(
-            selective_repeat_protocol(3),
-            lossy_fifo_channel("t", "r", seed=seed, loss_rate=0.35),
-            lossy_fifo_channel("r", "t", seed=seed + 41, loss_rate=0.35),
+        system = fifo_system(selective_repeat_protocol(3)).started(
+            PermissiveChannelState(delivery=random_lossy_fifo(seed, 0.35)),
+            PermissiveChannelState(delivery=random_lossy_fifo(seed + 41, 0.35)),
         )
         messages = factory.fresh_many(9)
         fragment = deliver_all(system, messages)

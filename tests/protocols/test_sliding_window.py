@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alphabets import Message, MessageFactory, Packet
-from repro.channels import lossy_fifo_channel
+from repro.channels import PermissiveChannelState, random_lossy_fifo
 from repro.datalink import dl_module
 from repro.protocols.sliding_window import (
     SwReceiver,
     SwTransmitter,
     sliding_window_protocol,
 )
-from repro.sim import DataLinkSystem, delivery_stats, fifo_system
+from repro.sim import delivery_stats, fifo_system
 
 from ..conftest import deliver_all
 
@@ -106,10 +106,9 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_delivery_under_loss(self, seed, factory):
-        system = DataLinkSystem.build(
-            sliding_window_protocol(4),
-            lossy_fifo_channel("t", "r", seed=seed, loss_rate=0.35),
-            lossy_fifo_channel("r", "t", seed=seed + 31, loss_rate=0.35),
+        system = fifo_system(sliding_window_protocol(4)).started(
+            PermissiveChannelState(delivery=random_lossy_fifo(seed, 0.35)),
+            PermissiveChannelState(delivery=random_lossy_fifo(seed + 31, 0.35)),
         )
         messages = factory.fresh_many(10)
         fragment = deliver_all(system, messages)

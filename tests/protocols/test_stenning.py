@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.alphabets import Message, Packet
-from repro.channels import reordering_channel
+from repro.channels import PermissiveChannelState, random_reordering
 from repro.datalink import dl_module, wdl_module
 from repro.protocols.stenning import (
     StenningReceiver,
@@ -13,7 +13,7 @@ from repro.protocols.stenning import (
     modulo_stenning_protocol,
     stenning_protocol,
 )
-from repro.sim import DataLinkSystem, delivery_stats, fifo_system
+from repro.sim import delivery_stats, fifo_system, permissive_system
 
 from ..conftest import deliver_all
 
@@ -90,14 +90,9 @@ class TestEndToEnd:
     def test_weakly_correct_over_reordering(self, seed, factory):
         """The positive counterpart of Theorem 8.5: unbounded headers
         tolerate arbitrary reordering."""
-        system = DataLinkSystem.build(
-            stenning_protocol(),
-            reordering_channel(
-                "t", "r", seed=seed, loss_rate=0.25, window=6
-            ),
-            reordering_channel(
-                "r", "t", seed=seed + 17, loss_rate=0.25, window=6
-            ),
+        system = permissive_system(stenning_protocol()).started(
+            PermissiveChannelState(delivery=random_reordering(seed, 0.25, 6)),
+            PermissiveChannelState(delivery=random_reordering(seed + 17, 0.25, 6)),
         )
         messages = factory.fresh_many(8)
         fragment = deliver_all(system, messages)

@@ -6,8 +6,11 @@ import pytest
 
 from repro.alphabets import MessageFactory
 from repro.channels import (
+    DeliverySet,
     PermissiveChannel,
+    PermissiveChannelState,
     PermissiveFifoChannel,
+    random_lossy_fifo,
     receive_pkt,
     send_pkt,
 )
@@ -53,6 +56,31 @@ class TestConstruction:
         actual = system.automaton.signature
         assert actual.inputs == expected.inputs
         assert actual.outputs == expected.outputs
+
+
+class TestStarted:
+    """``started`` is the one place a channel adversary enters a system."""
+
+    def test_shares_automata_and_starts_only_the_channels(self, system):
+        tr = PermissiveChannelState(delivery=DeliverySet((2,), 1))
+        rt = PermissiveChannelState(delivery=random_lossy_fifo(3, 0.5))
+        started = system.started(tr, rt)
+        assert started.automaton is system.automaton
+        assert system.start is None
+        state = started.initial_state()
+        assert state[:2] == system.initial_state()[:2]
+        assert state[2] is tr and state[3] is rt
+
+    def test_restarting_replaces_the_start(self, system):
+        lossy = PermissiveChannelState(delivery=DeliverySet((2,), 1))
+        fifo = PermissiveChannelState()
+        twice = system.started(lossy, lossy).started(fifo, fifo)
+        assert twice.initial_state() == system.initial_state()
+
+    def test_non_fifo_channels_take_any_set(self):
+        system = permissive_system(alternating_bit_protocol())
+        reordered = PermissiveChannelState(delivery=DeliverySet((2, 1), 2))
+        assert system.started(reordered, reordered).initial_state()[2] is reordered
 
 
 class TestStateAccess:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.alphabets import MessageFactory
 from repro.analysis import check_datalink_trace, measure_header_growth
-from repro.channels import DeliverySet, PermissiveFifoChannel
+from repro.channels import DeliverySet, PermissiveChannelState
 from repro.impossibility import (
     EngineError,
     refute_bounded_headers,
@@ -25,7 +25,7 @@ from repro.protocols import (
     sliding_window_protocol,
     stenning_protocol,
 )
-from repro.sim import DataLinkSystem, delivery_stats, fifo_system
+from repro.sim import delivery_stats, fifo_system
 
 
 class TestLemma41:
@@ -143,10 +143,9 @@ class TestAdversarialChannels:
     def test_sliding_window_safe_under_any_fifo_adversary(
         self, forward, backward
     ):
-        system = DataLinkSystem.build(
-            sliding_window_protocol(2),
-            PermissiveFifoChannel("t", "r", initial_delivery=forward),
-            PermissiveFifoChannel("r", "t", initial_delivery=backward),
+        system = fifo_system(sliding_window_protocol(2)).started(
+            PermissiveChannelState(delivery=forward),
+            PermissiveChannelState(delivery=backward),
         )
         factory = MessageFactory()
         messages = factory.fresh_many(4)
@@ -170,10 +169,9 @@ class TestAdversarialChannels:
     def test_stenning_safe_under_any_fifo_adversary(
         self, forward, backward
     ):
-        system = DataLinkSystem.build(
-            stenning_protocol(),
-            PermissiveFifoChannel("t", "r", initial_delivery=forward),
-            PermissiveFifoChannel("r", "t", initial_delivery=backward),
+        system = fifo_system(stenning_protocol()).started(
+            PermissiveChannelState(delivery=forward),
+            PermissiveChannelState(delivery=backward),
         )
         factory = MessageFactory()
         messages = factory.fresh_many(3)
