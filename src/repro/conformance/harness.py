@@ -144,8 +144,9 @@ def resolve_pair(protocol_name: str, channel_name: str):
     """``(system, start)`` from the fuzz registries.
 
     ``system`` composes the protocol's transmitter and receiver, each
-    with a :class:`~repro.ioa.engine.interning.SliceTable`, with the
-    channel family's two seed-free channel automata; ``start`` is the
+    with a :class:`~repro.ioa.engine.interning.SliceTable` keyed by its
+    protocol core (the fair kernel's view carries the ghost counter),
+    with the channel family's two seed-free channel automata; ``start`` is the
     family's seeded start-state builder.  Every run :func:`build_system`
     makes from one result shares the composition, its fair kernel's
     view and the stations' tables, so what one run computed answers

@@ -24,6 +24,8 @@ Section 5.1.  This module provides:
     from the crash reset (the paper's labels "do not correspond to any
     bits sent on the transmission medium") and packets are stripped of
     uids before the logic sees them, so no protocol can branch on them.
+    So a station's slice table is keyed by its ghost-free twin
+    (``ghost_free``), and the fair kernel's view carries the counter.
 
 * :class:`DataLinkProtocol` -- the pair, with factories so that multiple
   independent instances (for replays from the initial state) can be
@@ -214,6 +216,35 @@ class _HostAutomaton(Automaton):
         uid = state.uid_counter + 1 if self.ghost_uids else None
         for packet in self.logic.enabled_sends(state.core):
             yield send_pkt(src, dst, packet.with_uid(uid))
+
+    # -- the ghost counter, carried beside a slice table's key ----------
+
+    def ghost_free(self) -> Optional["_HostAutomaton"]:
+        if not self.ghost_uids:
+            return None
+        return type(self)(self.t, self.r, self.logic, self.name, ghost_uids=False)
+
+    def split(self, state: HostState) -> Tuple[HostState, int]:
+        counter = state.uid_counter if self.ghost_uids else 0
+        return (HostState(state.core) if counter else state), counter
+
+    def join(self, state: HostState, counter: int) -> HostState:
+        return HostState(state.core, counter) if counter else state
+
+    def label(self, action: Action, uid: int) -> Action:
+        if self.ghost_uids and action.name == SEND_PKT:
+            return action.with_payload(action.payload.with_uid(uid))
+        return action
+
+    def unlabel(self, action: Action) -> Tuple[Action, Optional[int]]:
+        # Only the station's own packet actions carry labels; an own
+        # send without one gets 0, which no counter + 1 equals.
+        name = action.name
+        if not self.ghost_uids or name not in (SEND_PKT, RECEIVE_PKT):
+            return action, None
+        packet = action.payload
+        twin = action.with_payload(packet.strip_uid())
+        return twin, (packet.uid or 0) if name == SEND_PKT else None
 
 
 class TransmitterAutomaton(_HostAutomaton):

@@ -83,13 +83,17 @@ def with_memo(automaton: "Automaton") -> "Automaton":
 
     It pays only where slices repeat: a fuzz campaign's or load run's
     stations, an exhaustive walk's finite-state components; a seeded
-    channel's states never repeat, so channels carry none.
+    channel's states never repeat, so channels carry none.  A station
+    that stamps ghost labels is keyed by its :meth:`~Automaton.
+    ghost_free` twin: its labels count every send, so its own slices
+    seldom repeat, while its protocol cores do.
     """
     from .engine.interning import SliceTable
 
     # Weakly: a strong back-reference is a cycle, which would keep a
     # finished run's slices alive until the cycle collector runs.
-    automaton.table = SliceTable(weakref.proxy(automaton))
+    labels = weakref.proxy(automaton)
+    automaton.table = SliceTable(automaton.ghost_free() or labels, labels=labels)
     return automaton
 
 
@@ -228,6 +232,35 @@ class Automaton(ABC):
         is returned here.
         """
         return [(self.name, "main")]
+
+    # ------------------------------------------------------------------
+    # Ghost labels (the paper's (PL2)), kept beside a slice table's key
+    # ------------------------------------------------------------------
+
+    def ghost_free(self) -> Optional["Automaton"]:
+        """A twin that stamps no ghost labels, or ``None`` for an
+        automaton without them, which the defaults below describe.
+
+        A slice is then the twin's and a counter (:meth:`split`,
+        :meth:`join`).  An enabled local action is the twin's with
+        label ``counter + 1`` stamped on (:meth:`label`), and the twin
+        steps on what :meth:`unlabel` gives: ``(its action, label)``,
+        the label ``None`` for an action carrying none.  A labelled
+        step takes the counter to its label, and only from one below.
+        """
+        return None
+
+    def split(self, state: State) -> Tuple[State, int]:
+        return state, 0
+
+    def join(self, state: State, counter: int) -> State:
+        return state
+
+    def label(self, action: Action, uid: int) -> Action:
+        return action
+
+    def unlabel(self, action: Action) -> Tuple[Action, Optional[int]]:
+        return action, None
 
     # ------------------------------------------------------------------
     # Conveniences

@@ -151,10 +151,15 @@ class Composition(Automaton):
             if table is None:
                 choices = component.transitions(state[i], action)
             else:
-                ids = table.successors(
-                    table.intern(state[i]), table.actions.intern(action)
+                sid, counter = table.split(state[i])
+                aid, uid = table.unlabel(action)
+                if uid is not None and uid != counter + 1:
+                    return ()
+                counter = uid or counter
+                choices = tuple(
+                    table.labels.join(table.values[post], counter)
+                    for post in table.successors(sid, aid)
                 )
-                choices = tuple(map(table.values.__getitem__, ids))
             if not choices:
                 return ()
             per_component_choices.append(choices)
@@ -176,7 +181,9 @@ class Composition(Automaton):
             if table is None:
                 yield from component.enabled_local_actions(state[i])
             else:
-                yield from table.enabled_actions(table.intern(state[i]))
+                sid, counter = table.split(state[i])
+                for aid in table.enabled_ids(sid):
+                    yield table.label(aid, counter + 1)
 
     def slice_view(self) -> SliceView:
         return self._slice_view
@@ -235,21 +242,27 @@ class ComponentSlices(SliceView):
     states sharing slices (a Session's bursts, and every run of a fuzz
     campaign or load run, which share one composition) reuse them too.
 
-    A component with a slice table steps by id: its slot's slice id is
-    kept with the slice (``sids[i]``, set by :meth:`start`), so a step
-    reads ``table.steps[sid][action id]`` and the post-slice's task
-    groups from the table's cache for the slot, hashing no slice.
-    Other components step through their own ``transitions`` and are
-    re-enumerated when their slice changes.  :meth:`Automaton.step` on
-    the composition, or on a hiding of it, is :meth:`step`: it starts
-    this view at its state and advances it, so every scripted step (a
-    Session's inputs, Lemma 2.1's, a replayed schedule's, the
-    impossibility engines') leaves the view describing its post-state.
+    A component with a slice table steps by id: its slot keeps the
+    table's key id and the ghost counter beside it (``sids[i]``,
+    ``counters[i]``, set by :meth:`start`), so a step reads
+    ``table.steps[sid][action id]`` under the action's uid-free id
+    (:meth:`~repro.ioa.engine.interning.SliceTable.unlabel`), moves the
+    counter to the label of the slot's own send, which must be
+    ``counter + 1``, and takes the post-slice and its task groups, each
+    send stamped with the next label, from the table's cache for the
+    slot, hashing no slice.  Other components step through their own
+    ``transitions`` and are re-enumerated when their slice changes.
+    :meth:`Automaton.step` on the composition, or on a hiding of it, is
+    :meth:`step`: it starts this view at its state and advances it, so
+    every scripted step (a Session's inputs, Lemma 2.1's, a replayed
+    schedule's, the impossibility engines') leaves the view describing
+    its post-state.
     """
 
     def __init__(self, composition: Composition):
         super().__init__(composition, len(composition.components))
         self.sids: List[int] = [-1] * len(composition.components)
+        self.counters: List[int] = [0] * len(composition.components)
         self.components = composition.components
         self.owners = composition.family_owners
         self.tables = [component.table for component in self.components]
@@ -270,11 +283,10 @@ class ComponentSlices(SliceView):
                     self.automaton.task_of,
                 )
             else:
-                sid = self.sids[i] = table.intern(piece)
-                groups = self.caches[i].get(sid)
-                self.groups[i] = (
-                    table.slot_groups(i, sid) if groups is None else groups
-                )
+                key = table.split(piece)
+                self.sids[i], self.counters[i] = key
+                entry = self.caches[i].get(key) or table.slot_entry(i, *key)
+                self.groups[i] = entry[1]
             kept[i] = piece
 
     def step(self, state: State, action: Action) -> State:
@@ -287,7 +299,7 @@ class ComponentSlices(SliceView):
         owners = self.owners.get((action.name, action.direction))
         if not owners:
             return REFUSED
-        kept, groups, sids = self.kept, self.groups, self.sids
+        kept, groups, sids, counters = self.kept, self.groups, self.sids, self.counters
         post = list(state)
         for i in owners:
             table = self.tables[i]
@@ -304,15 +316,21 @@ class ComponentSlices(SliceView):
                     )
                     post[i] = kept[i] = piece
                 continue
+            aid, uid = table.free.get(action) or table.unlabel(action)
             sid = sids[i]
-            ids = table.steps[sid].get(table.actions._ids.get(action))
+            if uid is not None and uid != counters[i] + 1:
+                return REFUSED
+            ids = table.steps[sid].get(aid)
             if ids is None:
-                ids = table.successors(sid, table.actions.intern(action))
+                ids = table.successors(sid, aid)
             if not ids:
                 return REFUSED
-            if ids[0] != sid:
+            if ids[0] != sid or uid is not None:
                 sid = sids[i] = ids[0]
-                post[i] = kept[i] = table.values[sid]
-                cached = self.caches[i].get(sid)
-                groups[i] = table.slot_groups(i, sid) if cached is None else cached
+                if uid is not None:
+                    counters[i] = uid
+                key = (sid, counters[i])
+                entry = self.caches[i].get(key) or table.slot_entry(i, *key)
+                post[i] = kept[i] = entry[0]
+                groups[i] = entry[1]
         return tuple(post)

@@ -25,6 +25,9 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from ..actions import Action
 from ..automaton import Automaton, TaskGroup, TaskNames
 
+#: A slice as a fair kernel's slot holds it, with the slot's task groups.
+SlotEntry = Tuple[Any, Tuple[TaskGroup, ...]]
+
 
 class InternTable:
     """Assigns dense integer ids to hashable values, first-come order.
@@ -73,20 +76,35 @@ class SliceTable(InternTable):
     Actions get ids from ``actions`` (shared by tables that must agree
     on them).  Per slice id ``sid``, filled on first use: ``enabled[sid]``
     holds the enabled local actions' ids and ``steps[sid][action id]``
-    the post-slices' ids.  For the fair kernel, ``slot_cache(slot)``
-    maps a slice id to its task groups as a composition with the
-    automaton in that slot names them (:meth:`slot_groups`).  The
-    answers hold as long as the table lives, as automata are pure
-    functions of immutable states.
+    the post-slices' ids.  The answers hold as long as the table lives,
+    as automata are pure functions of immutable states.
+
+    A table may answer for a ghost-labelled automaton, ``labels``, from
+    its ghost-free twin ``automaton`` (:func:`~repro.ioa.automaton.
+    with_memo`): the keys and answers are the twin's, a slice of
+    ``labels`` is a key id and a counter (:meth:`split`), and actions
+    map to the twin's by :meth:`unlabel` and back by :meth:`label`.
+    For the fair kernel, ``slot_cache(slot)`` maps ``(sid, counter)`` to
+    that slice and its task groups as a composition with the automaton
+    in that slot names them (:meth:`slot_entry`).  Each is kept in an
+    int-keyed cache, so equal slices and actions stay one object.
     """
 
-    def __init__(self, automaton: Automaton, actions: Optional[InternTable] = None):
+    def __init__(
+        self,
+        automaton: Automaton,
+        actions: Optional[InternTable] = None,
+        labels: Optional[Automaton] = None,
+    ):
         super().__init__()
         self.automaton = automaton
+        self.labels = automaton if labels is None else labels
         self.actions = InternTable() if actions is None else actions
         self.enabled: List[Optional[Tuple[int, ...]]] = []
         self.steps: List[Dict[int, Tuple[int, ...]]] = []
-        self._slots: Dict[int, Dict[int, Tuple[TaskGroup, ...]]] = {}
+        self.free: Dict[Action, Tuple[int, Optional[int]]] = {}
+        self._labelled: Dict[Tuple[int, int], Action] = {}
+        self._slots: Dict[int, Dict[Tuple[int, int], SlotEntry]] = {}
         self._task_names = TaskNames()
 
     def intern(self, value: Hashable) -> int:
@@ -106,17 +124,39 @@ class SliceTable(InternTable):
             ids = self.enabled[sid] = tuple(map(self.actions.intern, actions))
         return ids
 
-    def enabled_actions(self, sid: int) -> Tuple[Action, ...]:
-        return tuple(map(self.actions.values.__getitem__, self.enabled_ids(sid)))
+    def split(self, piece: Any) -> Tuple[int, int]:
+        """``(sid, counter)`` of a slice of ``labels``."""
+        key, counter = self.labels.split(piece)
+        return self.intern(key), counter
 
-    def slot_cache(self, slot: int) -> Dict[int, Tuple[TaskGroup, ...]]:
-        """Slice id -> task groups in ``slot``, as far as computed."""
+    def unlabel(self, action: Action) -> Tuple[int, Optional[int]]:
+        """``(action id, uid)``: the twin's action for ``action`` and the
+        label it carries, kept in ``free``."""
+        entry = self.free.get(action)
+        if entry is None:
+            twin, uid = self.labels.unlabel(action)
+            entry = self.free[action] = (self.actions.intern(twin), uid)
+        return entry
+
+    def label(self, aid: int, uid: int) -> Action:
+        """The action ``labels`` enables for action id ``aid`` when its
+        next label is ``uid``."""
+        action = self._labelled.get((aid, uid))
+        if action is None:
+            action = self._labelled[aid, uid] = self.labels.label(
+                self.actions.values[aid], uid
+            )
+        return action
+
+    def slot_cache(self, slot: int) -> Dict[Tuple[int, int], SlotEntry]:
+        """``(sid, counter)`` -> :meth:`slot_entry`, as far as computed."""
         return self._slots.setdefault(slot, {})
 
-    def slot_groups(self, slot: int, sid: int) -> Tuple[TaskGroup, ...]:
-        """Slice ``sid``'s enabled actions grouped by the task a
-        composition with the automaton in ``slot`` gives them, ``(slot,
-        automaton.task_of(action))``, each named by its ``repr``.
+    def slot_entry(self, slot: int, sid: int, counter: int) -> SlotEntry:
+        """The slice ``(sid, counter)`` stands for and its enabled
+        actions, grouped by the task a composition with the automaton
+        in ``slot`` gives them, ``(slot, automaton.task_of(action))``,
+        each named by its ``repr``.
 
         Kept in :meth:`slot_cache`, so compositions placing the
         automaton in the same slot share the groups.  The slot leads
@@ -124,13 +164,14 @@ class SliceTable(InternTable):
         """
         task_of, names = self.automaton.task_of, self._task_names
         by_task: Dict[str, List[Action]] = {}
-        for action in self.enabled_actions(sid):
-            name = names[slot, task_of(action)]
-            by_task.setdefault(name, []).append(action)
-        groups = self.slot_cache(slot)[sid] = tuple(
-            (name, tuple(actions)) for name, actions in by_task.items()
+        for aid in self.enabled_ids(sid):
+            action = self.label(aid, counter + 1)
+            by_task.setdefault(names[slot, task_of(action)], []).append(action)
+        entry = self.slot_cache(slot)[sid, counter] = (
+            self.labels.join(self.values[sid], counter),
+            tuple((name, tuple(actions)) for name, actions in by_task.items()),
         )
-        return groups
+        return entry
 
     def step(self, sid: int, action: Action) -> Tuple[int, ...]:
         """Post-slice ids under ``action``, computed afresh, not kept."""

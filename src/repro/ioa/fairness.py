@@ -21,9 +21,12 @@ component of a composition, see :meth:`Automaton.slice_view`) and keeps
 each slice's enabled actions grouped by task, so a step re-enumerates
 only the slices of the components that own its action.  A component
 with a :class:`~repro.ioa.engine.interning.SliceTable` (a fuzz
-campaign's or load run's stations) is stepped by slice id: the view
-keeps its slot's id, and the table answers the step and the next task
-groups whenever it met them before, in this or an earlier run.
+campaign's or load run's stations) is stepped by id: the view keeps
+its slot's key id, the protocol core's for a station, with the (PL2)
+ghost counter beside it, and the table answers the step and the next
+task groups, each send stamped with ``uid = counter + 1``, whenever it
+met that core and action before, at any counter, in this or an
+earlier run.
 :meth:`Automaton.step` is the view's step too, so inputs
 (:func:`apply_inputs`, a :class:`~repro.sim.session.Session`'s script)
 and replayed schedules take the path the kernel takes.

@@ -20,6 +20,7 @@ import pytest
 from repro.conformance import FuzzConfig, SubSeeds, fuzz_campaign, pool
 from repro.conformance.harness import build_system, resolve_pair
 from repro.conformance.registry import FUZZ_CHANNELS, FUZZ_PROTOCOLS
+from repro.datalink import ReceiverAutomaton, TransmitterAutomaton
 from repro.impossibility.crash_engine import CrashImpossibilityEngine
 from repro.impossibility.header_engine import BoundedHeaderEngine
 from repro.ioa import run_to_quiescence
@@ -28,6 +29,8 @@ from repro.sim import DataLinkSystem, Session
 from repro.sim.load import LoadConfig, run_load, with_load_mix
 
 LOAD = with_load_mix(LoadConfig(sessions=6, messages=2), "drop-flood")
+#: The benchmark's ``load-dropflood`` job (``perfbench/workloads.py``).
+DROPFLOOD = with_load_mix(LoadConfig(sessions=200, messages=4), "drop-flood")
 
 
 class TestOneResolvePerProcess:
@@ -74,12 +77,9 @@ class TestOneResolvePerProcess:
         assert len(set(pids)) == len(pids)
 
 
-@pytest.mark.parametrize("channel", ["fifo", "nonfifo"])
-@pytest.mark.parametrize("protocol", sorted(FUZZ_PROTOCOLS))
-def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
-    # A small step budget: sliding_window over nonfifo can livelock, and
-    # a 60,000-step session's channel states take gigabytes to retain.
-    config = FuzzConfig(messages=3, shrink=False, max_steps=2_000)
+def _memoised_runs_equal_memo_free_ones(protocol, channel, config):
+    """Twenty sessions of the pair, run memoised and memo-free, which
+    must agree state for state and label for label; their starts."""
     memoised = resolve_pair(protocol, channel)
     resolved_system, start = memoised
     stations = (resolved_system.transmitter, resolved_system.receiver)
@@ -104,6 +104,7 @@ def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
     ]
     assert plain_system.transmitter.table is None
     assert plain_system.receiver.table is None
+    starts = []
     for _ in range(20):
         subseeds = SubSeeds.derive(master)
         runs = [
@@ -116,7 +117,56 @@ def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
         assert with_memo.fragment == without.fragment
         assert with_memo.behavior == without.behavior
         assert with_memo.quiescent == without.quiescent
+        starts.append(with_memo.fragment.states[0])
     assert stations[0].table.steps, "the memo was never consulted"
+    return starts
+
+
+@pytest.mark.parametrize("channel", ["fifo", "nonfifo"])
+@pytest.mark.parametrize("protocol", sorted(FUZZ_PROTOCOLS))
+def test_memoised_sessions_equal_memo_free_ones(protocol, channel):
+    # A small step budget: sliding_window over nonfifo can livelock, and
+    # a 60,000-step session's channel states take gigabytes to retain.
+    config = FuzzConfig(messages=3, shrink=False, max_steps=2_000)
+    _memoised_runs_equal_memo_free_ones(protocol, channel, config)
+
+
+@pytest.mark.parametrize("channel", ["fifo", "nonfifo"])
+@pytest.mark.parametrize("protocol", sorted(FUZZ_PROTOCOLS))
+def test_arbitrary_starts_keep_their_labels(protocol, channel):
+    # An arbitrary start picks each station's ghost counter apart from
+    # its channel's send count, so a label taken from the channel
+    # would differ from the station's own; the kernel's view carries
+    # the station's.
+    config = FuzzConfig(
+        messages=3, shrink=False, max_steps=2_000, init_mode="arbitrary"
+    )
+    starts = _memoised_runs_equal_memo_free_ones(protocol, channel, config)
+    apart = [
+        start
+        for start in starts
+        if start[0].uid_counter != start[2].counter1
+        or start[1].uid_counter != start[3].counter1
+    ]
+    assert apart, "no start set a counter apart from its channel's"
+
+
+def test_station_tables_answer_per_protocol_core(monkeypatch):
+    # A table keyed by the protocol core meets a core once, whatever its
+    # ghost counter: over one drop-flood load the stations' own
+    # transitions and enabled_local_actions run 181 times, where tables
+    # keyed on the whole station state, counter included, run them 3,058.
+    calls = [0]
+    for station in (TransmitterAutomaton, ReceiverAutomaton):
+        for name in ("transitions", "enabled_local_actions"):
+
+            def counted(self, *args, original=getattr(station, name)):
+                calls[0] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(station, name, counted)
+    run_load("alternating_bit", "nonfifo", 11, DROPFLOOD)
+    assert calls[0] <= 400, calls
 
 
 @pytest.mark.parametrize("engine", [CrashImpossibilityEngine, BoundedHeaderEngine])
@@ -153,8 +203,9 @@ def test_delivered_packets_probe_the_tables_by_identity(monkeypatch, channel):
     # Every session of the load run steps the same two channels and the
     # same stations' tables, so each channel must enumerate the very
     # receive_pkt object a table stored: a probe with an equal copy
-    # pays a field-by-field comparison.  Tables are probed by action
-    # when the fair kernel steps a station and when an input steps the
+    # pays a field-by-field comparison.  Tables are probed by action,
+    # in their ``free`` map from an action to its uid-free id, when the
+    # fair kernel steps a station and when an input steps the
     # composition.
     from repro.channels.actions import RECEIVE_PKT
     from repro.ioa.composition import ComponentSlices, Composition
@@ -165,9 +216,9 @@ def test_delivered_packets_probe_the_tables_by_identity(monkeypatch, channel):
         for i in components.family_owners.get(action.key, ()):
             table = components.components[i].table
             if table is not None and action.name == RECEIVE_PKT:
-                aid = table.actions._ids.get(action)
-                if aid is not None:
-                    probes.append(table.actions.values[aid] is action)
+                if action in table.free:
+                    stored = next(key for key in table.free if key == action)
+                    probes.append(stored is action)
 
     transitions = Composition.transitions
     advance = ComponentSlices.advance
