@@ -86,8 +86,9 @@ class SliceTable(InternTable):
     map to the twin's by :meth:`unlabel` and back by :meth:`label`.
     For the fair kernel, ``slot_cache(slot)`` maps ``(sid, counter)`` to
     that slice and its task groups as a composition with the automaton
-    in that slot names them (:meth:`slot_entry`).  Each is kept in an
-    int-keyed cache, so equal slices and actions stay one object.
+    in that slot names them (:meth:`slot_entry`).  Stamped actions and
+    slices come from these int-keyed caches, so equal ones stay one
+    object.
     """
 
     def __init__(

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.alphabets import MessageFactory
+from repro.channels.actions import SEND_PKT
 from repro.channels.permissive import PermissiveChannel
 from repro.conformance.harness import (
     FuzzConfig,
@@ -102,5 +103,13 @@ def test_step_is_the_first_transition(protocol, channel):
             for surgered in [state] + _surgeries(system, state):
                 moves = list(automaton.enabled_local_actions(surgered))
                 moves += [system.send(factory.fresh()), never_sent, unowned]
+                # A send labelled other than the station's next uid, or
+                # not at all, is refused, tables or not.
+                moves += [
+                    move.with_payload(move.payload.with_uid(uid))
+                    for move in moves
+                    if move.name == SEND_PKT
+                    for uid in (move.payload.uid + 1, None)
+                ]
                 for action in moves:
                     _assert_steps_agree(automaton, surgered, action)
