@@ -13,8 +13,10 @@ every station step is answered from them.  Each trial runs every
 session once, its fair runs on one side or the other, and both sides
 must produce equal fragments.  The sides interleave five trials each
 and compare their best.  A ratio timed in one process holds across
-runner hardware, where absolute times do not.  Run from the repository
-root::
+runner hardware, where absolute times do not.  Beside it, a count guard
+needs no clock: over one warm pass of the same sessions, the
+components' ``enabled_local_actions`` calls per kernel step
+(``ComponentSlices.advance`` call).  Run from the repository root::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py --benchmark-disable -q
 """
@@ -27,6 +29,7 @@ import time
 
 from repro.conformance import SubSeeds
 from repro.conformance.harness import resolve_pair
+from repro.ioa.composition import ComponentSlices
 from repro.ioa.fairness import run_to_quiescence
 from repro.sim import Session
 from repro.sim import session as session_module
@@ -40,6 +43,13 @@ LOAD = with_load_mix(LoadConfig(sessions=200, messages=4), "drop-flood")
 #: box.  The floor leaves room for a loaded runner, and a kernel that
 #: hashes each station slice per step again (1.52-1.55 there) fails it.
 KERNEL_SPEEDUP_FLOOR = 1.8
+
+#: Component enumerations per kernel step on the warm sessions read
+#: 12,490 / 14,309 = 0.873: a warm station is enumerated only on a table
+#: miss, a channel only when its slice changed.  A kernel that
+#: re-enumerates every slot after each step reads 2.873.  Counts do not
+#: vary between runs or runners.
+ENUMERATIONS_PER_STEP_CEILING = 1.5
 
 
 def _sessions():
@@ -85,3 +95,42 @@ def test_kernel_outpaces_the_reference():
         best_reference,
         best_kernel,
     )
+
+
+def test_kernel_enumerates_only_replaced_slices(monkeypatch):
+    sessions = _sessions()
+    _trial(run_to_quiescence, sessions)  # fills the station tables
+    counts = {"advance": 0, "enumerate": 0}
+    advance = ComponentSlices.advance
+
+    def counted_advance(view, state, action):
+        counts["advance"] += 1
+        return advance(view, state, action)
+
+    def counted(component):
+        enumerate_actions = component.enabled_local_actions
+
+        def enabled_local_actions(piece):
+            counts["enumerate"] += 1
+            return enumerate_actions(piece)
+
+        return enabled_local_actions
+
+    monkeypatch.setattr(ComponentSlices, "advance", counted_advance)
+    components = {
+        id(component): component
+        for session in sessions
+        for component in session.system.composition.components
+    }
+    for component in components.values():
+        # A tabled station is enumerated through its ghost-free twin.
+        if component.table is not None:
+            component = component.table.automaton
+        monkeypatch.setattr(
+            component, "enabled_local_actions", counted(component)
+        )
+    for session in sessions:
+        session.run()
+    assert counts["advance"]
+    ratio = counts["enumerate"] / counts["advance"]
+    assert ratio <= ENUMERATIONS_PER_STEP_CEILING, counts

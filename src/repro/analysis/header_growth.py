@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..alphabets import MessageFactory
 from ..datalink.protocol import DataLinkProtocol
+from ..ioa.fairness import fair_extension
 from ..sim.metrics import channel_stats
 from ..sim.network import fifo_system, permissive_system
 
@@ -91,12 +92,12 @@ def measure_header_growth(
     for target in sorted(checkpoints):
         while delivered < target:
             message = factory.fresh()
-            extension = system.run_fair(
-                fragment.final_state,
+            fragment = fair_extension(
+                system.automaton,
+                fragment,
                 inputs=[system.send(message)],
                 max_steps=max_steps,
             )
-            fragment = fragment.extend(extension)
             delivered += 1
         stats_tr = channel_stats(fragment, system.t, system.r)
         stats_rt = channel_stats(fragment, system.r, system.t)

@@ -41,6 +41,7 @@ from ..alphabets import MessageFactory
 from ..datalink.actions import RECEIVE_MSG, SEND_MSG
 from ..ioa.actions import Action
 from ..ioa.engine.interning import InternTable
+from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import FairnessTimeout, run_to_quiescence
 from ..sim.network import DataLinkSystem
 
@@ -86,24 +87,19 @@ def component_state_pools(
             table.intern(component)
 
     automaton = system.automaton
-    state = system.initial_state()
-    record(state)
+    walk = ExecutionFragment.initial(system.initial_state())
     factory = MessageFactory(label="g")
     inputs = [system.wake_t(), system.wake_r()] + [
         system.send(factory.fresh()) for _ in range(PROBE_MESSAGES)
     ]
     for action in inputs:
-        state = automaton.step(state, action)
-        record(state)
+        walk.step(action, automaton.step(walk.final_state, action))
         try:
-            burst = run_to_quiescence(
-                automaton, state, max_steps=PROBE_BURST
-            )
-        except FairnessTimeout as exc:
-            burst = exc.fragment
-        for visited in burst.states[1:]:
-            record(visited)
-        state = burst.final_state
+            run_to_quiescence(automaton, walk, max_steps=PROBE_BURST)
+        except FairnessTimeout:
+            pass
+    for state in walk.states:
+        record(state)
     return tuple(tuple(table.values) for table in tables)
 
 

@@ -22,6 +22,7 @@ from typing import List, Tuple
 
 from ..alphabets import MessageFactory
 from ..channels.actions import RECEIVE_PKT
+from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import FairnessTimeout
 from .protocol import DataLinkProtocol
 
@@ -62,7 +63,10 @@ def probe_k_bound(
         message = factory.fresh()
         try:
             fragment, delivered = system.deliver(
-                state, message, [system.send(message)], max_steps
+                ExecutionFragment.initial(state),
+                message,
+                [system.send(message)],
+                max_steps,
             )
         except FairnessTimeout:
             return KBoundReport(

@@ -6,8 +6,11 @@ steps with equivalent ones by message independence (Section 5.3.1,
 Lemmas 7.1 and 7.2, Theorem 8.5).  :class:`Construction` holds that
 machinery once; each engine adds only its theorem's own argument.
 
-The execution grows as two lists, ``_states`` and ``_actions``, made a
-fragment once at the end, so a step costs the same at any length.
+The execution is one :class:`~repro.ioa.execution.ExecutionFragment`
+record, ``_record``, grown in place, so a step costs the same at any
+length.  The construction owns it: no other fragment shares its lists
+while the construction may still rewrite its final state by channel
+surgery, and a fair extension becomes the record only once it returns.
 Every certificate an engine returns comes from :meth:`_certify`, which
 re-validates it with the independent trace checkers and raises
 :class:`EngineError` if it does not hold.
@@ -23,7 +26,7 @@ from ..datalink.actions import RECEIVE_MSG
 from ..datalink.protocol import DataLinkProtocol
 from ..ioa.actions import Action
 from ..ioa.execution import ExecutionFragment
-from ..ioa.fairness import FairnessTimeout
+from ..ioa.fairness import FairnessTimeout, fair_extension
 from ..obs import current_tracer
 from ..sim.network import DataLinkSystem
 from .certificates import EngineError, ViolationCertificate
@@ -54,8 +57,7 @@ class Construction:
         self.r = r
         self.narrative: List[str] = []
         self.stats: Dict[str, int] = {}
-        self._states: List = []
-        self._actions: List[Action] = []
+        self._record: Optional[ExecutionFragment] = None
 
     def run(self) -> ViolationCertificate:
         """Execute the construction; returns the validated certificate."""
@@ -69,33 +71,38 @@ class Construction:
 
     @property
     def _final_state(self):
-        return self._states[-1]
+        return self._record.final_state
 
     def _begin(self, fragment: Optional[ExecutionFragment] = None) -> None:
-        """Restart the execution as ``fragment``; by default the start
-        state followed by both wakes."""
+        """Restart the execution as ``fragment``, which the construction
+        then owns; by default the start state followed by both wakes."""
         if fragment is None:
             system = self.system
             fragment = system.run_inputs(
                 system.initial_state(), [system.wake_t(), system.wake_r()]
             )
-        self._states = list(fragment.states)
-        self._actions = list(fragment.actions)
+        self._record = fragment
 
     def _step(self, action: Action) -> None:
-        self._states.append(
-            self.system.automaton.step(self._states[-1], action)
+        self._record.step(
+            action, self.system.automaton.step(self._final_state, action)
         )
-        self._actions.append(action)
 
-    def _extend(self, fragment: ExecutionFragment) -> None:
-        """Append ``fragment``, which starts at the final state."""
-        self._states.extend(fragment.states[1:])
-        self._actions.extend(fragment.actions)
+    def _extend_fairly(
+        self, stop_when: Optional[Callable[[Action], bool]] = None
+    ) -> None:
+        """Lemma 2.1: extend the execution fairly.  On
+        ``FairnessTimeout`` the execution keeps its length."""
+        self._record = fair_extension(
+            self.system.automaton,
+            self._record,
+            max_steps=self.max_steps,
+            stop_when=stop_when,
+        )
 
     def _surgery(self, state) -> None:
         """Replace the final state by channel surgery (Section 6.3)."""
-        self._states[-1] = state
+        self._record.tip()[0][-1] = state
 
     def _host_automaton(self, station: str):
         if station == self.t:
@@ -103,9 +110,7 @@ class Construction:
         return self.system.receiver
 
     def _behavior(self) -> Tuple[Action, ...]:
-        return self.system.behavior(
-            ExecutionFragment(tuple(self._states), tuple(self._actions))
-        )
+        return self.system.behavior(self._record)
 
     # ------------------------------------------------------------------
     # Fair delivery, the message-independence copy step, certificates
@@ -113,15 +118,17 @@ class Construction:
 
     def _deliver(
         self,
-        state,
+        fragment: ExecutionFragment,
         message: Message,
         inputs: Iterable[Action],
         timeout: str,
     ) -> Tuple[ExecutionFragment, bool]:
-        """:meth:`DataLinkSystem.deliver` from ``state``, raising
-        ``EngineError(timeout)`` if the run does not quiesce."""
+        """:meth:`DataLinkSystem.deliver` extending ``fragment``,
+        raising ``EngineError(timeout)`` if the run does not quiesce."""
         try:
-            return self.system.deliver(state, message, inputs, self.max_steps)
+            return self.system.deliver(
+                fragment, message, inputs, self.max_steps
+            )
         except FairnessTimeout as exc:
             raise EngineError(timeout) from exc
 

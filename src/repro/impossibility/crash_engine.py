@@ -160,26 +160,25 @@ class CrashImpossibilityEngine(Construction):
         system = self.system
         self.m0 = self.factory.fresh(self.message_size)
         fragment, delivered = self._deliver(
-            system.initial_state(),
+            ExecutionFragment.initial(system.initial_state()),
             self.m0,
             [system.wake_t(), system.wake_r(), system.send(self.m0)],
             "protocol does not quiesce over clean FIFO channels; "
             "cannot construct the reference execution",
         )
+        self._begin(fragment)
         if not delivered:
             # Quiesced without delivering m0: (DL8) fails outright.
             self.narrative.append(
                 "reference run quiesced without delivering m0: the "
                 "protocol violates (DL8) over ideal FIFO channels"
             )
-            return self._certify(
-                LIVENESS, system.behavior(fragment), ("DL8",)
-            )
+            return self._certify(LIVENESS, self._behavior(), ("DL8",))
         # Lemma 6.3: leave both channels clean at the end of alpha.
-        cleaned = system.clean_channels(fragment.final_state)
-        self.alpha = fragment.with_final_state(cleaned)
         # All intermediate states keep their original channel components;
         # only the final state is surgered, which is what the lemmas allow.
+        self._surgery(system.clean_channels(self._final_state))
+        self.alpha = self._record
         self.stats["alpha_steps"] = len(self.alpha)
         self.narrative.append(
             f"reference execution alpha built: {len(self.alpha)} steps, "
@@ -349,7 +348,8 @@ class CrashImpossibilityEngine(Construction):
         def same(mapped, constructed) -> bool:
             return self._equiv(constructed, mapped)
 
-        self._begin(self.alpha)
+        alpha = self.alpha
+        self._begin(ExecutionFragment(alpha.states, alpha.actions))
         for action in suffix:
             self._step(self._mirror(action, same, "Lemma 7.1 replay"))
 
@@ -422,24 +422,20 @@ class CrashImpossibilityEngine(Construction):
             )
 
             # Theorem 7.5: fair extension with no further inputs.
+            start = len(self._record)
             try:
-                extended = system.run_fair(
-                    self._final_state,
-                    max_steps=self.max_steps,
-                    stop_when=lambda a: a.key == receive_key,
-                )
+                self._extend_fairly(lambda a: a.key == receive_key)
             except FairnessTimeout as exc:
                 raise EngineError(
                     "fair extension did not quiesce or deliver; cannot "
                     "classify the violation"
                 ) from exc
-        suffix = extended.actions
+        suffix = self._record.actions[start:]
         delivered = [a for a in suffix if a.key == receive_key]
 
         if not delivered:
             # Quiescent with m1 undelivered: (DL8) violated on the
             # constructed execution itself.
-            self._extend(extended)
             self.narrative.append(
                 f"fair extension quiesced without delivering {m1}: "
                 "(DL8) violated"
@@ -449,18 +445,14 @@ class CrashImpossibilityEngine(Construction):
             # Lemma 7.1: replay the suffix from the real end of alpha.
             self._map_suffix_onto_alpha(suffix)
             try:
-                self._extend(
-                    system.run_fair(
-                        self._final_state, max_steps=self.max_steps
-                    )
-                )
+                self._extend_fairly()
             except FairnessTimeout:
                 # Safety violations below persist regardless; keep the
-                # truncated (still valid) execution.
+                # execution as it was before the extension.
                 pass
             m3 = next(
                 a.payload
-                for a in self._actions[len(self.alpha) :]
+                for a in self._record.actions[len(self.alpha) :]
                 if a.key == receive_key
             )
             behavior = self._behavior()

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alphabets import Message, MessageFactory, Packet
-from ..ioa.actions import Action
+from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import FairnessTimeout
 from ..channels.actions import RECEIVE_PKT, SEND_PKT
 from ..datalink.actions import RECEIVE_MSG, SEND_MSG
@@ -89,8 +89,7 @@ class _Probe:
     """Result of probing ``gamma1`` for one fresh message."""
 
     message: Message
-    states: Tuple  # gamma1's states, from the cleaned state on
-    actions: Tuple[Action, ...]  # the full gamma1 schedule (from send_msg)
+    run: ExecutionFragment  # gamma1, from the cleaned state (and send_msg) on
     received: Tuple[Packet, ...]  # packets received t->r, in order
     classes: Tuple[Tuple, ...]  # their equivalence classes
 
@@ -153,12 +152,12 @@ class BoundedHeaderEngine(Construction):
         it only the external actions taken since the last one.
         """
         signature = self.system.automaton.signature
+        # Off the record's lists: a growing record is never frozen.
+        actions = self._record.tip()[1]
         self._validity.feed(
-            a
-            for a in self._actions[self._checked :]
-            if signature.is_external(a)
+            a for a in actions[self._checked :] if signature.is_external(a)
         )
-        self._checked = len(self._actions)
+        self._checked = len(actions)
         result = self._validity.result()
         if not result.holds:
             raise EngineError(
@@ -179,7 +178,9 @@ class BoundedHeaderEngine(Construction):
         """
         system = self.system
         branch, delivered = self._deliver(
-            system.clean_channels(self._final_state),
+            ExecutionFragment.initial(
+                system.clean_channels(self._final_state)
+            ),
             message,
             [system.send(message)],
             f"probe for {message} did not quiesce; the protocol is not "
@@ -197,8 +198,7 @@ class BoundedHeaderEngine(Construction):
         )
         return _Probe(
             message,
-            branch.states,
-            branch.actions,
+            branch,
             received,
             tuple(self._class_of(p) for p in received),
         )
@@ -218,7 +218,8 @@ class BoundedHeaderEngine(Construction):
         system = self.system
         send_key = (SEND_PKT, (self.t, self.r))
         rho_had_receive = False
-        for j, action in enumerate(probe.actions):
+        gamma1 = probe.run
+        for j, action in enumerate(gamma1.actions):
             if action.key == self._receive_key:
                 rho_had_receive = True
             if action.key == send_key and action.payload == p0:
@@ -228,8 +229,11 @@ class BoundedHeaderEngine(Construction):
                 f"send_pkt({p0}) not found in the probed gamma1"
             )
         # beta's final state becomes the cleaned one the probe began at.
-        self._states[-1:] = probe.states[: j + 2]
-        self._actions.extend(probe.actions[: j + 1])
+        self._surgery(gamma1.first_state)
+        states, actions = self._record.tip()
+        states.extend(gamma1.states[1 : j + 2])
+        actions.extend(gamma1.actions[: j + 1])
+        self._record.grown()
         entry = _TransitEntry(
             system.channel_state(self._final_state, self.t).counter1,
             p0,
@@ -240,8 +244,8 @@ class BoundedHeaderEngine(Construction):
             # Lemma 6.3: lose everything in transit t->r (including p0),
             # then finish the delivery fairly (rho-hat).
             self._surgery(system.clean_channel(self._final_state, self.t))
-            rho_hat, delivered = self._deliver(
-                self._final_state,
+            self._record, delivered = self._deliver(
+                self._record,
                 probe.message,
                 (),
                 "rho-hat did not quiesce while finishing the delivery "
@@ -253,7 +257,6 @@ class BoundedHeaderEngine(Construction):
                     "never delivered after losing p0 -- the protocol is "
                     "not weakly correct over the permissive channel"
                 )
-            self._extend(rho_hat)
         return entry
 
     # ------------------------------------------------------------------
@@ -299,7 +302,7 @@ class BoundedHeaderEngine(Construction):
         """
         receiver_signature = self.system.receiver.signature
         scheduled = iter(images)
-        for action in probe.actions:
+        for action in probe.run.actions:
             if not receiver_signature.contains(action):
                 continue
             step = self._mirror(
@@ -319,7 +322,6 @@ class BoundedHeaderEngine(Construction):
     # ------------------------------------------------------------------
 
     def _run(self, tracer) -> ViolationCertificate:
-        system = self.system
         self._begin()
         k = 1 if self.declared_k is None else self.declared_k
         rounds = 0
@@ -386,11 +388,7 @@ class BoundedHeaderEngine(Construction):
             self._replay_receiver(probe, images)
             # Fair extension with no inputs, then classify.
             try:
-                self._extend(
-                    system.run_fair(
-                        self._final_state, max_steps=self.max_steps
-                    )
-                )
+                self._extend_fairly()
             except FairnessTimeout:
                 pass  # safety violation below persists on any extension
         behavior = self._behavior()

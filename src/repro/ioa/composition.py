@@ -223,7 +223,7 @@ class Composition(Automaton):
             if component.signature.contains(action):
                 actions.append(action)
                 states.append(fragment.states[i + 1][index])
-        return ExecutionFragment(tuple(states), tuple(actions))
+        return ExecutionFragment(states, actions)
 
     def project_schedule(
         self, schedule: Iterable[Action], index: int

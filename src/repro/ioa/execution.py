@@ -8,12 +8,21 @@ its *behavior* is the external-action subsequence.
 This module represents finite fragments only; the impossibility arguments
 in the paper manipulate finite executions plus fair extensions, which the
 executor in :mod:`repro.ioa.fairness` provides.
+
+The paper's lemmas only ever extend an execution (Lemmas 2.1, 8.3, 8.4)
+or read back a prefix of it (Lemma 7.1), so a fragment is a length over
+``states``/``actions`` lists that only ever grow: extending one appends
+to its lists in place (:meth:`ExecutionFragment.tip`), and a prefix
+(:meth:`ExecutionFragment.prefix`) shares them.  No element at an index
+within any fragment's length is ever rewritten, with one exception: the
+owner of a record that shares its lists with no other fragment may
+replace its final state (the constructions' channel surgery, Section
+6.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .actions import Action
 from .automaton import Automaton, State
@@ -22,49 +31,83 @@ from .signature import ActionSignature
 Schedule = Tuple[Action, ...]
 
 
-@dataclass(frozen=True)
 class ExecutionFragment:
     """A finite execution fragment of an automaton.
 
-    ``states`` has exactly one more element than ``actions``.  A fragment
-    whose first state is a start state is an *execution*.
+    The fragment is the first ``len(self)`` actions and ``len(self) + 1``
+    states of its lists, which other fragments may share.  ``states`` and
+    ``actions`` read as tuples: the first read builds them once and the
+    fragment keeps them in place of its lists.  ``==`` compares contents.
+    A fragment whose first state is a start state is an *execution*.
     """
 
-    states: Tuple[State, ...]
-    actions: Tuple[Action, ...]
+    __slots__ = ("_states", "_actions", "_length")
 
-    def __post_init__(self) -> None:
-        if len(self.states) != len(self.actions) + 1:
-            raise ValueError(
-                "an execution fragment has exactly one more state than "
-                "actions: got %d states and %d actions"
-                % (len(self.states), len(self.actions))
-            )
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
+    def __init__(
+        self,
+        states: Sequence[State],
+        actions: Sequence[Action],
+        length: Optional[int] = None,
+    ):
+        if length is None:
+            length = len(actions)
+            if len(states) != length + 1:
+                raise ValueError(
+                    "an execution fragment has exactly one more state "
+                    "than actions: got %d states and %d actions"
+                    % (len(states), length)
+                )
+        self._states = states
+        self._actions = actions
+        self._length = length
 
     @staticmethod
     def initial(state: State) -> "ExecutionFragment":
         """The empty fragment sitting at ``state``."""
-        return ExecutionFragment((state,), ())
+        return ExecutionFragment([state], [])
 
     # ------------------------------------------------------------------
-    # Basic accessors
+    # Reading
     # ------------------------------------------------------------------
+
+    @property
+    def states(self) -> Tuple[State, ...]:
+        self._states = _first(self._states, self._length + 1, tuple)
+        return self._states
+
+    @property
+    def actions(self) -> Schedule:
+        self._actions = _first(self._actions, self._length, tuple)
+        return self._actions
 
     @property
     def first_state(self) -> State:
-        return self.states[0]
+        return self._states[0]
 
     @property
     def final_state(self) -> State:
-        return self.states[-1]
+        return self._states[self._length]
 
     def __len__(self) -> int:
         """The number of steps (events) in the fragment."""
-        return len(self.actions)
+        return self._length
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExecutionFragment):
+            return NotImplemented
+        return (
+            self._length == other._length
+            and self.actions == other.actions
+            and self.states == other.states
+        )
+
+    __hash__ = None  # a record grows in place
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecutionFragment(states={self.states!r}, "
+            f"actions={self.actions!r})"
+        )
 
     def schedule(self) -> Schedule:
         """``sched(alpha)``: the action subsequence."""
@@ -74,94 +117,49 @@ class ExecutionFragment:
         """``beh(alpha)``: the subsequence of external actions."""
         return tuple(a for a in self.actions if signature.is_external(a))
 
-    def state_before(self, index: int) -> State:
-        """The state immediately before action ``index`` (0-based)."""
-        return self.states[index]
-
-    def state_after(self, index: int) -> State:
-        """The state immediately after action ``index`` (0-based)."""
-        return self.states[index + 1]
-
-    # ------------------------------------------------------------------
-    # Structural operations
-    # ------------------------------------------------------------------
-
-    def append(self, action: Action, state: State) -> "ExecutionFragment":
-        """The fragment extended by one step."""
-        return ExecutionFragment(
-            self.states + (state,), self.actions + (action,)
-        )
-
-    def extend(self, other: "ExecutionFragment") -> "ExecutionFragment":
-        """Concatenate ``other`` onto this fragment.
-
-        ``other.first_state`` must equal this fragment's final state.
-        """
-        if other.first_state != self.final_state:
-            raise ValueError(
-                "fragments do not compose: final state differs from the "
-                "extension's first state"
-            )
-        return ExecutionFragment(
-            self.states + other.states[1:], self.actions + other.actions
-        )
-
     def prefix(self, steps: int) -> "ExecutionFragment":
-        """The prefix consisting of the first ``steps`` steps."""
-        if not 0 <= steps <= len(self.actions):
+        """The prefix of the first ``steps`` steps, sharing the lists."""
+        if not 0 <= steps <= self._length:
             raise ValueError(f"prefix length {steps} out of range")
-        return ExecutionFragment(
-            self.states[: steps + 1], self.actions[:steps]
-        )
-
-    def suffix_from(self, steps: int) -> "ExecutionFragment":
-        """The fragment starting after the first ``steps`` steps."""
-        if not 0 <= steps <= len(self.actions):
-            raise ValueError(f"suffix start {steps} out of range")
-        return ExecutionFragment(self.states[steps:], self.actions[steps:])
-
-    def truncate_after(
-        self, predicate: Callable[[Action], bool]
-    ) -> Optional["ExecutionFragment"]:
-        """The shortest prefix whose last action satisfies ``predicate``.
-
-        Returns ``None`` if no action satisfies it.
-        """
-        for i, action in enumerate(self.actions):
-            if predicate(action):
-                return self.prefix(i + 1)
-        return None
-
-    def with_final_state(self, state: State) -> "ExecutionFragment":
-        """Replace the final state (used for adversary channel surgery).
-
-        The impossibility engines use this to realize the paper's "``beta``
-        can leave the channel in state ``s``" arguments (Lemmas 6.3, 6.5,
-        6.6, 6.7): the same schedule is compatible with a different final
-        channel state because the channel's start-state nondeterminism is
-        resolved retroactively.
-        """
-        return ExecutionFragment(self.states[:-1] + (state,), self.actions)
+        return ExecutionFragment(self._states, self._actions, steps)
 
     # ------------------------------------------------------------------
-    # Validation
+    # Extending in place
     # ------------------------------------------------------------------
 
-    def is_valid_for(self, automaton: Automaton) -> bool:
-        """True iff every triple in this fragment is a step of ``automaton``."""
-        for i, action in enumerate(self.actions):
-            if self.states[i + 1] not in automaton.transitions(
-                self.states[i], action
-            ):
-                return False
-        return True
+    def tip(self) -> Tuple[List[State], List[Action]]:
+        """Lists ending where this fragment ends, to append steps to;
+        :meth:`grown` then takes the appended steps as the fragment's.
 
-    def is_execution_of(self, automaton: Automaton) -> bool:
-        """True iff this fragment is an execution (starts at a start state)."""
-        return (
-            self.first_state == automaton.initial_state()
-            and self.is_valid_for(automaton)
-        )
+        Lists that another fragment has grown past this one's end, or
+        that reads froze into tuples, are first copied up to the end.
+        """
+        states, actions, length = self._states, self._actions, self._length
+        if type(actions) is not list or len(actions) != length:
+            actions = self._actions = _first(actions, length, list)
+        if type(states) is not list or len(states) != length + 1:
+            states = self._states = _first(states, length + 1, list)
+        return states, actions
+
+    def grown(self) -> "ExecutionFragment":
+        """Take every step appended to :meth:`tip`'s lists."""
+        self._length = len(self._actions)
+        return self
+
+    def step(self, action: Action, state: State) -> None:
+        """Extend the fragment by one step."""
+        states, actions = self.tip()
+        states.append(state)
+        actions.append(action)
+        self._length += 1
+
+
+def _first(items: Sequence, count: int, kind: type) -> Sequence:
+    """``items`` if it is a ``kind`` of ``count`` items, else its first
+    ``count`` items copied into a new ``kind``."""
+    if type(items) is kind and len(items) == count:
+        return items
+    return kind(items if len(items) == count else items[:count])
 
 
 def replay_schedule(
@@ -172,12 +170,10 @@ def replay_schedule(
     Every action must be enabled where it occurs; the first post-state is
     taken at each step.  Raises :class:`TransitionError` otherwise.
     """
-    states = [state]
-    actions = []
+    run = ExecutionFragment.initial(state)
     for action in schedule:
-        states.append(automaton.step(states[-1], action))
-        actions.append(action)
-    return ExecutionFragment(tuple(states), tuple(actions))
+        run.step(action, automaton.step(run.final_state, action))
+    return run
 
 
 def project_schedule(

@@ -30,11 +30,18 @@ earlier run.
 :meth:`Automaton.step` is the view's step too, so inputs
 (:func:`apply_inputs`, a :class:`~repro.sim.session.Session`'s script)
 and replayed schedules take the path the kernel takes.
+
+The kernel appends its steps to the caller's
+:class:`~repro.ioa.execution.ExecutionFragment` in place, and a
+:class:`FairnessTimeout` carries that same record, so a run split into
+bursts is one record and never copied.  :func:`fair_extension` returns
+its extension as a new fragment over the given one's lists, which it
+leaves as it was.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from .actions import Action
 from .automaton import REFUSED, Automaton, State, TransitionError
@@ -42,7 +49,10 @@ from .execution import ExecutionFragment, replay_schedule
 
 
 class FairnessTimeout(RuntimeError):
-    """The system did not quiesce within the allotted step budget."""
+    """The system did not quiesce within the allotted step budget.
+
+    ``fragment`` is the run's record, grown by every step taken.
+    """
 
     def __init__(self, fragment: ExecutionFragment, budget: int):
         super().__init__(
@@ -62,6 +72,14 @@ def is_fair_finite(automaton: Automaton, fragment: ExecutionFragment) -> bool:
     return automaton.is_quiescent(fragment.final_state)
 
 
+def _inputs(automaton: Automaton, inputs: Iterable[Action]) -> tuple:
+    inputs = tuple(inputs)
+    for action in inputs:
+        if not automaton.signature.is_input(action):
+            raise ValueError(f"{action} is not an input action")
+    return inputs
+
+
 def apply_inputs(
     automaton: Automaton, state: State, inputs: Iterable[Action]
 ) -> ExecutionFragment:
@@ -70,27 +88,25 @@ def apply_inputs(
     Input-enabledness guarantees every step exists; a missing transition
     indicates a broken automaton and raises :class:`TransitionError`.
     """
-    inputs = tuple(inputs)
-    for action in inputs:
-        if not automaton.signature.is_input(action):
-            raise ValueError(f"{action} is not an input action")
-    return replay_schedule(automaton, state, inputs)
+    return replay_schedule(automaton, state, _inputs(automaton, inputs))
 
 
 def run_to_quiescence(
     automaton: Automaton,
-    state: State,
+    record: ExecutionFragment,
     max_steps: int = 100_000,
     stop_when: Optional[Callable[[Action], bool]] = None,
     tie_break: Optional[Callable[[Sequence[Action]], Action]] = None,
 ) -> ExecutionFragment:
     """Run locally-controlled actions fairly until quiescence.
 
-    The scheduler is a round-robin over tasks: at each step it fires an
-    enabled action belonging to the least-recently-served task
-    (never-served tasks first, ties broken by the task's ``repr``).  This
-    gives fair turns to every class of the partition, so the resulting
-    finite execution is fair.
+    The run starts at ``record``'s final state and appends its steps to
+    ``record`` (:meth:`~repro.ioa.execution.ExecutionFragment.tip`),
+    which it returns.  The scheduler is a round-robin over tasks: at
+    each step it fires an enabled action belonging to the
+    least-recently-served task (never-served tasks first, ties broken by
+    the task's ``repr``).  This gives fair turns to every class of the
+    partition, so the resulting finite execution is fair.
 
     The kernel steps the automaton's :meth:`~Automaton.slice_view`: one
     slice per component of a composition (through any hiding), or the
@@ -106,8 +122,8 @@ def run_to_quiescence(
     ----------
     stop_when:
         Optional early-exit predicate; the run stops right after the
-        first action satisfying it (the result is then a finite, possibly
-        non-quiescent fragment -- a prefix of a fair execution).
+        first action satisfying it (the record then ends at a finite,
+        possibly non-quiescent prefix of a fair execution).
     tie_break:
         How to pick among the enabled actions of the chosen task, given
         as a tuple in enumeration order (default: the first, which makes
@@ -121,19 +137,19 @@ def run_to_quiescence(
     ------
     FairnessTimeout
         If a locally-controlled action is still enabled after
-        ``max_steps`` steps.  A run that quiesces on its last allowed
-        step, or a quiescent start with ``max_steps=0``, returns
-        normally.
+        ``max_steps`` steps; the record holds the steps taken.  A run
+        that quiesces on its last allowed step, or a quiescent start
+        with ``max_steps=0``, returns normally.
     TransitionError
-        If an owner of the chosen action refuses it.
+        If an owner of the chosen action refuses it; the record is left
+        as it was.
     """
+    states, actions = record.tip()
+    current = states[-1]
     view = automaton.slice_view()
-    view.start(state)
+    view.start(current)
     groups = view.groups
     advance = view.advance
-    states = [state]
-    actions: List[Action] = []
-    current = state
     last_served: Dict[str, int] = {}
     clock = 0
     while True:
@@ -150,9 +166,7 @@ def run_to_quiescence(
         if task is None:
             break
         if clock >= max_steps:
-            raise FairnessTimeout(
-                ExecutionFragment(tuple(states), tuple(actions)), max_steps
-            )
+            raise FairnessTimeout(record.grown(), max_steps)
         action = tie_break(candidates) if tie_break else candidates[0]
         clock += 1
         last_served[task] = clock
@@ -164,7 +178,7 @@ def run_to_quiescence(
         actions.append(action)
         if stop_when is not None and stop_when(action):
             break
-    return ExecutionFragment(tuple(states), tuple(actions))
+    return record.grown()
 
 
 def fair_extension(
@@ -178,15 +192,13 @@ def fair_extension(
 
     Appends the given inputs and then runs the fair scheduler to
     quiescence (or until ``stop_when`` fires).  The returned fragment
-    extends ``fragment``; if it ends quiescent it is a fair execution.
+    extends ``fragment`` over its lists, copying them only if another
+    fragment already grew them; ``fragment`` itself keeps its length.  If
+    the result ends quiescent it is a fair execution.
     """
-    extended = fragment.extend(
-        apply_inputs(automaton, fragment.final_state, inputs)
+    extended = fragment.prefix(len(fragment))
+    for action in _inputs(automaton, inputs):
+        extended.step(action, automaton.step(extended.final_state, action))
+    return run_to_quiescence(
+        automaton, extended, max_steps=max_steps, stop_when=stop_when
     )
-    tail = run_to_quiescence(
-        automaton,
-        extended.final_state,
-        max_steps=max_steps,
-        stop_when=stop_when,
-    )
-    return extended.extend(tail)

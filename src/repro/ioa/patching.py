@@ -34,8 +34,9 @@ def _flush_internal(
     cursors: List[int],
     index: int,
     composed: ExecutionFragment,
-) -> ExecutionFragment:
-    """Advance component ``index`` through its internal steps."""
+) -> None:
+    """Advance component ``index`` through its internal steps, extending
+    ``composed``."""
     component = composition.components[index]
     fragment = fragments[index]
     while cursors[index] < len(fragment.actions):
@@ -43,8 +44,8 @@ def _flush_internal(
         if component.signature.is_external(action):
             break
         state = composed.final_state
-        new_component_state = fragment.state_after(cursors[index])
-        expected = fragment.state_before(cursors[index])
+        new_component_state = fragment.states[cursors[index] + 1]
+        expected = fragment.states[cursors[index]]
         if state[index] != expected:
             raise PatchError(
                 f"component {component.name} diverged: composed state "
@@ -52,9 +53,8 @@ def _flush_internal(
                 f"{expected!r}"
             )
         new_state = state[:index] + (new_component_state,) + state[index + 1 :]
-        composed = composed.append(action, new_state)
+        composed.step(action, new_state)
         cursors[index] += 1
-    return composed
 
 
 def patch_executions(
@@ -114,9 +114,7 @@ def patch_executions(
         # Flush internal prefixes of every involved component so each
         # is poised at this external action.
         for index in involved:
-            composed = _flush_internal(
-                composition, fragments, cursors, index, composed
-            )
+            _flush_internal(composition, fragments, cursors, index, composed)
             fragment = fragments[index]
             if (
                 cursors[index] >= len(fragment.actions)
@@ -129,14 +127,12 @@ def patch_executions(
         state = composed.final_state
         new_state = list(state)
         for index in involved:
-            new_state[index] = fragments[index].state_after(cursors[index])
+            new_state[index] = fragments[index].states[cursors[index] + 1]
             cursors[index] += 1
-        composed = composed.append(action, tuple(new_state))
+        composed.step(action, tuple(new_state))
     # Flush trailing internal steps.
     for index in range(len(components)):
-        composed = _flush_internal(
-            composition, fragments, cursors, index, composed
-        )
+        _flush_internal(composition, fragments, cursors, index, composed)
         if cursors[index] != len(fragments[index].actions):
             raise PatchError(
                 f"component {components[index].name} has unconsumed "

@@ -212,20 +212,25 @@ class DataLinkSystem:
 
     def deliver(
         self,
-        state: State,
+        fragment: ExecutionFragment,
         message: Message,
         inputs: Iterable[Action] = (),
         max_steps: int = 100_000,
     ) -> Tuple[ExecutionFragment, bool]:
-        """:meth:`run_fair` until ``receive_msg(message)``.
+        """``fragment`` extended fairly (:func:`fair_extension`) until
+        ``receive_msg(message)``.
 
-        Returns the run and whether it delivered ``message``; a run that
-        quiesces first did not.  Raises ``FairnessTimeout`` as
+        Returns the extension and whether it delivered ``message``; a
+        run that quiesces first did not.  Raises ``FairnessTimeout`` as
         :meth:`run_fair` does.
         """
         target = self.receive(message)
-        run = self.run_fair(state, inputs, max_steps, stop_when=target.__eq__)
-        return run, run.actions[-1:] == (target,)
+        run = fair_extension(
+            self.automaton, fragment, inputs, max_steps, target.__eq__
+        )
+        # The last action, read off the lists: a record that may grow
+        # further is not frozen into tuples.
+        return run, len(run) > len(fragment) and run.tip()[1][-1] == target
 
     def behavior(self, fragment: ExecutionFragment) -> Tuple[Action, ...]:
         """The data-link-layer behavior of an execution of ``D'(A)``."""

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence, Tuple
 
 from ..ioa.actions import Action
 from ..ioa.automaton import Automaton, State
+from ..ioa.execution import ExecutionFragment
 from ..ioa.fairness import run_to_quiescence
 
 #: Picks one of a task's enabled actions, given as a tuple in
@@ -58,7 +59,7 @@ def behaviors_under_schedules(
     for seed in seeds:
         fragment = run_to_quiescence(
             automaton,
-            state,
+            ExecutionFragment.initial(state),
             max_steps=max_steps,
             tie_break=seeded_tie_break(seed),
         )

@@ -135,6 +135,13 @@ class Session:
         executed, feeds the resumed actions to ``stop_when``, and leaves
         a checkpoint after each input it executes.  Either way the
         result equals the plain run's.
+
+        The run is one :class:`~repro.ioa.execution.ExecutionFragment`
+        record: inputs step it, the fair kernel appends each burst and
+        the drain to it in place, and the result is the record itself
+        (or its prefix up to the stop).  A resumed record starts as the
+        checkpoint's prefix, so it copies the checkpoint's steps only if
+        another run already went on from there.
         """
         system = self.system
         automaton = system.automaton
@@ -143,38 +150,33 @@ class Session:
         slack_bound = self.max_interleave + 1
         if checkpoints is None:
             node, index = None, 0
-            states = [system.initial_state()]
-            actions = []
+            run = ExecutionFragment.initial(system.initial_state())
         else:
             node, index = checkpoints.deepest(self)
-            states = node.states[: node.length + 1]
-            actions = node.actions[: node.length]
+            run = node.run.prefix(len(node.run))
             # Input i's slack is the seeded RNG's i-th draw.
             for _ in range(index):
                 rng.randrange(slack_bound)
-        resumed = len(actions)
+        actions = run.tip()[1]
+        resumed = len(run)
         fed = 0  # actions before this one have been fed to stop_when
-        state = states[-1]
         tracer = current_tracer()
         with tracer.span("sim.scenario", seed=self.seed):
             while True:
                 if stop_when is not None:
-                    for cut in range(fed, len(actions)):
+                    for cut in range(fed, len(run)):
                         if stop_when(actions[cut]):
                             return self._finish(
-                                states[: cut + 2],
-                                actions[: cut + 1],
+                                run.prefix(cut + 1),
                                 False,
                                 tracer,
                                 stopped=True,
                                 resumed=min(resumed, cut + 1),
                             )
-                    fed = len(actions)
-                budget = self.max_steps - len(actions)
+                    fed = len(run)
+                budget = self.max_steps - len(run)
                 if index and budget <= 0:
-                    return self._finish(
-                        states, actions, False, tracer, resumed=resumed
-                    )
+                    return self._finish(run, False, tracer, resumed=resumed)
                 if index == len(script):
                     break
                 action = script[index]
@@ -186,22 +188,15 @@ class Session:
                             tracer.count("sim.crash_injections")
                         elif action.name == FAIL:
                             tracer.count("sim.fail_injections")
-                    state = automaton.step(state, action)
-                    states.append(state)
-                    actions.append(action)
+                    run.step(action, automaton.step(run.final_state, action))
                     slack = rng.randrange(slack_bound)
                     if slack:
                         try:
-                            burst = run_to_quiescence(
-                                automaton, state, max_steps=slack
-                            )
-                        except FairnessTimeout as exc:
-                            burst = exc.fragment
-                        states.extend(burst.states[1:])
-                        actions.extend(burst.actions)
-                        state = states[-1]
+                            run_to_quiescence(automaton, run, max_steps=slack)
+                        except FairnessTimeout:
+                            pass
                 if node is not None:
-                    child = _Checkpoint(states, actions)
+                    child = _Checkpoint(run.prefix(len(run)))
                     node.children[action] = child
                     node = child
             hits = []
@@ -216,17 +211,13 @@ class Session:
 
             quiescent = True
             try:
-                drain = run_to_quiescence(
-                    automaton, state, max_steps=budget, stop_when=watch
+                run_to_quiescence(
+                    automaton, run, max_steps=budget, stop_when=watch
                 )
-            except FairnessTimeout as exc:
-                drain = exc.fragment
+            except FairnessTimeout:
                 quiescent = False
-            states.extend(drain.states[1:])
-            actions.extend(drain.actions)
             return self._finish(
-                states,
-                actions,
+                run,
                 quiescent and not hits,
                 tracer,
                 stopped=bool(hits),
@@ -235,8 +226,7 @@ class Session:
 
     def _finish(
         self,
-        states: list,
-        actions: list,
+        fragment: ExecutionFragment,
         quiescent: bool,
         tracer,
         stopped: bool = False,
@@ -245,7 +235,6 @@ class Session:
         """Build the result, its behavior left to the first read; emit
         the packet-level counters when tracing."""
         system = self.system
-        fragment = ExecutionFragment(tuple(states), tuple(actions))
         result = ScenarioResult(
             fragment,
             None,
@@ -269,25 +258,23 @@ class Session:
 class _Checkpoint:
     """The run after one input's burst: a node of :class:`Checkpoints`.
 
-    ``states``/``actions`` are the lists of the run that made the node,
-    which only ever grow, so their first ``length`` actions (and
-    ``length + 1`` states) are this node's prefix for good.
+    ``run`` is a prefix of the run that made the node, sharing its
+    lists; a run resumed here extends a prefix of ``run`` of its own.
     """
 
-    __slots__ = ("children", "states", "actions", "length")
+    __slots__ = ("children", "run")
 
-    def __init__(self, states: list, actions: list):
+    def __init__(self, run: ExecutionFragment):
         self.children: Dict[Action, "_Checkpoint"] = {}
-        self.states = states
-        self.actions = actions
-        self.length = len(actions)
+        self.run = run
 
 
 class Checkpoints:
     """Input-boundary checkpoints of runs that differ only in scripts.
 
     A trie over script inputs: the node for an input prefix holds the
-    run's state, states and actions after that prefix's last burst.
+    run after that prefix's last burst, a fragment over the lists of the
+    run that made it.
     Runs sharing it must share the system (start state included),
     seed, ``max_interleave`` and ``max_steps`` -- then a run's course
     up to its first new input is an earlier run's, since the states are
@@ -310,7 +297,9 @@ class Checkpoints:
         setup = (session.seed, session.max_interleave, session.max_steps)
         if self.root is None:
             self._setup = (session.system,) + setup
-            self.root = _Checkpoint([session.system.initial_state()], [])
+            self.root = _Checkpoint(
+                ExecutionFragment.initial(session.system.initial_state())
+            )
         elif self._setup[0] is not session.system or self._setup[1:] != setup:
             raise ValueError("checkpoints belong to another session setup")
         node, depth = self.root, 0

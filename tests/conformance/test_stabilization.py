@@ -38,6 +38,7 @@ from repro.conformance import (
 from repro.conformance.arbitrary import PROBE_BURST, PROBE_MESSAGES
 from repro.datalink.protocol import DataLinkProtocol
 from repro.ioa.composition import Composition
+from repro.ioa.execution import ExecutionFragment
 from repro.ioa.fairness import FairnessTimeout, run_to_quiescence
 from repro.protocols.naive import (
     DATA,
@@ -164,7 +165,9 @@ def step_walk_pools(system):
         state = system.automaton.step(state, action)
         try:
             burst = run_to_quiescence(
-                system.automaton, state, max_steps=PROBE_BURST
+                system.automaton,
+                ExecutionFragment.initial(state),
+                max_steps=PROBE_BURST,
             )
         except FairnessTimeout as exc:
             burst = exc.fragment

@@ -23,7 +23,7 @@ from repro.conformance.registry import FUZZ_CHANNELS, FUZZ_PROTOCOLS
 from repro.datalink import ReceiverAutomaton, TransmitterAutomaton
 from repro.impossibility.crash_engine import CrashImpossibilityEngine
 from repro.impossibility.header_engine import BoundedHeaderEngine
-from repro.ioa import run_to_quiescence
+from repro.ioa import ExecutionFragment, run_to_quiescence
 from repro.protocols import alternating_bit_protocol
 from repro.sim import DataLinkSystem, Session
 from repro.sim.load import LoadConfig, run_load, with_load_mix
@@ -250,10 +250,12 @@ def test_warm_id_caches_step_like_the_reference(monkeypatch, protocol):
     kernel = session_module.run_to_quiescence
     checked = []
 
-    def checked_kernel(automaton, state, max_steps=100_000, **kwargs):
-        outcome = assert_kernel_matches(automaton, state, max_steps=max_steps)
+    def checked_kernel(automaton, record, max_steps=100_000, **kwargs):
+        outcome = assert_kernel_matches(
+            automaton, record.final_state, max_steps=max_steps
+        )
         checked.append(outcome)
-        return kernel(automaton, state, max_steps=max_steps, **kwargs)
+        return kernel(automaton, record, max_steps=max_steps, **kwargs)
 
     def sizes():
         # Slices, kept steps and cached task groups, per station.
@@ -291,5 +293,7 @@ def test_tabled_owner_refusal_raises_warm_and_cold():
             outcome = assert_kernel_matches(automaton, automaton.initial_state())
             assert outcome[0] == "refused"
         with pytest.raises(TransitionError):
-            run_to_quiescence(automaton, automaton.initial_state())
+            run_to_quiescence(
+                automaton, ExecutionFragment.initial(automaton.initial_state())
+            )
     assert jammed.table.steps[0], "the refusal was never kept"

@@ -165,7 +165,7 @@ class TestPumpingCost:
             memoized = set(engine._classes)
             received = [
                 action.payload
-                for action in engine._actions
+                for action in engine._record.actions
                 if action.key == (RECEIVE_PKT, ("t", "r"))
             ]
             for packet in received:
@@ -193,8 +193,10 @@ class TestValidityCheckedEveryRound:
             rounds.append(probe.message)
             if len(rounds) == 2:
                 # Announce the round's message a second time (DL4).
-                engine._actions.append(receive_msg("t", "r", probe.message))
-                engine._states.append(engine._states[-1])
+                record = engine._record
+                record.step(
+                    receive_msg("t", "r", probe.message), record.final_state
+                )
             return entry
 
         monkeypatch.setattr(engine, "_pump_round", corrupting_pump_round)

@@ -7,10 +7,12 @@ import pytest
 from repro.ioa import (
     Action,
     Composition,
+    ExecutionFragment,
     SignatureError,
     replay_schedule,
     run_to_quiescence,
 )
+from .reference_execution import is_execution_of
 from .toys import Counter, Echo, Forwarder, Nondet, ping, pong
 
 
@@ -107,8 +109,8 @@ class TestProjection:
         )
         echo_part = pipeline.project_execution(fragment, 0)
         forwarder_part = pipeline.project_execution(fragment, 1)
-        assert echo_part.is_valid_for(pipeline.components[0])
-        assert forwarder_part.is_valid_for(pipeline.components[1])
+        assert is_execution_of(echo_part, pipeline.components[0])
+        assert is_execution_of(forwarder_part, pipeline.components[1])
         # Echo does not see ack actions.
         assert all(a.name != "ack" for a in echo_part.actions)
 
@@ -124,7 +126,9 @@ class TestProjection:
 class TestFairRuns:
     def test_pipeline_drains_fairly(self, pipeline):
         state = pipeline.step(pipeline.initial_state(), ping(7))
-        fragment = run_to_quiescence(pipeline, state)
+        fragment = run_to_quiescence(
+            pipeline, ExecutionFragment.initial(state)
+        )
         names = [a.name for a in fragment.actions]
         assert names == ["pong", "ack"]
 
@@ -132,6 +136,8 @@ class TestFairRuns:
         # Fairness must serve both components' tasks.
         c1, c2 = Counter(3, tag="tick1"), Counter(5, tag="tick2")
         composed = Composition([c1, c2])
-        fragment = run_to_quiescence(composed, composed.initial_state())
+        fragment = run_to_quiescence(
+            composed, ExecutionFragment.initial(composed.initial_state())
+        )
         assert fragment.final_state == (0, 0)
         assert len(fragment) == 8

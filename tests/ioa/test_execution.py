@@ -12,6 +12,7 @@ from repro.ioa import (
     project_schedule,
     replay_schedule,
 )
+from .reference_execution import is_execution_of, is_valid_for
 from .toys import Echo, ping, pong
 
 
@@ -35,15 +36,11 @@ class TestFragmentBasics:
             ExecutionFragment((1, 2), ())
 
     def test_append(self, echo):
-        fragment = ExecutionFragment.initial(()).append(ping(1), (1,))
+        fragment = ExecutionFragment.initial(())
+        fragment.step(ping(1), (1,))
         assert len(fragment) == 1
         assert fragment.final_state == (1,)
-
-    def test_state_before_after(self, echo):
-        fragment = run_echo(echo, ping(1), pong(1))
-        assert fragment.state_before(0) == ()
-        assert fragment.state_after(0) == (1,)
-        assert fragment.state_after(1) == ()
+        assert fragment.states == ((), (1,))
 
     def test_schedule_and_behavior(self, echo):
         fragment = run_echo(echo, ping(1), pong(1))
@@ -52,51 +49,50 @@ class TestFragmentBasics:
         assert fragment.behavior(echo.signature) == (ping(1), pong(1))
 
     def test_extend(self, echo):
-        first = run_echo(echo, ping(1))
-        second = replay_schedule(echo, first.final_state, [pong(1)])
-        combined = first.extend(second)
-        assert combined.schedule() == (ping(1), pong(1))
+        fragment = run_echo(echo, ping(1))
+        states, actions = fragment.tip()
+        states.append(())
+        actions.append(pong(1))
+        assert fragment.grown() is fragment
+        assert fragment.schedule() == (ping(1), pong(1))
+        assert fragment.final_state == ()
 
-    def test_extend_rejects_mismatch(self, echo):
-        first = run_echo(echo, ping(1))
-        other = ExecutionFragment.initial((99,))
-        with pytest.raises(ValueError):
-            first.extend(other)
-
-    def test_prefix_suffix(self, echo):
+    def test_prefix_shares_the_lists(self, echo):
         fragment = run_echo(echo, ping(1), ping(2), pong(1))
         assert fragment.prefix(1).schedule() == (ping(1),)
-        assert fragment.suffix_from(1).schedule() == (ping(2), pong(1))
         assert fragment.prefix(0).schedule() == ()
+        assert fragment.prefix(3) == fragment
         with pytest.raises(ValueError):
             fragment.prefix(4)
+        # Growing a prefix copies the lists the longer fragment holds.
+        prefix = fragment.prefix(1)
+        prefix.step(ping(3), (1, 3))
+        assert prefix.schedule() == (ping(1), ping(3))
+        assert fragment.schedule() == (ping(1), ping(2), pong(1))
 
-    def test_truncate_after(self, echo):
-        fragment = run_echo(echo, ping(1), ping(2), pong(1))
-        truncated = fragment.truncate_after(lambda a: a.name == "pong")
-        assert truncated.schedule() == (ping(1), ping(2), pong(1))
-        assert fragment.truncate_after(lambda a: a.name == "zzz") is None
-
-    def test_with_final_state(self, echo):
+    def test_equality_compares_contents(self, echo):
         fragment = run_echo(echo, ping(1))
-        patched = fragment.with_final_state((42,))
-        assert patched.final_state == (42,)
-        assert patched.schedule() == fragment.schedule()
+        assert fragment == ExecutionFragment(((), (1,)), (ping(1),))
+        assert fragment != ExecutionFragment.initial(())
+        with pytest.raises(TypeError):
+            hash(fragment)
 
 
 class TestValidation:
+    """The step-by-step reference checkers of Lemmas 2.2 and 2.3."""
+
     def test_valid_execution(self, echo):
         fragment = run_echo(echo, ping(1), pong(1))
-        assert fragment.is_valid_for(echo)
-        assert fragment.is_execution_of(echo)
+        assert is_valid_for(fragment, echo)
+        assert is_execution_of(fragment, echo)
 
     def test_invalid_step_detected(self, echo):
         bogus = ExecutionFragment(((), (5,)), (pong(5),))
-        assert not bogus.is_valid_for(echo)
+        assert not is_valid_for(bogus, echo)
 
     def test_non_start_state_not_execution(self, echo):
         fragment = ExecutionFragment.initial((1,))
-        assert not fragment.is_execution_of(echo)
+        assert not is_execution_of(fragment, echo)
 
 
 class TestReplay:

@@ -38,7 +38,6 @@ from repro.ioa import (
     TransitionError,
     run_to_quiescence,
 )
-from repro.ioa.automaton import State
 from repro.ioa.composition import ComponentSlices
 from repro.sim.scheduler import seeded_tie_break
 
@@ -47,16 +46,15 @@ from .toys import PONG, Counter, Echo, Forwarder, Nondet, ping
 
 def reference_run_to_quiescence(
     automaton: Automaton,
-    state: State,
+    record: ExecutionFragment,
     max_steps: int = 100_000,
     stop_when: Optional[Callable[[Action], bool]] = None,
     tie_break: Optional[Callable[[List[Action]], Action]] = None,
 ) -> ExecutionFragment:
     """The fair executor's former per-step loop, stepping by
-    ``transitions`` as :meth:`Automaton.step` then did."""
-    states = [state]
-    actions: List[Action] = []
-    current = state
+    ``transitions`` as :meth:`Automaton.step` then did, on the kernel's
+    calling convention: it extends ``record`` and returns it."""
+    current = record.final_state
     last_served: Dict[Hashable, int] = {}
     names: Dict[Hashable, str] = {}
 
@@ -87,22 +85,20 @@ def reference_run_to_quiescence(
         if not post:
             raise TransitionError.refused(automaton, current, action)
         current = post[0]
-        states.append(current)
-        actions.append(action)
+        record.step(action, current)
         if stop_when is not None and stop_when(action):
             break
     else:
-        raise FairnessTimeout(
-            ExecutionFragment(tuple(states), tuple(actions)), max_steps
-        )
-    return ExecutionFragment(tuple(states), tuple(actions))
+        raise FairnessTimeout(record, max_steps)
+    return record
 
 
 def _outcome(run, automaton, state, seed=None, **kwargs):
     if seed is not None:
         kwargs["tie_break"] = seeded_tie_break(seed)
     try:
-        return ("fragment", run(automaton, state, **kwargs))
+        record = ExecutionFragment.initial(state)
+        return ("fragment", run(automaton, record, **kwargs))
     except FairnessTimeout as exc:
         return ("timeout", exc.fragment, exc.budget)
     except TransitionError as exc:
@@ -143,7 +139,9 @@ def _scripted_states(system, subseeds, config, limit):
         states.append(state)
         try:
             burst = reference_run_to_quiescence(
-                automaton, state, max_steps=rng.randrange(4)
+                automaton,
+                ExecutionFragment.initial(state),
+                max_steps=rng.randrange(4),
             )
         except FairnessTimeout as exc:
             burst = exc.fragment
@@ -286,7 +284,7 @@ def test_tie_break_receives_tuples():
         return candidates[0]
 
     bag = Bag()
-    run_to_quiescence(bag, (1, 2), tie_break=first)
+    run_to_quiescence(bag, ExecutionFragment.initial((1, 2)), tie_break=first)
     assert seen and all(isinstance(c, tuple) for c in seen)
 
 
@@ -336,7 +334,7 @@ class TestReEnumeration:
             return False
 
         previous = system.initial_state()
-        run_to_quiescence(automaton, previous)
+        run_to_quiescence(automaton, ExecutionFragment.initial(previous))
         assert sorted(calls) == [0, 1, 2, 3]
         start = ComponentSlices.start
 
@@ -354,7 +352,9 @@ class TestReEnumeration:
             # already describes, and enumerates the owners' post-slices
             # as it advances; the run's start then has nothing to add.
             state = automaton.step(previous, action)
-            fragment = run_to_quiescence(automaton, state, stop_when=cut)
+            fragment = run_to_quiescence(
+                automaton, ExecutionFragment.initial(state), stop_when=cut
+            )
             assert batches.pop(0) == []
             # Nothing is enumerated after the last step.
             assert calls == []

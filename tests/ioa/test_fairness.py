@@ -94,18 +94,24 @@ class TestApplyInputs:
 class TestRunToQuiescence:
     def test_counter_drains(self):
         counter = Counter(4)
-        fragment = run_to_quiescence(counter, counter.initial_state())
+        fragment = run_to_quiescence(
+            counter, ExecutionFragment.initial(counter.initial_state())
+        )
         assert fragment.final_state == 0
         assert len(fragment) == 4
 
     def test_quiescent_start_is_noop(self):
         counter = Counter(0)
-        fragment = run_to_quiescence(counter, counter.initial_state())
+        fragment = run_to_quiescence(
+            counter, ExecutionFragment.initial(counter.initial_state())
+        )
         assert len(fragment) == 0
 
     def test_round_robin_serves_both_tasks(self):
         automaton = TwoTask()
-        fragment = run_to_quiescence(automaton, automaton.initial_state())
+        fragment = run_to_quiescence(
+            automaton, ExecutionFragment.initial(automaton.initial_state())
+        )
         names = [a.name for a in fragment.actions]
         # Strict alternation: neither task waits more than one turn.
         assert names[:4] in (["left", "right"] * 2, ["right", "left"] * 2)
@@ -114,7 +120,7 @@ class TestRunToQuiescence:
     def test_timeout_raises_with_fragment(self):
         automaton = Perpetual()
         with pytest.raises(FairnessTimeout) as info:
-            run_to_quiescence(automaton, 0, max_steps=10)
+            run_to_quiescence(automaton, ExecutionFragment.initial(0), max_steps=10)
         assert len(info.value.fragment) == 10
 
     def test_quiescing_on_last_allowed_step_returns(self):
@@ -124,27 +130,30 @@ class TestRunToQuiescence:
             system.initial_state(),
             [system.wake_t(), system.wake_r(), system.send(Message(0))],
         ).final_state
-        assert len(run_to_quiescence(system.automaton, start)) == 5
-        fragment = run_to_quiescence(system.automaton, start, max_steps=5)
+        automaton = system.automaton
+        assert len(run_to_quiescence(automaton, ExecutionFragment.initial(start))) == 5
+        fragment = run_to_quiescence(
+            automaton, ExecutionFragment.initial(start), max_steps=5
+        )
         assert len(fragment) == 5
         assert is_fair_finite(system.automaton, fragment)
         with pytest.raises(FairnessTimeout) as info:
-            run_to_quiescence(system.automaton, start, max_steps=4)
+            run_to_quiescence(automaton, ExecutionFragment.initial(start), max_steps=4)
         assert len(info.value.fragment) == 4
 
     def test_zero_budget_on_quiescent_state_returns(self):
         counter = Counter(0)
-        fragment = run_to_quiescence(counter, 0, max_steps=0)
+        fragment = run_to_quiescence(counter, ExecutionFragment.initial(0), max_steps=0)
         assert len(fragment) == 0
         with pytest.raises(FairnessTimeout) as info:
-            run_to_quiescence(Counter(1), 1, max_steps=0)
+            run_to_quiescence(Counter(1), ExecutionFragment.initial(1), max_steps=0)
         assert len(info.value.fragment) == 0
 
     def test_stop_when_truncates(self):
         counter = Counter(10)
         fragment = run_to_quiescence(
             counter,
-            counter.initial_state(),
+            ExecutionFragment.initial(counter.initial_state()),
             stop_when=lambda a: True,
         )
         assert len(fragment) == 1
@@ -153,7 +162,7 @@ class TestRunToQuiescence:
         automaton = TwoTask()
         fragment = run_to_quiescence(
             automaton,
-            automaton.initial_state(),
+            ExecutionFragment.initial(automaton.initial_state()),
             tie_break=lambda actions: actions[-1],
         )
         assert fragment.final_state == (0, 0)
@@ -162,7 +171,9 @@ class TestRunToQuiescence:
 class TestFairness:
     def test_quiescent_finite_execution_is_fair(self):
         counter = Counter(2)
-        fragment = run_to_quiescence(counter, counter.initial_state())
+        fragment = run_to_quiescence(
+            counter, ExecutionFragment.initial(counter.initial_state())
+        )
         assert is_fair_finite(counter, fragment)
 
     def test_non_quiescent_finite_execution_not_fair(self):
@@ -222,7 +233,7 @@ class TestTaskNames:
                 return TestTaskNames.Twin(action.payload)
 
         with pytest.raises(ValueError, match="share"):
-            run_to_quiescence(TwoTasks(), (), max_steps=3)
+            run_to_quiescence(TwoTasks(), ExecutionFragment.initial(()), max_steps=3)
 
     @pytest.mark.parametrize("channel", ["fifo", "nonfifo", "bounded_nonfifo"])
     def test_fuzz_systems_name_every_task_apart(self, channel):

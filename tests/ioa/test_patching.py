@@ -6,6 +6,7 @@ import pytest
 
 from repro.ioa import Action, Composition, replay_schedule
 from repro.ioa.patching import PatchError, patch_executions, patch_schedules
+from .reference_execution import is_execution_of
 from .toys import Counter, Echo, Forwarder, ping, pong
 
 
@@ -49,7 +50,7 @@ class TestPatchExecutions:
         composed = patch_executions(
             pipeline, [echo_frag, fwd_frag], behavior
         )
-        assert composed.is_valid_for(pipeline)
+        assert is_execution_of(composed, pipeline)
 
     def test_patch_with_internal_actions(self):
         # A counter's ticks are internal: patching must flush them even
@@ -68,7 +69,7 @@ class TestPatchExecutions:
         )
         assert composed.final_state == ((), 0)
         assert len(composed) == 4  # 2 external + 2 internal ticks
-        assert composed.is_valid_for(composition)
+        assert is_execution_of(composed, composition)
 
     def test_mismatched_projection_rejected(self, pipeline):
         echo, forwarder = pipeline.components

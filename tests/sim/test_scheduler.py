@@ -66,12 +66,12 @@ class TestScheduleExploration:
             [system.wake_t(), system.wake_r()]
             + [system.send(m) for m in factory.fresh_many(4)],
         ).final_state
-        from repro.ioa import run_to_quiescence
+        from repro.ioa import ExecutionFragment, run_to_quiescence
 
         runs = {
             run_to_quiescence(
                 system.automaton,
-                state,
+                ExecutionFragment.initial(state),
                 tie_break=seeded_tie_break(seed),
             ).actions
             for seed in range(6)

@@ -204,6 +204,26 @@ class TestCheckpointsAndStop:
         assert again.fragment == first.fragment
         assert again.resumed == again.steps
 
+    def test_later_runs_leave_an_earlier_fragment_unchanged(self):
+        # A checkpointed run's fragment shares its lists with the trie.
+        # Runs resumed from its checkpoints, diverging inside it or going
+        # past its end, must leave every element it covers as it was,
+        # before it is first read.
+        session = Session.from_spec("naive", "nonfifo", 5, SMALL)
+        plain = session.run()
+        shared = Checkpoints()
+        first = session.run(checkpoints=shared)
+        script = session.script
+        later = [script[:cut] + script[cut + 1 :] for cut in (3, 6, 9)]
+        later.append(script + script[:4])
+        for other in later:
+            assert replace(session, script=other).run(
+                checkpoints=shared
+            ).resumed
+        assert first.fragment.states == plain.fragment.states
+        assert first.fragment.actions == plain.fragment.actions
+        assert first.behavior == plain.behavior
+
     def test_stopped_run_is_not_counted_non_quiescent(self):
         session = Session.from_spec("naive", "nonfifo", 4)
         with tracing(MemorySink()) as tracer:
